@@ -9,6 +9,7 @@ use zigzag_bench::{airframe, run_zigzag_pair};
 use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::{clean_reception, synth_collision, PlacedTx};
 use zigzag_core::config::DecoderConfig;
+use zigzag_core::engine::Scratch;
 use zigzag_core::standard::decode_single;
 use zigzag_core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
 use zigzag_phy::preamble::Preamble;
@@ -19,18 +20,10 @@ fn bench_standard(c: &mut Criterion) {
     let a = airframe(1, 1, 500, 9);
     let rx = clean_reception(&a, &l, &mut rng);
     let reg = zigzag_testbed::registry_for(&[(1, &l)]);
+    let (cfg, preamble) = (DecoderConfig::default(), Preamble::default_len());
+    let mut ws = Scratch::with_backend(cfg.backend);
     c.bench_function("standard_decode_500B", |b| {
-        b.iter(|| {
-            decode_single(
-                &rx.buffer,
-                0,
-                Some(1),
-                &reg,
-                &Preamble::default_len(),
-                true,
-                &DecoderConfig::default(),
-            )
-        })
+        b.iter(|| decode_single(&rx.buffer, 0, Some(1), &reg, &preamble, true, &cfg, &mut ws))
     });
 }
 
@@ -72,9 +65,11 @@ fn bench_zigzag_k_senders(c: &mut Criterion) {
         let pairs: Vec<(u16, &LinkProfile)> =
             links.iter().enumerate().map(|(i, l)| (i as u16 + 1, l)).collect();
         let reg = zigzag_testbed::registry_for(&pairs);
+        let cfg = DecoderConfig::forward_only();
+        let mut ws = Scratch::with_backend(cfg.backend);
         c.bench_with_input(BenchmarkId::new("zigzag_k_senders", k), &k, |b, &k| {
             b.iter(|| {
-                let dec = ZigzagDecoder::new(DecoderConfig::forward_only(), &reg);
+                let dec = ZigzagDecoder::new(cfg.clone(), &reg);
                 let specs: Vec<CollisionSpec<'_>> = buffers
                     .iter()
                     .zip(offsets.iter())
@@ -85,7 +80,7 @@ fn bench_zigzag_k_senders(c: &mut Criterion) {
                     .collect();
                 let pkts: Vec<PacketSpec> =
                     (0..k).map(|i| PacketSpec { client: i as u16 + 1 }).collect();
-                dec.decode(&specs, &pkts)
+                dec.decode(&specs, &pkts, &mut ws)
             })
         });
     }

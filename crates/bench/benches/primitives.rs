@@ -1,5 +1,5 @@
-//! Criterion benches of the receiver's hot phy primitives, run on all
-//! three kernel backends (`zigzag_phy::kernel`): the sliding correlation
+//! Criterion benches of the receiver's hot phy primitives, run on both
+//! kernel backends (`zigzag_phy::kernel`): the sliding correlation
 //! scan, FIR filtering, windowed-sinc resampling, MRC combining and the
 //! §4.2.2 match metric (raw and footprint-backed), plus the equalizer
 //! design and Viterbi decoding baselines. These quantify the
@@ -8,9 +8,9 @@
 //!
 //! Besides timing, this bench is a regression gate: each primitive's
 //! outputs are checked against the scalar reference (within 1e-9) on
-//! the bench inputs, the optimized correlation scan must be ≥ 3× the
-//! scalar one on buffers ≥ 4096 samples (the dominant detect cost), and
-//! the explicit-SIMD backend must beat optimized ≥ 1.5× on at least two
+//! the bench inputs, the simd correlation scan must be ≥ 3× the scalar
+//! one on buffers ≥ 4096 samples (the dominant detect cost), and the
+//! simd backend must beat scalar ≥ 1.5× on at least five of the seven
 //! primitive benches. Set `ZIGZAG_BENCH_RELAXED=1` to relax the perf
 //! gates (shared CI runners); the equivalence assertions always run.
 //! Results are written to `BENCH_phy.json` at the repo root so the perf
@@ -26,14 +26,14 @@ use zigzag_phy::filter::Fir;
 use zigzag_phy::kernel::{BackendKind, CorrFootprint, Kernel, MatchScore};
 use zigzag_phy::preamble::Preamble;
 
-const BACKENDS: [BackendKind; 3] = [BackendKind::Scalar, BackendKind::Optimized, BackendKind::Simd];
+const BACKENDS: [BackendKind; 2] = [BackendKind::Scalar, BackendKind::Simd];
 
 fn noise(n: usize, seed: u64) -> Vec<Complex> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n).map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))).collect()
 }
 
-/// Checks every fast backend's bench output against the scalar
+/// Checks the simd backend's bench output against the scalar
 /// reference (`outputs[0]`), within 1e-9. Always runs, even when the
 /// perf gates are relaxed.
 fn assert_equivalent(outputs: &[Vec<Complex>], what: &str) {
@@ -66,13 +66,15 @@ impl Results {
     }
 
     fn write_json(&self, path: &str) {
-        let mut s = String::from("{\n  \"bench\": \"primitives\",\n  \"results\": [\n");
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut s = format!("{{\n  \"bench\": \"primitives\",\n  \"nproc\": {nproc},\n");
+        s.push_str("  \"results\": [\n");
         for (i, (name, ns)) in self.entries.iter().enumerate() {
             let comma = if i + 1 < self.entries.len() { "," } else { "" };
             let _ = writeln!(s, "    {{\"name\": \"{name}\", \"ns_per_iter\": {ns:.1}}}{comma}");
         }
         s.push_str("  ],\n  \"speedups\": {\n");
-        // one column per fast backend: speedup vs the scalar reference
+        // one column per non-reference backend: speedup vs scalar
         let rows: Vec<(String, Vec<(String, f64)>)> = self
             .entries
             .iter()
@@ -214,7 +216,7 @@ fn bench_matching(c: &mut Criterion, r: &mut Results) {
         .collect();
     let (p, q) = (100usize, 132usize); // aligned spans (32-sample shift)
     let mut fp = CorrFootprint::default();
-    Kernel::new(BackendKind::Optimized).ensure_footprint(&mut fp, &buf_b, 0.25, &mut Vec::new);
+    Kernel::new(BackendKind::Simd).ensure_footprint(&mut fp, &buf_b, 0.25, &mut Vec::new);
     let mut raw_scores: Vec<MatchScore> = Vec::new();
     let mut fp_scores: Vec<MatchScore> = Vec::new();
     for kind in BACKENDS {
@@ -292,25 +294,25 @@ fn run(c: &mut Criterion) {
 
     for n in [4096usize, 16384] {
         let scalar = r.ns(&format!("scan_into_{n}/scalar")).unwrap();
-        let optimized = r.ns(&format!("scan_into_{n}/optimized")).unwrap();
-        let speedup = scalar / optimized;
-        println!("scan_into_{n}: optimized {speedup:.1}x scalar");
+        let simd = r.ns(&format!("scan_into_{n}/simd")).unwrap();
+        let speedup = scalar / simd;
+        println!("scan_into_{n}: simd {speedup:.1}x scalar");
         // The acceptance gate: the dominant detect cost must be >= 3x on
         // buffers >= 4096 samples. Shared/noisy runners relax it but keep
         // the equivalence assertions above.
         if std::env::var_os("ZIGZAG_BENCH_RELAXED").is_none() {
             assert!(
                 speedup >= 3.0,
-                "optimized scan_into must be >= 3x scalar on {n}-sample buffers, got {speedup:.2}x"
+                "simd scan_into must be >= 3x scalar on {n}-sample buffers, got {speedup:.2}x"
             );
         }
     }
 
-    // The explicit-SIMD gate: where the autovectorized SoA backend left
-    // lane-level headroom, the simd backend must claim it — >= 1.5x over
-    // optimized on at least two primitive benches (on AVX2 hardware).
-    // Relaxable on shared runners like the scan gate; the equivalence
-    // assertions above never relax.
+    // The breadth gate: the simd backend must beat the scalar reference
+    // >= 1.5x on at least five of the seven primitive benches (measured:
+    // six clear 2x on AVX2 hardware; mrc is memory-bound). Relaxable on
+    // shared runners like the scan gate; the equivalence assertions
+    // above never relax.
     let primitive_benches = [
         "scan_into_4096",
         "scan_into_16384",
@@ -322,18 +324,19 @@ fn run(c: &mut Criterion) {
     ];
     let mut beats = 0;
     for base in primitive_benches {
-        let optimized = r.ns(&format!("{base}/optimized")).unwrap();
+        let scalar = r.ns(&format!("{base}/scalar")).unwrap();
         let simd = r.ns(&format!("{base}/simd")).unwrap();
-        let vs_opt = optimized / simd;
-        println!("{base}: simd {vs_opt:.2}x optimized");
-        if vs_opt >= 1.5 {
+        let speedup = scalar / simd;
+        println!("{base}: simd {speedup:.2}x scalar");
+        if speedup >= 1.5 {
             beats += 1;
         }
     }
     if std::env::var_os("ZIGZAG_BENCH_RELAXED").is_none() {
         assert!(
-            beats >= 2,
-            "simd must be >= 1.5x optimized on at least 2 primitive benches, got {beats}"
+            beats >= 5,
+            "simd must be >= 1.5x scalar on at least 5 of {} primitive benches, got {beats}",
+            primitive_benches.len()
         );
     }
     r.write_json(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_phy.json"));

@@ -1,15 +1,15 @@
 //! Batched decode throughput: buffers decoded/sec through the
 //! `BatchEngine`, across two axes — single- vs multi-threaded, and the
-//! scalar vs optimized vs explicit-simd phy kernel backend — on a batch
-//! of 64 independent hidden-terminal work units (128 collision buffers).
+//! scalar vs simd phy kernel backend — on a batch of 64 independent
+//! hidden-terminal work units (128 collision buffers).
 //!
 //! This is the perf anchor for the engine + kernel-backend work, and a
 //! regression gate: decode events must be **identical** at every thread
-//! count AND under all three kernel backends (always asserted — this is
+//! count AND under both kernel backends (always asserted — this is
 //! the CI smoke check for kernel-backend regressions), the
 //! multi-threaded engine must beat single-threaded by ≥ 2× on ≥ 4 real
-//! cores, the optimized and simd backends must measurably beat scalar
-//! end-to-end, and the staged k-way matcher must beat the frozen
+//! cores, the simd backend must measurably beat scalar end-to-end,
+//! and the staged k-way matcher must beat the frozen
 //! exhaustive-interp k=3 baseline ([`K3_BASELINE_MS_SINGLE`]) by ≥ 5×.
 //! The recovery workload additionally asserts the lockstep-batched
 //! `solve_groups` path decodes bit-identically to the per-system
@@ -43,7 +43,8 @@ use zigzag_channel::scenario::{hidden_pair, synth_collision, PlacedTx};
 use zigzag_core::config::StreamConfig;
 use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig, RecoveryConfig, ShardConfig};
 use zigzag_core::engine::{
-    decode_batch, unit_seed, BatchEngine, DecodeUnit, Pipeline, ReceiverCore, ShardedReceiver,
+    decode_batch, unit_seed, BatchEngine, DecodeUnit, Pipeline, ReceiverCore, Scratch,
+    ShardedReceiver,
 };
 use zigzag_core::receiver::DecodePath;
 use zigzag_core::stream::carve_buffer;
@@ -218,6 +219,7 @@ fn build_k3_units(backend: BackendKind) -> (Vec<DecodeUnit>, Vec<Vec<Frame>>) {
         let out = dec.decode(
             &specs,
             &[PacketSpec { client: 1 }, PacketSpec { client: 2 }, PacketSpec { client: 3 }],
+            &mut Scratch::with_backend(backend),
         );
         expected.push(out.packets.into_iter().filter_map(|p| p.frame).collect());
         units.push(DecodeUnit { cfg: DecoderConfig::with_backend(backend), registry, buffers });
@@ -257,7 +259,7 @@ fn bench_batch_decode(c: &mut Criterion) {
     let mut events_by_backend = Vec::new();
     let mut n_buffers = 0;
 
-    for backend in [BackendKind::Scalar, BackendKind::Optimized, BackendKind::Simd] {
+    for backend in [BackendKind::Scalar, BackendKind::Simd] {
         let units = build_units(backend);
         n_buffers = units.iter().map(|u| u.buffers.len()).sum();
         println!(
@@ -287,10 +289,6 @@ fn bench_batch_decode(c: &mut Criterion) {
     // --- determinism across kernel backends ---
     assert_eq!(
         events_by_backend[0], events_by_backend[1],
-        "scalar and optimized kernel backends must produce identical decode events"
-    );
-    assert_eq!(
-        events_by_backend[0], events_by_backend[2],
         "scalar and simd kernel backends must produce identical decode events"
     );
     let delivered: usize = events_by_backend[0]
@@ -300,11 +298,11 @@ fn bench_batch_decode(c: &mut Criterion) {
         .count();
 
     // --- k=3 workload: 3-sender/3-collision sets through the pipeline ---
-    let (k3_units, k3_expected) = build_k3_units(BackendKind::Optimized);
+    let (k3_units, k3_expected) = build_k3_units(BackendKind::Simd);
     let k3_buffers: usize = k3_units.iter().map(|u| u.buffers.len()).sum();
     println!("batch[k3]: {} work units / {k3_buffers} collision buffers", k3_units.len());
     for (engine_name, engine) in [("single_thread", &single), ("multi_thread", &multi)] {
-        let name = format!("batch_decode_k3_{engine_name}/optimized");
+        let name = format!("batch_decode_k3_{engine_name}/simd");
         c.bench_function(&name, |b| b.iter(|| decode_batch(engine, &k3_units)));
         timings.push((name, c.last_ns));
     }
@@ -341,13 +339,7 @@ fn bench_batch_decode(c: &mut Criterion) {
     assert_eq!(
         k3_events,
         decode_batch(&single, &k3_scalar_units),
-        "[k3] scalar and optimized kernel backends must produce identical decode events"
-    );
-    let (k3_simd_units, _) = build_k3_units(BackendKind::Simd);
-    assert_eq!(
-        k3_events,
-        decode_batch(&single, &k3_simd_units),
-        "[k3] simd and optimized kernel backends must produce identical decode events"
+        "[k3] scalar and simd kernel backends must produce identical decode events"
     );
 
     // --- shard workload: one AP, four disjoint client sets, sharded ---
@@ -751,27 +743,26 @@ fn bench_batch_decode(c: &mut Criterion) {
         );
     }
     let thread_speedup =
-        ns("batch_decode_single_thread/optimized") / ns("batch_decode_multi_thread/optimized");
-    let backend_speedup =
-        ns("batch_decode_single_thread/scalar") / ns("batch_decode_single_thread/optimized");
+        ns("batch_decode_single_thread/simd") / ns("batch_decode_multi_thread/simd");
     let simd_speedup =
         ns("batch_decode_single_thread/scalar") / ns("batch_decode_single_thread/simd");
-    let combined =
-        ns("batch_decode_single_thread/scalar") / ns("batch_decode_multi_thread/optimized");
+    let combined = ns("batch_decode_single_thread/scalar") / ns("batch_decode_multi_thread/simd");
     let shard_speedup = ns("shard_single_core") / ns("shard_sharded");
-    let k3_ms = ns("batch_decode_k3_single_thread/optimized") / 1e6;
+    let k3_ms = ns("batch_decode_k3_single_thread/simd") / 1e6;
     let k3_speedup = K3_BASELINE_MS_SINGLE / k3_ms;
     println!(
-        "speedups: threads {thread_speedup:.2}x, backend {backend_speedup:.2}x, simd {simd_speedup:.2}x, combined {combined:.2}x, shard {shard_speedup:.2}x, k3-vs-exhaustive {k3_speedup:.1}x   frames delivered: {delivered} (identical across backends and thread counts)"
+        "speedups: threads {thread_speedup:.2}x, simd {simd_speedup:.2}x, combined {combined:.2}x, shard {shard_speedup:.2}x, k3-vs-exhaustive {k3_speedup:.1}x   frames delivered: {delivered} (identical across backends and thread counts)"
     );
 
     // JSON perf trajectory at the repo root.
     let mut s = String::from("{\n  \"bench\": \"throughput\",\n");
     let _ = writeln!(
         s,
-        "  \"units\": {UNITS},\n  \"buffers\": {n_buffers},\n  \"threads\": {},",
-        multi.threads()
+        "  \"units\": {UNITS},\n  \"buffers\": {n_buffers},\n  \"threads\": {},\n  \"nproc\": {},",
+        multi.threads(),
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     );
+    let _ = writeln!(s, "  \"library_loc\": {},", library_loc());
     let _ = writeln!(s, "  \"frames_delivered\": {delivered},");
     s.push_str("  \"results\": [\n");
     for (i, (name, v)) in timings.iter().enumerate() {
@@ -788,8 +779,8 @@ fn bench_batch_decode(c: &mut Criterion) {
         s,
         "  \"k3\": {{\"units\": {}, \"buffers\": {k3_buffers}, \"frames_delivered\": {k3_delivered}, \"ms_single\": {:.2}, \"ms_multi\": {:.2}}},",
         k3_units.len(),
-        ns("batch_decode_k3_single_thread/optimized") / 1e6,
-        ns("batch_decode_k3_multi_thread/optimized") / 1e6
+        ns("batch_decode_k3_single_thread/simd") / 1e6,
+        ns("batch_decode_k3_multi_thread/simd") / 1e6
     );
     // perf trajectory of the k=3 matcher itself: the frozen pre-staged-
     // search baseline vs this run
@@ -876,7 +867,6 @@ fn bench_batch_decode(c: &mut Criterion) {
     }
     s.push_str("  ]},\n");
     let _ = writeln!(s, "  \"speedup_threads\": {thread_speedup:.2},");
-    let _ = writeln!(s, "  \"speedup_backend\": {backend_speedup:.2},");
     let _ = writeln!(s, "  \"speedup_backend_simd\": {simd_speedup:.2},");
     let _ = writeln!(s, "  \"speedup_shard\": {shard_speedup:.2},");
     let _ = writeln!(s, "  \"speedup_combined\": {combined:.2}");
@@ -898,10 +888,6 @@ fn bench_batch_decode(c: &mut Criterion) {
     let relax_all = matches!(relax.as_str(), "1" | "all" | "true");
     let relax_machine = !relax.is_empty();
     if !relax_all {
-        assert!(
-            backend_speedup >= 1.2,
-            "optimized backend must measurably beat scalar end-to-end, got {backend_speedup:.2}x"
-        );
         assert!(
             simd_speedup >= 1.2,
             "simd backend must measurably beat scalar end-to-end, got {simd_speedup:.2}x"
@@ -946,6 +932,36 @@ fn bench_batch_decode(c: &mut Criterion) {
             multi.threads()
         );
     }
+}
+
+/// Non-test library lines: `.rs` files under `crates/*/src`, excluding
+/// the offline stand-ins in `crates/compat` and the `src/bin` binaries,
+/// each counted up to its first top-level `#[cfg(test)]` line (the test
+/// module; an indented, item-level one does not end the count). Tracked
+/// so deletions show up next to the perf numbers they must not move.
+fn library_loc() -> usize {
+    fn walk(dir: &std::path::Path, total: &mut usize) {
+        let Ok(entries) = std::fs::read_dir(dir) else { return };
+        for entry in entries.flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                if path.file_name().is_some_and(|n| n != "bin") {
+                    walk(&path, total);
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).unwrap_or_default();
+                *total += text.lines().take_while(|l| *l != "#[cfg(test)]").count();
+            }
+        }
+    }
+    let crates = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/.."));
+    let mut total = 0;
+    for entry in std::fs::read_dir(crates).expect("workspace crates dir").flatten() {
+        if entry.file_name() != "compat" {
+            walk(&entry.path().join("src"), &mut total);
+        }
+    }
+    total
 }
 
 criterion_group!(benches, bench_batch_decode);

@@ -11,6 +11,7 @@ use zigzag_bench::{airframe, section, trials};
 use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::{clean_reception, hidden_pair};
 use zigzag_core::config::DecoderConfig;
+use zigzag_core::engine::Scratch;
 use zigzag_core::standard::decode_single;
 use zigzag_core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
 use zigzag_phy::preamble::Preamble;
@@ -21,6 +22,8 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(11);
     let buckets = 12;
     let mut errors = vec![0usize; buckets];
+    let cfg = DecoderConfig::without_tracking();
+    let mut ws = Scratch::with_backend(cfg.backend);
     let mut total_bits = 0usize;
     for t in 0..n_trials {
         let la = LinkProfile::typical(12.0, &mut rng);
@@ -29,13 +32,14 @@ fn main() {
         let b = airframe(2, t as u16, 1500, 500 + t as u64);
         let hp = hidden_pair(&a, &b, &la, &lb, 400, 120, &mut rng);
         let reg = zigzag_testbed::registry_for(&[(1, &la), (2, &lb)]);
-        let dec = ZigzagDecoder::new(DecoderConfig::without_tracking(), &reg);
+        let dec = ZigzagDecoder::new(cfg.clone(), &reg);
         let out = dec.decode(
             &[
                 CollisionSpec { buffer: &hp.collision1.buffer, placements: vec![(0, 0), (1, 400)] },
                 CollisionSpec { buffer: &hp.collision2.buffer, placements: vec![(0, 0), (1, 120)] },
             ],
             &[PacketSpec { client: 1 }, PacketSpec { client: 2 }],
+            &mut ws,
         );
         let bits = &out.packets[0].scrambled_bits;
         let n = a.mpdu_bits.len().min(bits.len());
@@ -63,7 +67,8 @@ fn main() {
     let reg = zigzag_testbed::registry_for(&[(1, &l)]);
     // disable equalization so the raw ISI shows (the §5.3c "off" view)
     let cfg = DecoderConfig::without_isi_filter();
-    let d = decode_single(&rx.buffer, 0, Some(1), &reg, &Preamble::default_len(), true, &cfg)
+    let preamble = Preamble::default_len();
+    let d = decode_single(&rx.buffer, 0, Some(1), &reg, &preamble, true, &cfg, &mut ws)
         .expect("decode");
     // group soft BPSK values of a "1" bit by the previous bit
     let body = 72;

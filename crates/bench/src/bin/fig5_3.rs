@@ -13,7 +13,7 @@ use zigzag_bench::{airframe, draw_offsets, run_zigzag_pair, trials};
 use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::clean_reception;
 use zigzag_core::config::DecoderConfig;
-use zigzag_core::engine::{unit_seed, BatchEngine};
+use zigzag_core::engine::{unit_seed, BatchEngine, Scratch};
 use zigzag_core::standard::decode_single;
 use zigzag_phy::bits::bit_error_rate;
 use zigzag_phy::preamble::Preamble;
@@ -33,8 +33,10 @@ fn collision_free_ber(
         let reg = zigzag_testbed::registry_for(&[(1, &l)]);
         let a = airframe(1, t as u16, payload, seed + t as u64);
         let rx = clean_reception(&a, &l, &mut rng);
+        let preamble = Preamble::default_len();
+        let mut ws = Scratch::with_backend(cfg.backend);
         let errs = if let Some(d) =
-            decode_single(&rx.buffer, 0, Some(1), &reg, &Preamble::default_len(), true, &cfg)
+            decode_single(&rx.buffer, 0, Some(1), &reg, &preamble, true, &cfg, &mut ws)
         {
             (bit_error_rate(&a.mpdu_bits, &d.scrambled_bits) * a.mpdu_bits.len() as f64).round()
                 as usize

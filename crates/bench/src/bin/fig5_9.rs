@@ -11,7 +11,7 @@ use zigzag_bench::{airframe, trials};
 use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::{synth_collision, PlacedTx};
 use zigzag_core::config::DecoderConfig;
-use zigzag_core::engine::{unit_seed, BatchEngine};
+use zigzag_core::engine::{unit_seed, BatchEngine, Scratch};
 use zigzag_core::schedule::PlanOutcome;
 use zigzag_core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
 use zigzag_mac::{multi_episode, Backoff, MacParams};
@@ -91,6 +91,7 @@ fn main() {
         let out = dec.decode(
             &specs,
             &[PacketSpec { client: 1 }, PacketSpec { client: 2 }, PacketSpec { client: 3 }],
+            &mut Scratch::with_backend(cfg9.backend),
         );
         let bers: Vec<f64> = (0..3)
             .map(|i| bit_error_rate(&airs[i].mpdu_bits, &out.packets[i].scrambled_bits))

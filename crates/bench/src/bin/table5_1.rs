@@ -15,12 +15,13 @@ use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::{clean_reception, hidden_pair};
 use zigzag_core::config::DecoderConfig;
 use zigzag_core::detect::{detect_packets, is_collision};
-use zigzag_core::engine::{unit_seed, BatchEngine};
+use zigzag_core::engine::{unit_seed, BatchEngine, Scratch};
 use zigzag_phy::preamble::Preamble;
 
 fn correlation_rates(n_trials: usize) -> (f64, f64) {
     let cfg = DecoderConfig::default();
     let preamble = Preamble::default_len();
+    let mut ws = Scratch::with_backend(cfg.backend);
     let mut fp = 0usize;
     let mut fneg = 0usize;
     let mut rng = StdRng::seed_from_u64(51);
@@ -33,14 +34,14 @@ fn correlation_rates(n_trials: usize) -> (f64, f64) {
         let b = airframe(2, t as u16, 300, 901 + t as u64);
         // clean packet: any extra detection is a false positive
         let rx = clean_reception(&a, &la, &mut rng);
-        let det = detect_packets(&rx.buffer, &preamble, &reg, &cfg);
+        let det = detect_packets(&rx.buffer, &preamble, &reg, &cfg, &mut ws);
         if is_collision(&det) {
             fp += 1;
         }
         // collision: missing it is a false negative
         let (d1, _) = draw_offsets(&mut rng);
         let hp = hidden_pair(&a, &b, &la, &lb, d1.max(40), 0, &mut rng);
-        let det = detect_packets(&hp.collision1.buffer, &preamble, &reg, &cfg);
+        let det = detect_packets(&hp.collision1.buffer, &preamble, &reg, &cfg, &mut ws);
         if !is_collision(&det) {
             fneg += 1;
         }

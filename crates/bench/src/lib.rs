@@ -14,6 +14,7 @@ use rand::prelude::*;
 use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::hidden_pair;
 use zigzag_core::config::DecoderConfig;
+use zigzag_core::engine::Scratch;
 use zigzag_core::schedule::PlanOutcome;
 use zigzag_core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
 use zigzag_phy::bits::bit_error_rate;
@@ -83,6 +84,7 @@ pub fn run_zigzag_pair(
             CollisionSpec { buffer: &hp.collision2.buffer, placements: vec![(0, 0), (1, d2)] },
         ],
         &[PacketSpec { client: 1 }, PacketSpec { client: 2 }],
+        &mut Scratch::with_backend(cfg.backend),
     );
     PairDecode {
         ber: [

@@ -1,15 +1,15 @@
 //! Scratch diagnostic for the capture/IC path.
 //!
 //! Doubles as minimal kernel-backend usage for the capture flow: the
-//! backend is picked explicitly (`scalar`/`optimized` as first argument)
-//! and one `Scratch` is threaded through the `_with` entry points.
+//! backend is picked explicitly (`scalar`/`simd` as first argument)
+//! and one `Scratch` is threaded through every decode entry point.
 use rand::prelude::*;
 use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::{synth_collision, PlacedTx};
-use zigzag_core::capture::{capture_decode_with, subtract_decoded_with};
+use zigzag_core::capture::{capture_decode, subtract_decoded};
 use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig};
 use zigzag_core::engine::Scratch;
-use zigzag_core::standard::decode_single_with;
+use zigzag_core::standard::decode_single;
 use zigzag_phy::bits::bit_error_rate;
 use zigzag_phy::complex::mean_power;
 use zigzag_phy::frame::{encode_frame, Frame};
@@ -19,7 +19,7 @@ use zigzag_phy::preamble::Preamble;
 
 fn main() {
     let backend =
-        std::env::args().nth(1).and_then(|a| BackendKind::from_arg(&a)).unwrap_or_default();
+        std::env::args().nth(1).and_then(|a| BackendKind::from_name(&a)).unwrap_or_default();
     println!("kernel backend: {}", backend.name());
     let mut ws = Scratch::with_backend(backend);
     let mut rng = StdRng::seed_from_u64(3);
@@ -49,8 +49,7 @@ fn main() {
     let cfg = DecoderConfig::with_backend(backend);
     let p = Preamble::default_len();
 
-    let strong =
-        decode_single_with(&sc.buffer, 0, Some(1), &reg, &p, false, &cfg, &mut ws).unwrap();
+    let strong = decode_single(&sc.buffer, 0, Some(1), &reg, &p, false, &cfg, &mut ws).unwrap();
     println!("strong frame ok: {}", strong.frame.is_some());
     println!(
         "strong view: gain={:.2} (true {:.2}) omega={:.5} (true {:.5}) mu={:.3} (true {:.3})",
@@ -61,7 +60,7 @@ fn main() {
         strong.view.mu,
         -ca.sampling_offset
     );
-    let residual = subtract_decoded_with(&sc.buffer, &strong, &p, &mut ws);
+    let residual = subtract_decoded(&sc.buffer, &strong, &p, &mut ws);
     // power profile: before vs after over A-only region [0,200) and overlap
     println!(
         "pwr A-only [50,200): {:.1} -> {:.2}",
@@ -73,8 +72,7 @@ fn main() {
         mean_power(&sc.buffer[300..2000]),
         mean_power(&residual[300..2000])
     );
-    let weak =
-        decode_single_with(&residual, delta, Some(2), &reg, &p, true, &cfg, &mut ws).unwrap();
+    let weak = decode_single(&residual, delta, Some(2), &reg, &p, true, &cfg, &mut ws).unwrap();
     println!(
         "weak view: gain={:.2} (true {:.2}) mu={:.3} omega={:.5} (true {:.5})",
         weak.view.gain,
@@ -99,7 +97,7 @@ fn main() {
             tp.isi.clone(),
             &cfg,
         );
-        let resid2 = zigzag_core::capture::subtract_known(&sc.buffer, &a.symbols, &v);
+        let resid2 = zigzag_core::capture::subtract_known(&sc.buffer, &a.symbols, &v, &mut ws);
         println!(
             "oracle-view cancellation [50,200): {:.1} -> {:.2}, overlap: {:.2}",
             mean_power(&sc.buffer[50..200]),
@@ -109,8 +107,8 @@ fn main() {
     }
 
     // also through capture_decode
-    let r = capture_decode_with(&sc.buffer, 0, Some(1), delta, Some(2), &reg, &p, &cfg, &mut ws)
-        .unwrap();
+    let r =
+        capture_decode(&sc.buffer, 0, Some(1), delta, Some(2), &reg, &p, &cfg, &mut ws).unwrap();
     let w = r.weak.unwrap();
     println!("via capture_decode: weak BER {:.4}", bit_error_rate(&b.mpdu_bits, &w.scrambled_bits));
 }

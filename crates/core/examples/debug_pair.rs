@@ -1,8 +1,8 @@
 //! Scratch diagnostic: full pair decode with error-position mapping.
 //!
 //! Doubles as minimal kernel-backend usage for the ZigZag executor: the
-//! backend is picked explicitly (`scalar`/`optimized` as first argument)
-//! and threaded via `decode_with` and an explicit `Scratch`.
+//! backend is picked explicitly (`scalar`/`simd` as first argument)
+//! and threaded via an explicit `Scratch`.
 use rand::prelude::*;
 use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::hidden_pair;
@@ -16,7 +16,7 @@ use zigzag_phy::preamble::Preamble;
 
 fn main() {
     let backend =
-        std::env::args().nth(1).and_then(|a| BackendKind::from_arg(&a)).unwrap_or_default();
+        std::env::args().nth(1).and_then(|a| BackendKind::from_name(&a)).unwrap_or_default();
     println!("kernel backend: {}", backend.name());
     let seed = 21;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -41,7 +41,7 @@ fn main() {
     );
     let dec = ZigzagDecoder::new(DecoderConfig::with_backend(backend), &reg);
     let mut ws = Scratch::with_backend(backend);
-    let out = dec.decode_with(
+    let out = dec.decode(
         &[
             CollisionSpec { buffer: &hp.collision1.buffer, placements: vec![(0, 0), (1, d1)] },
             CollisionSpec { buffer: &hp.collision2.buffer, placements: vec![(0, 0), (1, d2)] },

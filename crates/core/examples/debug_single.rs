@@ -2,14 +2,14 @@
 //!
 //! Doubles as minimal kernel-backend usage: the phy backend is
 //! constructed explicitly (`DecoderConfig::with_backend` +
-//! `Scratch::with_backend`) and threaded through `decode_single_with`.
-//! Pass `scalar` or `optimized` as the first argument to pick one.
+//! `Scratch::with_backend`) and threaded through `decode_single`.
+//! Pass `scalar` or `simd` as the first argument to pick one.
 use rand::prelude::*;
 use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::clean_reception;
 use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig};
 use zigzag_core::engine::Scratch;
-use zigzag_core::standard::decode_single_with;
+use zigzag_core::standard::decode_single;
 use zigzag_phy::bits::bit_error_rate;
 use zigzag_phy::frame::{encode_frame, Frame};
 use zigzag_phy::kernel::BackendKind;
@@ -17,9 +17,9 @@ use zigzag_phy::modulation::Modulation;
 use zigzag_phy::preamble::Preamble;
 
 fn main() {
-    // backend from argv (`scalar`/`optimized`), else the process default
+    // backend from argv (`scalar`/`simd`), else the process default
     let backend =
-        std::env::args().nth(1).and_then(|a| BackendKind::from_arg(&a)).unwrap_or_default();
+        std::env::args().nth(1).and_then(|a| BackendKind::from_name(&a)).unwrap_or_default();
     let cfg = DecoderConfig::with_backend(backend);
     let mut ws = Scratch::with_backend(backend);
     println!("kernel backend: {}", backend.name());
@@ -40,7 +40,7 @@ fn main() {
             1,
             ClientInfo { omega: l.association_omega(), snr_db: snr, taps: l.isi.clone() },
         );
-        let out = decode_single_with(
+        let out = decode_single(
             &rx.buffer,
             0,
             Some(1),

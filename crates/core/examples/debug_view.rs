@@ -2,7 +2,7 @@
 //! public examples; see /examples at the workspace root for those).
 //!
 //! Doubles as minimal kernel-backend usage at the lowest level: the
-//! backend is constructed explicitly (`scalar`/`optimized` as first
+//! backend is constructed explicitly (`scalar`/`simd` as first
 //! argument) and passed to `decode_chunk_into` alongside the buffer pool.
 use rand::prelude::*;
 use zigzag_channel::fading::ChannelParams;
@@ -19,7 +19,7 @@ use zigzag_phy::modulation::Modulation;
 use zigzag_phy::preamble::Preamble;
 
 fn backend() -> BackendKind {
-    std::env::args().nth(1).and_then(|a| BackendKind::from_arg(&a)).unwrap_or_default()
+    std::env::args().nth(1).and_then(|a| BackendKind::from_name(&a)).unwrap_or_default()
 }
 
 fn run(name: &str, ch: ChannelParams, snr_db: f64, omega_hint: f64, payload: usize) {

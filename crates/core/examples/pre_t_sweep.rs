@@ -22,7 +22,7 @@ use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig, MatchSearch
 use zigzag_core::detect::{detect_packets, Detection};
 use zigzag_core::engine::scratch::Scratch;
 use zigzag_core::matcher::{MATCH_THRESHOLD, MATCH_WINDOW};
-use zigzag_core::matchset::{find_match_set_with, CollisionStore};
+use zigzag_core::matchset::{find_match_set, CollisionStore};
 use zigzag_phy::complex::Complex;
 use zigzag_phy::frame::{encode_frame, Frame};
 use zigzag_phy::kernel::Kernel;
@@ -77,8 +77,9 @@ fn workload(k: usize, seed: u64) -> (Vec<Vec<Complex>>, Vec<Vec<Detection>>, Cli
     }
     let cfg = DecoderConfig::default();
     let pre = Preamble::default_len();
+    let mut ws = Scratch::with_backend(cfg.backend);
     let dets: Vec<Vec<Detection>> =
-        buffers.iter().map(|b| detect_packets(b, &pre, &reg, &cfg)).collect();
+        buffers.iter().map(|b| detect_packets(b, &pre, &reg, &cfg, &mut ws)).collect();
     (buffers, dets, reg)
 }
 
@@ -98,24 +99,10 @@ fn identity_divergences(seeds: u64) -> usize {
             let mut ws = Scratch::default();
             let cur = &buffers[k - 1];
             let cur_dets = &dets[k - 1];
-            let staged = find_match_set_with(
-                MatchSearch::Staged,
-                &mut ws,
-                cur,
-                cur_dets,
-                &store,
-                &reg,
-                &pre,
-            );
-            let exhaustive = find_match_set_with(
-                MatchSearch::Exhaustive,
-                &mut ws,
-                cur,
-                cur_dets,
-                &store,
-                &reg,
-                &pre,
-            );
+            let staged =
+                find_match_set(MatchSearch::Staged, &mut ws, cur, cur_dets, &store, &reg, &pre);
+            let exhaustive =
+                find_match_set(MatchSearch::Exhaustive, &mut ws, cur, cur_dets, &store, &reg, &pre);
             if staged != exhaustive {
                 divergences += 1;
             }

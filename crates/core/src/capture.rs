@@ -17,7 +17,7 @@
 
 use crate::config::{ClientRegistry, DecoderConfig};
 use crate::engine::scratch::Scratch;
-use crate::standard::{decode_single_with, SingleDecode};
+use crate::standard::{decode_single, SingleDecode};
 use crate::view::{ChannelView, Image};
 use zigzag_phy::complex::Complex;
 use zigzag_phy::frame::{decode_mpdu, Frame};
@@ -47,23 +47,13 @@ pub fn subtract_decoded(
     buffer: &[Complex],
     decoded: &SingleDecode,
     preamble: &Preamble,
-) -> Vec<Complex> {
-    let mut ws = Scratch::with_backend(decoded.view.backend());
-    subtract_decoded_with(buffer, decoded, preamble, &mut ws)
-}
-
-/// Scratch-aware variant of [`subtract_decoded`].
-pub fn subtract_decoded_with(
-    buffer: &[Complex],
-    decoded: &SingleDecode,
-    preamble: &Preamble,
     ws: &mut Scratch,
 ) -> Vec<Complex> {
     // the decode left the view's linear phase model at the packet end;
     // re-anchor it at the preamble for front-to-back synthesis
     let view =
         decoded.view.reanchored(buffer, preamble.symbols()).unwrap_or_else(|| decoded.view.clone());
-    subtract_known_with(buffer, &decoded.decided, &view, ws)
+    subtract_known(buffer, &decoded.decided, &view, ws)
 }
 
 /// Subtracts a packet with *known clean symbols* through a channel view —
@@ -71,15 +61,9 @@ pub fn subtract_decoded_with(
 /// §4.2.4 reconstruction tracking: each block's residual feedback corrects
 /// phase/frequency/amplitude/timing before the next block is rendered, so
 /// oscillator phase noise cannot accumulate across the packet (a one-shot
-/// linear-phase image would).
-pub fn subtract_known(buffer: &[Complex], symbols: &[Complex], view: &ChannelView) -> Vec<Complex> {
-    let mut ws = Scratch::with_backend(view.backend());
-    subtract_known_with(buffer, symbols, view, &mut ws)
-}
-
-/// Scratch-aware variant of [`subtract_known`]: per-block images and
-/// observed spans are drawn from `ws`.
-pub fn subtract_known_with(
+/// linear-phase image would). Per-block images and observed spans are
+/// drawn from `ws`.
+pub fn subtract_known(
     buffer: &[Complex],
     symbols: &[Complex],
     view: &ChannelView,
@@ -106,7 +90,7 @@ pub fn subtract_known_with(
         observed.extend_from_slice(&residual[span.clone()]);
         img.subtract_from(&mut residual);
         if e - s >= 16 && observed.len() == img.samples.len() {
-            v.feedback_with(&observed, &img, s..e, &sym_fn, pool, kernel);
+            v.feedback(&observed, &img, s..e, &sym_fn, pool, kernel);
         }
         s = e;
     }
@@ -129,44 +113,10 @@ pub fn capture_decode(
     registry: &ClientRegistry,
     preamble: &Preamble,
     cfg: &DecoderConfig,
-) -> Option<CaptureResult> {
-    let mut ws = Scratch::with_backend(cfg.backend);
-    capture_decode_with(
-        buffer,
-        strong_start,
-        strong_client,
-        weak_start,
-        weak_client,
-        registry,
-        preamble,
-        cfg,
-        &mut ws,
-    )
-}
-
-/// Scratch-aware variant of [`capture_decode`].
-#[allow(clippy::too_many_arguments)]
-pub fn capture_decode_with(
-    buffer: &[Complex],
-    strong_start: usize,
-    strong_client: Option<u16>,
-    weak_start: usize,
-    weak_client: Option<u16>,
-    registry: &ClientRegistry,
-    preamble: &Preamble,
-    cfg: &DecoderConfig,
     ws: &mut Scratch,
 ) -> Option<CaptureResult> {
-    let strong = decode_single_with(
-        buffer,
-        strong_start,
-        strong_client,
-        registry,
-        preamble,
-        false,
-        cfg,
-        ws,
-    )?;
+    let strong =
+        decode_single(buffer, strong_start, strong_client, registry, preamble, false, cfg, ws)?;
     // Subtract whenever the strong decode looks self-consistent: the PLCP
     // must have been readable (else even the length is a guess) and the
     // decisions must sit close to the soft symbols (EVM gate). A CRC pass
@@ -185,9 +135,8 @@ pub fn capture_decode_with(
     if !plausible {
         return Some(CaptureResult { strong, weak: None });
     }
-    let residual = subtract_decoded_with(buffer, &strong, preamble, ws);
-    let weak =
-        decode_single_with(&residual, weak_start, weak_client, registry, preamble, true, cfg, ws);
+    let residual = subtract_decoded(buffer, &strong, preamble, ws);
+    let weak = decode_single(&residual, weak_start, weak_client, registry, preamble, true, cfg, ws);
     Some(CaptureResult { strong, weak })
 }
 
@@ -293,6 +242,7 @@ mod tests {
             &reg,
             &Preamble::default_len(),
             &DecoderConfig::default(),
+            &mut Scratch::default(),
         )
         .expect("capture");
         assert_eq!(out.strong.frame.as_ref(), Some(&a.frame));
@@ -315,6 +265,7 @@ mod tests {
             &reg,
             &Preamble::default_len(),
             &DecoderConfig::default(),
+            &mut Scratch::default(),
         )
         .expect("capture");
         // the paper's delivery criterion: uncoded BER below 1e-3 (§5.1f)
@@ -339,6 +290,7 @@ mod tests {
             &reg,
             &Preamble::default_len(),
             &DecoderConfig::default(),
+            &mut Scratch::default(),
         );
         let ok = out.map(|o| o.strong.frame.is_some()).unwrap_or(false);
         assert!(!ok, "equal powers must not capture");
@@ -378,8 +330,10 @@ mod tests {
             &cfg,
         )
         .unwrap();
-        let residual = subtract_known(&sc.buffer, &a.symbols, &va);
-        let out = decode_single(&residual, 150, Some(2), &reg, &p, true, &cfg).expect("decode");
+        let mut ws = Scratch::default();
+        let residual = subtract_known(&sc.buffer, &a.symbols, &va, &mut ws);
+        let out =
+            decode_single(&residual, 150, Some(2), &reg, &p, true, &cfg, &mut ws).expect("decode");
         let ber = zigzag_phy::bits::bit_error_rate(&b.mpdu_bits, &out.scrambled_bits);
         assert!(ber < 1e-3, "ANC should recover Bob: BER {ber}");
     }
@@ -419,8 +373,10 @@ mod tests {
             );
             let cfg = DecoderConfig::default();
             let p = Preamble::default_len();
-            let r1 = capture_decode(&buf1, 0, Some(1), 200, Some(2), &reg, &p, &cfg);
-            let r2 = capture_decode(&sc2.buffer, 0, Some(1), 140, Some(2), &reg2, &p, &cfg);
+            let mut ws = Scratch::default();
+            let r1 = capture_decode(&buf1, 0, Some(1), 200, Some(2), &reg, &p, &cfg, &mut ws);
+            let r2 =
+                capture_decode(&sc2.buffer, 0, Some(1), 140, Some(2), &reg2, &p, &cfg, &mut ws);
             let (Some(r1), Some(r2)) = (r1, r2) else { continue };
             let (Some(w1), Some(w2)) = (r1.weak, r2.weak) else { continue };
             if let Some(f) = mrc_combine_retry(&w1, &w2) {

@@ -89,7 +89,7 @@ pub struct DecoderConfig {
     /// this to roughly the MAC's backoff spread (≈1024 samples).
     pub key_window: usize,
     /// Which phy kernel backend the decode hot loops run on
-    /// (`zigzag_phy::kernel`). Defaults to the optimized SoA backend;
+    /// (`zigzag_phy::kernel`). Defaults to the simd backend;
     /// `ZIGZAG_BACKEND=scalar` selects the scalar reference process-wide.
     pub backend: BackendKind,
     /// How the match layer searches candidate alignments: the staged

@@ -35,20 +35,6 @@ pub struct Detection {
 
 /// Scans a receive buffer for packet starts from every associated client.
 ///
-/// Returns detections sorted by position. Spikes from different clients
-/// within half a preamble of each other are merged, keeping the highest
-/// score (the true client's compensation yields the strongest coherent
-/// sum).
-pub fn detect_packets(
-    buffer: &[Complex],
-    preamble: &Preamble,
-    registry: &ClientRegistry,
-    cfg: &DecoderConfig,
-) -> Vec<Detection> {
-    let mut ws = Scratch::with_backend(cfg.backend);
-    detect_packets_with(buffer, preamble, registry, cfg, &mut ws)
-}
-
 /// The §5.3(a) detection threshold for one associated client:
 /// `β·L·ĥ`, with `ĥ` the coarse channel-amplitude estimate implied by
 /// the client's associated SNR. Shared by the one-shot scan below and
@@ -79,11 +65,15 @@ pub fn merge_detections(mut all: Vec<Detection>, preamble_len: usize) -> Vec<Det
     merged
 }
 
-/// Scratch-aware variant of [`detect_packets`]: the full-buffer
-/// correlation scans (one per associated client per sampling grid — the
-/// largest transient buffers in the receive path) are drawn from the
-/// scratch pool and run on its kernel backend.
-pub fn detect_packets_with(
+/// Scans a receive buffer for packet starts from every associated client.
+///
+/// Returns detections sorted by position. Spikes from different clients
+/// within half a preamble of each other are merged, keeping the highest
+/// score (the true client's compensation yields the strongest coherent
+/// sum). The full-buffer correlation scans (one per associated client per
+/// sampling grid — the largest transient buffers in the receive path) are
+/// drawn from the scratch pool and run on its kernel backend.
+pub fn detect_packets(
     buffer: &[Complex],
     preamble: &Preamble,
     registry: &ClientRegistry,
@@ -167,8 +157,13 @@ mod tests {
         let a = air(1, 300);
         let rx = clean_reception(&a, &l, &mut rng);
         let reg = setup_registry(&[(1, &l)]);
-        let det =
-            detect_packets(&rx.buffer, &Preamble::default_len(), &reg, &DecoderConfig::default());
+        let det = detect_packets(
+            &rx.buffer,
+            &Preamble::default_len(),
+            &reg,
+            &DecoderConfig::default(),
+            &mut Scratch::default(),
+        );
         assert_eq!(det.len(), 1, "{det:?}");
         assert!(det[0].pos <= 1, "pos {}", det[0].pos);
         assert_eq!(det[0].client, 1);
@@ -190,6 +185,7 @@ mod tests {
             &Preamble::default_len(),
             &reg,
             &DecoderConfig::default(),
+            &mut Scratch::default(),
         );
         assert!(is_collision(&det), "{det:?}");
         let positions: Vec<usize> = det.iter().map(|d| d.pos).collect();
@@ -217,6 +213,7 @@ mod tests {
             &Preamble::default_len(),
             &reg,
             &DecoderConfig::default(),
+            &mut Scratch::default(),
         );
         let first = det.iter().find(|d| d.pos <= 1).expect("first pkt");
         let second = det.iter().find(|d| d.pos >= 490).expect("second pkt");
@@ -230,8 +227,13 @@ mod tests {
         let l = LinkProfile::clean(12.0);
         let buffer = zigzag_channel::noise::awgn_vec(&mut rng, 4000, 1.0);
         let reg = setup_registry(&[(1, &l)]);
-        let det =
-            detect_packets(&buffer, &Preamble::default_len(), &reg, &DecoderConfig::default());
+        let det = detect_packets(
+            &buffer,
+            &Preamble::default_len(),
+            &reg,
+            &DecoderConfig::default(),
+            &mut Scratch::default(),
+        );
         assert!(det.is_empty(), "{det:?}");
     }
 
@@ -246,6 +248,7 @@ mod tests {
             &Preamble::default_len(),
             &ClientRegistry::new(),
             &DecoderConfig::default(),
+            &mut Scratch::default(),
         );
         assert!(det.is_empty());
     }
@@ -263,12 +266,14 @@ mod tests {
             &Preamble::default_len(),
             &reg,
             &DecoderConfig { beta: 0.65, ..DecoderConfig::default() },
+            &mut Scratch::default(),
         );
         let hi = detect_packets(
             &rx.buffer,
             &Preamble::default_len(),
             &reg,
             &DecoderConfig { beta: 3.0, ..DecoderConfig::default() },
+            &mut Scratch::default(),
         );
         assert!(!lo.is_empty());
         assert!(hi.len() <= lo.len());

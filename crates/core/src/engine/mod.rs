@@ -25,7 +25,7 @@
 //!   (with matching in-place primitives in `zigzag-phy`:
 //!   `Fir::apply_into`, `correlate::scan_into`, `mrc::combine_weighted_into`,
 //!   `interp::resample_into`). The scratch also carries the
-//!   [`zigzag_phy::kernel::Kernel`] — the pluggable scalar/optimized
+//!   [`zigzag_phy::kernel::Kernel`] — the pluggable scalar/simd
 //!   compute backend every phy hot loop dispatches to, selected once per
 //!   decode context via `DecoderConfig::backend`.
 //!

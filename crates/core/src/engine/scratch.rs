@@ -51,7 +51,7 @@ impl BufPool {
 }
 
 /// Reusable working state for one decode context (one receiver, one
-/// `BatchEngine` work unit, or one `ZigzagDecoder::decode_with` call).
+/// `BatchEngine` work unit, or one `ZigzagDecoder::decode` call).
 ///
 /// Besides the buffer pool, a scratch carries the [`Kernel`] — the phy
 /// compute backend plus its SoA staging buffers — so the backend is

@@ -49,7 +49,7 @@
 //! ROADMAP follow-on.
 
 use crate::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig, SharedRegistry};
-use crate::detect::{detect_packets_with, Detection};
+use crate::detect::{detect_packets, Detection};
 use crate::engine::batch::BatchEngine;
 use crate::engine::scratch::Scratch;
 use crate::engine::stage::{Pipeline, ReceiverCore};
@@ -362,13 +362,8 @@ impl ShardedReceiver {
     /// decode on the owning shard — no threads). Streaming counterpart
     /// of [`Self::process_batch`]; same events, same shard state.
     pub fn process(&mut self, buffer: &[Complex]) -> Vec<ReceiverEvent> {
-        let detections = detect_packets_with(
-            buffer,
-            &self.preamble,
-            &self.registry,
-            &self.cfg,
-            &mut self.router_ws,
-        );
+        let detections =
+            detect_packets(buffer, &self.preamble, &self.registry, &self.cfg, &mut self.router_ws);
         let shard = route_shard(&collision_key(&detections, self.cfg.key_window), self.cores.len());
         self.loads[shard] += 1;
         self.cores[shard].receive_detected(&self.pipeline, buffer, detections)
@@ -427,7 +422,7 @@ impl ShardedReceiver {
                 let dets: Vec<Vec<Detection>> = engine.map_with(
                     chunk,
                     || Scratch::with_backend(cfg.backend),
-                    |ws, _, buf| detect_packets_with(buf, preamble, registry, cfg, ws),
+                    |ws, _, buf| detect_packets(buf, preamble, registry, cfg, ws),
                 );
                 for (i, detections) in dets.into_iter().enumerate() {
                     let shard = route_shard(&collision_key(&detections, cfg.key_window), n);

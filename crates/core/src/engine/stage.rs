@@ -8,23 +8,22 @@
 //! [`ReceiverEvent`]s. A [`Pipeline`] runs stages in order until one
 //! reports [`Flow::Done`].
 //!
-//! The default stage order ([`Pipeline::standard`]) reproduces the legacy
-//! receiver's behaviour event-for-event (verified by the pipeline-vs-
-//! legacy equivalence test in `tests/engine.rs`); custom pipelines can
-//! drop, reorder, or wrap stages — e.g. skipping capture for
-//! equal-power-only deployments, or inserting instrumentation stages.
+//! [`Pipeline::standard`] is the §5.1d order and the only receive path;
+//! custom pipelines can drop, reorder, or wrap stages — e.g. skipping
+//! capture for equal-power-only deployments, or inserting
+//! instrumentation stages.
 
-use crate::capture::{mrc_combine_retry, subtract_decoded_with};
+use crate::capture::{mrc_combine_retry, subtract_decoded};
 use crate::config::{ClientRegistry, DecoderConfig, SharedRegistry};
-use crate::detect::{detect_packets_with, Detection};
+use crate::detect::{detect_packets, Detection};
 use crate::engine::scratch::Scratch;
 use crate::matchset::{
-    classify_match_with, collision_key, find_match_set_with, CollisionStore, MatchOutcome,
-    MatchSet, RejectedSet,
+    classify_match, collision_key, find_match_set, CollisionStore, MatchOutcome, MatchSet,
+    RejectedSet,
 };
 use crate::receiver::{DecodePath, ReceiverEvent};
 use crate::recovery::{group_from_pool, group_from_rejected, solve_group, SalvagePool};
-use crate::standard::{decode_single_with, SingleDecode};
+use crate::standard::{decode_single, SingleDecode};
 use crate::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
 use std::collections::HashSet;
 use zigzag_phy::complex::Complex;
@@ -75,7 +74,7 @@ impl ReceiverCore {
         let scratch = Scratch::with_backend(cfg.backend);
         let mut store = CollisionStore::with_key_window(cfg.collision_store, cfg.key_window);
         // With recovery on, store evictions are retained and absorbed
-        // into the salvage pool (see `store_unmatched`) instead of
+        // into the salvage pool (see `StoreStage`) instead of
         // dropped — the eviction path becomes signal.
         let pool_cap = if cfg.recovery.enabled { cfg.recovery.pool } else { 0 };
         store.set_evicted_capacity(pool_cap);
@@ -108,7 +107,7 @@ impl ReceiverCore {
     /// [`Self::receive`] with the detections already computed (the
     /// sharded receiver's router runs the detect pre-pass to pick a
     /// shard; re-scanning in [`DetectStage`] would double the detection
-    /// cost). `detect_packets_with` is deterministic, so the events are
+    /// cost). `detect_packets` is deterministic, so the events are
     /// identical to an in-pipeline scan.
     pub fn receive_detected(
         &mut self,
@@ -155,23 +154,6 @@ impl ReceiverCore {
         if self.delivered.len() > 4096 {
             self.delivered.clear(); // bounded memory; seq spaces recycle
         }
-    }
-
-    /// §4.2.2 fallback, shared by [`StoreStage`] and the legacy flow:
-    /// store the unmatched collision (keyed by its client set, bounded,
-    /// oldest-first eviction) for a future match.
-    pub(crate) fn store_unmatched(
-        &mut self,
-        buffer: &[Complex],
-        detections: &[Detection],
-        out: &mut Vec<ReceiverEvent>,
-    ) {
-        self.store.insert(buffer.to_vec(), detections.to_vec());
-        // eviction → salvage: a no-op unless recovery retention is on
-        for evicted in self.store.take_evicted() {
-            self.salvage.absorb(evicted);
-        }
-        out.push(ReceiverEvent::CollisionStored);
     }
 }
 
@@ -288,8 +270,7 @@ pub struct Pipeline {
 impl Pipeline {
     /// The §5.1d flow: Detect → StandardDecode → Capture → Match → Plan →
     /// Zigzag → Recover → Store. The recover stage is a no-op unless
-    /// `DecoderConfig::recovery` is enabled, so the default configuration
-    /// reproduces the historical pipeline event-for-event.
+    /// `DecoderConfig::recovery` is enabled.
     pub fn standard() -> Self {
         Self {
             stages: vec![
@@ -331,8 +312,18 @@ impl Pipeline {
         self.run_unit(rx, &mut unit)
     }
 
-    /// Runs a (possibly pre-seeded) unit context through the pipeline.
+    /// Runs a (possibly pre-seeded) unit context through the pipeline —
+    /// the seam every receive entry point passes through.
+    ///
+    /// A buffer holding any non-finite sample (NaN or ±∞, e.g. from a
+    /// broken front end) is rejected here with a single `DecodeFailed`,
+    /// before any stage runs: non-finite correlations would otherwise
+    /// pass the detection threshold and be stored as a collision,
+    /// evicting genuine ones. The store and salvage pool are untouched.
     pub fn run_unit(&self, rx: &mut ReceiverCore, unit: &mut UnitCtx<'_>) -> Vec<ReceiverEvent> {
+        if !unit.buffer.iter().all(|s| s.is_finite()) {
+            return vec![ReceiverEvent::DecodeFailed];
+        }
         let mut events = Vec::new();
         for stage in &self.stages {
             if stage.run(rx, unit, &mut events) == Flow::Done {
@@ -340,48 +331,6 @@ impl Pipeline {
             }
         }
         events
-    }
-}
-
-/// Executes the ZigZag decode of a matched collision set, shared by the
-/// [`ZigzagStage`] and the legacy monolithic flow: assembles the
-/// [`CollisionSpec`]s (current buffer first, then the matched store
-/// members), runs the §4.2.3/§4.5 executor, **consumes** the matched
-/// store entries (decode attempted — regardless of whether any frame
-/// CRC'd), and delivers recovered frames.
-pub(crate) fn zigzag_decode_match(
-    rx: &mut ReceiverCore,
-    buffer: &[Complex],
-    plan: &DecodePlan,
-    members: &[u64],
-    events: &mut Vec<ReceiverEvent>,
-) {
-    let result = {
-        let ReceiverCore { cfg, registry, preamble, scratch, store, .. } = &mut *rx;
-        let mut specs = Vec::with_capacity(plan.placements.len());
-        specs.push(CollisionSpec { buffer, placements: plan.placements[0].clone() });
-        for (j, &id) in members.iter().enumerate() {
-            let entry = store.get(id).expect("matched store entry re-validated by caller");
-            specs.push(CollisionSpec {
-                buffer: &entry.buffer,
-                placements: plan.placements[j + 1].clone(),
-            });
-        }
-        let dec = ZigzagDecoder::with_preamble(cfg.clone(), registry, preamble.clone());
-        dec.decode_with(&specs, &plan.packets, scratch)
-    };
-    for &id in members {
-        rx.store.remove(id);
-    }
-    let mut any = false;
-    for p in result.packets {
-        if let Some(f) = p.frame {
-            rx.deliver(f, DecodePath::Zigzag, events);
-            any = true;
-        }
-    }
-    if !any {
-        events.push(ReceiverEvent::DecodeFailed);
     }
 }
 
@@ -416,7 +365,7 @@ pub(crate) fn reap_stored(
             else {
                 continue;
             };
-            let Some(mut known) = decode_single_with(
+            let Some(mut known) = decode_single(
                 &entry.buffer,
                 anchor.pos,
                 Some(client),
@@ -435,7 +384,7 @@ pub(crate) fn reap_stored(
                 continue;
             }
             known.decided = solo.decided.clone();
-            let residual = subtract_decoded_with(&entry.buffer, &known, preamble, scratch);
+            let residual = subtract_decoded(&entry.buffer, &known, preamble, scratch);
             // decode each partner (best detection per distinct client)
             let mut partners: Vec<Detection> = Vec::new();
             for d in entry.detections.iter().filter(|d| d.client != client) {
@@ -450,7 +399,7 @@ pub(crate) fn reap_stored(
             }
             let mut recovered = Vec::new();
             for p in partners {
-                if let Some(w) = decode_single_with(
+                if let Some(w) = decode_single(
                     &residual,
                     p.pos,
                     Some(p.client),
@@ -492,7 +441,7 @@ impl DecodeStage for DetectStage {
     ) -> Flow {
         if !unit.detections_ready {
             let ReceiverCore { cfg, registry, preamble, scratch, .. } = rx;
-            unit.detections = detect_packets_with(unit.buffer, preamble, registry, cfg, scratch);
+            unit.detections = detect_packets(unit.buffer, preamble, registry, cfg, scratch);
             unit.detections_ready = true;
         }
         if unit.detections.is_empty() {
@@ -527,7 +476,7 @@ impl DecodeStage for StandardDecodeStage {
         let det = unit.detections[0];
         let decode = {
             let ReceiverCore { cfg, registry, preamble, scratch, .. } = &mut *rx;
-            decode_single_with(
+            decode_single(
                 unit.buffer,
                 det.pos,
                 Some(det.client),
@@ -583,7 +532,7 @@ impl DecodeStage for CaptureStage {
         for cand in by_power.iter().take(4) {
             let d = {
                 let ReceiverCore { cfg, registry, preamble, scratch, .. } = &mut *rx;
-                decode_single_with(
+                decode_single(
                     unit.buffer,
                     cand.pos,
                     Some(cand.client),
@@ -613,9 +562,8 @@ impl DecodeStage for CaptureStage {
         if let Some(weak) = weak_det {
             let weak_decode = {
                 let ReceiverCore { cfg, registry, preamble, scratch, .. } = &mut *rx;
-                let residual =
-                    subtract_decoded_with(unit.buffer, &strong_decode, preamble, scratch);
-                decode_single_with(
+                let residual = subtract_decoded(unit.buffer, &strong_decode, preamble, scratch);
+                decode_single(
                     &residual,
                     weak.pos,
                     Some(weak.client),
@@ -690,7 +638,7 @@ impl DecodeStage for MatchStage {
         let ReceiverCore { cfg, registry, preamble, store, scratch, .. } = rx;
         let search = cfg.match_search;
         let outcome = if cfg.recovery.enabled {
-            classify_match_with(
+            classify_match(
                 search,
                 scratch,
                 unit.buffer,
@@ -700,7 +648,7 @@ impl DecodeStage for MatchStage {
                 preamble,
             )
         } else {
-            match find_match_set_with(
+            match find_match_set(
                 search,
                 scratch,
                 unit.buffer,
@@ -752,7 +700,10 @@ impl DecodeStage for PlanStage {
     }
 }
 
-/// §4.2.3: chunk-by-chunk decode of the matched collision set.
+/// §4.2.3: chunk-by-chunk decode of the matched collision set. Assembles
+/// the [`CollisionSpec`]s (current buffer first, then the matched store
+/// members), runs the §4.2.3/§4.5 executor, **consumes** the matched
+/// store entries, and delivers recovered frames.
 pub struct ZigzagStage;
 
 impl DecodeStage for ZigzagStage {
@@ -780,9 +731,40 @@ impl DecodeStage for ZigzagStage {
                 }
             }
         }
-        let m = unit.matched.take().unwrap();
+        let members = unit.matched.take().unwrap().set.members;
         let plan = unit.plan.as_ref().unwrap();
-        zigzag_decode_match(rx, unit.buffer, plan, &m.set.members, events);
+        let result = {
+            let ReceiverCore { cfg, registry, preamble, scratch, store, .. } = &mut *rx;
+            let mut specs = Vec::with_capacity(plan.placements.len());
+            specs.push(CollisionSpec {
+                buffer: unit.buffer,
+                placements: plan.placements[0].clone(),
+            });
+            for (j, &id) in members.iter().enumerate() {
+                let entry = store.get(id).expect("matched store entry re-validated above");
+                specs.push(CollisionSpec {
+                    buffer: &entry.buffer,
+                    placements: plan.placements[j + 1].clone(),
+                });
+            }
+            let dec = ZigzagDecoder::with_preamble(cfg.clone(), registry, preamble.clone());
+            dec.decode(&specs, &plan.packets, scratch)
+        };
+        // decode attempted: the matched entries are consumed regardless
+        // of whether any frame CRC'd
+        for &id in &members {
+            rx.store.remove(id);
+        }
+        let mut any = false;
+        for p in result.packets {
+            if let Some(f) = p.frame {
+                rx.deliver(f, DecodePath::Zigzag, events);
+                any = true;
+            }
+        }
+        if !any {
+            events.push(ReceiverEvent::DecodeFailed);
+        }
         Flow::Done
     }
 }
@@ -891,7 +873,12 @@ impl DecodeStage for StoreStage {
         unit: &mut UnitCtx<'_>,
         events: &mut Vec<ReceiverEvent>,
     ) -> Flow {
-        rx.store_unmatched(unit.buffer, &unit.detections, events);
+        rx.store.insert(unit.buffer.to_vec(), unit.detections.clone());
+        // eviction → salvage: a no-op unless recovery retention is on
+        for evicted in rx.store.take_evicted() {
+            rx.salvage.absorb(evicted);
+        }
+        events.push(ReceiverEvent::CollisionStored);
         Flow::Done
     }
 }

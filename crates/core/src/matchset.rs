@@ -22,13 +22,13 @@
 //!   stored collisions over the same k clients: which detection of which
 //!   collision belongs to which packet. [`DecodePlan`](crate::engine::stage::DecodePlan)
 //!   and the ZigZag executor consume it directly.
-//! * [`find_match_set`] — the single matching entry point shared by the
-//!   pipeline's `MatchStage` and the legacy receiver flow. Two senders
-//!   take the paper-exact pairwise path ([`pair_collisions`] + sample
-//!   confirmation on the second packet); three or more take the k-way
-//!   path: same-client-set candidates are aligned by *validated
-//!   correlation shifts* (detection labels are unreliable in k-packet
-//!   collisions, positions and cross-buffer correlation are not),
+//! * [`find_match_set`] — the single matching entry point, run by the
+//!   pipeline's `MatchStage`. Two senders take the paper-exact pairwise
+//!   path ([`pair_collisions`] + sample confirmation on the second
+//!   packet); three or more take the k-way path: same-client-set
+//!   candidates are aligned by *validated correlation shifts*
+//!   (detection labels are unreliable in k-packet collisions, positions
+//!   and cross-buffer correlation are not),
 //!   members whose packet starts were never detected are completed by
 //!   direct correlation scan, packet starts are fixed by consensus +
 //!   local preamble matched-filter peaks under a cross-buffer shift
@@ -629,8 +629,9 @@ fn coarse_metric(
 
 /// The single matching entry point (§4.2.2 / §4.5): aligns the current
 /// collision against the store and returns a [`MatchSet`] once a
-/// decodable system exists. Uses the default staged coarse-to-fine
-/// search — see [`find_match_set_with`] for the explicit choice.
+/// decodable system exists. `search` is `DecoderConfig::match_search`:
+/// the staged coarse-to-fine funnel, or the exhaustive reference the
+/// differential tests compare it against.
 ///
 /// Dispatch is on the number of *distinct* clients detected: two take
 /// the pairwise path (bit-identical to the historical two-sender
@@ -639,20 +640,6 @@ fn coarse_metric(
 /// collision is never degraded to a pairwise match — until the full
 /// k-collision set has accumulated, the buffer is left for the store.
 pub fn find_match_set(
-    ws: &mut Scratch,
-    buffer: &[Complex],
-    detections: &[Detection],
-    store: &CollisionStore,
-    registry: &ClientRegistry,
-    preamble: &Preamble,
-) -> Option<MatchSet> {
-    find_match_set_with(MatchSearch::Staged, ws, buffer, detections, store, registry, preamble)
-}
-
-/// [`find_match_set`] with an explicit [`MatchSearch`] strategy
-/// (`DecoderConfig::match_search`): the staged funnel or the exhaustive
-/// reference the differential tests compare it against.
-pub fn find_match_set_with(
     search: MatchSearch,
     ws: &mut Scratch,
     buffer: &[Complex],
@@ -677,18 +664,6 @@ pub fn find_match_set_with(
 /// callers with recovery disabled should use [`find_match_set`], which
 /// skips it and is cost-identical to the historical matcher.
 pub fn classify_match(
-    ws: &mut Scratch,
-    buffer: &[Complex],
-    detections: &[Detection],
-    store: &CollisionStore,
-    registry: &ClientRegistry,
-    preamble: &Preamble,
-) -> MatchOutcome {
-    classify_match_with(MatchSearch::Staged, ws, buffer, detections, store, registry, preamble)
-}
-
-/// [`classify_match`] with an explicit [`MatchSearch`] strategy.
-pub fn classify_match_with(
     search: MatchSearch,
     ws: &mut Scratch,
     buffer: &[Complex],
@@ -1567,7 +1542,7 @@ mod tests {
         let reg = crate::config::ClientRegistry::new();
         let pre = zigzag_phy::preamble::Preamble::default_len();
         let mut ws = Scratch::default();
-        match classify_match(&mut ws, &cur, &cur_dets, &store, &reg, &pre) {
+        match classify_match(MatchSearch::Staged, &mut ws, &cur, &cur_dets, &store, &reg, &pre) {
             MatchOutcome::Undecodable(r) => {
                 assert_eq!(r.set.members.len(), 1);
                 assert_eq!(r.set.packets(), 2);
@@ -1579,7 +1554,8 @@ mod tests {
             }
             other => panic!("expected Undecodable, got {other:?}"),
         }
-        assert!(find_match_set(&mut ws, &cur, &cur_dets, &store, &reg, &pre).is_none());
+        assert!(find_match_set(MatchSearch::Staged, &mut ws, &cur, &cur_dets, &store, &reg, &pre)
+            .is_none());
         assert_eq!(store.len(), 1, "classification must not consume the store entry");
     }
 
@@ -1619,7 +1595,8 @@ mod tests {
         let reg = crate::config::ClientRegistry::new();
         let pre = zigzag_phy::preamble::Preamble::default_len();
         assert!(
-            find_match_set(&mut ws, &cur, &cur_dets, &store, &reg, &pre).is_none(),
+            find_match_set(MatchSearch::Staged, &mut ws, &cur, &cur_dets, &store, &reg, &pre)
+                .is_none(),
             "2-client collision must leave the 3-client store entry for the k-way system"
         );
         assert_eq!(store.len(), 1);

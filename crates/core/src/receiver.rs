@@ -13,18 +13,12 @@
 //! lower power (i.e., a capture scenario)."
 //!
 //! The flow itself lives in [`crate::engine::stage`] as a reorderable
-//! stage pipeline; this module is the stateful front end tying the
-//! pipeline to the association registry and the collision store. The
-//! pre-pipeline monolithic control flow is retained as
-//! [`ZigzagReceiver::process_legacy`] so the equivalence can be tested
-//! differentially.
+//! stage pipeline, the only receive path; this module is the stateful
+//! front end tying the pipeline to the association registry and the
+//! collision store.
 
-use crate::capture::mrc_combine_retry;
 use crate::config::{ClientInfo, ClientRegistry, DecoderConfig};
-use crate::detect::detect_packets;
-use crate::engine::stage::{zigzag_decode_match, DecodePlan, Pipeline, ReceiverCore};
-use crate::matchset::find_match_set;
-use crate::standard::decode_single;
+use crate::engine::stage::{Pipeline, ReceiverCore};
 use zigzag_phy::complex::Complex;
 use zigzag_phy::frame::Frame;
 
@@ -146,150 +140,6 @@ impl ZigzagReceiver {
                 }
             })
             .collect()
-    }
-
-    /// The pre-engine monolithic control flow, kept verbatim as a
-    /// reference implementation. The pipeline-vs-legacy equivalence test
-    /// in `tests/engine.rs` checks `process` against this on identical
-    /// buffer sequences. (Algebraic recovery is pipeline-only: the
-    /// legacy flow predates it, and the equivalence holds for the
-    /// default configuration, where the `RecoverStage` is a no-op.)
-    #[doc(hidden)]
-    pub fn process_legacy(&mut self, buffer: &[Complex]) -> Vec<ReceiverEvent> {
-        let detections =
-            detect_packets(buffer, &self.core.preamble, &self.core.registry, &self.core.cfg);
-        match detections.len() {
-            0 => vec![ReceiverEvent::DecodeFailed],
-            1 => self.legacy_single(buffer, detections[0]),
-            _ => self.legacy_collision(buffer, detections),
-        }
-    }
-
-    fn legacy_single(
-        &mut self,
-        buffer: &[Complex],
-        det: crate::detect::Detection,
-    ) -> Vec<ReceiverEvent> {
-        let mut out = Vec::new();
-        let decode = decode_single(
-            buffer,
-            det.pos,
-            Some(det.client),
-            &self.core.registry,
-            &self.core.preamble,
-            true,
-            &self.core.cfg,
-        );
-        match decode {
-            Some(d) if d.frame.is_some() => {
-                let frame = d.frame.clone().unwrap();
-                self.core.deliver(frame, DecodePath::Standard, &mut out);
-            }
-            _ => out.push(ReceiverEvent::DecodeFailed),
-        }
-        out
-    }
-
-    fn legacy_collision(
-        &mut self,
-        buffer: &[Complex],
-        detections: Vec<crate::detect::Detection>,
-    ) -> Vec<ReceiverEvent> {
-        let mut out = Vec::new();
-
-        // --- capture / single-collision interference cancellation ---
-        let mut by_power = detections.clone();
-        by_power.sort_by(|a, b| b.corr.abs().total_cmp(&a.corr.abs()));
-        let mut anchor: Option<(crate::detect::Detection, crate::standard::SingleDecode)> = None;
-        for cand in by_power.iter().take(4) {
-            if let Some(d) = decode_single(
-                buffer,
-                cand.pos,
-                Some(cand.client),
-                &self.core.registry,
-                &self.core.preamble,
-                false,
-                &self.core.cfg,
-            ) {
-                if d.frame.is_some() {
-                    anchor = Some((*cand, d));
-                    break;
-                }
-            }
-        }
-        if let Some((strong, strong_decode)) = anchor {
-            let f = strong_decode.frame.clone().unwrap();
-            self.core.deliver(f, DecodePath::Capture, &mut out);
-            let weak_det = by_power
-                .iter()
-                .find(|d| d.pos.abs_diff(strong.pos) >= self.core.preamble.len())
-                .copied();
-            if let Some(weak) = weak_det {
-                let residual =
-                    crate::capture::subtract_decoded(buffer, &strong_decode, &self.core.preamble);
-                let weak_decode = decode_single(
-                    &residual,
-                    weak.pos,
-                    Some(weak.client),
-                    &self.core.registry,
-                    &self.core.preamble,
-                    true,
-                    &self.core.cfg,
-                );
-                match weak_decode {
-                    Some(w) if w.frame.is_some() => {
-                        let f = w.frame.clone().unwrap();
-                        self.core.deliver(f, DecodePath::InterferenceCancellation, &mut out);
-                    }
-                    Some(w) => {
-                        let mut matched = None;
-                        for (i, (client, prev)) in self.core.weak_versions.iter().enumerate() {
-                            if *client != weak.client {
-                                continue;
-                            }
-                            if let Some(f) = mrc_combine_retry(prev, &w) {
-                                matched = Some((i, f));
-                                break;
-                            }
-                        }
-                        if let Some((i, f)) = matched {
-                            self.core.weak_versions.remove(i);
-                            self.core.deliver(f, DecodePath::MrcRetry, &mut out);
-                        } else {
-                            self.core.weak_versions.push((weak.client, w));
-                            if self.core.weak_versions.len() > self.core.cfg.collision_store {
-                                self.core.weak_versions.remove(0);
-                            }
-                        }
-                    }
-                    None => {}
-                }
-            }
-            if !out.is_empty() {
-                return out;
-            }
-        }
-
-        // --- match against the stored-collision index & ZigZag ---
-        // One call site with the pipeline: the same find_match_set /
-        // zigzag_decode_match pair MatchStage and ZigzagStage run.
-        let core = &mut self.core;
-        if let Some(set) = find_match_set(
-            &mut core.scratch,
-            buffer,
-            &detections,
-            &core.store,
-            &core.registry,
-            &core.preamble,
-        ) {
-            let plan = DecodePlan::from_set(&set);
-            zigzag_decode_match(&mut self.core, buffer, &plan, &set.members, &mut out);
-            return out;
-        }
-
-        // --- store for a future match ---
-        self.core.store_unmatched(buffer, &detections, &mut out);
-        out
     }
 }
 

@@ -35,7 +35,7 @@
 //!   unit-impulse image (gain, phase ramp, fractional timing, ISI taps —
 //!   all rendered through the pluggable
 //!   [`kernel::Backend`](zigzag_phy::kernel), so equation extraction
-//!   rides the same scalar/optimized seam as the rest of the phy).
+//!   rides the same scalar/simd seam as the rest of the phy).
 //! * **Solver** — a sliding window of per-packet frontier symbols is
 //!   solved by regularised least squares (Gaussian elimination on the
 //!   normal equations, [`zigzag_phy::linalg::lstsq`]); well-observed
@@ -1281,7 +1281,7 @@ impl<'a> Solver<'a> {
                         self.cfg.recovery.window_pll_ki,
                     );
                 } else {
-                    view.feedback_with(&observed, image, exp, &sym_fn, pool, kernel);
+                    view.feedback(&observed, image, exp, &sym_fn, pool, kernel);
                 }
             }
             pool.put(observed);

@@ -46,25 +46,12 @@ pub struct SingleDecode {
 ///   clean receptions, e.g. association frames).
 /// * `clean` indicates the preamble region is believed interference-free.
 ///
+/// Per-chunk temporaries are drawn from `ws` (and run on its kernel
+/// backend), so repeated decodes reuse their buffers.
+///
 /// Returns `None` only when not even a channel estimate was possible.
-pub fn decode_single(
-    buffer: &[Complex],
-    start: usize,
-    client: Option<u16>,
-    registry: &ClientRegistry,
-    preamble: &Preamble,
-    clean: bool,
-    cfg: &DecoderConfig,
-) -> Option<SingleDecode> {
-    let mut ws = Scratch::with_backend(cfg.backend);
-    decode_single_with(buffer, start, client, registry, preamble, clean, cfg, &mut ws)
-}
-
-/// Scratch-aware variant of [`decode_single`]: per-chunk temporaries are
-/// drawn from `ws` so repeated decodes (receiver, batch engine) reuse
-/// their buffers.
 #[allow(clippy::too_many_arguments)]
-pub fn decode_single_with(
+pub fn decode_single(
     buffer: &[Complex],
     start: usize,
     client: Option<u16>,
@@ -177,6 +164,7 @@ mod tests {
             &Preamble::default_len(),
             true,
             &DecoderConfig::default(),
+            &mut Scratch::default(),
         )
         .expect("decode");
         assert_eq!(out.frame.as_ref(), Some(&a.frame));
@@ -198,6 +186,7 @@ mod tests {
             &Preamble::default_len(),
             true,
             &DecoderConfig::default(),
+            &mut Scratch::default(),
         )
         .expect("decode");
         let ber = bit_error_rate(&a.mpdu_bits, &out.scrambled_bits);
@@ -240,6 +229,7 @@ mod tests {
                 &Preamble::default_len(),
                 true,
                 &DecoderConfig::default(),
+                &mut Scratch::default(),
             )
             .expect("decode");
             assert_eq!(out.plcp.unwrap().modulation, m);
@@ -274,6 +264,7 @@ mod tests {
             &Preamble::default_len(),
             true,
             &DecoderConfig::default(),
+            &mut Scratch::default(),
         );
         let ok = out.map(|o| o.frame.is_some()).unwrap_or(false);
         assert!(!ok, "equal-power collision should not decode");
@@ -293,6 +284,7 @@ mod tests {
             &Preamble::default_len(),
             true,
             &DecoderConfig::default(),
+            &mut Scratch::default(),
         );
         if let Some(o) = out {
             assert!(o.frame.is_none());

@@ -1,7 +1,7 @@
 //! The sliding detect operator: the §4.2.1 preamble scan over an
 //! unbounded stream, windowed, with nothing scanned twice.
 //!
-//! [`WindowScanner`] reproduces [`detect_packets_with`]'s result
+//! [`WindowScanner`] reproduces [`detect_packets`]'s result
 //! incrementally. The canonical one-shot scan computes, per associated
 //! client and per sampling grid (integer and half-sample), the
 //! frequency-compensated correlation at every position, finds local
@@ -25,7 +25,7 @@
 //! lookahead; at stream end the `final` flush truncates exactly the way
 //! a pre-cut buffer's edge does.
 //!
-//! [`detect_packets_with`]: crate::detect::detect_packets_with
+//! [`detect_packets`]: crate::detect::detect_packets
 
 use crate::config::{ClientRegistry, DecoderConfig};
 use crate::detect::{client_threshold, Detection};

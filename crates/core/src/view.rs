@@ -444,7 +444,7 @@ impl ChannelView {
         for &(bs, be) in &blocks {
             // resample block (+ equalizer margin) on the symbol grid —
             // positions step by exactly one symbol, which is the cached-
-            // tap fast path of the optimized backend
+            // tap fast path of the simd backend
             let lo = bs as isize - margin as isize;
             let hi = be as isize + margin as isize;
             kernel.resample_into(
@@ -624,23 +624,10 @@ impl ChannelView {
     /// update phase, frequency (`δf̂ += α·δφ/δt`), amplitude, and timing.
     ///
     /// `mid_n` is the chunk's centre symbol index (the `δt` reference).
-    /// Does nothing if tracking is disabled in the configuration.
+    /// Does nothing if tracking is disabled in the configuration. The
+    /// timing early/late-gate images are synthesized into pooled buffers
+    /// on `kernel`'s backend.
     pub fn feedback(
-        &mut self,
-        observed: &[Complex],
-        image: &Image,
-        range: std::ops::Range<usize>,
-        symbols: &dyn Fn(usize) -> Option<Complex>,
-    ) {
-        let mut pool = BufPool::new();
-        let mut kernel = Kernel::new(self.cfg.backend);
-        self.feedback_with(observed, image, range, symbols, &mut pool, &mut kernel);
-    }
-
-    /// Scratch-aware variant of [`ChannelView::feedback`]: the timing
-    /// early/late-gate images are synthesized into pooled buffers on
-    /// `kernel`'s backend.
-    pub fn feedback_with(
         &mut self,
         observed: &[Complex],
         image: &Image,
@@ -652,7 +639,7 @@ impl ChannelView {
         self.feedback_inner(observed, image, range, symbols, pool, kernel, None);
     }
 
-    /// [`ChannelView::feedback_with`] with the phase update replaced by a
+    /// [`ChannelView::feedback`] with the phase update replaced by a
     /// damped PI loop carrying explicit per-loop state — the recovery
     /// solver's per-window phase tracker. Instead of applying the full
     /// measured `δφ` (plus a `δφ/δt` frequency nudge) in one shot, the
@@ -662,7 +649,7 @@ impl ChannelView {
     /// undecided symbols mid-solve), and the integrator converges on the
     /// residual frequency offset. Gain and timing tracking are shared
     /// with the one-shot path unchanged.
-    #[allow(clippy::too_many_arguments)] // mirrors feedback_with + the loop state
+    #[allow(clippy::too_many_arguments)] // mirrors feedback + the loop state
     pub fn feedback_windowed(
         &mut self,
         observed: &[Complex],
@@ -766,11 +753,6 @@ impl ChannelView {
     /// Effective SNR of this view against unit noise, in dB.
     pub fn snr_db(&self) -> f64 {
         20.0 * self.gain.log10()
-    }
-
-    /// The kernel backend this view's configuration selects.
-    pub fn backend(&self) -> zigzag_phy::kernel::BackendKind {
-        self.cfg.backend
     }
 
     /// Re-anchors the phase model at the packet start: keeps everything
@@ -1058,7 +1040,8 @@ mod tests {
         let img = v.synthesize(range.clone(), &sym_fn);
         let observed: Vec<Complex> = buf[img.range()].to_vec();
         let before = v.phase.at(200.0);
-        v.feedback(&observed, &img, range, &sym_fn);
+        let (mut pool, mut kernel) = (BufPool::new(), Kernel::new(cfg.backend));
+        v.feedback(&observed, &img, range, &sym_fn, &mut pool, &mut kernel);
         let after = v.phase.at(200.0);
         assert!(
             (after - 0.5).abs() < (before - 0.5).abs(),
@@ -1091,7 +1074,8 @@ mod tests {
             let range = 100..300;
             let img = v.synthesize(range.clone(), &sym_fn);
             let observed: Vec<Complex> = buf[img.range()].to_vec();
-            v.feedback(&observed, &img, range, &sym_fn);
+            let (mut pool, mut kernel) = (BufPool::new(), Kernel::new(cfg.backend));
+            v.feedback(&observed, &img, range, &sym_fn, &mut pool, &mut kernel);
         }
         assert!((v.mu + 0.2).abs() < 0.08, "mu {} want -0.2", v.mu);
     }

@@ -103,17 +103,11 @@ impl<'r> ZigzagDecoder<'r> {
         Self { cfg, registry, preamble: p }
     }
 
-    /// Runs ZigZag over the given collisions.
-    pub fn decode(&self, collisions: &[CollisionSpec<'_>], packets: &[PacketSpec]) -> ZigzagOutput {
-        let mut ws = Scratch::with_backend(self.cfg.backend);
-        self.decode_with(collisions, packets, &mut ws)
-    }
-
-    /// Scratch-aware variant of [`ZigzagDecoder::decode`]: all per-chunk
-    /// temporaries are drawn from `ws`, so a caller decoding many
-    /// collisions (the receiver, a [`BatchEngine`](crate::engine::BatchEngine)
-    /// work unit) pays no steady-state allocation in the chunk loop.
-    pub fn decode_with(
+    /// Runs ZigZag over the given collisions. All per-chunk temporaries
+    /// are drawn from `ws`, so a caller decoding many collisions (the
+    /// receiver, a [`BatchEngine`](crate::engine::BatchEngine) work unit)
+    /// pays no steady-state allocation in the chunk loop.
+    pub fn decode(
         &self,
         collisions: &[CollisionSpec<'_>],
         packets: &[PacketSpec],
@@ -352,7 +346,7 @@ impl<'r> ZigzagDecoder<'r> {
                 );
             }
             if step.range.len() >= MIN_FEEDBACK_CHUNK && observed.len() == img.samples.len() {
-                v.feedback_with(&observed, img, exp, &sym_fn, pool, kernel);
+                v.feedback(&observed, img, exp, &sym_fn, pool, kernel);
             }
             pool.put(observed);
         }
@@ -740,6 +734,7 @@ mod tests {
                 CollisionSpec { buffer: &hp.collision2.buffer, placements: vec![(0, 0), (1, d2)] },
             ],
             &[PacketSpec { client: 1 }, PacketSpec { client: 2 }],
+            &mut Scratch::default(),
         );
         let ber_a = bit_error_rate(&a.mpdu_bits, &out.packets[0].scrambled_bits);
         let ber_b = bit_error_rate(&b.mpdu_bits, &out.packets[1].scrambled_bits);
@@ -778,6 +773,7 @@ mod tests {
                 CollisionSpec { buffer: &hp.collision2.buffer, placements: vec![(0, 0), (1, 90)] },
             ],
             &[PacketSpec { client: 1 }, PacketSpec { client: 2 }],
+            &mut Scratch::default(),
         );
         let fa = out.packets[0].frame.as_ref().expect("frame A");
         let fb = out.packets[1].frame.as_ref().expect("frame B");
@@ -819,6 +815,7 @@ mod tests {
                 CollisionSpec { buffer: &hp.collision2.buffer, placements: vec![(0, 0), (1, 80)] },
             ],
             &[PacketSpec { client: 1 }, PacketSpec { client: 2 }],
+            &mut Scratch::default(),
         );
         assert!(out.packets[0].frame.is_some(), "BPSK packet failed");
         assert!(out.packets[1].frame.is_some(), "QPSK packet failed");
@@ -891,6 +888,7 @@ mod tests {
         let out = dec.decode(
             &specs,
             &[PacketSpec { client: 1 }, PacketSpec { client: 2 }, PacketSpec { client: 3 }],
+            &mut Scratch::default(),
         );
         assert_eq!(out.outcome, PlanOutcome::Complete);
         for (i, p) in out.packets.iter().enumerate() {

@@ -10,9 +10,7 @@ use zigzag_channel::scenario::{synth_collision, PlacedTx};
 use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig, MatchSearch};
 use zigzag_core::detect::{detect_packets, Detection};
 use zigzag_core::engine::scratch::Scratch;
-use zigzag_core::matchset::{
-    client_key, find_match_set, find_match_set_with, pair_collisions, CollisionStore,
-};
+use zigzag_core::matchset::{client_key, find_match_set, pair_collisions, CollisionStore};
 use zigzag_phy::complex::Complex;
 use zigzag_phy::frame::{encode_frame, Frame};
 use zigzag_phy::modulation::Modulation;
@@ -191,8 +189,9 @@ fn synth_workload(
     }
     let cfg = DecoderConfig::default();
     let pre = Preamble::default_len();
+    let mut ws = Scratch::with_backend(cfg.backend);
     let dets: Vec<Vec<Detection>> =
-        buffers.iter().map(|b| detect_packets(b, &pre, &reg, &cfg)).collect();
+        buffers.iter().map(|b| detect_packets(b, &pre, &reg, &cfg, &mut ws)).collect();
     (buffers, dets, reg)
 }
 
@@ -223,9 +222,9 @@ proptest! {
         let cur_dets = &dets[k - 1];
         let mut ws = Scratch::default();
         let staged =
-            find_match_set_with(MatchSearch::Staged, &mut ws, cur, cur_dets, &store, &reg, &pre);
+            find_match_set(MatchSearch::Staged, &mut ws, cur, cur_dets, &store, &reg, &pre);
         let exhaustive =
-            find_match_set_with(MatchSearch::Exhaustive, &mut ws, cur, cur_dets, &store, &reg, &pre);
+            find_match_set(MatchSearch::Exhaustive, &mut ws, cur, cur_dets, &store, &reg, &pre);
         prop_assert_eq!(staged, exhaustive);
     }
 }
@@ -270,9 +269,10 @@ fn kway_match_invariant_under_detection_permutation() {
     }
     let cfg = DecoderConfig::default();
     let pre = Preamble::default_len();
+    let mut ws = Scratch::with_backend(cfg.backend);
     let stored_dets: Vec<Vec<Detection>> =
-        buffers[..2].iter().map(|b| detect_packets(b, &pre, &reg, &cfg)).collect();
-    let cur_dets = detect_packets(&buffers[2], &pre, &reg, &cfg);
+        buffers[..2].iter().map(|b| detect_packets(b, &pre, &reg, &cfg, &mut ws)).collect();
+    let cur_dets = detect_packets(&buffers[2], &pre, &reg, &cfg, &mut ws);
 
     let run = |perm_seed: Option<u64>| {
         let mut store = CollisionStore::new(4);
@@ -287,7 +287,7 @@ fn kway_match_invariant_under_detection_permutation() {
             store.insert(b.clone(), dets);
         }
         let mut ws = Scratch::default();
-        find_match_set(&mut ws, &buffers[2], &cur_dets, &store, &reg, &pre)
+        find_match_set(MatchSearch::Staged, &mut ws, &buffers[2], &cur_dets, &store, &reg, &pre)
             .expect("3-way set must match")
             .alignment
             .iter()

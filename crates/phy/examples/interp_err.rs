@@ -1,7 +1,7 @@
 //! Measures fractional-interpolation truncation error vs TX band-limiting,
 //! then compares the kernel backends on the production resampling path —
 //! minimal usage docs for constructing a `zigzag_phy::kernel::Kernel`
-//! explicitly and checking scalar/optimized agreement.
+//! explicitly and checking scalar/simd agreement.
 use rand::prelude::*;
 use zigzag_phy::complex::Complex;
 use zigzag_phy::filter::Fir;
@@ -64,7 +64,7 @@ fn main() {
     // A Kernel is a backend choice + its SoA scratch; construct one per
     // decode context and reuse it across calls.
     let mut scalar = Kernel::new(BackendKind::Scalar);
-    let mut optimized = Kernel::new(BackendKind::Optimized);
+    let mut simd = Kernel::new(BackendKind::Simd);
     let (mut ys, mut yo) = (Vec::new(), Vec::new());
     for (label, start, step) in
         [("half-sample grid", 0.5, 1.0), ("drifting grid   ", 0.37, 1.0 + 1.5e-5)]
@@ -73,11 +73,11 @@ fn main() {
         scalar.resample_into(&x, start, step, n, &mut ys);
         let t_s = t.elapsed();
         let t = std::time::Instant::now();
-        optimized.resample_into(&x, start, step, n, &mut yo);
+        simd.resample_into(&x, start, step, n, &mut yo);
         let t_o = t.elapsed();
         let max_err = ys.iter().zip(yo.iter()).map(|(a, b)| (*a - *b).abs()).fold(0.0f64, f64::max);
         println!(
-            "backend {label}: scalar {:>7.1?}  optimized {:>7.1?}  ({:.1}x)  max |Δ| {max_err:.2e}",
+            "backend {label}: scalar {:>7.1?}  simd {:>7.1?}  ({:.1}x)  max |Δ| {max_err:.2e}",
             t_s,
             t_o,
             t_s.as_secs_f64() / t_o.as_secs_f64().max(1e-12),

@@ -32,7 +32,7 @@ pub fn sinc(x: f64) -> f64 {
 }
 
 /// Hann window of half-width `w` evaluated at offset `x ∈ [−w, w]`.
-/// Shared with the optimized kernel backend's cached-tap resampler.
+/// Shared with the simd kernel backend's cached-tap resampler.
 #[inline]
 pub(crate) fn hann(x: f64, w: f64) -> f64 {
     let t = (x / w).clamp(-1.0, 1.0);

@@ -5,32 +5,30 @@
 //! aligns collisions, the **FIR** convolution that applies/undoes ISI,
 //! the windowed-sinc **resampling** that moves chunks between sampling
 //! grids, and the **MRC** combiner of the forward/backward passes. This
-//! module puts those four behind a [`Backend`] trait with three
+//! module puts those four behind a [`Backend`] trait with two
 //! implementations:
 //!
 //! * [`Scalar`] — delegates to the original loops in [`crate::correlate`],
 //!   [`crate::filter`], [`crate::interp`] and [`crate::mrc`]. It is the
 //!   numerical reference the differential tests compare against.
-//! * [`Optimized`] — structure-of-arrays (`re`/`im` split `f64` slices)
-//!   loops that the compiler can autovectorize, plus the algorithmic
-//!   wins: the correlation pre-derotates the reference once per scan
-//!   instead of paying a sin/cos per inner-loop sample, the FIR runs a
-//!   single-pass bounds-check-free interior sweep, and the resampler
-//!   caches the sinc·hann tap vector per distinct fractional offset.
-//! * [`Simd`] — the `Optimized` staging with the inner loops written as
-//!   explicit four-lane kernels (the private `lanes` module): stable
-//!   `std::arch` AVX2 intrinsics behind a once-cached runtime
+//! * [`Simd`] — the production backend. Structure-of-arrays staging
+//!   (`re`/`im` split `f64` slices) plus the algorithmic wins: the
+//!   correlation pre-derotates the reference once per scan instead of
+//!   paying a sin/cos per inner-loop sample, the FIR runs a single-pass
+//!   interior sweep, and the resampler caches the sinc·hann tap vector
+//!   per distinct fractional offset. The inner loops are explicit
+//!   four-lane kernels (the private `lanes` module): stable `std::arch`
+//!   AVX2 intrinsics behind a once-cached runtime
 //!   [`is_x86_feature_detected!`] check, and a portable `[f64; 4]`
-//!   fallback with identical per-lane arithmetic everywhere else.
-//!   Bit-identical to `Optimized` (and hence to the whole determinism
-//!   contract) by construction.
+//!   fallback with identical per-lane arithmetic everywhere else, so the
+//!   AVX2 and portable paths agree bit for bit.
 //!
 //! A fifth primitive joined in the k-way matching PR: the normalized
 //! **match metric** of §4.2.2 (`match_score`), the correlation of a span
 //! of one collision buffer against a sub-sample-interpolated span of
 //! another, maximized over a τ sweep. It is the inner product the k-way
 //! alignment path evaluates thousands of times per buffer, so it gets
-//! the same treatment as the scan: the `Optimized` backend hoists the
+//! the same treatment as the scan: the `Simd` backend hoists the
 //! interpolation out of the τ loop onto pre-built sub-sample *lattices*
 //! ([`SubLattice`]), reuses window energies via prefix sums, and can
 //! abandon a candidate mid-accumulation once a Cauchy–Schwarz bound
@@ -54,61 +52,48 @@ use std::ops::Range;
 pub enum BackendKind {
     /// The original scalar loops (numerical reference).
     Scalar,
-    /// SoA autovectorization-friendly loops with phasor/tap precomputation.
-    Optimized,
-    /// Explicit fixed-lane-width kernels: runtime-detected `std::arch`
-    /// AVX2 paths on x86_64, a portable 4-lane array fallback elsewhere.
-    /// Bit-identical to [`BackendKind::Optimized`] by construction (same
-    /// per-lane arithmetic, no FMA contraction).
+    /// SoA staging with explicit fixed-lane-width kernels:
+    /// runtime-detected `std::arch` AVX2 paths on x86_64, a portable
+    /// 4-lane array fallback elsewhere (bit-identical to each other).
     Simd,
 }
 
 impl BackendKind {
     /// Backend selected by the `ZIGZAG_BACKEND` environment variable
-    /// (`scalar`, `optimized` or `simd`, case-insensitive); defaults to
-    /// [`BackendKind::Optimized`] when unset. The variable is read once
-    /// per process.
+    /// (`scalar` or `simd`, case-insensitive); defaults to
+    /// [`BackendKind::Simd`] when unset. The variable is read once per
+    /// process.
     ///
-    /// An unrecognized value **panics** with the accepted names: the old
-    /// behaviour silently fell back to `Optimized`, so a typo (`Scalar`,
-    /// `avx`, …) ran the whole differential suite against the backend it
-    /// was supposed to cross-check.
+    /// An unrecognized value **panics** with the accepted names: a
+    /// silent fallback would let a typo (`Scalar `, `avx`, …) run the
+    /// whole differential suite against the backend it was supposed to
+    /// cross-check.
     pub fn from_env() -> Self {
         use std::sync::OnceLock;
         static KIND: OnceLock<BackendKind> = OnceLock::new();
         *KIND.get_or_init(|| match std::env::var("ZIGZAG_BACKEND") {
-            Err(_) => BackendKind::Optimized,
+            Err(_) => BackendKind::Simd,
             Ok(v) => Self::from_name(&v).unwrap_or_else(|| {
-                panic!(
-                    "unrecognized ZIGZAG_BACKEND value {v:?}: expected \"scalar\", \"optimized\" or \"simd\""
-                )
+                panic!("unrecognized ZIGZAG_BACKEND value {v:?}: expected \"scalar\" or \"simd\"")
             }),
         })
     }
 
-    /// Parses a backend name, case-insensitively: `"scalar"` /
-    /// `"optimized"` / `"simd"`. The single parser behind
-    /// [`Self::from_env`] and [`Self::from_arg`].
+    /// Parses a backend name, case-insensitively: `"scalar"` / `"simd"`.
+    /// The single parser behind [`Self::from_env`] and the debug
+    /// examples' command lines.
     pub fn from_name(name: &str) -> Option<Self> {
         match name.to_ascii_lowercase().as_str() {
             "scalar" => Some(BackendKind::Scalar),
-            "optimized" => Some(BackendKind::Optimized),
             "simd" => Some(BackendKind::Simd),
             _ => None,
         }
-    }
-
-    /// Parses a backend name, as accepted on the command line by the
-    /// debug examples.
-    pub fn from_arg(arg: &str) -> Option<Self> {
-        Self::from_name(arg)
     }
 
     /// The backend implementation this kind names.
     pub fn backend(self) -> &'static dyn Backend {
         match self {
             BackendKind::Scalar => &Scalar,
-            BackendKind::Optimized => &Optimized,
             BackendKind::Simd => &Simd,
         }
     }
@@ -280,6 +265,27 @@ pub struct KernelScratch {
     lanes: Vec<SubLattice>,
 }
 
+impl KernelScratch {
+    /// Fills the cached windowed-sinc tap vector for fractional offset
+    /// `frac`, unless it already holds exactly that offset's taps.
+    fn ensure_taps(&mut self, frac: f64) {
+        if self.taps_valid && self.taps_frac == frac {
+            return;
+        }
+        let w = DEFAULT_HALF_WIDTH as f64;
+        self.taps.clear();
+        let j_lo = (frac - w).ceil() as isize;
+        let j_hi = (frac + w).floor() as isize;
+        for j in j_lo..=j_hi {
+            let d = frac - j as f64;
+            self.taps.push(sinc(d) * hann(d, w + 1.0));
+        }
+        self.taps_frac = frac;
+        self.taps_j_lo = j_lo;
+        self.taps_valid = true;
+    }
+}
+
 fn split_soa(x: &[Complex], re: &mut Vec<f64>, im: &mut Vec<f64>) {
     re.clear();
     im.clear();
@@ -310,109 +316,10 @@ fn stage_a_span(ws: &mut KernelScratch, buf_a: &[Complex], start_a: usize, n: us
 /// noise, often enough that a hopeless candidate dies early.
 const ABANDON_BLOCK: usize = 64;
 
-/// The `Optimized` τ sweep over pre-built lattice lanes, shared by the
-/// raw and footprint-backed `match_score` paths. `ar`/`ai`/`ea_prefix`
-/// are the staged a-span (`n` samples, `n + 1` prefix entries); lane
-/// sample index for alignment `τ = n_int + frac` at span offset `k` is
-/// `base0 + n_int + 1 + k` (`base0 = start_b` for whole-buffer
-/// footprints, 0 for per-call spans).
-///
-/// τ candidates are visited in ascending order with a strict-greater
-/// best update — the same tie-breaking as the `Scalar` reference — and
-/// with `bail` set, a candidate is dropped mid-accumulation when the
-/// Cauchy–Schwarz tail bound `(|acc| + √(ea_rem·eb_rem))/√(ea·eb)`
-/// cannot reach `max(bail, best-so-far)`.
-fn optimized_sweep(
-    ar: &[f64],
-    ai: &[f64],
-    ea_prefix: &[f64],
-    lanes: &[SubLattice],
-    base0: usize,
-    tau_step: f64,
-    bail: Option<f64>,
-) -> MatchScore {
-    let n = ar.len();
-    let ea_tot = ea_prefix[n];
-    let mut best = MatchScore::default();
-    if ea_tot <= 0.0 {
-        return best;
-    }
-    for tau in tau_sweep(tau_step) {
-        let f = tau.floor();
-        let frac = tau - f;
-        let lane = lanes
-            .iter()
-            .find(|l| l.frac == frac)
-            .unwrap_or_else(|| panic!("no lattice lane for τ = {tau} (frac {frac})"));
-        let base = (base0 as isize + f as isize + 1) as usize;
-        let eb_tot = lane.window_energy(base, base + n);
-        if eb_tot <= 0.0 {
-            continue;
-        }
-        let denom = (ea_tot * eb_tot).sqrt();
-        let cutoff = bail.map(|t| t.max(best.metric));
-        let lat = &lane.samples[base..base + n];
-        // Four independent accumulator pairs, as in the scan: the serial
-        // FP-add chain bounds throughput, not the multiplies.
-        let mut acc = [0.0f64; 8];
-        let mut k = 0;
-        let mut abandoned = false;
-        while k < n {
-            let stop = (k + ABANDON_BLOCK).min(n);
-            while k + 4 <= stop {
-                for u in 0..4 {
-                    let (xr, xi) = (ar[k + u], ai[k + u]);
-                    let y = lat[k + u];
-                    // x·conj(y)
-                    acc[2 * u] += xr * y.re + xi * y.im;
-                    acc[2 * u + 1] += xi * y.re - xr * y.im;
-                }
-                k += 4;
-            }
-            while k < stop {
-                let (xr, xi) = (ar[k], ai[k]);
-                let y = lat[k];
-                acc[0] += xr * y.re + xi * y.im;
-                acc[1] += xi * y.re - xr * y.im;
-                k += 1;
-            }
-            if k >= n {
-                break;
-            }
-            if let Some(cut) = cutoff {
-                let re = (acc[0] + acc[2]) + (acc[4] + acc[6]);
-                let im = (acc[1] + acc[3]) + (acc[5] + acc[7]);
-                let part = (re * re + im * im).sqrt();
-                let ea_rem = ea_tot - ea_prefix[k];
-                let eb_rem = lane.window_energy(base + k, base + n);
-                // |Σ_total| ≤ |Σ_partial| + √(Σ_rem|a|²·Σ_rem|b|²); the
-                // 1e-12 slack keeps float rounding in the bound itself
-                // from abandoning a candidate that lands *exactly* on the
-                // cutoff.
-                let ub = (part + (ea_rem * eb_rem).sqrt()) / denom;
-                if ub * (1.0 + 1e-12) < cut {
-                    abandoned = true;
-                    break;
-                }
-            }
-        }
-        if abandoned {
-            continue;
-        }
-        let re = (acc[0] + acc[2]) + (acc[4] + acc[6]);
-        let im = (acc[1] + acc[3]) + (acc[5] + acc[7]);
-        let metric = (re * re + im * im).sqrt() / denom;
-        if metric > best.metric {
-            best = MatchScore { metric, tau };
-        }
-    }
-    best
-}
-
 /// The interior output range of a FIR application over `n` input
 /// samples — outputs whose every tap index `k + delay − l` is in range —
-/// plus the per-output clamped edge accumulator, shared by the
-/// `Optimized` and `Simd` backends. The edge closure accumulates only
+/// plus the per-output clamped edge accumulator of the `Simd` backend.
+/// The edge closure accumulates only
 /// the in-range taps, in ascending `l` order: exactly the terms and
 /// order of the scalar reference's `tap_sum`, so edge outputs are
 /// bit-identical too.
@@ -442,7 +349,7 @@ fn fir_interior(fir: &Fir, n: usize) -> (usize, usize, impl Fn(&[Complex], usize
 /// Builds the per-call lattice lanes of a raw-buffer `match_score` span:
 /// one lane per *distinct fractional offset* of the sweep (a 0.25-step
 /// sweep has 9 τ candidates but only 4 fracs), each built with the
-/// backend's cached-tap resampler — ~17 sin/cos pairs per lane instead
+/// `Simd` cached-tap resampler — ~17 sin/cos pairs per lane instead
 /// of 17 per sample per τ. The spans are taken out of the scratch while
 /// `resample_into` borrows it; the caller puts the returned vector back
 /// so the allocations persist across calls. Lanes are written into the
@@ -453,7 +360,6 @@ fn fir_interior(fir: &Fir, n: usize) -> (usize, usize, impl Fn(&[Complex], usize
 /// — the footprint geometry with `base0 = 0`. `resample_into` is
 /// bit-identical across backends, so so are the lanes.
 fn build_span_lanes(
-    be: &dyn Backend,
     ws: &mut KernelScratch,
     buf_b: &[Complex],
     start_b: usize,
@@ -472,19 +378,26 @@ fn build_span_lanes(
         }
         let lane = &mut lanes[built];
         lane.frac = frac;
-        be.resample_into(ws, buf_b, start_b as f64 - 1.0 + frac, 1.0, n + 2, &mut lane.samples);
+        Simd.resample_into(ws, buf_b, start_b as f64 - 1.0 + frac, 1.0, n + 2, &mut lane.samples);
         lane.refresh_energy();
         built += 1;
     }
     (lanes, built)
 }
 
-/// The `Simd` τ sweep: [`optimized_sweep`] with the inner accumulation
-/// dispatched to the lane kernels (`lanes::match_candidate`). The
-/// candidate visit order, abandonment bound, block cadence and
-/// tie-breaking are identical, and the lane kernels accumulate with the
-/// same per-lane arithmetic and `(l0+l1)+(l2+l3)` reduction — so its
-/// results are bit-identical to `optimized_sweep`'s.
+/// The `Simd` τ sweep over pre-built lattice lanes, shared by the raw
+/// and footprint-backed `match_score` paths. `ar`/`ai`/`ea_prefix` are
+/// the staged a-span (`n` samples, `n + 1` prefix entries); lane sample
+/// index for alignment `τ = n_int + frac` at span offset `k` is
+/// `base0 + n_int + 1 + k` (`base0 = start_b` for whole-buffer
+/// footprints, 0 for per-call spans).
+///
+/// τ candidates are visited in ascending order with a strict-greater
+/// best update — the same tie-breaking as the `Scalar` reference — and
+/// with `bail` set, a candidate is dropped mid-accumulation
+/// (`lanes::match_candidate`) when the Cauchy–Schwarz tail bound
+/// `(|acc| + √(ea_rem·eb_rem))/√(ea·eb)` cannot reach
+/// `max(bail, best-so-far)`.
 fn simd_sweep(
     ar: &[f64],
     ai: &[f64],
@@ -536,7 +449,7 @@ fn simd_sweep(
 /// the FIR/resample/MRC kernels are bit-identical by construction (same
 /// operations in the same order, only the memory layout differs).
 pub trait Backend: std::fmt::Debug + Send + Sync {
-    /// Stable display name (`"scalar"`, `"optimized"`).
+    /// Stable display name (`"scalar"`, `"simd"`).
     fn name(&self) -> &'static str;
 
     /// Frequency-compensated sliding correlation, as
@@ -692,7 +605,7 @@ impl Backend for Scalar {
     // interpolation per sample per τ, energies re-accumulated per τ.
     // `bail` is deliberately ignored — Scalar is the always-exact
     // reference the differential tests (and the staged-vs-exhaustive
-    // matchset proptest) pin the optimized path against.
+    // matchset proptest) pin the simd path against.
     fn match_score(
         &self,
         _ws: &mut KernelScratch,
@@ -778,13 +691,28 @@ impl Backend for Scalar {
     }
 }
 
-/// SoA loops with phasor/tap precomputation.
+/// The production backend: SoA staging (a pre-derotated correlation
+/// reference, the cached resampler tap vector, energy prefix sums for
+/// the match metric) with the inner loops run four `f64` lanes wide —
+/// through stable `std::arch` AVX2 intrinsics when the host CPU has them
+/// (runtime [`is_x86_feature_detected!`] dispatch, cached once per
+/// process) and through a portable `[f64; 4]` array path otherwise,
+/// including on every non-x86_64 target.
+///
+/// Both paths evaluate **exactly** the same per-lane arithmetic — the
+/// same multiply/add/sub ordering and no FMA contraction (a fused
+/// multiply-add rounds once where `a·b + c` rounds twice) — and
+/// cross-lane reductions pair lanes as `(l0+l1)+(l2+l3)`, so AVX2 and
+/// portable output are bit-identical on all five primitives. FIR,
+/// resample and MRC accumulate each output in the `Scalar` reference's
+/// order and match it bit for bit; scan and match metric differ from
+/// it only in reduction order.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Optimized;
+pub struct Simd;
 
-impl Backend for Optimized {
+impl Backend for Simd {
     fn name(&self) -> &'static str {
-        "optimized"
+        "simd"
     }
 
     fn scan_into(
@@ -799,7 +727,8 @@ impl Backend for Optimized {
         out.clear();
         // Hoist the frequency-offset rotation out of the O(N·L) loop:
         // s*[k]·e^{−jωk} does not depend on Δ, so the sin/cos pair is paid
-        // L times per scan instead of N·L times.
+        // L times per scan instead of N·L times. The per-Δ inner product
+        // runs on the lane kernels over an SoA copy of the buffer.
         let l = s.len();
         ws.b_re.clear();
         ws.b_im.clear();
@@ -816,28 +745,13 @@ impl Backend for Optimized {
                 out.push(ZERO);
                 continue;
             }
-            let (sr, si) = (&ws.b_re[..end], &ws.b_im[..end]);
-            let (yr, yi) = (&ws.a_re[d..d + end], &ws.a_im[d..d + end]);
-            // Four independent accumulator pairs: the serial FP-add chain,
-            // not the multiplies, bounds the scalar throughput here.
-            let mut acc = [0.0f64; 8];
-            let mut k = 0;
-            while k + 4 <= end {
-                for u in 0..4 {
-                    acc[2 * u] += sr[k + u] * yr[k + u] - si[k + u] * yi[k + u];
-                    acc[2 * u + 1] += sr[k + u] * yi[k + u] + si[k + u] * yr[k + u];
-                }
-                k += 4;
-            }
-            while k < end {
-                acc[0] += sr[k] * yr[k] - si[k] * yi[k];
-                acc[1] += sr[k] * yi[k] + si[k] * yr[k];
-                k += 1;
-            }
-            out.push(Complex::new(
-                (acc[0] + acc[2]) + (acc[4] + acc[6]),
-                (acc[1] + acc[3]) + (acc[5] + acc[7]),
-            ));
+            let (re, im) = lanes::corr_dot(
+                &ws.b_re[..end],
+                &ws.b_im[..end],
+                &ws.a_re[d..d + end],
+                &ws.a_im[d..d + end],
+            );
+            out.push(Complex::new(re, im));
         }
     }
 
@@ -853,35 +767,20 @@ impl Backend for Optimized {
             y.extend_from_slice(x);
             return;
         }
-        // Single-pass register accumulation: output k reads
-        // x[k + delay − l] for taps l in ascending order, held in two
-        // accumulator registers. The historical per-tap saxpy swept the
-        // whole c_re/c_im arrays once per tap (plus an up-front SoA copy
-        // of x and a final interleave), so its memory traffic grew with
-        // the tap count — the 1.2× fir_apply gap in BENCH_phy.json. Here
-        // x is read once and y written once, tap count only changes
-        // register work. Ascending-l accumulation per output is the
-        // scalar reference's order, so the result stays bit-identical.
+        // Single-pass sweep with the interior run four outputs wide: per
+        // tap, a broadcast coefficient against four deinterleaved input
+        // samples. x is read once and y written once, so the tap count
+        // only changes register work. Lanes are outputs, so no cross-lane
+        // reduction; per output the taps accumulate in ascending order
+        // exactly like the scalar reference.
         let (lo, hi, edge) = fir_interior(fir, x.len());
-        y.reserve(x.len());
-        for k in 0..lo {
-            y.push(edge(x, k));
+        y.resize(x.len(), ZERO);
+        for (k, yk) in y.iter_mut().enumerate().take(lo) {
+            *yk = edge(x, k);
         }
-        let taps = fir.taps();
-        let delay = fir.delay();
-        for k in lo..hi {
-            let base = k + delay;
-            let mut acc_re = 0.0;
-            let mut acc_im = 0.0;
-            for (l, &t) in taps.iter().enumerate() {
-                let v = x[base - l];
-                acc_re += t.re * v.re - t.im * v.im;
-                acc_im += t.re * v.im + t.im * v.re;
-            }
-            y.push(Complex::new(acc_re, acc_im));
-        }
-        for k in hi..x.len() {
-            y.push(edge(x, k));
+        lanes::fir_interior_fill(fir.taps(), fir.delay(), x, lo, hi, y);
+        for (k, yk) in y.iter_mut().enumerate().skip(hi) {
+            *yk = edge(x, k);
         }
     }
 
@@ -898,35 +797,53 @@ impl Backend for Optimized {
         // No SoA staging here: a chunk decoder calls this once per small
         // block with the *full* residual buffer as `samples`, so an
         // up-front whole-buffer copy would cost more than the 17-tap
-        // window reads it feeds. The win is the cached tap vector; the
-        // AoS reads below are just as sequential.
-        let w = DEFAULT_HALF_WIDTH as f64;
+        // window reads it feeds. The win is the cached tap vector.
         ws.taps_valid = false;
         out.reserve(n);
-        for k in 0..n {
+        let mut k = 0;
+        while k < n {
+            // Four-outputs-at-a-time fast path: on the receiver's
+            // step = 1 grids, four consecutive outputs share the exact
+            // fractional offset and read four consecutive full windows —
+            // one broadcast tap against four deinterleaved samples per
+            // tap index, with per-output accumulation in tap order (the
+            // reference's). Any output that breaks the pattern (edge
+            // clamp, fractional drift, non-finite position) falls back to
+            // the per-output body below, which is bit-identical.
+            if k + 4 <= n {
+                let t0 = start + k as f64 * step;
+                let f0 = t0.floor();
+                if f0.is_finite() {
+                    let frac = t0 - f0;
+                    let aligned = (1..4).all(|u| {
+                        let t = start + (k + u) as f64 * step;
+                        let f = t.floor();
+                        f == f0 + u as f64 && t - f == frac
+                    });
+                    if aligned {
+                        ws.ensure_taps(frac);
+                        let base = f0 as isize + ws.taps_j_lo;
+                        let span = ws.taps.len() as isize;
+                        if base >= 0 && base + 3 + span <= samples.len() as isize {
+                            let block = lanes::resample_block(samples, base as usize, &ws.taps);
+                            out.extend_from_slice(&block);
+                            k += 4;
+                            continue;
+                        }
+                    }
+                }
+            }
+            // one output, edge-clamped
             let t = start + k as f64 * step;
+            k += 1;
             let f = t.floor();
             if !f.is_finite() {
                 out.push(ZERO);
                 continue;
             }
-            let frac = t - f;
             // The sinc·hann tap vector depends only on the fractional
-            // part of t. On the receiver's step = 1 grids the fraction is
-            // constant over the whole call, so the 17 sin/cos evaluations
-            // per output collapse to one cache fill per scan.
-            if !ws.taps_valid || ws.taps_frac != frac {
-                ws.taps.clear();
-                let j_lo = (frac - w).ceil() as isize;
-                let j_hi = (frac + w).floor() as isize;
-                for j in j_lo..=j_hi {
-                    let d = frac - j as f64;
-                    ws.taps.push(sinc(d) * hann(d, w + 1.0));
-                }
-                ws.taps_frac = frac;
-                ws.taps_j_lo = j_lo;
-                ws.taps_valid = true;
-            }
+            // part of t, so it is refilled only when that changes.
+            ws.ensure_taps(t - f);
             let base = f as isize + ws.taps_j_lo;
             let i_lo = base.clamp(0, samples.len() as isize) as usize;
             let i_hi = (base + ws.taps.len() as isize).clamp(0, samples.len() as isize) as usize;
@@ -956,7 +873,9 @@ impl Backend for Optimized {
         // Every accumulation below mirrors the scalar loop's order and
         // operations exactly (weighted terms in stream order added to a
         // zero accumulator, then one real division), so the result is
-        // bit-identical to the reference.
+        // bit-identical to the reference. This is a memory-bound
+        // two-multiply loop: plain single-pass code outruns explicit
+        // lane kernels here (BENCH_phy.json, mrc_combine_4096_x2).
         match *streams {
             // The receiver only ever combines one stream (forward-only
             // decode) or two (forward + backward, the two faulty capture
@@ -1020,317 +939,7 @@ impl Backend for Optimized {
             return MatchScore::default();
         }
         stage_a_span(ws, buf_a, start_a, n);
-        let (lanes, built) = build_span_lanes(self, ws, buf_b, start_b, n, tau_step);
-        let score =
-            optimized_sweep(&ws.a_re, &ws.a_im, &ws.ea_prefix, &lanes[..built], 0, tau_step, bail);
-        ws.lanes = lanes;
-        score
-    }
-
-    fn match_score_fp(
-        &self,
-        ws: &mut KernelScratch,
-        buf_a: &[Complex],
-        start_a: usize,
-        fp: &CorrFootprint,
-        start_b: usize,
-        window: usize,
-        tau_step: f64,
-        bail: Option<f64>,
-    ) -> MatchScore {
-        let n = window
-            .min(buf_a.len().saturating_sub(start_a))
-            .min(fp.source_len().saturating_sub(start_b));
-        if n == 0 {
-            return MatchScore::default();
-        }
-        stage_a_span(ws, buf_a, start_a, n);
-        optimized_sweep(&ws.a_re, &ws.a_im, &ws.ea_prefix, fp.lanes(), start_b, tau_step, bail)
-    }
-}
-
-/// Explicit fixed-lane-width kernels on the same staging as
-/// [`Optimized`]: the inner loops run four `f64` lanes wide through
-/// stable `std::arch` AVX2 intrinsics when the host CPU has them
-/// (runtime [`is_x86_feature_detected!`] dispatch, cached once per
-/// process) and through a portable `[f64; 4]` array path otherwise —
-/// including on every non-x86_64 target, so the backend builds and
-/// agrees everywhere.
-///
-/// Every lane evaluates **exactly** the arithmetic of the corresponding
-/// [`Optimized`] loop — the same multiply/add/sub ordering and no FMA
-/// contraction (a fused multiply-add rounds once where `a·b + c` rounds
-/// twice, which would break bit-identity) — and cross-lane reductions
-/// pair lanes in the same `(l0+l1)+(l2+l3)` order as `Optimized`'s
-/// four-accumulator loops. `Simd` is therefore bit-identical to
-/// `Optimized` on all five primitives by construction, and the repo's
-/// determinism contract (decode events bit-identical across backends,
-/// thread counts and shard counts) extends to it with no new tolerance
-/// carve-outs.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Simd;
-
-impl Backend for Simd {
-    fn name(&self) -> &'static str {
-        "simd"
-    }
-
-    fn scan_into(
-        &self,
-        ws: &mut KernelScratch,
-        y: &[Complex],
-        s: &[Complex],
-        omega: f64,
-        positions: Range<usize>,
-        out: &mut Vec<Complex>,
-    ) {
-        out.clear();
-        // Same staging as Optimized: pre-derotated reference, SoA copy of
-        // the receive buffer; the per-Δ inner product runs on the lane
-        // kernels.
-        let l = s.len();
-        ws.b_re.clear();
-        ws.b_im.clear();
-        for (k, &sk) in s.iter().enumerate() {
-            let r = sk.conj() * Complex::cis(-omega * k as f64);
-            ws.b_re.push(r.re);
-            ws.b_im.push(r.im);
-        }
-        split_soa(y, &mut ws.a_re, &mut ws.a_im);
-        out.reserve(positions.len());
-        for d in positions {
-            let end = l.min(y.len().saturating_sub(d));
-            if end == 0 {
-                out.push(ZERO);
-                continue;
-            }
-            let (re, im) = lanes::corr_dot(
-                &ws.b_re[..end],
-                &ws.b_im[..end],
-                &ws.a_re[d..d + end],
-                &ws.a_im[d..d + end],
-            );
-            out.push(Complex::new(re, im));
-        }
-    }
-
-    fn fir_apply_into(
-        &self,
-        _ws: &mut KernelScratch,
-        fir: &Fir,
-        x: &[Complex],
-        y: &mut Vec<Complex>,
-    ) {
-        y.clear();
-        if fir.is_identity() {
-            y.extend_from_slice(x);
-            return;
-        }
-        // Optimized's single-pass sweep with the interior run four
-        // outputs wide: per tap, a broadcast coefficient against four
-        // deinterleaved input samples. Lanes are outputs, so no cross-
-        // lane reduction; per output the taps accumulate in ascending
-        // order exactly like the scalar reference.
-        let (lo, hi, edge) = fir_interior(fir, x.len());
-        y.resize(x.len(), ZERO);
-        for (k, yk) in y.iter_mut().enumerate().take(lo) {
-            *yk = edge(x, k);
-        }
-        lanes::fir_interior_fill(fir.taps(), fir.delay(), x, lo, hi, y);
-        for (k, yk) in y.iter_mut().enumerate().skip(hi) {
-            *yk = edge(x, k);
-        }
-    }
-
-    fn resample_into(
-        &self,
-        ws: &mut KernelScratch,
-        samples: &[Complex],
-        start: f64,
-        step: f64,
-        n: usize,
-        out: &mut Vec<Complex>,
-    ) {
-        out.clear();
-        let w = DEFAULT_HALF_WIDTH as f64;
-        ws.taps_valid = false;
-        out.reserve(n);
-        let mut k = 0;
-        while k < n {
-            // Four-outputs-at-a-time fast path: on the receiver's
-            // step = 1 grids, four consecutive outputs share the exact
-            // fractional offset and read four consecutive full windows —
-            // one broadcast tap against four deinterleaved samples per
-            // tap index, with per-output accumulation in tap order (the
-            // reference's). Any output that breaks the pattern (edge
-            // clamp, fractional drift, non-finite position) falls back to
-            // the Optimized per-output body, which is bit-identical.
-            if k + 4 <= n {
-                let t0 = start + k as f64 * step;
-                let f0 = t0.floor();
-                if f0.is_finite() {
-                    let frac = t0 - f0;
-                    let aligned = (1..4).all(|u| {
-                        let t = start + (k + u) as f64 * step;
-                        let f = t.floor();
-                        f == f0 + u as f64 && t - f == frac
-                    });
-                    if aligned {
-                        if !ws.taps_valid || ws.taps_frac != frac {
-                            ws.taps.clear();
-                            let j_lo = (frac - w).ceil() as isize;
-                            let j_hi = (frac + w).floor() as isize;
-                            for j in j_lo..=j_hi {
-                                let d = frac - j as f64;
-                                ws.taps.push(sinc(d) * hann(d, w + 1.0));
-                            }
-                            ws.taps_frac = frac;
-                            ws.taps_j_lo = j_lo;
-                            ws.taps_valid = true;
-                        }
-                        let base = f0 as isize + ws.taps_j_lo;
-                        let span = ws.taps.len() as isize;
-                        if base >= 0 && base + 3 + span <= samples.len() as isize {
-                            let block = lanes::resample_block(samples, base as usize, &ws.taps);
-                            out.extend_from_slice(&block);
-                            k += 4;
-                            continue;
-                        }
-                    }
-                }
-            }
-            // scalar fallback: one output, Optimized's body verbatim
-            let t = start + k as f64 * step;
-            let f = t.floor();
-            if !f.is_finite() {
-                out.push(ZERO);
-                k += 1;
-                continue;
-            }
-            let frac = t - f;
-            if !ws.taps_valid || ws.taps_frac != frac {
-                ws.taps.clear();
-                let j_lo = (frac - w).ceil() as isize;
-                let j_hi = (frac + w).floor() as isize;
-                for j in j_lo..=j_hi {
-                    let d = frac - j as f64;
-                    ws.taps.push(sinc(d) * hann(d, w + 1.0));
-                }
-                ws.taps_frac = frac;
-                ws.taps_j_lo = j_lo;
-                ws.taps_valid = true;
-            }
-            let base = f as isize + ws.taps_j_lo;
-            let i_lo = base.clamp(0, samples.len() as isize) as usize;
-            let i_hi = (base + ws.taps.len() as isize).clamp(0, samples.len() as isize) as usize;
-            if i_lo >= i_hi {
-                out.push(ZERO);
-                k += 1;
-                continue;
-            }
-            let mut acc_re = 0.0;
-            let mut acc_im = 0.0;
-            let j0 = (i_lo as isize - base) as usize;
-            for (v, &tap) in samples[i_lo..i_hi].iter().zip(&ws.taps[j0..]) {
-                acc_re += v.re * tap;
-                acc_im += v.im * tap;
-            }
-            out.push(Complex::new(acc_re, acc_im));
-            k += 1;
-        }
-    }
-
-    fn combine_weighted_into(
-        &self,
-        ws: &mut KernelScratch,
-        streams: &[(&[Complex], f64)],
-        out: &mut Vec<Complex>,
-    ) {
-        assert!(!streams.is_empty(), "MRC needs at least one stream");
-        out.clear();
-        // The weighted-sum-then-normalize arithmetic applies the same
-        // real formula to the re and im components independently, so the
-        // one- and two-stream paths run on the interleaved flat f64 view
-        // — trivially lane-parallel with per-element operations identical
-        // to the scalar loop's.
-        match *streams {
-            [(s, w)] => {
-                out.resize(s.len(), ZERO);
-                if w > 0.0 {
-                    lanes::scale_unscale(lanes::flat(s), w, lanes::flat_mut(out));
-                }
-            }
-            [(s1, w1), (s2, w2)] => {
-                let both = s1.len().min(s2.len());
-                let dw = w1 + w2;
-                out.resize(both, ZERO);
-                if dw > 0.0 {
-                    lanes::weighted_sum2(
-                        lanes::flat(&s1[..both]),
-                        lanes::flat(&s2[..both]),
-                        w1,
-                        w2,
-                        dw,
-                        lanes::flat_mut(out),
-                    );
-                }
-                let (tail, tw) =
-                    if s1.len() > both { (&s1[both..], w1) } else { (&s2[both..], w2) };
-                let filled = out.len();
-                out.resize(filled + tail.len(), ZERO);
-                if tw > 0.0 {
-                    lanes::scale_unscale(
-                        lanes::flat(tail),
-                        tw,
-                        lanes::flat_mut(&mut out[filled..]),
-                    );
-                }
-            }
-            _ => {
-                // ≥3 streams never occur on the decode path (forward +
-                // backward passes at most); accumulate on the flat view
-                // with the lane saxpy, normalize per symbol position.
-                let n = streams.iter().map(|(s, _)| s.len()).max().unwrap_or(0);
-                ws.c_re.clear();
-                ws.c_re.resize(2 * n, 0.0);
-                ws.den.clear();
-                ws.den.resize(n, 0.0);
-                for &(s, weight) in streams {
-                    lanes::saxpy(lanes::flat(s), weight, &mut ws.c_re[..2 * s.len()]);
-                    for d in ws.den[..s.len()].iter_mut() {
-                        *d += weight;
-                    }
-                }
-                out.extend((0..n).map(|k| {
-                    if ws.den[k] > 0.0 {
-                        Complex::new(ws.c_re[2 * k], ws.c_re[2 * k + 1]) / ws.den[k]
-                    } else {
-                        ZERO
-                    }
-                }));
-            }
-        }
-    }
-
-    fn match_score(
-        &self,
-        ws: &mut KernelScratch,
-        buf_a: &[Complex],
-        start_a: usize,
-        buf_b: &[Complex],
-        start_b: usize,
-        window: usize,
-        tau_step: f64,
-        bail: Option<f64>,
-    ) -> MatchScore {
-        let n = window
-            .min(buf_a.len().saturating_sub(start_a))
-            .min(buf_b.len().saturating_sub(start_b));
-        if n == 0 {
-            return MatchScore::default();
-        }
-        stage_a_span(ws, buf_a, start_a, n);
-        let (lanes_v, built) = build_span_lanes(self, ws, buf_b, start_b, n, tau_step);
+        let (lanes_v, built) = build_span_lanes(ws, buf_b, start_b, n, tau_step);
         let score =
             simd_sweep(&ws.a_re, &ws.a_im, &ws.ea_prefix, &lanes_v[..built], 0, tau_step, bail);
         ws.lanes = lanes_v;
@@ -1372,14 +981,34 @@ impl Backend for Simd {
 /// `unpacklo/unpackhi`, which yields the lane permutation `[0, 2, 1, 3]`
 /// — harmless for element-wise kernels (the inverse permutation is
 /// applied by the matching interleaved store) and compensated explicitly
-/// in reductions so the reduction tree matches `Optimized`'s
+/// in reductions so the reduction tree matches the portable path's
 /// `(l0+l1)+(l2+l3)` exactly.
 mod lanes {
     use super::{Complex, SubLattice, ABANDON_BLOCK, ZERO};
 
+    #[cfg(test)]
+    thread_local! {
+        /// Test-only override: while set, [`avx2`] reports `false` on
+        /// this thread so the portable kernels run on an AVX2 host too.
+        static FORCE_PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// Runs `f` with the portable lane kernels forced on this thread.
+    #[cfg(test)]
+    pub fn portable<R>(f: impl FnOnce() -> R) -> R {
+        FORCE_PORTABLE.with(|p| p.set(true));
+        let r = f();
+        FORCE_PORTABLE.with(|p| p.set(false));
+        r
+    }
+
     /// `true` when the AVX2 paths may run; detected once per process.
     #[inline]
     pub fn avx2() -> bool {
+        #[cfg(test)]
+        if FORCE_PORTABLE.with(|p| p.get()) {
+            return false;
+        }
         #[cfg(target_arch = "x86_64")]
         {
             use std::sync::OnceLock;
@@ -1409,7 +1038,7 @@ mod lanes {
     }
 
     /// The scan inner product `Σ s′[k]·y[d+k]` over SoA operands, with
-    /// `Optimized::scan_into`'s four-accumulator pairing: lane `u` holds
+    /// a four-accumulator pairing: lane `u` holds
     /// sample offsets `≡ u (mod 4)`, the scalar remainder accumulates
     /// onto lane 0, and the reduction is `(l0+l1)+(l2+l3)`.
     pub fn corr_dot(sr: &[f64], si: &[f64], yr: &[f64], yi: &[f64]) -> (f64, f64) {
@@ -1642,113 +1271,10 @@ mod lanes {
         out
     }
 
-    /// `o[i] = (x[i]·w)/w` over flat views — the single-stream MRC path
-    /// (numerically *not* `x[i]`: the scalar loop scales then divides, so
-    /// this does too).
-    pub fn scale_unscale(x: &[f64], w: f64, o: &mut [f64]) {
-        #[cfg(target_arch = "x86_64")]
-        if avx2() {
-            // SAFETY: `avx2()` verified the CPU feature.
-            unsafe { scale_unscale_avx2(x, w, o) };
-            return;
-        }
-        for (d, &v) in o.iter_mut().zip(x.iter()) {
-            *d = (v * w) / w;
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn scale_unscale_avx2(x: &[f64], w: f64, o: &mut [f64]) {
-        use std::arch::x86_64::*;
-        let n = x.len();
-        let wv = _mm256_set1_pd(w);
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(x.as_ptr().add(i));
-            let r = _mm256_div_pd(_mm256_mul_pd(v, wv), wv);
-            _mm256_storeu_pd(o.as_mut_ptr().add(i), r);
-            i += 4;
-        }
-        while i < n {
-            o[i] = (x[i] * w) / w;
-            i += 1;
-        }
-    }
-
-    /// `o[i] = (a[i]·w1 + b[i]·w2)/dw` over flat views — the two-stream
-    /// MRC path.
-    pub fn weighted_sum2(a: &[f64], b: &[f64], w1: f64, w2: f64, dw: f64, o: &mut [f64]) {
-        #[cfg(target_arch = "x86_64")]
-        if avx2() {
-            // SAFETY: `avx2()` verified the CPU feature.
-            unsafe { weighted_sum2_avx2(a, b, w1, w2, dw, o) };
-            return;
-        }
-        for i in 0..o.len() {
-            o[i] = (a[i] * w1 + b[i] * w2) / dw;
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn weighted_sum2_avx2(a: &[f64], b: &[f64], w1: f64, w2: f64, dw: f64, o: &mut [f64]) {
-        use std::arch::x86_64::*;
-        let n = o.len();
-        let w1v = _mm256_set1_pd(w1);
-        let w2v = _mm256_set1_pd(w2);
-        let dwv = _mm256_set1_pd(dw);
-        let mut i = 0;
-        while i + 4 <= n {
-            let av = _mm256_loadu_pd(a.as_ptr().add(i));
-            let bv = _mm256_loadu_pd(b.as_ptr().add(i));
-            let s = _mm256_add_pd(_mm256_mul_pd(av, w1v), _mm256_mul_pd(bv, w2v));
-            _mm256_storeu_pd(o.as_mut_ptr().add(i), _mm256_div_pd(s, dwv));
-            i += 4;
-        }
-        while i < n {
-            o[i] = (a[i] * w1 + b[i] * w2) / dw;
-            i += 1;
-        }
-    }
-
-    /// `acc[i] += x[i]·w` over flat views — the ≥3-stream MRC
-    /// accumulation.
-    pub fn saxpy(x: &[f64], w: f64, acc: &mut [f64]) {
-        #[cfg(target_arch = "x86_64")]
-        if avx2() {
-            // SAFETY: `avx2()` verified the CPU feature.
-            unsafe { saxpy_avx2(x, w, acc) };
-            return;
-        }
-        for (d, &v) in acc.iter_mut().zip(x.iter()) {
-            *d += v * w;
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn saxpy_avx2(x: &[f64], w: f64, acc: &mut [f64]) {
-        use std::arch::x86_64::*;
-        let n = x.len();
-        let wv = _mm256_set1_pd(w);
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(x.as_ptr().add(i));
-            let d = _mm256_loadu_pd(acc.as_ptr().add(i));
-            _mm256_storeu_pd(acc.as_mut_ptr().add(i), _mm256_add_pd(d, _mm256_mul_pd(v, wv)));
-            i += 4;
-        }
-        while i < n {
-            acc[i] += x[i] * w;
-            i += 1;
-        }
-    }
-
     /// One τ candidate of the match sweep: accumulates
     /// `Σ_k a[k]·conj(lat[k])` in [`ABANDON_BLOCK`] chunks, testing the
     /// Cauchy–Schwarz tail bound between chunks exactly like
-    /// `optimized_sweep`. Returns `None` when the candidate is abandoned,
+    /// the reference sweep. Returns `None` when the candidate is abandoned,
     /// otherwise the `(l0+l1)+(l2+l3)`-reduced correlation.
     #[allow(clippy::too_many_arguments)]
     pub fn match_candidate(
@@ -1843,12 +1369,12 @@ mod lanes {
         let lf = flat(lat);
         // Vector lanes hold sample offsets in the unpack permutation
         // [0, 2, 1, 3]; `reduce` compensates so the reduction tree is
-        // (l0+l1)+(l2+l3) in *sample* order, matching `Optimized`'s
-        // `(acc[0]+acc[2])+(acc[4]+acc[6])`. The scalar remainder —
+        // (l0+l1)+(l2+l3) in *sample* order, matching the portable
+        // path's `(vr[0]+vr[1])+(vr[2]+vr[3])`. The scalar remainder —
         // which only ever occurs in the final block, since ABANDON_BLOCK
         // is a multiple of 4 — spills the vectors to arrays first and
         // appends onto element 0, continuing the sample-lane-0 chain
-        // exactly as `Optimized` appends onto `acc[0]`.
+        // exactly as the portable path appends onto `vr[0]`.
         let spill = |acc: __m256d| -> [f64; 4] {
             let mut l = [0.0f64; 4];
             _mm256_storeu_pd(l.as_mut_ptr(), acc);
@@ -2074,60 +1600,35 @@ mod tests {
     fn backend_names_parse_case_insensitively() {
         for s in ["scalar", "Scalar", "SCALAR"] {
             assert_eq!(BackendKind::from_name(s), Some(BackendKind::Scalar), "{s}");
-            assert_eq!(BackendKind::from_arg(s), Some(BackendKind::Scalar), "{s}");
-        }
-        for s in ["optimized", "Optimized", "OPTIMIZED"] {
-            assert_eq!(BackendKind::from_name(s), Some(BackendKind::Optimized), "{s}");
         }
         for s in ["simd", "Simd", "SIMD"] {
             assert_eq!(BackendKind::from_name(s), Some(BackendKind::Simd), "{s}");
-            assert_eq!(BackendKind::from_arg(s), Some(BackendKind::Simd), "{s}");
         }
     }
 
     #[test]
     fn unknown_backend_names_are_rejected() {
         // Regression: `from_env` used to treat every unrecognized value
-        // (typos, wrong case, not-yet-implemented backends) as
-        // `Optimized`, silently running differential jobs on the wrong
+        // (typos, wrong case, not-yet-implemented backends) as the
+        // default, silently running differential jobs on the wrong
         // backend. The shared parser must reject them so `from_env` can
-        // fail loudly — and its panic message must list all three
-        // accepted names.
-        for s in ["gpu", "avx2", "scalarr", "optimised", "", " scalar", "simd "] {
+        // fail loudly. `optimized` named a backend that was folded into
+        // `simd`; it is an unknown name now.
+        for s in ["gpu", "avx2", "scalarr", "optimized", "optimised", "", " scalar", "simd "] {
             assert_eq!(BackendKind::from_name(s), None, "{s:?} must not parse");
-            assert_eq!(BackendKind::from_arg(s), None, "{s:?} must not parse");
         }
     }
-
-    /// The non-reference backends, each checked against `Scalar` (and,
-    /// where the contract is bit-identity, against each other).
-    const FAST: [BackendKind; 2] = [BackendKind::Optimized, BackendKind::Simd];
 
     #[test]
     fn backends_agree_on_scan() {
         let y = sig(300, 3);
         let s = sig(32, 7);
-        for kind in FAST {
-            for omega in [0.0, 0.043, -0.12] {
-                let mut a = Vec::new();
-                let mut b = Vec::new();
-                Kernel::new(BackendKind::Scalar).scan_into(&y, &s, omega, 0..y.len(), &mut a);
-                Kernel::new(kind).scan_into(&y, &s, omega, 0..y.len(), &mut b);
-                assert_close(&a, &b, 1e-9, kind.name());
-            }
-        }
-    }
-
-    #[test]
-    fn simd_scan_is_bit_identical_to_optimized() {
-        let y = sig(301, 13);
-        let s = sig(37, 17);
         for omega in [0.0, 0.043, -0.12] {
             let mut a = Vec::new();
             let mut b = Vec::new();
-            Kernel::new(BackendKind::Optimized).scan_into(&y, &s, omega, 0..y.len(), &mut a);
+            Kernel::new(BackendKind::Scalar).scan_into(&y, &s, omega, 0..y.len(), &mut a);
             Kernel::new(BackendKind::Simd).scan_into(&y, &s, omega, 0..y.len(), &mut b);
-            assert_eq!(a, b, "simd scan must be bit-identical to optimized (ω = {omega})");
+            assert_close(&a, &b, 1e-9, "simd");
         }
     }
 
@@ -2142,11 +1643,9 @@ mod tests {
         );
         let mut a = Vec::new();
         Kernel::new(BackendKind::Scalar).fir_apply_into(&fir, &x, &mut a);
-        for kind in FAST {
-            let mut b = Vec::new();
-            Kernel::new(kind).fir_apply_into(&fir, &x, &mut b);
-            assert_eq!(a, b, "{} FIR must be bit-identical", kind.name());
-        }
+        let mut b = Vec::new();
+        Kernel::new(BackendKind::Simd).fir_apply_into(&fir, &x, &mut b);
+        assert_eq!(a, b, "simd FIR must be bit-identical");
     }
 
     #[test]
@@ -2155,16 +1654,9 @@ mod tests {
         for (start, step) in [(0.37, 1.0), (-3.2, 1.0), (5.0, 1.0005), (250.9, 1.0), (0.0, 0.33)] {
             let mut a = Vec::new();
             Kernel::new(BackendKind::Scalar).resample_into(&x, start, step, 301, &mut a);
-            for kind in FAST {
-                let mut b = Vec::new();
-                Kernel::new(kind).resample_into(&x, start, step, 301, &mut b);
-                assert_eq!(
-                    a,
-                    b,
-                    "{} resample must be bit-identical at {start}+k*{step}",
-                    kind.name()
-                );
-            }
+            let mut b = Vec::new();
+            Kernel::new(BackendKind::Simd).resample_into(&x, start, step, 301, &mut b);
+            assert_eq!(a, b, "simd resample must be bit-identical at {start}+k*{step}");
         }
     }
 
@@ -2184,20 +1676,17 @@ mod tests {
         for streams in &cases {
             let mut a = Vec::new();
             Kernel::new(BackendKind::Scalar).combine_weighted_into(streams, &mut a);
-            for kind in FAST {
-                let mut b = Vec::new();
-                Kernel::new(kind).combine_weighted_into(streams, &mut b);
-                assert_eq!(a, b, "{} MRC must be bit-identical", kind.name());
-            }
+            let mut b = Vec::new();
+            Kernel::new(BackendKind::Simd).combine_weighted_into(streams, &mut b);
+            assert_eq!(a, b, "simd MRC must be bit-identical");
         }
     }
 
     #[test]
     fn kind_names_and_dispatch() {
         assert_eq!(BackendKind::Scalar.name(), "scalar");
-        assert_eq!(BackendKind::Optimized.name(), "optimized");
         assert_eq!(BackendKind::Simd.name(), "simd");
-        assert_eq!(Kernel::new(BackendKind::Optimized).kind(), BackendKind::Optimized);
+        assert_eq!(Kernel::new(BackendKind::Scalar).kind(), BackendKind::Scalar);
         assert_eq!(Kernel::new(BackendKind::Simd).kind(), BackendKind::Simd);
     }
 
@@ -2235,27 +1724,12 @@ mod tests {
     fn backends_agree_on_match_score() {
         let (a, b) = matched_pair(400, 0.3);
         let mut s = Kernel::new(BackendKind::Scalar);
-        for kind in FAST {
-            let mut o = Kernel::new(kind);
-            for step in [0.25, 0.5, 1.0] {
-                let ms = s.match_score(&a, 64, &b, 64, 256, step, None);
-                let mo = o.match_score(&a, 64, &b, 64, 256, step, None);
-                assert!(
-                    (ms.metric - mo.metric).abs() < 1e-9,
-                    "{} step {step}: {ms:?} vs {mo:?}",
-                    kind.name()
-                );
-                assert!((ms.tau - mo.tau).abs() < step + 1e-12, "step {step}: {ms:?} vs {mo:?}");
-            }
-        }
-        // the strong contract: simd ≡ optimized, bit for bit
-        let (mut o, mut v) = (Kernel::new(BackendKind::Optimized), Kernel::new(BackendKind::Simd));
+        let mut o = Kernel::new(BackendKind::Simd);
         for step in [0.25, 0.5, 1.0] {
-            for bail in [None, Some(0.15), Some(0.9)] {
-                let mo = o.match_score(&a, 64, &b, 64, 257, step, bail);
-                let mv = v.match_score(&a, 64, &b, 64, 257, step, bail);
-                assert_eq!(mo, mv, "simd match_score must be bit-identical (step {step})");
-            }
+            let ms = s.match_score(&a, 64, &b, 64, 256, step, None);
+            let mo = o.match_score(&a, 64, &b, 64, 256, step, None);
+            assert!((ms.metric - mo.metric).abs() < 1e-9, "step {step}: {ms:?} vs {mo:?}");
+            assert!((ms.tau - mo.tau).abs() < step + 1e-12, "step {step}: {ms:?} vs {mo:?}");
         }
         // the matched pair actually spikes, and the argmax τ cancels the
         // applied fractional delay (b delayed by 0.3 → reading b at k + τ
@@ -2268,7 +1742,7 @@ mod tests {
     #[test]
     fn footprint_matches_raw_on_all_backends() {
         let (a, b) = matched_pair(300, 0.4);
-        for kind in [BackendKind::Scalar, BackendKind::Optimized, BackendKind::Simd] {
+        for kind in [BackendKind::Scalar, BackendKind::Simd] {
             let mut k = Kernel::new(kind);
             let mut fp = CorrFootprint::default();
             k.ensure_footprint(&mut fp, &b, 0.25, &mut Vec::new);
@@ -2291,30 +1765,28 @@ mod tests {
     #[test]
     fn bail_returns_exact_metric_at_or_above_threshold() {
         let (a, b) = matched_pair(400, 0.2);
-        for kind in FAST {
-            let mut o = Kernel::new(kind);
-            let exact = o.match_score(&a, 50, &b, 50, 300, 0.25, None);
-            assert!(exact.metric > 0.5, "sanity: {exact:?}");
-            // bail below the true metric: the result must be bit-identical
-            let bailed = o.match_score(&a, 50, &b, 50, 300, 0.25, Some(0.15));
-            assert_eq!(exact, bailed, "{}: metric ≥ bail must be exact", kind.name());
-            // bail above the true metric: only the rejection is guaranteed
-            let over = o.match_score(&a, 50, &b, 50, 300, 0.25, Some(exact.metric + 0.01));
-            assert!(over.metric < exact.metric + 0.01, "sub-bail values mean rejection");
-            // same contract through the footprint path
-            let mut fp = CorrFootprint::default();
-            o.ensure_footprint(&mut fp, &b, 0.25, &mut Vec::new);
-            let fp_exact = o.match_score_fp(&a, 50, &fp, 50, 300, 0.25, None);
-            let fp_bailed = o.match_score_fp(&a, 50, &fp, 50, 300, 0.25, Some(0.15));
-            assert_eq!(fp_exact, fp_bailed);
-        }
+        let mut o = Kernel::new(BackendKind::Simd);
+        let exact = o.match_score(&a, 50, &b, 50, 300, 0.25, None);
+        assert!(exact.metric > 0.5, "sanity: {exact:?}");
+        // bail below the true metric: the result must be bit-identical
+        let bailed = o.match_score(&a, 50, &b, 50, 300, 0.25, Some(0.15));
+        assert_eq!(exact, bailed, "metric ≥ bail must be exact");
+        // bail above the true metric: only the rejection is guaranteed
+        let over = o.match_score(&a, 50, &b, 50, 300, 0.25, Some(exact.metric + 0.01));
+        assert!(over.metric < exact.metric + 0.01, "sub-bail values mean rejection");
+        // same contract through the footprint path
+        let mut fp = CorrFootprint::default();
+        o.ensure_footprint(&mut fp, &b, 0.25, &mut Vec::new);
+        let fp_exact = o.match_score_fp(&a, 50, &fp, 50, 300, 0.25, None);
+        let fp_bailed = o.match_score_fp(&a, 50, &fp, 50, 300, 0.25, Some(0.15));
+        assert_eq!(fp_exact, fp_bailed);
     }
 
     #[test]
     fn match_score_empty_overlaps_are_zero() {
         let (a, b) = matched_pair(64, 0.0);
         let mut fp = CorrFootprint::default();
-        for kind in [BackendKind::Scalar, BackendKind::Optimized, BackendKind::Simd] {
+        for kind in [BackendKind::Scalar, BackendKind::Simd] {
             let mut k = Kernel::new(kind);
             k.ensure_footprint(&mut fp, &b, 0.25, &mut Vec::new);
             // start past either buffer's end, empty buffers, zero window
@@ -2329,6 +1801,127 @@ mod tests {
             }
             assert_eq!(k.match_score_fp(&a, 64, &fp, 0, 128, 0.25, None), MatchScore::default());
             assert_eq!(k.match_score_fp(&a, 0, &fp, 64, 128, 0.25, None), MatchScore::default());
+        }
+    }
+
+    fn to_complex(raw: &[(f64, f64)]) -> Vec<Complex> {
+        raw.iter().map(|&(re, im)| Complex::new(re, im)).collect()
+    }
+
+    fn flat64(v: &[Complex]) -> Vec<f64> {
+        v.iter().flat_map(|c| [c.re, c.im]).collect()
+    }
+
+    /// Runs `f` on a fresh `Simd` kernel twice — once on the host's lane
+    /// path (AVX2 where the CPU has it) and once with the portable
+    /// `[f64; 4]` path forced — and asserts the outputs agree bit for bit
+    /// (`to_bits`, so even the sign of a zero must match).
+    fn assert_avx2_eq_portable(what: &str, f: impl Fn(&mut Kernel) -> Vec<f64>) {
+        let native = f(&mut Kernel::new(BackendKind::Simd));
+        let portable = lanes::portable(|| f(&mut Kernel::new(BackendKind::Simd)));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&native), bits(&portable), "{what}: AVX2 and portable lane paths diverged");
+    }
+
+    #[test]
+    fn portable_override_is_scoped_to_the_closure() {
+        assert!(!lanes::portable(lanes::avx2), "forced portable must hide AVX2");
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(lanes::avx2(), std::arch::is_x86_feature_detected!("avx2"));
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn avx2_matches_portable_scan(
+            y_raw in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 0..300),
+            s_raw in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 0..80),
+            omega in -0.5f64..0.5,
+        ) {
+            let (y, s) = (to_complex(&y_raw), to_complex(&s_raw));
+            assert_avx2_eq_portable("scan", |k| {
+                let mut out = Vec::new();
+                k.scan_into(&y, &s, omega, 0..y.len() + 4, &mut out);
+                flat64(&out)
+            });
+        }
+
+        #[test]
+        fn avx2_matches_portable_fir(
+            x_raw in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 0..200),
+            taps_raw in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 1..12),
+            delay_pick in 0usize..12,
+        ) {
+            let (x, taps) = (to_complex(&x_raw), to_complex(&taps_raw));
+            let fir = Fir::new(taps.clone(), delay_pick % taps.len());
+            assert_avx2_eq_portable("fir", |k| {
+                let mut out = Vec::new();
+                k.fir_apply_into(&fir, &x, &mut out);
+                flat64(&out)
+            });
+        }
+
+        #[test]
+        fn avx2_matches_portable_resample(
+            x_raw in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 0..200),
+            start in -20.0f64..220.0,
+            drift in -0.01f64..0.01,
+            n in 0usize..250,
+            integer_step in 0u8..2,
+        ) {
+            let x = to_complex(&x_raw);
+            let step = if integer_step == 1 { 1.0 } else { 1.0 + drift };
+            assert_avx2_eq_portable("resample", |k| {
+                let mut out = Vec::new();
+                k.resample_into(&x, start, step, n, &mut out);
+                flat64(&out)
+            });
+        }
+
+        #[test]
+        fn avx2_matches_portable_mrc(
+            s1_raw in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 0..120),
+            s2_raw in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 0..120),
+            s3_raw in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 0..120),
+            weights in (0.0f64..10.0, 0.0f64..10.0, 0.0f64..10.0),
+        ) {
+            let (s1, s2, s3) = (to_complex(&s1_raw), to_complex(&s2_raw), to_complex(&s3_raw));
+            let streams: Vec<(&[Complex], f64)> =
+                vec![(&s1, weights.0), (&s2, weights.1), (&s3, weights.2)];
+            for take in 1..=streams.len() {
+                assert_avx2_eq_portable("mrc", |k| {
+                    let mut out = Vec::new();
+                    k.combine_weighted_into(&streams[..take], &mut out);
+                    flat64(&out)
+                });
+            }
+        }
+
+        #[test]
+        fn avx2_matches_portable_match_score(
+            a_raw in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 0..260),
+            b_raw in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 0..260),
+            starts in (0usize..280, 0usize..280),
+            window in 0usize..200,
+            step_pick in 0u8..3,
+            bail in 0.0f64..1.0,
+        ) {
+            let (a, b) = (to_complex(&a_raw), to_complex(&b_raw));
+            let (start_a, start_b) = starts;
+            let tau_step = [0.25, 0.5, 1.0][step_pick as usize];
+            let mut fp = CorrFootprint::default();
+            Kernel::new(BackendKind::Simd).ensure_footprint(&mut fp, &b, tau_step, &mut Vec::new);
+            for cut in [None, Some(bail)] {
+                assert_avx2_eq_portable("match_score", |k| {
+                    let m = k.match_score(&a, start_a, &b, start_b, window, tau_step, cut);
+                    vec![m.metric, m.tau]
+                });
+                assert_avx2_eq_portable("match_score_fp", |k| {
+                    let m = k.match_score_fp(&a, start_a, &fp, start_b, window, tau_step, cut);
+                    vec![m.metric, m.tau]
+                });
+            }
         }
     }
 }

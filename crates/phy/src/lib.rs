@@ -20,8 +20,8 @@
 //! * [`correlate`] — frequency-compensated sliding correlation (§4.2.1's
 //!   collision detector primitive).
 //! * [`interp`] — windowed-sinc fractional interpolation (§4.2.3b).
-//! * [`kernel`] — pluggable scalar/optimized compute backends for the
-//!   four hot-loop primitives (correlate/fir/interp/mrc).
+//! * [`kernel`] — pluggable scalar/simd compute backends for the
+//!   hot-loop primitives (correlate/fir/interp/mrc/match metric).
 //! * [`filter`] / [`equalize`] / [`linalg`] — ISI channels, least-squares
 //!   channel estimation and zero-forcing equalizers (§3.1.3, §4.2.4d).
 //! * [`sync`] — frequency estimation, decision-directed phase tracking and

@@ -20,7 +20,7 @@ use zigzag_channel::fading::{ChannelParams, LinkProfile};
 use zigzag_channel::scenario::{synth_collision, PlacedTx, SynthCollision};
 use zigzag_core::capture::capture_decode;
 use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig};
-use zigzag_core::engine::BatchEngine;
+use zigzag_core::engine::{BatchEngine, Scratch};
 use zigzag_core::schedule::PlanOutcome;
 use zigzag_core::standard::decode_single;
 use zigzag_core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
@@ -126,11 +126,12 @@ fn clean_ber(
     cfg: &ExperimentConfig,
     src: u16,
     rng: &mut StdRng,
+    ws: &mut Scratch,
 ) -> f64 {
     let chan = tx.chan.new_transmission(rng);
     let sc = synth_collision(&[PlacedTx { air: &tx.air, base: &chan, start: 0 }], 1.0, rng);
-    match decode_single(&sc.buffer, 0, Some(src), reg, &Preamble::default_len(), true, &cfg.decoder)
-    {
+    let preamble = Preamble::default_len();
+    match decode_single(&sc.buffer, 0, Some(src), reg, &preamble, true, &cfg.decoder, ws) {
         Some(d) => bit_error_rate(&tx.air.mpdu_bits, &d.scrambled_bits),
         None => 1.0,
     }
@@ -144,6 +145,7 @@ fn run_cfs(
     seed: u64,
 ) -> SchemeOutcome {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xCF5);
+    let mut ws = Scratch::with_backend(cfg.decoder.backend);
     let mut out = SchemeOutcome::default();
     let mut tx = [
         TxState::new(1, 0, cfg.payload, links[0], &mut rng),
@@ -152,7 +154,7 @@ fn run_cfs(
     for round in 0..cfg.rounds {
         let s = round % 2;
         let src = (s + 1) as u16;
-        let ber = clean_ber(&tx[s], reg, cfg, src, &mut rng);
+        let ber = clean_ber(&tx[s], reg, cfg, src, &mut rng, &mut ws);
         out.offered[s] += 1;
         out.airtime += 1.0;
         out.bits += tx[s].air.mpdu_bits.len();
@@ -176,6 +178,7 @@ fn run_contending(
     seed: u64,
 ) -> SchemeOutcome {
     let mut rng = StdRng::seed_from_u64(seed ^ if zigzag { 0x219 } else { 0x802 });
+    let mut ws = Scratch::with_backend(cfg.decoder.backend);
     let mut out = SchemeOutcome::default();
     let mut tx = [
         TxState::new(1, 0, cfg.payload, links[0], &mut rng),
@@ -215,7 +218,7 @@ fn run_contending(
             // carrier sense worked: two clean slots
             for s in 0..2 {
                 let src = (s + 1) as u16;
-                let ber = clean_ber(&tx[s], reg, cfg, src, &mut rng);
+                let ber = clean_ber(&tx[s], reg, cfg, src, &mut rng, &mut ws);
                 handle_delivery(&mut out, &mut tx, s, ber, &mut rng);
                 out.airtime += 1.0;
                 round += 1;
@@ -249,6 +252,7 @@ fn run_contending(
                 reg,
                 &preamble,
                 &cfg.decoder,
+                &mut ws,
             ) {
                 let ber_s = bit_error_rate(&tx[s_strong].air.mpdu_bits, &res.strong.scrambled_bits);
                 if delivered(ber_s) {
@@ -273,6 +277,7 @@ fn run_contending(
                     &preamble,
                     false,
                     &cfg.decoder,
+                    &mut ws,
                 ) {
                     let ber = bit_error_rate(&tx[s].air.mpdu_bits, &d.scrambled_bits);
                     got[s] = delivered(ber);
@@ -298,6 +303,7 @@ fn run_contending(
                             },
                         ],
                         &[PacketSpec { client: 1 }, PacketSpec { client: 2 }],
+                        &mut ws,
                     );
                     if res.outcome == PlanOutcome::Complete {
                         for s in 0..2 {

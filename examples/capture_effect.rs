@@ -12,6 +12,7 @@ use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::{synth_collision, PlacedTx};
 use zigzag_core::capture::capture_decode;
 use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig};
+use zigzag_core::engine::Scratch;
 use zigzag_phy::bits::bit_error_rate;
 use zigzag_phy::frame::{encode_frame, Frame};
 use zigzag_phy::modulation::Modulation;
@@ -49,6 +50,7 @@ fn main() {
         ClientInfo { omega: bob.association_omega(), snr_db: 12.0, taps: bob.isi.clone() },
     );
 
+    let cfg = DecoderConfig::default();
     let res = capture_decode(
         &collision.buffer,
         0,
@@ -57,7 +59,8 @@ fn main() {
         Some(2),
         &reg,
         &preamble,
-        &DecoderConfig::default(),
+        &cfg,
+        &mut Scratch::with_backend(cfg.backend),
     )
     .expect("capture attempt");
 

@@ -11,6 +11,7 @@ use rand::prelude::*;
 use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::hidden_pair;
 use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig};
+use zigzag::core::engine::Scratch;
 use zigzag::core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
 use zigzag::phy::bits::{bit_error_rate, bits_to_bytes, bytes_to_bits, hamming_distance};
 use zigzag::phy::coding;
@@ -44,13 +45,16 @@ fn main() {
         2,
         ClientInfo { omega: lb.association_omega(), snr_db: 9.0, taps: lb.isi.clone() },
     );
-    let dec = ZigzagDecoder::new(DecoderConfig::default(), &reg);
+    let cfg = DecoderConfig::default();
+    let mut ws = Scratch::with_backend(cfg.backend);
+    let dec = ZigzagDecoder::new(cfg, &reg);
     let out = dec.decode(
         &[
             CollisionSpec { buffer: &hp.collision1.buffer, placements: vec![(0, 0), (1, 340)] },
             CollisionSpec { buffer: &hp.collision2.buffer, placements: vec![(0, 0), (1, 110)] },
         ],
         &[PacketSpec { client: 1 }, PacketSpec { client: 2 }],
+        &mut ws,
     );
 
     let uncoded_ber = bit_error_rate(&a.mpdu_bits, &out.packets[0].scrambled_bits);

@@ -11,6 +11,7 @@ use rand::prelude::*;
 use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::hidden_pair;
 use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig};
+use zigzag::core::engine::Scratch;
 use zigzag::core::schedule::PlanOutcome;
 use zigzag::core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
 use zigzag::phy::bits::bit_error_rate;
@@ -36,6 +37,7 @@ fn run(name: &str, snr: f64, d1: usize, d2: usize, cfg: DecoderConfig, seed: u64
         2,
         ClientInfo { omega: lb.association_omega(), snr_db: snr, taps: lb.isi.clone() },
     );
+    let mut ws = Scratch::with_backend(cfg.backend);
     let dec = ZigzagDecoder::new(cfg, &reg);
     let out = dec.decode(
         &[
@@ -43,6 +45,7 @@ fn run(name: &str, snr: f64, d1: usize, d2: usize, cfg: DecoderConfig, seed: u64
             CollisionSpec { buffer: &hp.collision2.buffer, placements: vec![(0, 0), (1, d2)] },
         ],
         &[PacketSpec { client: 1 }, PacketSpec { client: 2 }],
+        &mut ws,
     );
     let ber_a = bit_error_rate(&a.mpdu_bits, &out.packets[0].scrambled_bits);
     let ber_b = bit_error_rate(&b.mpdu_bits, &out.packets[1].scrambled_bits);

@@ -11,6 +11,7 @@ use rand::prelude::*;
 use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::hidden_pair;
 use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig};
+use zigzag_core::engine::Scratch;
 use zigzag_core::standard::decode_single;
 use zigzag_core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
 use zigzag_phy::bits::bit_error_rate;
@@ -61,28 +62,27 @@ fn main() {
         },
     );
 
+    // Decoders draw their temporaries from a reusable scratch arena,
+    // which also carries the phy kernel backend.
+    let cfg = DecoderConfig::default();
+    let mut ws = Scratch::with_backend(cfg.backend);
+
     // A standard 802.11 receiver fails on either collision:
-    let std_try = decode_single(
-        &hp.collision1.buffer,
-        0,
-        Some(1),
-        &registry,
-        &preamble,
-        true,
-        &DecoderConfig::default(),
-    );
+    let std_try =
+        decode_single(&hp.collision1.buffer, 0, Some(1), &registry, &preamble, true, &cfg, &mut ws);
     let std_ber =
         std_try.map(|d| bit_error_rate(&alice_air.mpdu_bits, &d.scrambled_bits)).unwrap_or(1.0);
     println!("standard 802.11 decode of collision 1: BER {std_ber:.3} (garbage)");
 
     // ZigZag decodes both packets from the matched pair:
-    let decoder = ZigzagDecoder::new(DecoderConfig::default(), &registry);
+    let decoder = ZigzagDecoder::new(cfg.clone(), &registry);
     let out = decoder.decode(
         &[
             CollisionSpec { buffer: &hp.collision1.buffer, placements: vec![(0, 0), (1, d1)] },
             CollisionSpec { buffer: &hp.collision2.buffer, placements: vec![(0, 0), (1, d2)] },
         ],
         &[PacketSpec { client: 1 }, PacketSpec { client: 2 }],
+        &mut ws,
     );
     for (name, air, res) in
         [("Alice", &alice_air, &out.packets[0]), ("Bob  ", &bob_air, &out.packets[1])]

@@ -6,6 +6,7 @@ use rand::prelude::*;
 use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::hidden_pair;
 use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig};
+use zigzag::core::engine::Scratch;
 use zigzag::core::receiver::{ReceiverEvent, ZigzagReceiver};
 use zigzag::core::schedule::PlanOutcome;
 use zigzag::core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
@@ -35,6 +36,7 @@ fn mac_driven_hidden_pair_decodes() {
     let mut rng = StdRng::seed_from_u64(2008);
     let mut decoded_pairs = 0usize;
     let mut attempts = 0usize;
+    let mut ws = Scratch::with_backend(DecoderConfig::default().backend);
     for t in 0..6u64 {
         // draw distinct-offset collisions like a real retransmission pair
         let (d1, d2) = loop {
@@ -63,6 +65,7 @@ fn mac_driven_hidden_pair_decodes() {
                 CollisionSpec { buffer: &hp.collision2.buffer, placements: vec![(0, 0), (1, d2)] },
             ],
             &[PacketSpec { client: 1 }, PacketSpec { client: 2 }],
+            &mut ws,
         );
         attempts += 1;
         if out.outcome == PlanOutcome::Complete

@@ -1,14 +1,16 @@
-//! Engine-level integration tests: the stage pipeline must reproduce the
-//! legacy monolithic receiver event-for-event, and the multi-threaded
-//! `BatchEngine` must be bit-for-bit identical to a single-threaded run.
+//! Engine-level integration tests: the stage pipeline must take every
+//! decode path (standard, capture/IC/MRC-retry, zigzag) and deliver only
+//! frames that were offered, and the multi-threaded `BatchEngine` must be
+//! bit-for-bit identical to a single-threaded run.
 
 use rand::prelude::*;
 use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::{clean_reception, hidden_pair, synth_collision, PlacedTx};
 use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig};
+use zigzag::core::detect::detect_packets;
 use zigzag::core::engine::{
     decode_batch, unit_seed, BatchEngine, CaptureStage, DecodeUnit, DetectStage, MatchStage,
-    Pipeline, ReceiverCore, StandardDecodeStage, StoreStage,
+    Pipeline, ReceiverCore, Scratch, StandardDecodeStage, StoreStage,
 };
 use zigzag::core::receiver::{DecodePath, ReceiverEvent, ZigzagReceiver};
 use zigzag::core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
@@ -58,8 +60,8 @@ fn build_units(n: usize, payload: usize) -> Vec<DecodeUnit> {
 }
 
 /// Unequal-power collision units (strong 22 dB over weak 13 dB), so the
-/// capture / interference-cancellation / MRC-retry stage translation is
-/// differentially exercised too — equal-power units never take it.
+/// capture / interference-cancellation / MRC-retry stage is exercised
+/// too — equal-power units never take it.
 fn build_capture_units(n: usize, payload: usize) -> Vec<DecodeUnit> {
     (0..n)
         .map(|i| {
@@ -78,39 +80,43 @@ fn build_capture_units(n: usize, payload: usize) -> Vec<DecodeUnit> {
         .collect()
 }
 
-/// The tentpole equivalence claim: the stage pipeline emits the same
-/// event sequence as the legacy monolithic control flow, buffer for
-/// buffer, over clean receptions, collisions, matched pairs, capture
-/// scenarios and noise.
+/// The standard pipeline over clean receptions, collisions, matched
+/// pairs, capture scenarios and noise: the capture / IC / MRC-retry
+/// stage fires on the unequal-power units, and every delivered frame is
+/// one of the frames the units offered (a decode path can never
+/// fabricate a frame that passed its CRC by accident).
 #[test]
-fn pipeline_matches_legacy_event_for_event() {
+fn pipeline_delivers_only_offered_frames() {
     let mut units = build_units(4, 200);
     units.extend(build_capture_units(3, 250));
+    // the frames `build_units` / `build_capture_units` put on the air
+    let mut offered: Vec<Frame> = Vec::new();
+    for i in 0..4u16 {
+        offered.extend([air(1, i, 200).frame, air(2, i, 200).frame, air(1, 1000 + i, 200).frame]);
+    }
+    for i in 0..3u16 {
+        offered.extend([air(1, 500 + i, 250).frame, air(2, 500 + i, 250).frame]);
+    }
     let mut capture_fired = false;
+    let mut delivered = 0usize;
     for unit in &units {
-        let mut pipeline_rx = ZigzagReceiver::new(unit.cfg.clone(), unit.registry.clone());
-        let mut legacy_rx = ZigzagReceiver::new(unit.cfg.clone(), unit.registry.clone());
+        let mut rx = ZigzagReceiver::new(unit.cfg.clone(), unit.registry.clone());
         for (k, buffer) in unit.buffers.iter().enumerate() {
-            let ev_pipeline = pipeline_rx.process(buffer);
-            let ev_legacy = legacy_rx.process_legacy(buffer);
-            assert_eq!(
-                ev_pipeline, ev_legacy,
-                "pipeline and legacy receivers diverged on buffer {k}"
-            );
-            capture_fired |= ev_pipeline.iter().any(|e| {
-                matches!(
-                    e,
-                    ReceiverEvent::Delivered {
-                        path: zigzag::core::receiver::DecodePath::Capture
-                            | zigzag::core::receiver::DecodePath::InterferenceCancellation
-                            | zigzag::core::receiver::DecodePath::MrcRetry,
-                        ..
-                    }
-                )
-            });
+            for event in rx.process(buffer) {
+                let ReceiverEvent::Delivered { frame, path } = event else { continue };
+                assert!(offered.contains(&frame), "buffer {k}: delivered a frame never offered");
+                delivered += 1;
+                capture_fired |= matches!(
+                    path,
+                    DecodePath::Capture
+                        | DecodePath::InterferenceCancellation
+                        | DecodePath::MrcRetry
+                );
+            }
         }
     }
-    assert!(capture_fired, "workload must exercise the capture/IC stage translation");
+    assert!(delivered >= units.len(), "workload too easy: {delivered} deliveries");
+    assert!(capture_fired, "workload must exercise the capture/IC stage");
 }
 
 /// Multi-threaded batch decoding must equal the single-threaded run
@@ -174,7 +180,7 @@ fn custom_pipeline_without_zigzag_keeps_stored_collisions() {
 /// frames end-to-end through `ReceiverCore::receive` — the first two
 /// collisions accumulate in the keyed store, the third completes a
 /// decodable 3×3 match set — with frames identical to the hand-driven
-/// executor/scheduler path, and the legacy flow agreeing event-for-event.
+/// executor/scheduler path.
 #[test]
 fn three_sender_collisions_decode_through_pipeline() {
     let mut rng = StdRng::seed_from_u64(3);
@@ -200,7 +206,8 @@ fn three_sender_collisions_decode_through_pipeline() {
     let reg = registry(&[(1, &links[0]), (2, &links[1]), (3, &links[2])]);
 
     // --- hand-driven executor path (ground-truth placements) ---
-    let dec = ZigzagDecoder::new(DecoderConfig::default(), &reg);
+    let cfg = DecoderConfig::default();
+    let dec = ZigzagDecoder::new(cfg.clone(), &reg);
     let specs: Vec<CollisionSpec<'_>> = buffers
         .iter()
         .zip(offs.iter())
@@ -209,13 +216,14 @@ fn three_sender_collisions_decode_through_pipeline() {
     let exec = dec.decode(
         &specs,
         &[PacketSpec { client: 1 }, PacketSpec { client: 2 }, PacketSpec { client: 3 }],
+        &mut Scratch::with_backend(cfg.backend),
     );
     let exec_frames: Vec<Frame> = exec.packets.iter().filter_map(|p| p.frame.clone()).collect();
     assert_eq!(exec_frames.len(), 3, "executor path must recover all three frames");
 
     // --- full-stack pipeline path: ReceiverCore::receive ---
     let pipeline = Pipeline::standard();
-    let mut core = ReceiverCore::new(DecoderConfig::default(), reg.clone());
+    let mut core = ReceiverCore::new(cfg, reg);
     let ev1 = core.receive(&pipeline, &buffers[0]);
     assert!(matches!(&ev1[..], [ReceiverEvent::CollisionStored]), "{ev1:?}");
     let ev2 = core.receive(&pipeline, &buffers[1]);
@@ -234,12 +242,6 @@ fn three_sender_collisions_decode_through_pipeline() {
         assert!(delivered.contains(&f), "pipeline must deliver the executor-path frame {f:?}");
     }
     assert_eq!(core.store().len(), 0, "matched members must be consumed");
-
-    // --- legacy flow: identical events buffer-for-buffer ---
-    let mut legacy = ZigzagReceiver::new(DecoderConfig::default(), reg);
-    assert_eq!(legacy.process_legacy(&buffers[0]), ev1);
-    assert_eq!(legacy.process_legacy(&buffers[1]), ev2);
-    assert_eq!(legacy.process_legacy(&buffers[2]), ev3);
 }
 
 /// Per-unit scratch reuse must not leak state between buffers: decoding
@@ -253,4 +255,53 @@ fn scratch_reuse_is_stateless_across_buffers() {
         buffers.iter().flat_map(|b| rx.process(b)).collect::<Vec<_>>()
     };
     assert_eq!(run(&unit.buffers), run(&unit.buffers));
+}
+
+/// Hostile input at the receive seam: a buffer holding any non-finite
+/// sample is rejected with a single `DecodeFailed` on every entry point,
+/// and neither the collision store nor the salvage pool is touched.
+/// (Non-finite correlations used to pass the detection threshold, so an
+/// all-NaN buffer was stored as a genuine collision.)
+#[test]
+fn non_finite_buffers_are_rejected_without_touching_the_store() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let la = LinkProfile::typical(16.0, &mut rng);
+    let lb = LinkProfile::typical(16.0, &mut rng);
+    let hp = hidden_pair(&air(1, 7, 300), &air(2, 9, 300), &la, &lb, 420, 140, &mut rng);
+    let reg = registry(&[(1, &la), (2, &lb)]);
+    // recovery on, so store evictions would feed the salvage pool too
+    let cfg = DecoderConfig::with_recovery();
+
+    // the genuine collision is stored — the spliced case below is only
+    // rejected because of its one NaN sample
+    let mut rx = ZigzagReceiver::new(cfg.clone(), reg.clone());
+    assert_eq!(rx.process(&hp.collision1.buffer), vec![ReceiverEvent::CollisionStored]);
+    let detections = detect_packets(
+        &hp.collision1.buffer,
+        &Preamble::default_len(),
+        &reg,
+        &cfg,
+        &mut Scratch::with_backend(cfg.backend),
+    );
+    assert!(detections.len() >= 2, "the clean collision must be detected: {detections:?}");
+
+    let mut spliced = hp.collision1.buffer.clone();
+    let mid = spliced.len() / 2;
+    spliced[mid] = Complex::new(f64::NAN, 0.0);
+    let hostile = [
+        ("all-NaN", vec![Complex::new(f64::NAN, f64::NAN); 4096]),
+        ("all-Inf", vec![Complex::new(f64::INFINITY, f64::NEG_INFINITY); 4096]),
+        ("collision with one NaN sample", spliced),
+    ];
+    for (what, buffer) in &hostile {
+        let mut rx = ZigzagReceiver::new(cfg.clone(), reg.clone());
+        assert_eq!(rx.process(buffer), vec![ReceiverEvent::DecodeFailed], "{what}: process");
+        assert_eq!(rx.stored_collisions(), 0, "{what}: process polluted the store");
+
+        let mut core = ReceiverCore::new(cfg.clone(), reg.clone());
+        let events = core.receive_detected(&Pipeline::standard(), buffer, detections.clone());
+        assert_eq!(events, vec![ReceiverEvent::DecodeFailed], "{what}: receive_detected");
+        assert_eq!(core.store().len(), 0, "{what}: receive_detected polluted the store");
+        assert!(core.salvage().is_empty(), "{what}: receive_detected polluted the salvage pool");
+    }
 }

@@ -403,7 +403,7 @@ proptest! {
         let payload = 100 + 10 * (seed % 4) as usize;
         let (reg, buffers, _) = equal_offset_group((&la, &lb), payload, delta, 2, seed);
         let mut events_by_backend = Vec::new();
-        for backend in [BackendKind::Scalar, BackendKind::Optimized] {
+        for backend in [BackendKind::Scalar, BackendKind::Simd] {
             let cfg = DecoderConfig { backend, ..DecoderConfig::with_robust_recovery() };
             events_by_backend.push(run_all(&cfg, &reg, &buffers));
         }
@@ -478,7 +478,7 @@ fn robust_identity_holds_on_env_selected_link() {
     for seed in [0u64, 7, 13] {
         let (reg, buffers, _) = equal_offset_group((&la, &lb), 120, 300, 2, seed);
         let mut events_by_backend = Vec::new();
-        for backend in [BackendKind::Scalar, BackendKind::Optimized] {
+        for backend in [BackendKind::Scalar, BackendKind::Simd] {
             let cfg = DecoderConfig { backend, ..DecoderConfig::with_robust_recovery() };
             events_by_backend.push(run_all(&cfg, &reg, &buffers));
         }
