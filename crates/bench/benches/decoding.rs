@@ -1,18 +1,46 @@
-//! Criterion benches of full decodes: the standard single-packet decoder,
-//! the two-packet ZigZag executor vs payload size, and the k-sender
-//! generalisation — quantifying §4.6's claim that ZigZag is linear in the
-//! number of colliding senders and needs only "two decoding lines".
+//! Criterion benches of full decodes: the preamble channel estimate, the
+//! standard single-packet decoder, the capture stage's anchor attempts on
+//! an equal-power collision, the two-packet ZigZag executor vs payload
+//! size, and the k-sender generalisation — quantifying §4.6's claim that
+//! ZigZag is linear in the number of colliding senders and needs only
+//! "two decoding lines".
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
 use zigzag_bench::{airframe, run_zigzag_pair};
 use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::{clean_reception, synth_collision, PlacedTx};
-use zigzag_core::config::DecoderConfig;
+use zigzag_core::config::{DecoderConfig, StreamConfig};
 use zigzag_core::engine::Scratch;
-use zigzag_core::standard::decode_single;
+use zigzag_core::standard::{decode_frame, decode_single};
+use zigzag_core::stream::carve_buffer;
+use zigzag_core::view::ChannelView;
 use zigzag_core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
 use zigzag_phy::preamble::Preamble;
+use zigzag_testbed::{continuous_air, ExperimentConfig, SetScenario};
+
+fn bench_estimate(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(1);
+    let l = LinkProfile::clean_with_omega(17.0, -0.13);
+    let a = airframe(1, 1, 200, 9);
+    let rx = clean_reception(&a, &l, &mut rng);
+    let reg = zigzag_testbed::registry_for(&[(1, &l)]);
+    let info = reg.get(1).expect("associated");
+    let (cfg, preamble) = (DecoderConfig::default(), Preamble::default_len());
+    c.bench_function("channel_estimate", |b| {
+        b.iter(|| {
+            ChannelView::estimate(
+                &rx.buffer,
+                0,
+                preamble.symbols(),
+                Some(info.omega),
+                Some(&info.taps),
+                false,
+                &cfg,
+            )
+        })
+    });
+}
 
 fn bench_standard(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
@@ -25,6 +53,46 @@ fn bench_standard(c: &mut Criterion) {
     c.bench_function("standard_decode_500B", |b| {
         b.iter(|| decode_single(&rx.buffer, 0, Some(1), &reg, &preamble, true, &cfg, &mut ws))
     });
+}
+
+/// The capture stage's anchor loop on one equal-power region of the
+/// `stream` benchmark workload's air: up to four candidates, strongest
+/// correlation first, none of which passes its CRC.
+fn bench_capture_anchors(c: &mut Criterion) {
+    let scenario = SetScenario {
+        links: vec![
+            LinkProfile::clean_with_omega(17.0, -0.13),
+            LinkProfile::clean_with_omega(17.0, 0.14),
+        ],
+        p_sense: 0.0,
+        seed: 1,
+    };
+    let exp = ExperimentConfig { payload: 200, ..Default::default() };
+    let air = continuous_air(&scenario, &exp, 2, 5000);
+    let cfg = DecoderConfig::shared_ap();
+    let regions = carve_buffer(&air.samples, &cfg, &air.registry, &StreamConfig::default());
+    let region = regions.iter().find(|r| r.detections.len() >= 2).expect("a collision region");
+    let mut cands = region.detections.clone();
+    cands.sort_by(|a, b| b.corr.abs().total_cmp(&a.corr.abs()));
+    cands.truncate(4);
+    let preamble = Preamble::default_len();
+    let mut ws = Scratch::with_backend(cfg.backend);
+    let anchor = |ws: &mut Scratch| {
+        cands.iter().find_map(|d| {
+            decode_frame(
+                &region.samples,
+                d.pos,
+                Some(d.client),
+                &air.registry,
+                &preamble,
+                false,
+                &cfg,
+                ws,
+            )
+        })
+    };
+    assert!(anchor(&mut ws).is_none(), "equal-power collision: no capture anchor");
+    c.bench_function("decode_frame_collision", |b| b.iter(|| anchor(&mut ws)));
 }
 
 fn bench_zigzag_pair(c: &mut Criterion) {
@@ -86,5 +154,12 @@ fn bench_zigzag_k_senders(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_standard, bench_zigzag_pair, bench_zigzag_k_senders);
+criterion_group!(
+    benches,
+    bench_estimate,
+    bench_standard,
+    bench_capture_anchors,
+    bench_zigzag_pair,
+    bench_zigzag_k_senders
+);
 criterion_main!(benches);

@@ -8,7 +8,7 @@
 //! estimate, both also learnable from any clean packet).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use zigzag_phy::filter::Fir;
 use zigzag_phy::kernel::BackendKind;
 
@@ -339,6 +339,22 @@ impl DecoderConfig {
     pub fn forward_only() -> Self {
         Self { backward: false, ..Self::default() }
     }
+}
+
+/// Whether the `ZIGZAG_DEBUG` environment variable is set: diagnostic
+/// traces from the ZigZag executor, match-set search and recovery solver
+/// go to stderr. Read once per process, so hot loops pay a load, not an
+/// environment lookup.
+pub(crate) fn debug_trace() -> bool {
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| std::env::var_os("ZIGZAG_DEBUG").is_some())
+}
+
+/// Whether `ZIGZAG_DEBUG_PLL` is set: per-block PLL folds of the chunk
+/// decoder go to stderr. Read once per process, like [`debug_trace`].
+pub(crate) fn debug_pll() -> bool {
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| std::env::var_os("ZIGZAG_DEBUG_PLL").is_some())
 }
 
 /// What the AP knows about one associated client.

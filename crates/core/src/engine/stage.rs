@@ -23,7 +23,7 @@ use crate::matchset::{
 };
 use crate::receiver::{DecodePath, ReceiverEvent};
 use crate::recovery::{group_from_pool, group_from_rejected, solve_group, SalvagePool};
-use crate::standard::{decode_single, SingleDecode};
+use crate::standard::{decode_frame, decode_single, SingleDecode};
 use crate::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
 use std::collections::HashSet;
 use zigzag_phy::complex::Complex;
@@ -399,7 +399,7 @@ pub(crate) fn reap_stored(
             }
             let mut recovered = Vec::new();
             for p in partners {
-                if let Some(w) = decode_single(
+                if let Some(w) = decode_frame(
                     &residual,
                     p.pos,
                     Some(p.client),
@@ -409,9 +409,7 @@ pub(crate) fn reap_stored(
                     cfg,
                     scratch,
                 ) {
-                    if let Some(f) = w.frame {
-                        recovered.push(f);
-                    }
+                    recovered.extend(w.frame);
                 }
             }
             recovered
@@ -476,7 +474,7 @@ impl DecodeStage for StandardDecodeStage {
         let det = unit.detections[0];
         let decode = {
             let ReceiverCore { cfg, registry, preamble, scratch, .. } = &mut *rx;
-            decode_single(
+            decode_frame(
                 unit.buffer,
                 det.pos,
                 Some(det.client),
@@ -488,14 +486,14 @@ impl DecodeStage for StandardDecodeStage {
             )
         };
         match decode {
-            Some(d) if d.frame.is_some() => {
-                let frame = d.frame.clone().unwrap();
+            Some(d) => {
+                let frame = d.frame.clone().expect("decode_frame returns CRC-passing decodes");
                 rx.deliver(frame, DecodePath::Standard, events);
                 if rx.cfg.solo_reap {
                     reap_stored(rx, det.client, &d, events);
                 }
             }
-            _ => events.push(ReceiverEvent::DecodeFailed),
+            None => events.push(ReceiverEvent::DecodeFailed),
         }
         Flow::Done
     }
@@ -532,7 +530,7 @@ impl DecodeStage for CaptureStage {
         for cand in by_power.iter().take(4) {
             let d = {
                 let ReceiverCore { cfg, registry, preamble, scratch, .. } = &mut *rx;
-                decode_single(
+                decode_frame(
                     unit.buffer,
                     cand.pos,
                     Some(cand.client),
@@ -544,10 +542,8 @@ impl DecodeStage for CaptureStage {
                 )
             };
             if let Some(d) = d {
-                if d.frame.is_some() {
-                    anchor = Some((*cand, d));
-                    break;
-                }
+                anchor = Some((*cand, d));
+                break;
             }
         }
         let Some((strong, strong_decode)) = anchor else {

@@ -46,7 +46,7 @@
 //!   be retained ([`CollisionStore::set_evicted_capacity`] /
 //!   [`CollisionStore::take_evicted`]) and salvaged instead of dropped.
 
-use crate::config::{ClientRegistry, MatchSearch};
+use crate::config::{debug_trace, ClientRegistry, MatchSearch};
 use crate::detect::Detection;
 use crate::engine::scratch::Scratch;
 use crate::matcher::{MATCH_THRESHOLD, MATCH_WINDOW};
@@ -865,7 +865,7 @@ fn align_by_shifts(
             validated.push(v);
         }
     }
-    if std::env::var_os("ZIGZAG_DEBUG").is_some() {
+    if debug_trace() {
         eprintln!(
             "  align: cur {:?} vs stored {:?} -> validated {validated:?}",
             cur_pos,
@@ -1054,7 +1054,7 @@ fn find_kway_match(
     }
     let cur_pos: Vec<usize> = detections.iter().map(|d| d.pos).collect();
 
-    let debug = std::env::var_os("ZIGZAG_DEBUG").is_some();
+    let debug = debug_trace();
     let radius = preamble.len() / 2;
 
     // Phase A: shift-align every same-key candidate (lists may be

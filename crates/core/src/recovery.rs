@@ -58,7 +58,7 @@
 //! across a [`BatchEngine`](crate::engine::BatchEngine) for the bench
 //! and testbed drivers.
 
-use crate::config::{ClientRegistry, DecoderConfig};
+use crate::config::{debug_trace, ClientRegistry, DecoderConfig};
 use crate::detect::Detection;
 use crate::engine::scratch::Scratch;
 use crate::matcher::{MATCH_THRESHOLD, MATCH_WINDOW};
@@ -925,7 +925,7 @@ impl<'a> Solver<'a> {
                 .map(|b| (0..k).map(|_| vec![ZERO; b.len()]).collect())
                 .collect(),
             pll: (0..group.collisions()).map(|_| vec![WindowPll::default(); k]).collect(),
-            debug: std::env::var_os("ZIGZAG_DEBUG").is_some(),
+            debug: debug_trace(),
         }
     }
 

@@ -50,6 +50,8 @@ pub struct SingleDecode {
 /// backend), so repeated decodes reuse their buffers.
 ///
 /// Returns `None` only when not even a channel estimate was possible.
+/// An unreadable PLCP still yields soft symbols: the rest of the buffer
+/// is demodulated as BPSK, for BER scoring and capture subtraction.
 #[allow(clippy::too_many_arguments)]
 pub fn decode_single(
     buffer: &[Complex],
@@ -61,6 +63,59 @@ pub fn decode_single(
     cfg: &DecoderConfig,
     ws: &mut Scratch,
 ) -> Option<SingleDecode> {
+    let header = decode_header(buffer, start, client, registry, preamble, clean, cfg, ws)?;
+    Some(decode_body(buffer, start, header, ws))
+}
+
+/// [`decode_single`] for callers that only want a frame: returns `Some`
+/// exactly when `decode_single` would return a decode whose CRC-32
+/// passed, and then the same decode. The body is never demodulated when
+/// the PLCP fails its CRC-8 or announces a body that runs past the end
+/// of the buffer — in both cases no frame can come out of it.
+#[allow(clippy::too_many_arguments)]
+pub fn decode_frame(
+    buffer: &[Complex],
+    start: usize,
+    client: Option<u16>,
+    registry: &ClientRegistry,
+    preamble: &Preamble,
+    clean: bool,
+    cfg: &DecoderConfig,
+    ws: &mut Scratch,
+) -> Option<SingleDecode> {
+    let header = decode_header(buffer, start, client, registry, preamble, clean, cfg, ws)?;
+    if !header.body_fits {
+        return None;
+    }
+    let decode = decode_body(buffer, start, header, ws);
+    decode.frame.is_some().then_some(decode)
+}
+
+/// A packet decoded up to the end of its PLCP.
+struct Header {
+    view: ChannelView,
+    /// Body modulation and length set from the PLCP (BPSK over the rest
+    /// of the buffer when it is unreadable).
+    layout: PacketLayout,
+    plcp: Option<PlcpHeader>,
+    /// The PLCP passed its CRC-8 and its body ends inside the buffer.
+    body_fits: bool,
+    soft: Vec<Complex>,
+    decided: Vec<Complex>,
+}
+
+/// Header phase: channel estimate, preamble and PLCP.
+#[allow(clippy::too_many_arguments)]
+fn decode_header(
+    buffer: &[Complex],
+    start: usize,
+    client: Option<u16>,
+    registry: &ClientRegistry,
+    preamble: &Preamble,
+    clean: bool,
+    cfg: &DecoderConfig,
+    ws: &mut Scratch,
+) -> Option<Header> {
     let info = client.and_then(|c| registry.get(c));
     let omega = info.map(|i| i.omega);
     let taps = info.map(|i| i.taps.clone());
@@ -74,8 +129,6 @@ pub fn decode_single(
     );
 
     let Scratch { pool, chunk, kernel, .. } = ws;
-
-    // 1. preamble + PLCP
     view.decode_chunk_into(
         buffer,
         0..layout.body_start(),
@@ -85,28 +138,34 @@ pub fn decode_single(
         kernel,
         chunk,
     );
-    let mut soft = std::mem::take(&mut chunk.soft);
-    let mut decided = std::mem::take(&mut chunk.decided);
+    let soft = std::mem::take(&mut chunk.soft);
+    let decided = std::mem::take(&mut chunk.decided);
     let plcp_bits: Vec<u8> =
         decided[preamble.len()..].iter().flat_map(|&d| Modulation::Bpsk.decide(d).0).collect();
     let plcp = PlcpHeader::from_bytes(&bits_to_bytes(&plcp_bits));
 
-    let (total_syms, body_mod) = match plcp {
+    let body_fits = match plcp {
         Some(h) => {
-            let body = h.modulation.symbols_for_bits(h.mpdu_len as usize * 8);
-            ((layout.body_start() + body).min(layout.total_syms), h.modulation)
+            let end = layout.body_start() + h.modulation.symbols_for_bits(h.mpdu_len as usize * 8);
+            let fits = end <= layout.total_syms;
+            layout.payload_mod = h.modulation;
+            layout.total_syms = end.min(layout.total_syms);
+            fits
         }
         // unreadable header: decode what's in the buffer as BPSK so the
         // caller can still score bits / attempt capture subtraction
-        None => (layout.total_syms, Modulation::Bpsk),
+        None => false,
     };
-    layout.payload_mod = body_mod;
-    layout.total_syms = total_syms;
+    Some(Header { view, layout, plcp, body_fits, soft, decided })
+}
 
-    // 2. body
+/// Body phase: demodulates the MPDU and checks its CRC-32.
+fn decode_body(buffer: &[Complex], start: usize, header: Header, ws: &mut Scratch) -> SingleDecode {
+    let Header { mut view, layout, plcp, mut soft, mut decided, .. } = header;
+    let Scratch { pool, chunk, kernel, .. } = ws;
     view.decode_chunk_into(
         buffer,
-        layout.body_start()..total_syms,
+        layout.body_start()..layout.total_syms,
         &layout,
         Direction::Forward,
         pool,
@@ -116,6 +175,7 @@ pub fn decode_single(
     soft.extend_from_slice(&chunk.soft);
     decided.extend_from_slice(&chunk.decided);
 
+    let body_mod = layout.payload_mod;
     let mut scrambled_bits: Vec<u8> = Vec::new();
     for &d in &chunk.decided {
         scrambled_bits.extend(body_mod.decide(d).0);
@@ -126,7 +186,8 @@ pub fn decode_single(
         (scrambled_bits.len() >= want).then(|| decode_mpdu(&scrambled_bits[..want], h.seed))?
     });
 
-    Some(SingleDecode { frame, plcp, scrambled_bits, soft, decided, view, start, total_syms })
+    let total_syms = layout.total_syms;
+    SingleDecode { frame, plcp, scrambled_bits, soft, decided, view, start, total_syms }
 }
 
 #[cfg(test)]
@@ -268,6 +329,75 @@ mod tests {
         );
         let ok = out.map(|o| o.frame.is_some()).unwrap_or(false);
         assert!(!ok, "equal-power collision should not decode");
+    }
+
+    /// Runs both decoders on the same input and checks the PLCP gate is
+    /// exact: `decode_frame` yields a decode precisely when
+    /// `decode_single`'s frame passed its CRC, and then the very same
+    /// decode. Returns `decode_single`'s output for case assertions.
+    fn gate_agrees(
+        buffer: &[Complex],
+        start: usize,
+        reg: &ClientRegistry,
+        clean: bool,
+    ) -> Option<SingleDecode> {
+        let (p, cfg) = (Preamble::default_len(), DecoderConfig::default());
+        let single =
+            decode_single(buffer, start, Some(1), reg, &p, clean, &cfg, &mut Scratch::default());
+        let frame =
+            decode_frame(buffer, start, Some(1), reg, &p, clean, &cfg, &mut Scratch::default());
+        let passed = single.as_ref().filter(|d| d.frame.is_some());
+        assert_eq!(frame.is_some(), passed.is_some(), "gate disagrees at start {start}");
+        if let (Some(f), Some(s)) = (&frame, passed) {
+            assert_eq!(format!("{f:?}"), format!("{s:?}"), "decodes differ at start {start}");
+        }
+        single
+    }
+
+    #[test]
+    fn decode_frame_is_decode_single_when_the_crc_passes() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let la = LinkProfile::typical(12.0, &mut rng);
+        let lb = LinkProfile::typical(12.0, &mut rng);
+        let mut reg = ClientRegistry::new();
+        reg.associate(
+            1,
+            ClientInfo { omega: la.association_omega(), snr_db: 12.0, taps: la.isi.clone() },
+        );
+
+        // a clean reception: both decode the frame
+        let a = air(1, 400, Modulation::Bpsk);
+        let rx = clean_reception(&a, &la, &mut rng);
+        let clean = gate_agrees(&rx.buffer, 0, &reg, true).expect("estimate");
+        assert_eq!(clean.frame.as_ref(), Some(&a.frame));
+
+        // cut right after its last symbol: the body just fits
+        let exact = gate_agrees(&rx.buffer[..a.len()], 0, &reg, true).expect("estimate");
+        assert_eq!(exact.frame.as_ref(), Some(&a.frame));
+
+        // cut inside the body: the PLCP reads, but its body runs past
+        // the buffer
+        let cut = &rx.buffer[..a.len() / 2];
+        let truncated = gate_agrees(cut, 0, &reg, true).expect("estimate");
+        assert!(truncated.plcp.is_some() && truncated.frame.is_none());
+
+        // an equal-power collision: the first packet's PLCP is clean but
+        // its body collides (CRC-32 fails); the second packet's PLCP is
+        // buried under the first (CRC-8 fails)
+        let b = air(2, 400, Modulation::Bpsk);
+        let hp = zigzag_channel::scenario::hidden_pair(&a, &b, &la, &lb, 120, 40, &mut rng);
+        let buf = &hp.collision1.buffer;
+        let first = gate_agrees(buf, 0, &reg, false).expect("estimate");
+        assert!(first.plcp.is_some() && first.frame.is_none(), "first: {:?}", first.plcp);
+        let second = gate_agrees(buf, 120, &reg, false).expect("estimate");
+        assert!(second.plcp.is_none(), "second: {:?}", second.plcp);
+
+        // pure noise: an estimate, but no readable PLCP
+        let noise: Vec<Complex> = (0..2000)
+            .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect();
+        let junk = gate_agrees(&noise, 0, &reg, false).expect("estimate");
+        assert!(junk.plcp.is_none());
     }
 
     #[test]

@@ -27,12 +27,12 @@
 //!   packet's chunk is subtracted) yields phase, frequency
 //!   (`δf̂ += α·δφ/δt`), amplitude and timing corrections.
 
-use crate::config::DecoderConfig;
+use crate::config::{debug_pll, DecoderConfig};
 use crate::engine::scratch::BufPool;
 use zigzag_phy::complex::{inner, Complex, ZERO};
 use zigzag_phy::equalize::{design_inverse, estimate_channel_taps, DEFAULT_EQUALIZER_TAPS};
 use zigzag_phy::filter::Fir;
-use zigzag_phy::interp::interp_at;
+use zigzag_phy::interp::{interp_at, tap_weight, DEFAULT_HALF_WIDTH};
 use zigzag_phy::kernel::Kernel;
 use zigzag_phy::modulation::Modulation;
 use zigzag_phy::sync::estimate_freq;
@@ -239,22 +239,15 @@ impl ChannelView {
         // an unknown ω starts at 0 and is re-estimated below.
         let omega_search = omega_init.unwrap_or(0.0);
         // 1. fractional timing: search the frequency-compensated
-        //    correlation over µ ∈ [−0.6, 0.6].
-        let corr_at_mu = |mu: f64| -> Complex {
-            let mut acc = ZERO;
-            for (k, &s) in preamble.iter().enumerate() {
-                let y = interp_at(buffer, start as f64 + mu + k as f64);
-                acc += s.conj() * y * Complex::cis(-omega_search * k as f64);
-            }
-            acc
-        };
+        //    correlation over µ ∈ [−1.05, 1.05] (±0.15 for the parabola).
+        let corr = PreambleCorr::new(buffer, start, preamble, omega_search, -1.25, 1.25);
         // ±1.05 samples: the integer `start` from the detector can be off
         // by one sample when the true fractional offset is near ±0.5
         let mut best_mu = 0.0;
         let mut best_mag = -1.0;
         let mut mu = -1.05;
         while mu <= 1.05 {
-            let m = corr_at_mu(mu).abs();
+            let m = corr.at(mu).abs();
             if m > best_mag {
                 best_mag = m;
                 best_mu = mu;
@@ -263,7 +256,7 @@ impl ChannelView {
         }
         // parabolic refinement
         let (m_l, m_c, m_r) =
-            (corr_at_mu(best_mu - 0.15).abs(), best_mag, corr_at_mu(best_mu + 0.15).abs());
+            (corr.at(best_mu - 0.15).abs(), best_mag, corr.at(best_mu + 0.15).abs());
         let denom = m_l - 2.0 * m_c + m_r;
         if denom.abs() > 1e-12 {
             let frac = 0.5 * (m_l - m_r) / denom;
@@ -271,23 +264,28 @@ impl ChannelView {
         }
 
         // 2. channel: Ĥ = Γ'(µ*)/Σ|s|² (§4.2.4a).
-        let peak = corr_at_mu(best_mu);
+        let peak = corr.at(best_mu);
         let energy: f64 = preamble.iter().map(|s| s.norm_sq()).sum();
         let h = peak / energy;
         if h.abs() < 1e-6 {
             return None;
         }
 
+        // The preamble resampled at µ*, shared by the ω self-estimate and
+        // the tap fit (both only on clean preambles).
+        let fit_taps = cfg.use_isi_filter && taps_hint.is_none();
+        let rx: Vec<Complex> = if clean_preamble && (omega_init.is_none() || fit_taps) {
+            (0..l).map(|k| interp_at(buffer, start as f64 + best_mu + k as f64)).collect()
+        } else {
+            Vec::new()
+        };
+
         // 3. frequency: trust the registry when available; self-estimate
         //    from the preamble otherwise (clean preambles only — the Fitz
         //    estimate under interference would alias onto the interferer).
         let omega = match omega_init {
             Some(w) => w,
-            None if clean_preamble => {
-                let rx: Vec<Complex> =
-                    (0..l).map(|k| interp_at(buffer, start as f64 + best_mu + k as f64)).collect();
-                estimate_freq(&rx, preamble)
-            }
+            None if clean_preamble => estimate_freq(&rx, preamble),
             None => 0.0,
         };
 
@@ -298,14 +296,12 @@ impl ChannelView {
             t.clone()
         } else if clean_preamble {
             // fit on the de-rotated, gain-normalised preamble
-            let rx: Vec<Complex> = (0..l)
-                .map(|k| {
-                    interp_at(buffer, start as f64 + best_mu + k as f64)
-                        * Complex::cis(-omega * k as f64)
-                        / h
-                })
+            let derot: Vec<Complex> = rx
+                .iter()
+                .enumerate()
+                .map(|(k, &y)| y * Complex::cis(-omega * k as f64) / h)
                 .collect();
-            estimate_channel_taps(&rx, preamble, 5, 2)
+            estimate_channel_taps(&derot, preamble, 5, 2)
                 .map(normalise_main_tap)
                 .unwrap_or_else(Fir::identity)
         } else {
@@ -502,7 +498,7 @@ impl ChannelView {
             }
             // fold fine residual into the model at the block's far edge
             let edge = if dir == Direction::Forward { be as f64 } else { bs as f64 };
-            if std::env::var_os("ZIGZAG_DEBUG_PLL").is_some() {
+            if debug_pll() {
                 eprintln!(
                     "block {bs}..{be}: fold fine_phase={fine_phase:.4} fine_freq={fine_freq:.6} model_omega={:.6} mu={:.4}",
                     self.phase.omega(),
@@ -766,13 +762,9 @@ impl ChannelView {
     /// delay.)
     pub fn reanchored(&self, buffer: &[Complex], preamble: &[Complex]) -> Option<ChannelView> {
         let omega = self.phase.omega();
-        let mut acc = ZERO;
-        let mut energy = 0.0;
-        for (k, &s) in preamble.iter().enumerate() {
-            let y = interp_at(buffer, self.start as f64 + self.mu + k as f64);
-            acc += s.conj() * y * Complex::cis(-omega * k as f64);
-            energy += s.norm_sq();
-        }
+        let acc =
+            PreambleCorr::new(buffer, self.start, preamble, omega, self.mu, self.mu).at(self.mu);
+        let energy: f64 = preamble.iter().map(|s| s.norm_sq()).sum();
         if energy <= 0.0 || acc.abs() < 1e-9 {
             return None;
         }
@@ -781,6 +773,69 @@ impl ChannelView {
         v.phase = PhaseModel::new(h.arg(), 0.0, omega);
         v.last_fb_n = None;
         Some(v)
+    }
+}
+
+/// The frequency-compensated preamble correlation at fractional timing µ,
+///
+/// `Γ'(µ) = Σ_k conj(s_k)·e^{−iωk}·y(start + µ + k)`,
+///
+/// with `y(·)` the windowed-sinc interpolation of [`interp_at`]. At a
+/// fixed µ that interpolation is one fixed FIR over the integer lags
+/// `j ∈ [⌈µ−W⌉, ⌊µ+W⌋]`, so the sum factors as `Γ'(µ) = Σ_j w(µ−j)·C[j]`
+/// with `C[j] = Σ_k conj(s_k)·e^{−iωk}·y[start+k+j]` independent of µ.
+/// `new` computes `C` once for every lag a µ range can reach (samples
+/// outside the buffer count as zero, as in `interp_at`); each
+/// [`PreambleCorr::at`] then costs one tap vector and `2W+1`
+/// multiply-adds instead of a full interpolation per preamble symbol.
+struct PreambleCorr {
+    /// Lag of `lags[0]`.
+    j0: isize,
+    /// `C[j0 + i]`.
+    lags: Vec<Complex>,
+}
+
+impl PreambleCorr {
+    /// Correlator for `preamble` at integer `start` under frequency
+    /// `omega`, evaluable at any µ in `[mu_lo, mu_hi]`.
+    fn new(
+        buffer: &[Complex],
+        start: usize,
+        preamble: &[Complex],
+        omega: f64,
+        mu_lo: f64,
+        mu_hi: f64,
+    ) -> Self {
+        let w = DEFAULT_HALF_WIDTH as f64;
+        let j0 = (mu_lo - w).ceil() as isize;
+        let j1 = (mu_hi + w).floor() as isize;
+        let mut lags = vec![ZERO; (j1 - j0 + 1).max(0) as usize];
+        for (k, &s) in preamble.iter().enumerate() {
+            let a = s.conj() * Complex::cis(-omega * k as f64);
+            let base = start as isize + k as isize + j0;
+            for (i, c) in lags.iter_mut().enumerate() {
+                let p = base + i as isize;
+                if p >= 0 {
+                    if let Some(&y) = buffer.get(p as usize) {
+                        *c += a * y;
+                    }
+                }
+            }
+        }
+        Self { j0, lags }
+    }
+
+    /// `Γ'(µ)`; µ must lie in the range the correlator was built for.
+    fn at(&self, mu: f64) -> Complex {
+        let w = DEFAULT_HALF_WIDTH as f64;
+        let lo = (mu - w).ceil() as isize;
+        let hi = (mu + w).floor() as isize;
+        let mut acc = ZERO;
+        for j in lo..=hi {
+            acc +=
+                self.lags[(j - self.j0) as usize] * tap_weight(mu - j as f64, DEFAULT_HALF_WIDTH);
+        }
+        acc
     }
 }
 
@@ -1087,6 +1142,152 @@ mod tests {
         let i1 = v.synthesize(0..50, &|_| Some(Complex::real(1.0)));
         let i2 = v.synthesize(50..100, &|_| Some(Complex::real(1.0)));
         assert_eq!(i1.range().end, i2.range().start, "chunks must tile");
+    }
+
+    /// The preamble correlation as `estimate` computed it before it was
+    /// factored: one full windowed-sinc interpolation per symbol. Also
+    /// returns the sum's L1 scale (every |sample| the interpolations
+    /// touch; |s_k| = 1 and taps are ≤ 1), the yardstick of the
+    /// relative bound below.
+    fn direct_corr(
+        buffer: &[Complex],
+        start: usize,
+        preamble: &[Complex],
+        omega: f64,
+        mu: f64,
+    ) -> (Complex, f64) {
+        let w = DEFAULT_HALF_WIDTH as f64;
+        let (mut acc, mut scale) = (ZERO, 0.0);
+        for (k, &s) in preamble.iter().enumerate() {
+            let t = start as f64 + mu + k as f64;
+            let y = interp_at(buffer, t);
+            acc += s.conj() * y * Complex::cis(-omega * k as f64);
+            for i in (t - w).ceil() as isize..=(t + w).floor() as isize {
+                if i >= 0 {
+                    scale += buffer.get(i as usize).map_or(0.0, |y| y.abs());
+                }
+            }
+        }
+        (acc, scale)
+    }
+
+    /// `estimate`'s µ search, parabolic refinement and peak written
+    /// against [`direct_corr`]: returns (µ*, Ĥ).
+    fn direct_search(
+        buffer: &[Complex],
+        start: usize,
+        preamble: &[Complex],
+        omega: f64,
+    ) -> (f64, Complex) {
+        let corr = |mu: f64| direct_corr(buffer, start, preamble, omega, mu).0;
+        let (mut best_mu, mut best_mag) = (0.0, -1.0);
+        let mut mu = -1.05;
+        while mu <= 1.05 {
+            let m = corr(mu).abs();
+            if m > best_mag {
+                best_mag = m;
+                best_mu = mu;
+            }
+            mu += 0.15;
+        }
+        let (m_l, m_c, m_r) = (corr(best_mu - 0.15).abs(), best_mag, corr(best_mu + 0.15).abs());
+        let denom = m_l - 2.0 * m_c + m_r;
+        if denom.abs() > 1e-12 {
+            best_mu += 0.15 * (0.5 * (m_l - m_r) / denom).clamp(-1.0, 1.0);
+        }
+        let energy: f64 = preamble.iter().map(|s| s.norm_sq()).sum();
+        (best_mu, corr(best_mu) / energy)
+    }
+
+    /// Unit-power complex noise plus, from `start`, the preamble and
+    /// random BPSK symbols at amplitude `amp` under phase `phi` and
+    /// frequency `omega`.
+    fn preamble_buffer(
+        rng: &mut StdRng,
+        len: usize,
+        start: usize,
+        amp: f64,
+        phi: f64,
+        omega: f64,
+    ) -> Vec<Complex> {
+        let p = Preamble::default_len();
+        (0..len)
+            .map(|n| {
+                let noise = Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+                let sym = match n.checked_sub(start) {
+                    Some(k) if k < p.len() => p.symbols()[k],
+                    Some(_) => Complex::real(if rng.gen_range(0..2) == 0 { -1.0 } else { 1.0 }),
+                    None => ZERO,
+                };
+                let k = n as f64 - start as f64;
+                noise + sym * amp * Complex::cis(phi + omega * k)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The factored correlator equals the direct interpolate-then-
+        /// correlate sum, including where the interpolation runs off
+        /// either end of the buffer.
+        #[test]
+        fn preamble_corr_matches_direct_sum(
+            seed: u64,
+            len in 40usize..160,
+            omega in -0.2f64..0.2,
+            mu in -1.2f64..1.2,
+            tail in 1usize..11,
+            at_end: bool,
+            amp in 0.0f64..4.0,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let start = if at_end { len - tail } else { 0 };
+            let buf = preamble_buffer(&mut rng, len, start, amp, 0.7, omega);
+            let pre = Preamble::default_len();
+            let (want, scale) = direct_corr(&buf, start, pre.symbols(), omega, mu);
+            let search = PreambleCorr::new(&buf, start, pre.symbols(), omega, -1.25, 1.25);
+            let single = PreambleCorr::new(&buf, start, pre.symbols(), omega, mu, mu);
+            for got in [search.at(mu), single.at(mu)] {
+                proptest::prop_assert!(
+                    (got - want).abs() <= 1e-12 * scale.max(1e-300),
+                    "µ {mu}: factored {got:?} direct {want:?} scale {scale}"
+                );
+            }
+        }
+
+        /// `estimate` lands on the µ, gain and phase the direct search
+        /// finds, on clean and immersed preambles alike.
+        #[test]
+        fn estimate_matches_direct_search(
+            seed: u64,
+            len in 48usize..200,
+            omega in -0.2f64..0.2,
+            amp in 0.0f64..4.0,
+            phi in -3.0f64..3.0,
+            near_end: bool,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let l = Preamble::default_len().len();
+            let start = if near_end { len - l - 1 } else { rng.gen_range(0..len - l) };
+            let buf = preamble_buffer(&mut rng, len, start, amp, phi, omega);
+            let pre = Preamble::default_len();
+            let (mu, h) = direct_search(&buf, start, pre.symbols(), omega);
+            let cfg = DecoderConfig::default();
+            let v = ChannelView::estimate(&buf, start, pre.symbols(), Some(omega), None, false, &cfg);
+            match v {
+                None => proptest::prop_assert!(h.abs() < 1e-6, "estimate refused |Ĥ| {}", h.abs()),
+                Some(v) => {
+                    proptest::prop_assert!((v.mu - mu).abs() <= 1e-9, "µ {} vs {mu}", v.mu);
+                    proptest::prop_assert!(
+                        (v.gain - h.abs()).abs() <= 1e-9 * h.abs(),
+                        "gain {} vs {}", v.gain, h.abs()
+                    );
+                    let dphi = (v.phase.at(0.0) - h.arg() + std::f64::consts::PI)
+                        .rem_euclid(2.0 * std::f64::consts::PI)
+                        - std::f64::consts::PI;
+                    proptest::prop_assert!(dphi.abs() <= 1e-9, "phase {} vs {}", v.phase.at(0.0), h.arg());
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!    are MRC-combined — this is why ZigZag's BER beats collision-free
 //!    transmission (every symbol is received twice).
 
-use crate::config::{ClientRegistry, DecoderConfig};
+use crate::config::{debug_trace, ClientRegistry, DecoderConfig};
 use crate::engine::scratch::Scratch;
 use crate::schedule::{CollisionLayout, PlanOutcome, PlanState, Step};
 use crate::view::{ChannelView, Direction, PacketLayout};
@@ -281,7 +281,7 @@ impl<'r> ZigzagDecoder<'r> {
                 pkts[q].soft_fwd[n] = Some(out.soft[i]);
             }
         }
-        if std::env::var_os("ZIGZAG_DEBUG").is_some() {
+        if debug_trace() {
             let evm: f64 =
                 out.soft.iter().zip(out.decided.iter()).map(|(s, d)| (*s - *d).abs()).sum::<f64>()
                     / out.soft.len().max(1) as f64;
@@ -337,7 +337,7 @@ impl<'r> ZigzagDecoder<'r> {
                 residuals[ci][p] -= new_val - img_acc[ci][q][p];
                 img_acc[ci][q][p] = new_val;
             }
-            if std::env::var_os("ZIGZAG_DEBUG").is_some() {
+            if debug_trace() {
                 let before = zigzag_phy::complex::mean_power(&observed);
                 let after = zigzag_phy::complex::mean_power(&residuals[ci][span.clone()]);
                 eprintln!(
@@ -460,7 +460,7 @@ impl<'r> ZigzagDecoder<'r> {
                     continue;
                 };
                 immersed[c][q] = false;
-                if std::env::var_os("ZIGZAG_DEBUG").is_some() {
+                if debug_trace() {
                     let old = views[c][q].as_ref().unwrap();
                     eprintln!(
                         "    reest q{q} c{c}: gain {:.2}->{:.2} mu {:.3}->{:.3} phase0 {:.3}->{:.3}",
@@ -579,7 +579,7 @@ impl<'r> ZigzagDecoder<'r> {
             }
         }
 
-        if std::env::var_os("ZIGZAG_DEBUG").is_some() {
+        if debug_trace() {
             for (i, (s, w)) in streams.iter().enumerate() {
                 let quarter = (s.len() / 12).max(1);
                 let evms: Vec<f64> = s

@@ -39,6 +39,14 @@ pub(crate) fn hann(x: f64, w: f64) -> f64 {
     0.5 * (1.0 + (std::f64::consts::PI * t).cos())
 }
 
+/// Weight of the sample at distance `d = t − i` from the interpolation
+/// point, for a kernel of the given half-width: the Hann-windowed sinc
+/// tap [`interp_at_width`] applies to every `|d| ≤ half_width`.
+#[inline]
+pub fn tap_weight(d: f64, half_width: usize) -> f64 {
+    sinc(d) * hann(d, half_width as f64 + 1.0)
+}
+
 /// Interpolates `samples` at fractional position `t` (in sample units) with
 /// the given kernel half-width. Positions outside the buffer are treated as
 /// zero (signals are zero-padded at the edges, like a quiet channel).
@@ -51,8 +59,7 @@ pub fn interp_at_width(samples: &[Complex], t: f64, half_width: usize) -> Comple
         if i < 0 || i as usize >= samples.len() {
             continue;
         }
-        let d = t - i as f64;
-        acc += samples[i as usize] * (sinc(d) * hann(d, w + 1.0));
+        acc += samples[i as usize] * tap_weight(t - i as f64, half_width);
     }
     acc
 }
