@@ -119,6 +119,11 @@ pub struct DecoderConfig {
 /// decoder provably cannot (e.g. Δ₁ = Δ₂ duplicate-offset collisions,
 /// §4.5), at the cost of extra memory (the salvage pool) and solver time
 /// on otherwise-dead buffers.
+///
+/// Only the subsystem's switch and its memory bounds are settable. The
+/// solver itself has one fixed configuration — window PI phase tracking,
+/// turbo re-estimation, conditioning-gated recruitment and an adaptive
+/// ridge — whose constants live in [`crate::recovery`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecoveryConfig {
     /// Master switch. `false` (the default) keeps the receiver
@@ -129,124 +134,26 @@ pub struct RecoveryConfig {
     /// retained for future joint solves; same keyed-bounding discipline
     /// as the collision store).
     pub pool: usize,
-    /// Solver window width, in symbols per packet: how many undecided
-    /// symbols of each packet enter one joint least-squares solve.
-    pub window: usize,
-    /// Symbols committed (sliced and subtracted) per window advance; the
-    /// remainder of the window provides look-ahead context. Must be
-    /// `≤ window`.
-    pub commit: usize,
     /// Most collision buffers jointly solved in one group (each extra
     /// buffer adds equations — and solver rows).
     pub max_collisions: usize,
-    /// Tikhonov regularisation of the per-window normal equations,
-    /// relative to the mean observation energy. Keeps barely-observed
-    /// look-ahead symbols from destabilising the solve.
-    pub lambda: f64,
-    /// Observation gate: a symbol is only committed when its equation
-    /// energy (the normal-matrix diagonal) reaches this fraction of the
-    /// window's strongest symbol — under-observed symbols wait for the
-    /// window to slide instead of committing garbage.
-    pub min_observation: f64,
-    /// Extra turbo re-estimation passes after a CRC-failed first solve:
-    /// the solver re-derives every [`ChannelView`](crate::view::ChannelView)
-    /// from its own interference-cancelled buffer (the first pass's
-    /// decision images subtracted) and solves again — the SIC/turbo
-    /// iteration of arXiv:1401.7374. `0` (the default) keeps the
-    /// single-pass PR 5 solver; iteration stops early once every packet's
-    /// CRC passes or the decisions stop changing between passes.
-    pub turbo_iters: usize,
-    /// Proportional gain of the solver's per-window PI phase tracker.
-    /// `0.0` (the default) keeps the executor-style one-shot feedback
-    /// (full `δφ` applied per committed chunk); a positive gain switches
-    /// the joint solver to a damped PI loop with per-(collision × packet)
-    /// integrator state, which rides out phase-noise walks on impaired
-    /// links instead of letting one noisy window jolt the phase model.
-    pub window_pll_kp: f64,
-    /// Integral gain of the solver's per-window PI phase tracker
-    /// (absorbs residual frequency offset). Only read when
-    /// [`window_pll_kp`](Self::window_pll_kp) is positive.
-    pub window_pll_ki: f64,
-    /// Conditioning floor for salvage-pool member admission: a candidate
-    /// is recruited only while the group's channel-proxy Gram matrix
-    /// (detection correlations × placement shifts) keeps at least this
-    /// normalised determinant
-    /// ([`gram_conditioning`](zigzag_phy::linalg::gram_conditioning),
-    /// `1.0` = orthogonal equations, `0.0` = collinear). `0.0` (the
-    /// default) admits every confirmed candidate, as PR 5 did.
-    pub min_conditioning: f64,
-    /// Scale the per-window ridge `λ` from the window's *measured*
-    /// observation-energy spread instead of the flat `mean_diag` factor:
-    /// ill-conditioned windows (weakly-observed look-ahead columns) get a
-    /// proportionally stronger ridge. `false` (the default) keeps PR 5's
-    /// global factor bit-for-bit.
-    pub adaptive_lambda: bool,
-    /// Groups per lockstep chunk in the batched
-    /// [`solve_groups`](crate::recovery::solve_groups) entry point: each
-    /// chunk drives its groups' sliding windows in rounds and dispatches
-    /// every round's per-window least-squares systems as **one**
-    /// [`lstsq_batch`](zigzag_phy::linalg::lstsq_batch) pack. The batch
-    /// solver is bit-identical per system to the per-system reference, so
-    /// this knob changes throughput only, never decisions. `0` disables
-    /// batching — every group runs the independent
-    /// [`solve_group`](crate::recovery::solve_group) reference path.
-    pub batch_chunk: usize,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
-        Self {
-            enabled: false,
-            pool: 4,
-            window: 32,
-            commit: 16,
-            max_collisions: 4,
-            lambda: 1e-4,
-            min_observation: 0.25,
-            turbo_iters: 0,
-            window_pll_kp: 0.0,
-            window_pll_ki: 0.0,
-            min_conditioning: 0.0,
-            adaptive_lambda: false,
-            batch_chunk: 8,
-        }
+        Self { enabled: false, pool: 4, max_collisions: 4 }
     }
 }
 
 impl RecoveryConfig {
-    /// The default knobs with the subsystem switched on — bit-identical
-    /// to the PR 5 single-pass solver (no turbo, one-shot feedback).
-    pub fn on() -> Self {
-        Self { enabled: true, ..Self::default() }
-    }
-
-    /// The typical-link robustness preset: recovery on, plus the
-    /// machinery that survives impaired channels — per-window PI phase
-    /// tracking (rides phase-noise walks), turbo re-estimation (reclaims
-    /// CRC-failed first solves from their own cancelled buffers),
-    /// conditioning-gated member selection, and a conditioning-scaled
-    /// ridge. On benign links this delivers the same frames as
-    /// [`RecoveryConfig::on`]; on `LinkProfile::typical`-class links it
-    /// reclaims strictly more (the bench's tracked robustness curve).
-    ///
-    /// The PLL gains come from the `pll_gain_sweep` example (kp ∈
-    /// [0.05, 1.6] × ki ∈ [0, 0.4] over four impairment classes up to
-    /// 3× the typical phase-noise/drift): reclaim peaks at 21/144 on a
-    /// plateau containing kp 0.65 with ki ≤ 0.08, collapses below
-    /// kp ≈ 0.1 (loop can't follow the walk) and above kp ≈ 1.6 or
-    /// ki ≈ 0.4 (noise amplification). kp = 0.65, ki = 0.02 is the
-    /// plateau centre — the neighborhood most tolerant of the gains
-    /// being slightly wrong for a deployment's actual oscillator.
+    /// Recovery switched on with the default memory bounds. The solver
+    /// survives impaired (`LinkProfile::typical`-class) links: per-window
+    /// PI phase tracking rides phase-noise walks, turbo re-estimation
+    /// reclaims CRC-failed first solves from their own cancelled buffers,
+    /// ill-conditioned recruits are skipped, and the ridge scales with
+    /// each window's measured conditioning.
     pub fn robust() -> Self {
-        Self {
-            enabled: true,
-            turbo_iters: 2,
-            window_pll_kp: 0.65,
-            window_pll_ki: 0.02,
-            min_conditioning: 0.02,
-            adaptive_lambda: true,
-            ..Self::default()
-        }
+        Self { enabled: true, ..Self::default() }
     }
 }
 
@@ -301,16 +208,10 @@ impl DecoderConfig {
     }
 
     /// The default configuration with algebraic batch recovery enabled
-    /// ([`crate::recovery`]): undecodable match sets and store evictions
-    /// are jointly solved instead of dropped.
+    /// ([`RecoveryConfig::robust`], see [`crate::recovery`]): undecodable
+    /// match sets and store evictions are jointly solved instead of
+    /// dropped.
     pub fn with_recovery() -> Self {
-        Self { recovery: RecoveryConfig::on(), ..Self::default() }
-    }
-
-    /// [`DecoderConfig::with_recovery`] hardened for typical (impaired)
-    /// links: the [`RecoveryConfig::robust`] preset — window PLL, turbo
-    /// re-estimation, conditioning-aware recruitment.
-    pub fn with_robust_recovery() -> Self {
         Self { recovery: RecoveryConfig::robust(), ..Self::default() }
     }
 
@@ -597,24 +498,10 @@ mod tests {
     }
 
     #[test]
-    fn recovery_presets_layer_cleanly() {
-        let on = RecoveryConfig::on();
-        assert!(on.enabled);
-        // `on()` must stay the PR 5 single-pass solver bit-for-bit: every
-        // robustness knob off.
-        assert_eq!(on.turbo_iters, 0);
-        assert_eq!(on.window_pll_kp, 0.0);
-        assert_eq!(on.min_conditioning, 0.0);
-        assert!(!on.adaptive_lambda);
-        assert_eq!(on, RecoveryConfig { enabled: true, ..RecoveryConfig::default() });
-
-        let robust = RecoveryConfig::robust();
-        assert!(robust.enabled && robust.turbo_iters > 0 && robust.window_pll_kp > 0.0);
-        assert!(robust.adaptive_lambda && robust.min_conditioning > 0.0);
-        // the shared solver knobs stay at the defaults
-        assert_eq!(robust.window, on.window);
-        assert_eq!(robust.commit, on.commit);
-        assert_eq!(DecoderConfig::with_robust_recovery().recovery, robust);
+    fn recovery_on_means_the_robust_solver() {
+        assert_eq!(DecoderConfig::with_recovery().recovery, RecoveryConfig::robust());
+        assert!(RecoveryConfig::robust().enabled);
+        assert!(!RecoveryConfig::default().enabled, "recovery is off by default");
     }
 
     #[test]

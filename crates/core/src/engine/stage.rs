@@ -844,7 +844,6 @@ impl DecodeStage for RecoverStage {
             &key,
             &rx.salvage,
             max_members,
-            rx.cfg.recovery.min_conditioning,
         ) {
             if Self::solve_and_deliver(rx, &group, events) {
                 rx.salvage.consume(&key, &used);

@@ -38,14 +38,16 @@
 //!   rides the same scalar/simd seam as the rest of the phy).
 //! * **Solver** — a sliding window of per-packet frontier symbols is
 //!   solved by regularised least squares (Gaussian elimination on the
-//!   normal equations, [`zigzag_phy::linalg::lstsq`]); well-observed
-//!   symbols are sliced to their constellation, committed, their images
-//!   delta-subtracted from every buffer (with the executor's
-//!   reconstruction-tracking feedback), and the window advances. This is
-//!   block Gaussian elimination with decision feedback: peelable regions
-//!   cost one well-conditioned triangular solve, and regions peeling
-//!   cannot touch (duplicate offsets) are carried by the cross-collision
-//!   channel diversity.
+//!   normal equations, [`zigzag_phy::linalg::lstsq_cond`], with a ridge
+//!   scaled from each window's measured observation spread); well-
+//!   observed symbols are sliced to their constellation, committed, their
+//!   images delta-subtracted from every buffer (with per-window PI phase
+//!   tracking of every view), and the window advances. This is block
+//!   Gaussian elimination with decision feedback: peelable regions cost
+//!   one well-conditioned triangular solve, and regions peeling cannot
+//!   touch (duplicate offsets) are carried by the cross-collision channel
+//!   diversity. A CRC-failed solve is retried from re-estimated channels
+//!   (turbo re-estimation, arXiv:1401.7374; see [`solve_group`]).
 //! * **Output** — per-packet frames, emitted **only** when the CRC-32
 //!   checks out ([`decode_mpdu`]); the receiver's `(src, seq)` delivery
 //!   dedup makes emission idempotent across the zigzag and recovery
@@ -54,9 +56,8 @@
 //! The pipeline hosts this as
 //! [`RecoverStage`](crate::engine::stage::RecoverStage) (after the
 //! ZigZag stage, shard-local so the sharded receiver stays
-//! bit-deterministic); [`solve_groups`] batches independent groups
-//! across a [`BatchEngine`](crate::engine::BatchEngine) for the bench
-//! and testbed drivers.
+//! bit-deterministic), which solves one group at a time through
+//! [`solve_group`].
 
 use crate::config::{debug_trace, ClientRegistry, DecoderConfig};
 use crate::detect::Detection;
@@ -70,7 +71,7 @@ use std::collections::{HashMap, VecDeque};
 use zigzag_phy::bits::bits_to_bytes;
 use zigzag_phy::complex::{Complex, ZERO};
 use zigzag_phy::frame::{decode_mpdu, Frame, PlcpHeader, PLCP_SYMBOLS};
-use zigzag_phy::linalg::{gram_conditioning, lstsq_batch, lstsq_cond, LstsqSystem};
+use zigzag_phy::linalg::{gram_conditioning, lstsq_cond};
 use zigzag_phy::modulation::Modulation;
 use zigzag_phy::preamble::Preamble;
 
@@ -78,6 +79,50 @@ use zigzag_phy::preamble::Preamble;
 /// global safety valve sheds the oldest entry (same discipline as the
 /// collision store's valve).
 const MAX_TRACKED_KEYS: usize = 16;
+
+/// Solver window width, in symbols per packet: how many undecided
+/// symbols of each packet enter one joint least-squares solve.
+const WINDOW: usize = 32;
+
+/// Symbols committed (sliced and subtracted) per window advance; the
+/// rest of the window is look-ahead context.
+const COMMIT: usize = 16;
+
+/// Tikhonov ridge of the per-window normal equations, relative to the
+/// mean observation energy before the spread scaling. Keeps
+/// barely-observed look-ahead symbols from destabilising the solve.
+const LAMBDA: f64 = 1e-4;
+
+/// Observation gate: a symbol is only committed when its equation energy
+/// (the normal-matrix diagonal) reaches this fraction of the window's
+/// strongest symbol — under-observed symbols wait for the window to
+/// slide instead of committing garbage.
+const MIN_OBSERVATION: f64 = 0.25;
+
+/// Turbo re-estimation passes after a CRC-failed first solve (see
+/// [`solve_group`]).
+const TURBO_ITERS: usize = 2;
+
+/// Proportional gain of the per-window PI phase tracker (one per
+/// collision × packet). A sweep of the impaired-link reclaim over kp ∈
+/// [0.05, 1.6] × ki ∈ [0, 0.4], at four impairment classes up to 3× the
+/// typical phase noise and drift, peaked at 21/144 on a plateau holding
+/// kp 0.65 with ki ≤ 0.08. Reclaim collapses below kp ≈ 0.1 (the loop
+/// cannot follow the walk) and above kp ≈ 1.6 or ki ≈ 0.4 (noise
+/// amplification). 0.65 is the plateau centre, the gain most tolerant of
+/// a deployment's oscillator differing from the model.
+const WINDOW_PLL_KP: f64 = 0.65;
+
+/// Integral gain of the per-window PI phase tracker (absorbs residual
+/// frequency offset); the centre of the same plateau as
+/// [`WINDOW_PLL_KP`].
+const WINDOW_PLL_KI: f64 = 0.02;
+
+/// Conditioning floor for salvage-pool member admission: a candidate is
+/// recruited only while the group's channel-proxy Gram matrix keeps at
+/// least this normalised determinant ([`gram_conditioning`], `1.0` =
+/// orthogonal equations, `0.0` = collinear).
+const MIN_CONDITIONING: f64 = 0.02;
 
 /// A collision buffer the bounded store evicted, retained for joint
 /// solves instead of dropped.
@@ -359,12 +404,12 @@ fn proxy_conditioning(rows: &[(usize, Vec<Complex>)]) -> f64 {
 ///
 /// Pure-shift members are admitted on purpose — cross-collision channel
 /// diversity is exactly what the joint solver exploits. But diversity is
-/// measurable: with `min_conditioning > 0`, each candidate is admitted
-/// only while the group's channel-proxy Gram matrix (detection
-/// correlations, block-keyed by placement shift signature) keeps at
-/// least that normalised determinant — a recruit whose equations are
-/// near-collinear with the rows already admitted would only poison the
-/// joint `lstsq`, so it is skipped rather than solved against.
+/// measurable: each candidate is admitted only while the group's
+/// channel-proxy Gram matrix (detection correlations, block-keyed by
+/// placement shift signature) keeps a normalised determinant of at least
+/// 0.02 — a recruit whose equations are near-collinear with the rows
+/// already admitted would only poison the joint `lstsq`, so it is skipped
+/// rather than solved against.
 pub fn group_from_pool(
     ws: &mut Scratch,
     buffer: &[Complex],
@@ -372,7 +417,6 @@ pub fn group_from_pool(
     key: &[u16],
     pool: &SalvagePool,
     max_members: usize,
-    min_conditioning: f64,
 ) -> Option<(RecoveryGroup, Vec<usize>)> {
     let k = key.len();
     if !(2..=MAX_KWAY).contains(&k) || max_members == 0 {
@@ -443,7 +487,7 @@ pub fn group_from_pool(
         let cand_corrs: Vec<Complex> = pairing.iter().map(|&(_, s)| s.corr).collect();
         let row = proxy_row(&mut signatures, &cand_placements, &cand_corrs);
         proxy.push(row);
-        if proxy_conditioning(&proxy) < min_conditioning {
+        if proxy_conditioning(&proxy) < MIN_CONDITIONING {
             proxy.pop();
             continue;
         }
@@ -462,8 +506,7 @@ pub fn group_from_pool(
 /// subtraction with tracking feedback, PLCP learning, CRC gate. See the
 /// module docs for the algorithm.
 ///
-/// With [`RecoveryConfig::turbo_iters`](crate::config::RecoveryConfig)
-/// set, a CRC-failed first pass is followed by turbo re-estimation
+/// A CRC-failed first pass is followed by up to two turbo re-estimation
 /// passes (the SIC iteration of arXiv:1401.7374): every [`ChannelView`]
 /// is re-derived from its own interference-cancelled buffer — the first
 /// pass's decision images of *other* packets subtracted expose each
@@ -492,11 +535,11 @@ pub fn solve_group(
             .collect();
     };
     let mut best = solver.run(ws);
-    if cfg.recovery.turbo_iters == 0 || best.iter().all(|p| p.frame.is_some()) {
+    if best.iter().all(|p| p.frame.is_some()) {
         return best;
     }
     let mut prev_decided = solver.decided.clone();
-    for _pass in 0..cfg.recovery.turbo_iters {
+    for _pass in 0..TURBO_ITERS {
         let Some(mut next) = solver.turbo_restart() else {
             break;
         };
@@ -513,227 +556,6 @@ pub fn solve_group(
         prev_decided = solver.decided.clone();
     }
     best
-}
-
-/// Solves many independent groups across a
-/// [`BatchEngine`](crate::engine::BatchEngine): the batched entry point
-/// the bench's `recovery` workload and offline reprocessing drivers use.
-/// Results are in group order and thread-count invariant (each group's
-/// solve is self-contained; workers only share the read-only registry).
-///
-/// Groups are partitioned into deterministic chunks of
-/// [`RecoveryConfig::batch_chunk`](crate::config::RecoveryConfig) and
-/// each chunk drives its groups' sliding-window solves in **lockstep
-/// rounds**: every round gathers the next per-window least-squares
-/// system of each still-active group (turbo re-estimation passes
-/// included) and dispatches them as one [`lstsq_batch`] pack. The batch
-/// solver returns per system exactly what [`lstsq_cond`] would — bit for
-/// bit — and each group's window sequencing, CRC gate and commit
-/// ordering are untouched, so results are bit-identical to running
-/// [`solve_group`] per group (which `batch_chunk = 0` does literally).
-pub fn solve_groups(
-    engine: &crate::engine::BatchEngine,
-    groups: &[RecoveryGroup],
-    registry: &ClientRegistry,
-    preamble: &Preamble,
-    cfg: &DecoderConfig,
-) -> Vec<Vec<RecoveredPacket>> {
-    let chunk = cfg.recovery.batch_chunk;
-    if chunk == 0 {
-        return engine.map_with(
-            groups,
-            || Scratch::with_backend(cfg.backend),
-            |ws, _, g| solve_group(g, registry, preamble, cfg, ws),
-        );
-    }
-    let chunks: Vec<&[RecoveryGroup]> = groups.chunks(chunk).collect();
-    let per_chunk = engine.map_with(
-        &chunks,
-        || Scratch::with_backend(cfg.backend),
-        |ws, _, c| solve_group_chunk(c, registry, preamble, cfg, ws),
-    );
-    per_chunk.into_iter().flatten().collect()
-}
-
-/// Solves one chunk of groups in lockstep rounds, one [`lstsq_batch`]
-/// dispatch per round.
-fn solve_group_chunk(
-    chunk: &[RecoveryGroup],
-    registry: &ClientRegistry,
-    preamble: &Preamble,
-    cfg: &DecoderConfig,
-    ws: &mut Scratch,
-) -> Vec<Vec<RecoveredPacket>> {
-    let mut tasks: Vec<GroupTask> =
-        chunk.iter().map(|g| GroupTask::new(g, registry, preamble, cfg, ws)).collect();
-    loop {
-        // Gather each active group's next window system. A group whose
-        // current pass ends mid-round runs its turbo merge/restart logic
-        // inside `pump` and either contributes the new pass's first
-        // window or retires — no round ever waits on a finished group.
-        let mut round: Vec<(usize, WindowSystem)> = Vec::new();
-        for (i, task) in tasks.iter_mut().enumerate() {
-            if let Some(sys) = task.pump(ws) {
-                round.push((i, sys));
-            }
-        }
-        if round.is_empty() {
-            break;
-        }
-        let systems: Vec<LstsqSystem> = round
-            .iter()
-            .map(|(_, sys)| LstsqSystem { rows: &sys.rows, b: &sys.b, lambda: sys.lambda })
-            .collect();
-        let solutions = lstsq_batch(&systems);
-        for ((i, sys), sol) in round.into_iter().zip(solutions) {
-            tasks[i].supply(&sys, sol, ws);
-        }
-    }
-    tasks.into_iter().map(GroupTask::into_result).collect()
-}
-
-/// One group's progress through the lockstep-batched [`solve_groups`]
-/// loop: a resumable [`solve_group`] whose least-squares solves are
-/// performed externally. The first-pass / turbo-pass sequencing, the
-/// first-CRC-valid-wins merge, and every stop condition replicate
-/// [`solve_group`] exactly.
-struct GroupTask<'a> {
-    cfg: &'a DecoderConfig,
-    /// The active pass's solver; `None` once the task is done (or the
-    /// group had no solvable shape).
-    solver: Option<Solver<'a>>,
-    /// Best result so far across passes (per packet, first CRC-valid
-    /// frame wins).
-    best: Vec<RecoveredPacket>,
-    /// `decided` table of the pass before the active one — the turbo
-    /// convergence test.
-    prev_decided: Vec<Vec<Option<Complex>>>,
-    /// Completed turbo passes (the first pass not counted).
-    passes_done: usize,
-    first_pass: bool,
-    /// The active pass hit a stall; finish it at the next `pump`.
-    stalled: bool,
-    done: bool,
-}
-
-impl<'a> GroupTask<'a> {
-    fn new(
-        group: &'a RecoveryGroup,
-        registry: &ClientRegistry,
-        preamble: &'a Preamble,
-        cfg: &'a DecoderConfig,
-        ws: &mut Scratch,
-    ) -> GroupTask<'a> {
-        match Solver::new(group, registry, preamble, cfg) {
-            None => GroupTask {
-                cfg,
-                solver: None,
-                best: group
-                    .clients
-                    .iter()
-                    .map(|&client| RecoveredPacket {
-                        client,
-                        frame: None,
-                        scrambled_bits: Vec::new(),
-                        complete: false,
-                    })
-                    .collect(),
-                prev_decided: Vec::new(),
-                passes_done: 0,
-                first_pass: true,
-                stalled: false,
-                done: true,
-            },
-            Some(mut solver) => {
-                solver.begin_run(ws);
-                GroupTask {
-                    cfg,
-                    solver: Some(solver),
-                    best: Vec::new(),
-                    prev_decided: Vec::new(),
-                    passes_done: 0,
-                    first_pass: true,
-                    stalled: false,
-                    done: false,
-                }
-            }
-        }
-    }
-
-    /// Advances the task until it either yields the next window system
-    /// to solve or completes. Uncovered-symbol skips and pass
-    /// transitions (finalize, merge, turbo restart) happen inline.
-    fn pump(&mut self, ws: &mut Scratch) -> Option<WindowSystem> {
-        while !self.done {
-            let solver = self.solver.as_mut().expect("active GroupTask has a solver");
-            if !self.stalled && !solver.run_done() {
-                match solver.prepare_window(ws) {
-                    WindowPrep::Advanced => continue,
-                    WindowPrep::Stalled => {
-                        self.stalled = true;
-                        continue;
-                    }
-                    WindowPrep::System(sys) => return Some(sys),
-                }
-            }
-            self.complete_pass(ws);
-        }
-        None
-    }
-
-    /// Feeds the batch solution of the system the last `pump` yielded.
-    fn supply(&mut self, sys: &WindowSystem, sol: Option<(Vec<Complex>, f64)>, ws: &mut Scratch) {
-        let solver = self.solver.as_mut().expect("supply on a finished GroupTask");
-        if !solver.apply_window(sys, sol, ws) {
-            self.stalled = true;
-        }
-    }
-
-    /// The end of one pass: [`solve_group`]'s inter-pass logic verbatim
-    /// — finalize, merge (first CRC-valid frame per packet wins), stop on
-    /// all-delivered / converged / pass cap, else turbo restart.
-    fn complete_pass(&mut self, ws: &mut Scratch) {
-        self.stalled = false;
-        let solver = self.solver.as_ref().expect("complete_pass on a finished GroupTask");
-        let result = solver.finalize_all();
-        let turbo = self.cfg.recovery.turbo_iters;
-        if self.first_pass {
-            self.first_pass = false;
-            self.best = result;
-            if turbo == 0 || self.best.iter().all(|p| p.frame.is_some()) {
-                self.done = true;
-                return;
-            }
-        } else {
-            for (b, r) in self.best.iter_mut().zip(result) {
-                if b.frame.is_none() && r.frame.is_some() {
-                    *b = r;
-                }
-            }
-            self.passes_done += 1;
-            if self.best.iter().all(|p| p.frame.is_some()) || solver.decided == self.prev_decided {
-                self.done = true;
-                return;
-            }
-        }
-        self.prev_decided = solver.decided.clone();
-        if self.passes_done >= turbo {
-            self.done = true;
-            return;
-        }
-        match solver.turbo_restart() {
-            None => self.done = true,
-            Some(mut next) => {
-                next.begin_run(ws);
-                self.solver = Some(next);
-            }
-        }
-    }
-
-    fn into_result(self) -> Vec<RecoveredPacket> {
-        debug_assert!(self.done, "into_result on an unfinished GroupTask");
-        self.best
-    }
 }
 
 /// The per-group solver state.
@@ -757,8 +579,7 @@ struct Solver<'a> {
     /// `residual[c] = buffer[c] − Σ_q acc[c][q]`.
     img_acc: Vec<Vec<Vec<Complex>>>,
     /// Per-(collision × packet) PI phase-tracker state for the windowed
-    /// feedback ([`ChannelView::feedback_windowed`]); only driven when
-    /// `cfg.recovery.window_pll_kp > 0`.
+    /// feedback ([`ChannelView::feedback_windowed`]).
     pll: Vec<Vec<WindowPll>>,
     debug: bool,
 }
@@ -795,7 +616,7 @@ impl WindowPrep {
 /// everything [`Solver::apply_window`] needs to gate and commit its
 /// solution. Column `col_of[(packet, symbol)]` holds that unknown symbol;
 /// `diag[j]` is column `j`'s observation energy (the normal-matrix
-/// diagonal), which gates commits against `min_observation * diag_max`.
+/// diagonal), which gates commits against `MIN_OBSERVATION * diag_max`.
 struct WindowSystem {
     rows: Vec<Vec<Complex>>,
     b: Vec<Complex>,
@@ -803,7 +624,6 @@ struct WindowSystem {
     diag: Vec<f64>,
     diag_max: f64,
     col_of: HashMap<(usize, usize), usize>,
-    commit: usize,
 }
 
 impl<'a> Solver<'a> {
@@ -979,17 +799,17 @@ impl<'a> Solver<'a> {
         taps + 10
     }
 
-    /// Runs the sliding-window joint solve to completion or stall,
-    /// solving each window's system inline with the per-system reference
-    /// solver. The batched [`solve_groups`] path drives the same
-    /// [`Solver::prepare_window`] / [`Solver::apply_window`] seam through
-    /// [`GroupTask`], swapping only the solve dispatch.
+    /// Runs one pass of the sliding-window joint solve: subtracts the
+    /// known preambles, then solves window after window until every
+    /// frontier reaches its packet's end or the solve stalls, and
+    /// finalizes every packet (slice to bits, CRC gate).
     fn run(&mut self, ws: &mut Scratch) -> Vec<RecoveredPacket> {
-        self.begin_run(ws);
-        loop {
-            if self.run_done() {
-                break;
-            }
+        let k = self.group.packets();
+        for q in 0..k {
+            let range = 0..self.preamble.len().min(self.lens[q]);
+            self.subtract_packet(q, range, ws);
+        }
+        while (0..k).any(|q| self.frontier[q] < self.lens[q]) {
             match self.prepare_window(ws) {
                 WindowPrep::Advanced => continue,
                 WindowPrep::Stalled => break,
@@ -1001,48 +821,24 @@ impl<'a> Solver<'a> {
                 }
             }
         }
-        self.finalize_all()
-    }
-
-    /// Start-of-pass bookkeeping: subtracts the known preambles from
-    /// every buffer.
-    fn begin_run(&mut self, ws: &mut Scratch) {
-        for q in 0..self.group.packets() {
-            let range = 0..self.preamble.len().min(self.lens[q]);
-            self.subtract_packet(q, range, ws);
-        }
-    }
-
-    /// `true` once every packet's frontier has reached its length — the
-    /// pass has nothing left to solve.
-    fn run_done(&self) -> bool {
-        (0..self.group.packets()).all(|q| self.frontier[q] >= self.lens[q])
-    }
-
-    /// Finalizes every packet of the group (slice to bits, CRC gate).
-    fn finalize_all(&self) -> Vec<RecoveredPacket> {
-        (0..self.group.packets()).map(|q| self.finalize(q)).collect()
+        (0..k).map(|q| self.finalize(q)).collect()
     }
 
     /// One window step: assemble this window's equations. Either yields
-    /// the regularised least-squares system to solve (the caller solves
-    /// it — inline via [`lstsq_cond`] or packed with other groups' via
-    /// [`lstsq_batch`] — and feeds it back through
-    /// [`Solver::apply_window`]), or reports that the frontier advanced
-    /// without a system (uncovered symbols skipped), or that the solve
-    /// has genuinely stalled.
+    /// the regularised least-squares system for [`Solver::run`] to solve
+    /// and feed back through [`Solver::apply_window`], or reports that the
+    /// frontier advanced without a system (uncovered symbols skipped), or
+    /// that the solve has genuinely stalled.
     fn prepare_window(&mut self, ws: &mut Scratch) -> WindowPrep {
         let k = self.group.packets();
         let m = self.group.collisions();
-        let window = self.cfg.recovery.window.max(2);
-        let commit = self.cfg.recovery.commit.clamp(1, window);
         let reach = self.reach();
 
-        // unknown columns: per packet, the next `window` undecided symbols
+        // unknown columns: per packet, the next `WINDOW` undecided symbols
         let mut cols: Vec<(usize, usize)> = Vec::new();
         let mut col_of: HashMap<(usize, usize), usize> = HashMap::new();
         for q in 0..k {
-            let hi = (self.frontier[q] + window).min(self.lens[q]);
+            let hi = (self.frontier[q] + WINDOW).min(self.lens[q]);
             for n in self.frontier[q]..hi {
                 col_of.insert((q, n), cols.len());
                 cols.push((q, n));
@@ -1069,7 +865,7 @@ impl<'a> Solver<'a> {
                 // samples may not touch symbols beyond q's window — unless
                 // the window already reaches q's end, where there is
                 // nothing beyond to protect
-                let w_end = self.frontier[q] + window;
+                let w_end = self.frontier[q] + WINDOW;
                 if w_end < self.lens[q] {
                     hi = hi.min((s + w_end).saturating_sub(reach));
                 } else {
@@ -1084,7 +880,7 @@ impl<'a> Solver<'a> {
         }
         let n_rows: usize = spans.iter().map(|s| s.len()).sum();
         if n_rows == 0 {
-            return WindowPrep::from_skip(self.force_skip_uncovered(commit));
+            return WindowPrep::from_skip(self.force_skip_uncovered());
         }
 
         // assemble A and b: coefficient columns are unit-impulse images
@@ -1128,38 +924,31 @@ impl<'a> Solver<'a> {
             (0..cols.len()).map(|j| rows.iter().map(|r| r[j].norm_sq()).sum::<f64>()).collect();
         let diag_max = diag.iter().fold(0.0f64, |a, &b| a.max(b));
         if diag_max <= 0.0 {
-            return WindowPrep::from_skip(self.force_skip_uncovered(commit));
+            return WindowPrep::from_skip(self.force_skip_uncovered());
         }
+        // size the ridge from the window's *measured* observation spread:
+        // weakly-observed look-ahead columns (small diagonal) are exactly
+        // what drags the normal matrix toward singular, so the ridge grows
+        // with the max/min energy ratio instead of staying a flat fraction
+        // of the mean
         let mean_diag = diag.iter().sum::<f64>() / diag.len() as f64;
-        let lambda = if self.cfg.recovery.adaptive_lambda {
-            // size the ridge from the window's *measured* observation
-            // spread: weakly-observed look-ahead columns (small diagonal)
-            // are exactly what drags the normal matrix toward singular,
-            // so the ridge grows with the max/min energy ratio instead of
-            // staying a flat fraction of the mean
-            let diag_min = diag.iter().copied().filter(|&d| d > 0.0).fold(f64::INFINITY, f64::min);
-            let spread =
-                if diag_min.is_finite() { (diag_max / diag_min).sqrt().min(1e3) } else { 1.0 };
-            self.cfg.recovery.lambda * mean_diag.max(1e-12) * spread
-        } else {
-            self.cfg.recovery.lambda * mean_diag.max(1e-12)
-        };
-        WindowPrep::System(WindowSystem { rows, b, lambda, diag, diag_max, col_of, commit })
+        let diag_min = diag.iter().copied().filter(|&d| d > 0.0).fold(f64::INFINITY, f64::min);
+        let spread = if diag_min.is_finite() { (diag_max / diag_min).sqrt().min(1e3) } else { 1.0 };
+        let lambda = LAMBDA * mean_diag.max(1e-12) * spread;
+        WindowPrep::System(WindowSystem { rows, b, lambda, diag, diag_max, col_of })
     }
 
     /// Second half of a window step: consume the solution of the system
-    /// `prepare_window` assembled (solved either inline by [`Solver::run`]
-    /// or as one lane of an `lstsq_batch` dispatch) and run the commit
-    /// loop. Returns `false` when the solver genuinely stalled.
+    /// `prepare_window` assembled and run the commit loop. Returns
+    /// `false` when the solver genuinely stalled.
     fn apply_window(
         &mut self,
         sys: &WindowSystem,
         sol: Option<(Vec<Complex>, f64)>,
         ws: &mut Scratch,
     ) -> bool {
-        let commit = sys.commit;
         let Some((x, cond)) = sol else {
-            return self.force_skip_uncovered(commit);
+            return self.force_skip_uncovered();
         };
         if self.debug {
             eprintln!(
@@ -1167,14 +956,14 @@ impl<'a> Solver<'a> {
                 lambda = sys.lambda
             );
         }
-        let threshold = self.cfg.recovery.min_observation * sys.diag_max;
+        let threshold = MIN_OBSERVATION * sys.diag_max;
         let k = self.group.packets();
 
         // commit contiguously from each packet's frontier
         let mut committed_any = false;
         for q in 0..k {
             let start = self.frontier[q];
-            let end = (start + commit).min(self.lens[q]);
+            let end = (start + COMMIT).min(self.lens[q]);
             let mut n = start;
             while n < end {
                 let j = sys.col_of[&(q, n)];
@@ -1200,7 +989,7 @@ impl<'a> Solver<'a> {
             }
         }
         if !committed_any {
-            return self.force_skip_uncovered(commit);
+            return self.force_skip_uncovered();
         }
         true
     }
@@ -1210,11 +999,11 @@ impl<'a> Solver<'a> {
     /// packet will fail its CRC, exactly like the executor's livelock
     /// guard). Returns `false` when nothing could be skipped either —
     /// the genuine stall.
-    fn force_skip_uncovered(&mut self, commit: usize) -> bool {
+    fn force_skip_uncovered(&mut self) -> bool {
         let mut skipped = false;
         for q in 0..self.group.packets() {
             let mut n = self.frontier[q];
-            let end = (n + commit).min(self.lens[q]);
+            let end = (n + COMMIT).min(self.lens[q]);
             while n < end && !self.covered(q, n) {
                 self.decided[q][n] = Some(ZERO);
                 n += 1;
@@ -1238,7 +1027,7 @@ impl<'a> Solver<'a> {
 
     /// Delta-subtracts packet `q`'s image over `range` from every buffer
     /// containing it, maintaining the accumulated-image invariant, and
-    /// runs the executor's reconstruction-tracking feedback.
+    /// feeds the reconstruction error to the view's PI phase tracker.
     fn subtract_packet(&mut self, q: usize, range: std::ops::Range<usize>, ws: &mut Scratch) {
         if range.is_empty() {
             return;
@@ -1263,26 +1052,21 @@ impl<'a> Solver<'a> {
                 self.img_acc[c][q][p] = new_val;
             }
             if range.len() >= MIN_FEEDBACK_CHUNK && observed.len() == image.samples.len() {
-                let kp = self.cfg.recovery.window_pll_kp;
-                if kp > 0.0 {
-                    // per-window PI tracking: follows the phase-noise walk
-                    // with damped response to any single (still
-                    // interference-contaminated) window, integrator on
-                    // the residual frequency offset
-                    view.feedback_windowed(
-                        &observed,
-                        image,
-                        exp,
-                        &sym_fn,
-                        pool,
-                        kernel,
-                        &mut self.pll[c][q],
-                        kp,
-                        self.cfg.recovery.window_pll_ki,
-                    );
-                } else {
-                    view.feedback(&observed, image, exp, &sym_fn, pool, kernel);
-                }
+                // per-window PI tracking: follows the phase-noise walk
+                // with damped response to any single (still
+                // interference-contaminated) window, integrator on the
+                // residual frequency offset
+                view.feedback_windowed(
+                    &observed,
+                    image,
+                    exp,
+                    &sym_fn,
+                    pool,
+                    kernel,
+                    &mut self.pll[c][q],
+                    WINDOW_PLL_KP,
+                    WINDOW_PLL_KI,
+                );
             }
             pool.put(observed);
         }
@@ -1491,7 +1275,7 @@ mod tests {
             &[Complex::real(0.8), Complex::real(0.4)],
         ));
         assert!(proxy_conditioning(&collinear) < 1e-3, "proportional channels are collinear rows");
-        assert!(reference > 0.02, "diverse members must clear the robust preset's gate");
+        assert!(reference > MIN_CONDITIONING, "diverse members must clear the recruitment gate");
     }
 
     #[test]
@@ -1502,18 +1286,22 @@ mod tests {
         let buffer: Vec<Complex> =
             (0..600).map(|i| Complex::from_polar(1.0, 0.37 * i as f64)).collect();
         let mut pool = SalvagePool::new(2);
+        // the pooled entry's channel to client 2 differs from the current
+        // buffer's, so its equations are not collinear with the current
+        // ones and the recruit clears the conditioning gate
+        let diverse = Detection { corr: Complex::real(-1.0), ..det(2, 50) };
         pool.absorb(StoredCollision {
             id: 7,
             key: vec![1, 2],
             buffer: buffer.clone(),
-            detections: vec![det(1, 10), det(2, 50)],
+            detections: vec![det(1, 10), diverse],
             footprint: RefCell::new(zigzag_phy::kernel::CorrFootprint::default()),
         });
         let detections = [det(1, 10), det(2, 50)];
         let mut ws = Scratch::new();
         // round 1: an identical current buffer confirms at shift 0 and
         // recruits the entry; the confirmation builds the footprint
-        let round1 = group_from_pool(&mut ws, &buffer, &detections, &[1, 2], &pool, 3, 0.0);
+        let round1 = group_from_pool(&mut ws, &buffer, &detections, &[1, 2], &pool, 3);
         let (group, used) = round1.expect("an identical buffer must confirm and recruit");
         assert_eq!(group.collisions(), 2);
         assert_eq!(used, vec![0]);
@@ -1524,7 +1312,7 @@ mod tests {
         };
         // round 2 (the solve failed upstream, nothing was consumed): the
         // footprint is already covering, so recruitment reuses it as-is
-        let round2 = group_from_pool(&mut ws, &buffer, &detections, &[1, 2], &pool, 3, 0.0);
+        let round2 = group_from_pool(&mut ws, &buffer, &detections, &[1, 2], &pool, 3);
         assert!(round2.is_some(), "the entry must still recruit on later rounds");
         let fp = pool.candidates(&[1, 2]).next().unwrap().footprint.borrow();
         assert!(fp.covers(buffer.len(), 0.25), "the cached footprint must survive round 2");

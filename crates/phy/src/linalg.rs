@@ -110,181 +110,6 @@ pub fn lstsq_cond(
     solve_tracking(&mut ata, &mut atb)
 }
 
-/// One independent least-squares system of a [`lstsq_batch`] pack — the
-/// `rows`/`b`/`lambda` triple of a [`lstsq_cond`] call.
-#[derive(Clone, Copy, Debug)]
-pub struct LstsqSystem<'a> {
-    /// Rows of the design matrix `A`; every row must share one length.
-    pub rows: &'a [Vec<Complex>],
-    /// Observations `b`, one per row.
-    pub b: &'a [Complex],
-    /// Tikhonov ridge added to the normal-equation diagonal.
-    pub lambda: f64,
-}
-
-/// Solves many independent least-squares systems in one dispatch,
-/// returning per system exactly what [`lstsq_cond`] would — **bit for
-/// bit**, including the `None` on singular or empty systems.
-///
-/// The win is structural: systems are bucketed by unknown count and each
-/// bucket's regularised normal matrices are packed into one
-/// structure-of-systems layout (`ata[(i·m + j)·s + lane]`, `lane` = the
-/// system index within the bucket, innermost), so the elimination and
-/// back-substitution loops stream across all systems of a bucket at each
-/// `(col, r, c)` step — contiguous, autovectorizable traffic instead of
-/// one pointer-chasing `Vec<Vec<Complex>>` walk per tiny system. Per-lane
-/// control flow (partial-pivot row choice, the singular bail, the
-/// `factor == 0` skip) is tracked in per-lane masks; each lane's
-/// arithmetic chain — assembly order, pivot selection (last maximum under
-/// `total_cmp`, as `Iterator::max_by`), update order, back-substitution
-/// order — is the reference's, which is what makes the batch safe to
-/// drop into recovery's CRC-gated solve loop.
-///
-/// Callers that need systems solved in lockstep *rounds* (recovery's
-/// sliding windows advance one window per round across a chunk of
-/// groups) simply call this once per round with that round's systems.
-pub fn lstsq_batch(systems: &[LstsqSystem<'_>]) -> Vec<Option<(Vec<Complex>, f64)>> {
-    let mut out: Vec<Option<(Vec<Complex>, f64)>> = vec![None; systems.len()];
-    // Bucket system indices by unknown count so one pack has one
-    // geometry. BTreeMap keeps the bucket visit order deterministic
-    // (results land by index, but debugging a deterministic decoder
-    // through a nondeterministic solver would be miserable).
-    let mut buckets: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-    for (idx, sys) in systems.iter().enumerate() {
-        assert_eq!(sys.rows.len(), sys.b.len(), "row/observation count mismatch");
-        if let Some(r0) = sys.rows.first() {
-            buckets.entry(r0.len()).or_default().push(idx);
-        }
-        // no rows: `lstsq_cond`'s `rows.first()?` → stays None
-    }
-    for (m, idxs) in buckets {
-        lstsq_bucket(systems, m, &idxs, &mut out);
-    }
-    out
-}
-
-/// Solves one same-geometry bucket of a [`lstsq_batch`] pack.
-fn lstsq_bucket(
-    systems: &[LstsqSystem<'_>],
-    m: usize,
-    idxs: &[usize],
-    out: &mut [Option<(Vec<Complex>, f64)>],
-) {
-    let s = idxs.len();
-    if m == 0 {
-        // zero unknowns: `solve_tracking` on the empty system
-        for &idx in idxs {
-            out[idx] = Some((Vec::new(), 1.0));
-        }
-        return;
-    }
-    // normal-equation assembly, `lstsq_cond`'s accumulation order per lane
-    let mut ata = vec![ZERO; m * m * s];
-    let mut atb = vec![ZERO; m * s];
-    for (lane, &idx) in idxs.iter().enumerate() {
-        let sys = &systems[idx];
-        for (row, &obs) in sys.rows.iter().zip(sys.b.iter()) {
-            debug_assert_eq!(row.len(), m);
-            for i in 0..m {
-                let ci = row[i].conj();
-                for j in 0..m {
-                    ata[(i * m + j) * s + lane] += ci * row[j];
-                }
-                atb[i * s + lane] += ci * obs;
-            }
-        }
-        for i in 0..m {
-            ata[(i * m + i) * s + lane] += Complex::real(sys.lambda);
-        }
-    }
-    // elimination with per-lane pivoting and liveness
-    let mut alive = vec![true; s];
-    let mut pmin = vec![f64::INFINITY; s];
-    let mut pmax = vec![0.0f64; s];
-    let mut factor = vec![ZERO; s];
-    let mut skip = vec![false; s];
-    for col in 0..m {
-        for lane in 0..s {
-            if !alive[lane] {
-                continue;
-            }
-            // partial pivot: the *last* maximum under `total_cmp`, as
-            // `Iterator::max_by` resolves ties in `solve_tracking`
-            let mut prow = col;
-            let mut pmag = ata[(col * m + col) * s + lane].norm_sq();
-            for r in col + 1..m {
-                let mag = ata[(r * m + col) * s + lane].norm_sq();
-                if mag.total_cmp(&pmag) != std::cmp::Ordering::Less {
-                    prow = r;
-                    pmag = mag;
-                }
-            }
-            if pmag < 1e-24 {
-                alive[lane] = false;
-                continue;
-            }
-            pmin[lane] = pmin[lane].min(pmag);
-            pmax[lane] = pmax[lane].max(pmag);
-            if prow != col {
-                // Swapping only columns `col..` (plus b) is bit-identical
-                // to the reference's whole-row swap: entries left of the
-                // pivot column are stale and never read again.
-                for c in col..m {
-                    ata.swap((col * m + c) * s + lane, (prow * m + c) * s + lane);
-                }
-                atb.swap(col * s + lane, prow * s + lane);
-            }
-        }
-        for r in col + 1..m {
-            for lane in 0..s {
-                let f = ata[(r * m + col) * s + lane] * ata[(col * m + col) * s + lane].inv();
-                factor[lane] = f;
-                skip[lane] = !alive[lane] || f == ZERO;
-            }
-            for c in col..m {
-                let pivot_base = (col * m + c) * s;
-                let row_base = (r * m + c) * s;
-                for lane in 0..s {
-                    if skip[lane] {
-                        continue;
-                    }
-                    let v = ata[pivot_base + lane];
-                    ata[row_base + lane] -= factor[lane] * v;
-                }
-            }
-            for lane in 0..s {
-                if skip[lane] {
-                    continue;
-                }
-                let bv = atb[col * s + lane];
-                atb[r * s + lane] -= factor[lane] * bv;
-            }
-        }
-    }
-    // back substitution, lanes innermost
-    let mut x = vec![ZERO; m * s];
-    for row in (0..m).rev() {
-        for lane in 0..s {
-            if !alive[lane] {
-                continue;
-            }
-            let mut acc = atb[row * s + lane];
-            for c in row + 1..m {
-                acc -= ata[(row * m + c) * s + lane] * x[c * s + lane];
-            }
-            x[row * s + lane] = acc * ata[(row * m + row) * s + lane].inv();
-        }
-    }
-    for (lane, &idx) in idxs.iter().enumerate() {
-        if !alive[lane] {
-            continue;
-        }
-        let xs: Vec<Complex> = (0..m).map(|i| x[i * s + lane]).collect();
-        let cond = if pmax[lane] <= 0.0 { 1.0 } else { (pmin[lane] / pmax[lane]).sqrt() };
-        out[idx] = Some((xs, cond));
-    }
-}
-
 /// Normalised Gram determinant of a set of equation rows:
 /// `|det(G)| / ∏ G[i][i]` where `G[i][j] = ⟨rowᵢ, rowⱼ⟩` — `1.0` for
 /// mutually orthogonal rows, `0.0` for a linearly dependent set
@@ -459,71 +284,6 @@ mod tests {
         assert!((gram_conditioning(&[]) - 1.0).abs() < 1e-12);
         assert!((gram_conditioning(&[vec![c(3.0, 0.0)]]) - 1.0).abs() < 1e-12);
         assert_eq!(gram_conditioning(&[vec![c(1.0, 0.0)], vec![ZERO]]), 0.0);
-    }
-
-    #[test]
-    fn batch_matches_per_system_bit_for_bit() {
-        // mixed geometries in one batch: 1, 2 and 3 unknowns, varying
-        // observation counts and ridges, plus a singular and an empty
-        // system interleaved
-        let r1 = vec![vec![c(1.0, 0.2)], vec![c(0.7, -0.4)], vec![c(-0.3, 0.9)]];
-        let b1 = vec![c(2.0, 0.0), c(0.1, -1.0), c(0.5, 0.5)];
-        let r2 = vec![
-            vec![c(1.0, 1.0), c(2.0, 0.0)],
-            vec![c(3.0, 0.0), c(4.0, -1.0)],
-            vec![c(-0.5, 0.25), c(0.0, 1.5)],
-        ];
-        let b2 = vec![c(1.0, -1.0), c(2.0, 1.0), c(0.0, 0.3)];
-        let r2b = vec![vec![c(0.4, -0.1), c(-1.2, 0.8)], vec![c(2.2, 0.6), c(0.9, -1.7)]];
-        let b2b = vec![c(-0.6, 0.2), c(1.4, 0.0)];
-        let r3: Vec<Vec<Complex>> = (0..5)
-            .map(|k| {
-                (0..3)
-                    .map(|j| Complex::cis(0.7 * k as f64 + 1.3 * j as f64).scale(1.0 + j as f64))
-                    .collect()
-            })
-            .collect();
-        let b3: Vec<Complex> = (0..5).map(|k| Complex::cis(-0.2 * k as f64)).collect();
-        let sing = vec![vec![c(1.0, 0.0), c(2.0, 0.0)], vec![c(2.0, 0.0), c(4.0, 0.0)]];
-        let bsing = vec![c(1.0, 0.0), c(2.0, 0.0)];
-        let systems = [
-            LstsqSystem { rows: &r1, b: &b1, lambda: 0.0 },
-            LstsqSystem { rows: &sing, b: &bsing, lambda: 0.0 },
-            LstsqSystem { rows: &r2, b: &b2, lambda: 1e-6 },
-            LstsqSystem { rows: &[], b: &[], lambda: 0.0 },
-            LstsqSystem { rows: &r3, b: &b3, lambda: 1e-4 },
-            LstsqSystem { rows: &r2b, b: &b2b, lambda: 0.0 },
-        ];
-        let batch = lstsq_batch(&systems);
-        assert_eq!(batch.len(), systems.len());
-        for (k, (sys, got)) in systems.iter().zip(batch.iter()).enumerate() {
-            let reference = lstsq_cond(sys.rows, sys.b, sys.lambda);
-            assert_eq!(*got, reference, "system {k}: batch must equal lstsq_cond bit-for-bit");
-        }
-        // sanity: the singular and empty systems actually exercised None
-        assert!(batch[1].is_none() && batch[3].is_none());
-        assert!(batch[0].is_some() && batch[2].is_some() && batch[4].is_some());
-    }
-
-    #[test]
-    fn batch_pivot_tie_breaking_matches_reference() {
-        // two rows forcing equal-magnitude pivot candidates: the
-        // reference's `max_by` keeps the *last* maximum, and the batch
-        // must swap the same row or the elimination order diverges
-        let rows = vec![vec![c(1.0, 0.0), c(0.0, 1.0)], vec![c(0.0, 1.0), c(1.0, 0.0)]];
-        let b = vec![c(1.0, 1.0), c(2.0, -1.0)];
-        let systems = [LstsqSystem { rows: &rows, b: &b, lambda: 0.0 }];
-        assert_eq!(lstsq_batch(&systems)[0], lstsq_cond(&rows, &b, 0.0));
-    }
-
-    #[test]
-    fn batch_zero_unknowns_matches_reference() {
-        // rows exist but have zero length: m = 0, the empty solve
-        let rows = vec![Vec::new(), Vec::new()];
-        let b = vec![c(1.0, 0.0), c(2.0, 0.0)];
-        let systems = [LstsqSystem { rows: &rows, b: &b, lambda: 0.5 }];
-        assert_eq!(lstsq_batch(&systems)[0], lstsq_cond(&rows, &b, 0.5));
-        assert_eq!(lstsq_batch(&systems)[0], Some((Vec::new(), 1.0)));
     }
 
     #[test]

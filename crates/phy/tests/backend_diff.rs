@@ -4,15 +4,12 @@
 //! lengths, taps and frequency offsets — including the edge cases (empty
 //! input, scan offset at the buffer end, ω = 0, identity filter). This
 //! is the numerical-equivalence bar that lets the decode engine switch
-//! backends without bit-level decode divergence. The batched
-//! least-squares entry point (`lstsq_batch`) is held to the same bar
-//! against the per-system reference solver.
+//! backends without bit-level decode divergence.
 
 use proptest::prelude::*;
 use zigzag_phy::complex::Complex;
 use zigzag_phy::filter::Fir;
 use zigzag_phy::kernel::{BackendKind, CorrFootprint, Kernel, MatchScore};
-use zigzag_phy::linalg::{lstsq_batch, lstsq_cond, LstsqSystem};
 
 fn to_complex(raw: &[(f64, f64)]) -> Vec<Complex> {
     raw.iter().map(|&(re, im)| Complex::new(re, im)).collect()
@@ -210,35 +207,6 @@ proptest! {
             let raw = kernel.match_score(&a, start_a, &b, start_b, window, tau_step, None);
             let cached = kernel.match_score_fp(&a, start_a, &fp, start_b, window, tau_step, None);
             assert_match_close(raw, cached, tau_step, 1e-9, kind.name());
-        }
-    }
-
-    /// The batched least-squares solver is the per-system reference,
-    /// packed: across random bucket mixes (system sizes 0–4 unknowns,
-    /// interleaved), `lstsq_batch` must return bit-identical solutions
-    /// and conditioning estimates to `lstsq_cond` run system-by-system —
-    /// including `None` for the singular systems.
-    #[test]
-    fn lstsq_batch_matches_per_system(
-        sizes in proptest::collection::vec((0usize..5, 1usize..9), 1..7),
-        entropy in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 256..257),
-        lambda in 0.0f64..0.5,
-    ) {
-        let mut pool = entropy.iter().cycle().map(|&(re, im)| Complex::new(re, im));
-        let mut draw = |n: usize| -> Vec<Complex> { (0..n).map(|_| pool.next().unwrap()).collect() };
-        let systems: Vec<(Vec<Vec<Complex>>, Vec<Complex>)> = sizes
-            .iter()
-            .map(|&(m, rows)| ((0..rows).map(|_| draw(m)).collect(), draw(rows)))
-            .collect();
-        let refs: Vec<LstsqSystem> = systems
-            .iter()
-            .map(|(rows, b)| LstsqSystem { rows, b, lambda })
-            .collect();
-        let batched = lstsq_batch(&refs);
-        for ((rows, b), got) in systems.iter().zip(batched) {
-            // bit-identical, not merely close: the batch path must not
-            // perturb the decode decisions it feeds
-            prop_assert_eq!(got, lstsq_cond(rows, b, lambda));
         }
     }
 }

@@ -2,13 +2,13 @@
 //!
 //! `algebraic_recovery` shows the joint solver beating the §4.5
 //! Δ₁ = Δ₂ failure case on benign channels. Real links are not benign:
-//! oscillators walk (phase noise), sampling clocks drift, and the
-//! single-pass solver's channel estimates — taken once from each
-//! preamble — decohere over the packet. The CRC fails and the group is
+//! oscillators walk (phase noise), sampling clocks drift, and channel
+//! estimates taken once from each preamble decohere over the packet.
+//! Solved with those estimates alone, the CRC fails and the group is
 //! lost even though the equations were there.
 //!
-//! The robust preset (`DecoderConfig::with_robust_recovery`) survives
-//! this with three coordinated mechanisms:
+//! The recovery solver (`DecoderConfig::with_recovery`) survives this
+//! with three coordinated mechanisms:
 //!
 //! * a per-window PI phase-locked loop that keeps every `ChannelView`'s
 //!   phase estimate tracking the walk as the sliding window advances;
@@ -86,17 +86,11 @@ fn main() {
             .collect()
     };
 
-    // Single-pass solver (PR 5's behaviour, `RecoveryConfig::on`): the
-    // phase walk decoheres its one-shot channel estimates and the CRC
-    // gate rejects the solve.
-    let single_pass = recovered(DecoderConfig::with_recovery());
-    println!("single-pass solver on the impaired link: {} frames", single_pass.len());
-
-    // Turbo recovery: the window PLL keeps the estimates on the walk,
-    // and re-estimation from the first pass's decision images converges
-    // to CRC-clean frames.
-    let turbo = recovered(DecoderConfig::with_robust_recovery());
-    println!("turbo recovery on the same air:          {} frames", turbo.len());
+    // The window PLL keeps the estimates on the walk, and re-estimation
+    // from the first pass's decision images converges to CRC-clean
+    // frames.
+    let turbo = recovered(DecoderConfig::with_recovery());
+    println!("turbo recovery on the impaired link: {} frames", turbo.len());
     for frame in &turbo {
         let ok = *frame == fa || *frame == fb;
         println!(
@@ -106,5 +100,8 @@ fn main() {
             frame.payload.len()
         );
     }
-    assert!(turbo.len() > single_pass.len(), "the turbo pass must reclaim this group");
+    assert!(
+        turbo.len() == 2 && turbo.contains(&fa) && turbo.contains(&fb),
+        "recovery must reclaim both frames of this group"
+    );
 }

@@ -8,9 +8,7 @@ use proptest::prelude::*;
 use rand::prelude::*;
 use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::{synth_collision, PlacedTx};
-use zigzag::core::config::{
-    ClientInfo, ClientRegistry, DecoderConfig, RecoveryConfig, ShardConfig,
-};
+use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig};
 use zigzag::core::engine::{Pipeline, ReceiverCore, ShardedReceiver};
 use zigzag::core::receiver::{DecodePath, ReceiverEvent, ZigzagReceiver};
 use zigzag::phy::complex::Complex;
@@ -124,39 +122,6 @@ fn recovery_is_identical_across_backends() {
             events_by_backend[0], events_by_backend[1],
             "seed {seed}: scalar and simd backends must produce identical recovery events"
         );
-    }
-}
-
-/// The lockstep-batched `solve_groups` path (`batch_chunk > 0`, windows
-/// from several groups packed into one `lstsq_batch` dispatch) must make
-/// bit-identical recovery decisions to the per-system reference path
-/// (`batch_chunk = 0`) at every chunk size — including under the robust
-/// preset, whose turbo re-estimation passes stress the pass-transition
-/// sequencing inside the batched state machine.
-#[test]
-fn batched_solve_groups_is_identical_to_per_system() {
-    for seed in [3, 6, 11] {
-        let (reg, buffers, _) = equal_offset_pair(120, 300, seed);
-        for base in [DecoderConfig::with_recovery(), DecoderConfig::with_robust_recovery()] {
-            let run = |batch_chunk: usize| {
-                let cfg = DecoderConfig {
-                    recovery: RecoveryConfig { batch_chunk, ..base.recovery.clone() },
-                    ..base.clone()
-                };
-                let mut core = ReceiverCore::new(cfg, reg.clone());
-                let pipeline = Pipeline::standard();
-                buffers.iter().flat_map(|b| core.receive(&pipeline, b)).collect::<Vec<_>>()
-            };
-            let reference = run(0);
-            for chunk in [1, 3, 8] {
-                assert_eq!(
-                    reference,
-                    run(chunk),
-                    "seed {seed} turbo={}: batch_chunk={chunk} must match the per-system path",
-                    base.recovery.turbo_iters
-                );
-            }
-        }
     }
 }
 

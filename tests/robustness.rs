@@ -1,8 +1,8 @@
-//! Robustness tests of the typical-link recovery hardening: the turbo
-//! preset (`RecoveryConfig::robust`) must reclaim §4.5 un-peelable
-//! groups that the single-pass solver loses on impaired channels, leave
-//! benign-link results unchanged, and stay bit-identical across kernel
-//! backends and shard counts like every other receiver path.
+//! Robustness tests of the typical-link recovery hardening: the recovery
+//! solver (`DecoderConfig::with_recovery`) must reclaim §4.5 un-peelable
+//! groups on impaired channels and out of k = 3 salvage-pool assemblies,
+//! and stay bit-identical across kernel backends and shard counts like
+//! every other receiver path.
 //!
 //! The link profile under test is env-selectable: by default the
 //! identity tests run on benign oscillator-offset links; with
@@ -110,16 +110,6 @@ fn recovered_frames(events: &[ReceiverEvent]) -> Vec<Frame> {
         .collect()
 }
 
-fn delivered_frames(events: &[ReceiverEvent]) -> Vec<Frame> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            ReceiverEvent::Delivered { frame, .. } => Some(frame.clone()),
-            _ => None,
-        })
-        .collect()
-}
-
 /// §4.5 generalized to three senders: `n` collisions of the same three
 /// packets at identical relative offsets (`delta`, `2·delta`).
 fn k3_equal_offset_group(
@@ -157,9 +147,7 @@ fn screen_k3_pool_seeds() {
             k3_equal_offset_group([&links[0], &links[1], &links[2]], 120, 300, 4, seed);
         let cfg = DecoderConfig { collision_store: 1, ..DecoderConfig::with_recovery() };
         let got = recovered_frames(&run_all(&cfg, &reg, &buffers));
-        let robust = DecoderConfig { collision_store: 1, ..DecoderConfig::with_robust_recovery() };
-        let got_r = recovered_frames(&run_all(&robust, &reg, &buffers));
-        eprintln!("seed {seed}: baseline {} robust {}", got.len(), got_r.len());
+        eprintln!("seed {seed}: recovered {}", got.len());
     }
 }
 
@@ -175,13 +163,13 @@ fn screen_k3_perm_seeds() {
         let (reg, buffers, _) =
             k3_equal_offset_group([&links[0], &links[1], &links[2]], 120, 300, 3, seed);
         let evict = k3_interloper([&links[0], &links[1], &links[2]], 120, seed);
-        let cfg = DecoderConfig { collision_store: 1, ..DecoderConfig::with_robust_recovery() };
+        let cfg = DecoderConfig { collision_store: 1, ..DecoderConfig::with_recovery() };
         let stream =
             vec![buffers[0].clone(), buffers[1].clone(), evict.clone(), buffers[2].clone()];
         let events = run_all(&cfg, &reg, &stream);
         let got = recovered_frames(&events);
         eprintln!(
-            "seed {seed}: robust {} events {:?}",
+            "seed {seed}: recovered {} events {:?}",
             got.len(),
             events
                 .iter()
@@ -215,9 +203,9 @@ fn screen_impaired_pool_seeds() {
         let (reg, buffers, _) = equal_offset_group((&la, &lb), 120, 300, 2, seed);
         let evict = interloper((&la, &lb), 120, seed);
         let stream = vec![buffers[0].clone(), evict, buffers[1].clone()];
-        let cfg = DecoderConfig { collision_store: 1, ..DecoderConfig::with_robust_recovery() };
+        let cfg = DecoderConfig { collision_store: 1, ..DecoderConfig::with_recovery() };
         let got = recovered_frames(&run_all(&cfg, &reg, &stream));
-        eprintln!("seed {seed}: robust {}", got.len());
+        eprintln!("seed {seed}: recovered {}", got.len());
     }
 }
 
@@ -228,55 +216,26 @@ fn screen_impaired_seeds() {
     let lb = impaired_link(15.0, 0.09);
     for seed in 0..40u64 {
         let (reg, buffers, _) = equal_offset_group((&la, &lb), 120, 300, 2, seed);
-        let base = recovered_frames(&run_all(&DecoderConfig::with_recovery(), &reg, &buffers));
-        let turbo =
-            recovered_frames(&run_all(&DecoderConfig::with_robust_recovery(), &reg, &buffers));
-        eprintln!("seed {seed}: baseline {} turbo {}", base.len(), turbo.len());
+        let got = recovered_frames(&run_all(&DecoderConfig::with_recovery(), &reg, &buffers));
+        eprintln!("seed {seed}: recovered {}", got.len());
     }
 }
 
 #[test]
 fn impaired_groups_reclaim_only_with_turbo() {
-    // The tentpole claim at integration level: equal-offset groups over
-    // phase-noisy links that the single-pass solver loses outright
-    // (first-pass channel estimates decohere across the window, CRC
-    // fails) come back complete under the turbo preset — the PLL keeps
-    // the window phase estimates on the walk, and re-estimation from the
-    // first-pass decision images converges. Seeds pre-screened like the
-    // bench's `RECOVERY_SEEDS`.
+    // Equal-offset groups over phase-noisy links, on which a single
+    // solve pass without phase tracking lost both packets (first-pass
+    // channel estimates decohere across the window, CRC fails), come
+    // back complete: the window PLL keeps the phase estimates on the
+    // walk, and turbo re-estimation from the first-pass decision images
+    // converges. Seeds pre-screened like the bench's `RECOVERY_SEEDS`.
     let la = impaired_link(15.0, -0.08);
     let lb = impaired_link(15.0, 0.09);
     for seed in [0u64, 28, 31] {
         let (reg, buffers, frames) = equal_offset_group((&la, &lb), 120, 300, 2, seed);
-        let base = recovered_frames(&run_all(&DecoderConfig::with_recovery(), &reg, &buffers));
-        assert!(
-            base.is_empty(),
-            "seed {seed}: the single-pass solver must lose this impaired group: {base:?}"
-        );
-        let turbo =
-            recovered_frames(&run_all(&DecoderConfig::with_robust_recovery(), &reg, &buffers));
+        let turbo = recovered_frames(&run_all(&DecoderConfig::with_recovery(), &reg, &buffers));
         assert_eq!(turbo.len(), 2, "seed {seed}: turbo must reclaim both packets");
         assert!(turbo.contains(&frames[0]) && turbo.contains(&frames[1]), "seed {seed}");
-    }
-}
-
-#[test]
-fn benign_results_are_unchanged_by_robust_preset() {
-    // Hardening must be free on good links: on the benign oscillator-
-    // offset channels every frame the single-pass solver delivers, the
-    // robust preset delivers too — and nothing else.
-    let la = LinkProfile::clean_with_omega(17.0, -0.08);
-    let lb = LinkProfile::clean_with_omega(17.0, 0.09);
-    for seed in [3u64, 6, 11] {
-        let (reg, buffers, _) = equal_offset_group((&la, &lb), 120, 300, 2, seed);
-        let mut base = delivered_frames(&run_all(&DecoderConfig::with_recovery(), &reg, &buffers));
-        let mut robust =
-            delivered_frames(&run_all(&DecoderConfig::with_robust_recovery(), &reg, &buffers));
-        assert!(!base.is_empty(), "seed {seed}: the benign group must decode");
-        let key = |f: &Frame| (f.src, f.seq);
-        base.sort_by_key(key);
-        robust.sort_by_key(key);
-        assert_eq!(base, robust, "seed {seed}: benign-link deliveries must be unchanged");
     }
 }
 
@@ -292,7 +251,7 @@ fn phase_noisy_members_recruit_through_salvage_pool() {
     for seed in [0u64, 5, 9] {
         let (reg, buffers, frames) = equal_offset_group((&la, &lb), 120, 300, 2, seed);
         let evict = interloper((&la, &lb), 120, seed);
-        let cfg = DecoderConfig { collision_store: 1, ..DecoderConfig::with_robust_recovery() };
+        let cfg = DecoderConfig { collision_store: 1, ..DecoderConfig::with_recovery() };
         let mut rx = ZigzagReceiver::new(cfg, reg);
         let ev1 = rx.process(&buffers[0]);
         assert!(ev1.contains(&ReceiverEvent::CollisionStored), "seed {seed}: {ev1:?}");
@@ -313,8 +272,7 @@ fn kway_pool_assembly_reclaims_triples() {
     // k = 3 group assembly out of the salvage pool: with a cap-1 store,
     // four equal-offset triple collisions funnel two members into the
     // pool, and the fourth buffer recruits them into a 3-packet joint
-    // solve. The single-pass solver loses all of these triples; the
-    // robust preset reclaims every packet.
+    // solve that reclaims every packet.
     let links = [
         LinkProfile::clean_with_omega(17.0, -0.08),
         LinkProfile::clean_with_omega(17.0, 0.02),
@@ -323,20 +281,12 @@ fn kway_pool_assembly_reclaims_triples() {
     for seed in [1u64, 2, 19] {
         let (reg, buffers, frames) =
             k3_equal_offset_group([&links[0], &links[1], &links[2]], 120, 300, 4, seed);
-        let base_cfg = DecoderConfig { collision_store: 1, ..DecoderConfig::with_recovery() };
-        let base = recovered_frames(&run_all(&base_cfg, &reg, &buffers));
-        let cfg = DecoderConfig { collision_store: 1, ..DecoderConfig::with_robust_recovery() };
+        let cfg = DecoderConfig { collision_store: 1, ..DecoderConfig::with_recovery() };
         let got = recovered_frames(&run_all(&cfg, &reg, &buffers));
         assert_eq!(got.len(), 3, "seed {seed}: all three packets must reclaim, got {got:?}");
         for f in &frames {
             assert!(got.contains(f), "seed {seed}: missing frame {:?}", (f.src, f.seq));
         }
-        assert!(
-            got.len() > base.len(),
-            "seed {seed}: the robust preset must beat the single-pass solver ({} vs {})",
-            got.len(),
-            base.len()
-        );
     }
 }
 
@@ -370,7 +320,7 @@ fn kway_pool_assembly_is_permutation_invariant() {
     let (reg, buffers, frames) =
         k3_equal_offset_group([&links[0], &links[1], &links[2]], 120, 300, 3, 2);
     let evict = k3_interloper([&links[0], &links[1], &links[2]], 120, 2);
-    let cfg = DecoderConfig { collision_store: 1, ..DecoderConfig::with_robust_recovery() };
+    let cfg = DecoderConfig { collision_store: 1, ..DecoderConfig::with_recovery() };
     let perms: [[usize; 3]; 6] = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
     let key = |f: &Frame| (f.src, f.seq);
     let mut want = frames.clone();
@@ -391,7 +341,7 @@ fn kway_pool_assembly_is_permutation_invariant() {
 
 proptest! {
     /// Turbo convergence is deterministic: whatever a random impaired
-    /// equal-offset workload does under the robust preset (reclaim,
+    /// equal-offset workload does under recovery (reclaim,
     /// partially reclaim, store), both kernel backends produce the
     /// bit-identical event stream — the PLL, conditioning gate, and
     /// re-estimation loop contain no backend-dependent numerics.
@@ -404,7 +354,7 @@ proptest! {
         let (reg, buffers, _) = equal_offset_group((&la, &lb), payload, delta, 2, seed);
         let mut events_by_backend = Vec::new();
         for backend in [BackendKind::Scalar, BackendKind::Simd] {
-            let cfg = DecoderConfig { backend, ..DecoderConfig::with_robust_recovery() };
+            let cfg = DecoderConfig { backend, ..DecoderConfig::with_recovery() };
             events_by_backend.push(run_all(&cfg, &reg, &buffers));
         }
         prop_assert_eq!(&events_by_backend[0], &events_by_backend[1]);
@@ -450,7 +400,7 @@ proptest! {
         }
         let batch: Vec<Vec<Complex>> =
             vec![g1[0].clone(), g2[0].clone(), g1[1].clone(), g2[1].clone()];
-        let cfg = DecoderConfig { key_window: 1024, ..DecoderConfig::with_robust_recovery() };
+        let cfg = DecoderConfig { key_window: 1024, ..DecoderConfig::with_recovery() };
         let reference = {
             let mut core = ReceiverCore::new(cfg.clone(), registry.clone());
             let pipeline = Pipeline::standard();
@@ -471,7 +421,7 @@ proptest! {
 fn robust_identity_holds_on_env_selected_link() {
     // The CI matrix's shared body: on whatever link class
     // `ZIGZAG_LINK_PROFILE` selects (benign default, `typical` for the
-    // impaired leg), the robust preset stays bit-identical across
+    // impaired leg), the recovery solver stays bit-identical across
     // backends and across shard counts.
     let la = env_link(15.0, -0.08);
     let lb = env_link(15.0, 0.09);
@@ -479,14 +429,14 @@ fn robust_identity_holds_on_env_selected_link() {
         let (reg, buffers, _) = equal_offset_group((&la, &lb), 120, 300, 2, seed);
         let mut events_by_backend = Vec::new();
         for backend in [BackendKind::Scalar, BackendKind::Simd] {
-            let cfg = DecoderConfig { backend, ..DecoderConfig::with_robust_recovery() };
+            let cfg = DecoderConfig { backend, ..DecoderConfig::with_recovery() };
             events_by_backend.push(run_all(&cfg, &reg, &buffers));
         }
         assert_eq!(
             events_by_backend[0], events_by_backend[1],
             "seed {seed}: backend identity must hold on the env-selected link"
         );
-        let cfg = DecoderConfig::with_robust_recovery();
+        let cfg = DecoderConfig::with_recovery();
         let reference = {
             let mut core = ReceiverCore::new(cfg.clone(), reg.clone());
             let pipeline = Pipeline::standard();
