@@ -1,21 +1,25 @@
 //! Criterion benches of full decodes: the preamble channel estimate, the
 //! standard single-packet decoder, the capture stage's anchor attempts on
 //! an equal-power collision, the two-packet ZigZag executor vs payload
-//! size, and the k-sender generalisation — quantifying §4.6's claim that
+//! size, the k-sender generalisation — quantifying §4.6's claim that
 //! ZigZag is linear in the number of colliding senders and needs only
-//! "two decoding lines".
+//! "two decoding lines" — and one window solve of algebraic recovery.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
-use zigzag_bench::{airframe, run_zigzag_pair};
+use zigzag_bench::{
+    airframe, equal_offset_pair, run_zigzag_pair, shard_registry, RECOVERY_SEEDS, SHARD_IDS,
+};
 use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::{clean_reception, synth_collision, PlacedTx};
 use zigzag_core::config::{DecoderConfig, StreamConfig};
 use zigzag_core::engine::Scratch;
+use zigzag_core::recovery::{first_window_system, RecoveryGroup};
 use zigzag_core::standard::{decode_frame, decode_single};
 use zigzag_core::stream::carve_buffer;
 use zigzag_core::view::ChannelView;
 use zigzag_core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
+use zigzag_phy::linalg::lstsq_cond;
 use zigzag_phy::preamble::Preamble;
 use zigzag_testbed::{continuous_air, ExperimentConfig, SetScenario};
 
@@ -154,12 +158,34 @@ fn bench_zigzag_k_senders(c: &mut Criterion) {
     }
 }
 
+/// One `lstsq_cond` on a recovery window: the first window system of the
+/// throughput bench's first equal-offset group (§4.5's Δ₁ = Δ₂), the
+/// regularised least-squares step the joint solver repeats per window.
+fn bench_recovery_window(c: &mut Criterion) {
+    let ids = SHARD_IDS[0];
+    let (buffers, delta) = equal_offset_pair(ids, RECOVERY_SEEDS[0][0]);
+    let group = RecoveryGroup {
+        buffers: buffers.to_vec(),
+        placements: vec![vec![(0, 0), (1, delta)]; 2],
+        clients: ids.to_vec(),
+    };
+    let (cfg, preamble) = (DecoderConfig::default(), Preamble::default_len());
+    let mut ws = Scratch::with_backend(cfg.backend);
+    let (rows, b, lambda) =
+        first_window_system(&group, &shard_registry(), &preamble, &cfg, &mut ws)
+            .expect("the equal-offset group assembles a window");
+    assert!(lstsq_cond(&rows, &b, lambda).is_some(), "the window system must solve");
+    println!("recovery window: {} rows x {} unknowns", rows.len(), rows[0].len());
+    c.bench_function("recovery_window_lstsq", |bch| bch.iter(|| lstsq_cond(&rows, &b, lambda)));
+}
+
 criterion_group!(
     benches,
     bench_estimate,
     bench_standard,
     bench_capture_anchors,
     bench_zigzag_pair,
-    bench_zigzag_k_senders
+    bench_zigzag_k_senders,
+    bench_recovery_window
 );
 criterion_main!(benches);

@@ -35,11 +35,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::prelude::*;
 use std::fmt::Write as _;
-use zigzag_bench::airframe;
+use zigzag_bench::{
+    airframe, equal_offset_pair, shard_link, shard_registry, RECOVERY_SEEDS, SHARD_IDS,
+};
 use zigzag_channel::fading::{LinkProfile, DEFAULT_PHASE_NOISE, DEFAULT_SAMPLING_DRIFT};
 use zigzag_channel::scenario::{hidden_pair, synth_collision, PlacedTx};
 use zigzag_core::config::StreamConfig;
-use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig, RecoveryConfig, ShardConfig};
+use zigzag_core::config::{ClientRegistry, DecoderConfig, RecoveryConfig, ShardConfig};
 use zigzag_core::engine::{
     decode_batch, unit_seed, BatchEngine, DecodeUnit, Pipeline, ReceiverCore, Scratch,
     ShardedReceiver,
@@ -60,13 +62,6 @@ use zigzag_testbed::{
 
 const UNITS: usize = 64;
 
-/// The shard workload's client-set plan: four disjoint hidden pairs
-/// behind one AP, every client at its own oscillator offset (that is how
-/// the AP tells clients apart, §4.2.1 — and what keeps one set's
-/// preambles out of another set's detections).
-const SHARD_OMEGA: [f64; 8] = [-0.13, 0.14, -0.08, 0.02, 0.09, -0.18, 0.19, -0.03];
-const SHARD_IDS: [[u16; 2]; 4] = [[1, 2], [3, 4], [5, 6], [7, 8]];
-
 /// Per-set retransmission-group seeds, pre-screened (like `K3_SEEDS`) so
 /// every group's pair decodes through the full receiver under the
 /// 8-client registry — §5.3a false positives from *other sets'* clients
@@ -78,18 +73,9 @@ const SHARD_SEEDS: [[u64; 4]; 4] = [[0, 6, 11, 12], [1, 11, 16, 22], [2, 5, 9, 1
 /// retransmission groups each, interleaved round-robin into one buffer
 /// stream (as the air would deliver them to one AP).
 fn build_shard_stream() -> (ClientRegistry, Vec<Vec<Complex>>) {
-    let link = |id: u16| LinkProfile::clean_with_omega(17.0, SHARD_OMEGA[(id - 1) as usize]);
-    let mut registry = ClientRegistry::new();
-    for id in 1u16..=8 {
-        let l = link(id);
-        registry.associate(
-            id,
-            ClientInfo { omega: l.association_omega(), snr_db: l.snr_db, taps: l.isi.clone() },
-        );
-    }
     let group = |ids: [u16; 2], seed: u64| -> [Vec<Complex>; 2] {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (la, lb) = (link(ids[0]), link(ids[1]));
+        let (la, lb) = (shard_link(ids[0]), shard_link(ids[1]));
         let a = airframe(ids[0], seed as u16, 200, 60_000 + seed * 7 + ids[0] as u64 * 101);
         let b = airframe(ids[1], seed as u16, 200, 61_000 + seed * 11 + ids[1] as u64 * 101);
         let offsets = [(420, 140), (300, 120), (420, 180), (360, 150)][seed as usize % 4];
@@ -106,58 +92,25 @@ fn build_shard_stream() -> (ClientRegistry, Vec<Vec<Complex>>) {
             stream.push(c2);
         }
     }
-    (registry, stream)
+    (shard_registry(), stream)
 }
-
-/// Per-set equal-offset retransmission-group seeds for the recovery
-/// workload, pre-screened (like `SHARD_SEEDS`) so every group's joint
-/// algebraic solve recovers both frames under the 8-client registry.
-const RECOVERY_SEEDS: [[u64; 2]; 4] = [[28, 43], [19, 22], [15, 29], [20, 31]];
 
 /// Builds the algebraic-recovery workload: the shard workload's four
 /// disjoint client sets, but every retransmission pair collides at
-/// **identical** relative offsets (§4.5's Δ₁ = Δ₂ failure case) — the
-/// zigzag-only pipeline provably decodes nothing from this stream, the
-/// recovery-enabled one decodes every frame.
+/// **identical** relative offsets ([`equal_offset_pair`], §4.5's
+/// Δ₁ = Δ₂ failure case) — the zigzag-only pipeline provably decodes
+/// nothing from this stream, the recovery-enabled one decodes every
+/// frame.
 fn build_recovery_stream() -> (ClientRegistry, Vec<Vec<Complex>>) {
-    let link = |id: u16| LinkProfile::clean_with_omega(17.0, SHARD_OMEGA[(id - 1) as usize]);
-    let mut registry = ClientRegistry::new();
-    for id in 1u16..=8 {
-        let l = link(id);
-        registry.associate(
-            id,
-            ClientInfo { omega: l.association_omega(), snr_db: l.snr_db, taps: l.isi.clone() },
-        );
-    }
-    let group = |ids: [u16; 2], seed: u64| -> [Vec<Complex>; 2] {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (la, lb) = (link(ids[0]), link(ids[1]));
-        let a = airframe(ids[0], seed as u16, 120, 80_000 + seed * 7 + ids[0] as u64 * 101);
-        let b = airframe(ids[1], seed as u16, 120, 81_000 + seed * 11 + ids[1] as u64 * 101);
-        let delta = 280 + 20 * (seed as usize % 3);
-        let (ca, cb) = (la.draw(&mut rng), lb.draw(&mut rng));
-        let mk = |rng: &mut StdRng| {
-            synth_collision(
-                &[
-                    PlacedTx { air: &a, base: &ca, start: 0 },
-                    PlacedTx { air: &b, base: &cb, start: delta },
-                ],
-                1.0,
-                rng,
-            )
-            .buffer
-        };
-        [mk(&mut rng), mk(&mut rng)]
-    };
     let mut stream = Vec::new();
     for g in 0..RECOVERY_SEEDS[0].len() {
         for (ids, seeds) in SHARD_IDS.iter().zip(RECOVERY_SEEDS.iter()) {
-            let [c1, c2] = group(*ids, seeds[g]);
+            let ([c1, c2], _) = equal_offset_pair(*ids, seeds[g]);
             stream.push(c1);
             stream.push(c2);
         }
     }
-    (registry, stream)
+    (shard_registry(), stream)
 }
 
 /// Per-unit seeds for the k=3 workload, pre-screened so both the

@@ -12,12 +12,13 @@
 
 use rand::prelude::*;
 use zigzag_channel::fading::LinkProfile;
-use zigzag_channel::scenario::hidden_pair;
-use zigzag_core::config::DecoderConfig;
+use zigzag_channel::scenario::{hidden_pair, synth_collision, PlacedTx};
+use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig};
 use zigzag_core::engine::Scratch;
 use zigzag_core::schedule::PlanOutcome;
 use zigzag_core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
 use zigzag_phy::bits::bit_error_rate;
+use zigzag_phy::complex::Complex;
 use zigzag_phy::frame::{encode_frame, AirFrame, Frame};
 use zigzag_phy::modulation::Modulation;
 use zigzag_phy::preamble::Preamble;
@@ -93,6 +94,64 @@ pub fn run_zigzag_pair(
         ],
         outcome: out.outcome,
     }
+}
+
+/// The shard and recovery bench workloads' client-set plan: four
+/// disjoint hidden pairs behind one AP, every client at its own
+/// oscillator offset (`SHARD_OMEGA[id - 1]`). That is how the AP tells
+/// clients apart (§4.2.1), and what keeps one set's preambles out of
+/// another set's detections.
+pub const SHARD_OMEGA: [f64; 8] = [-0.13, 0.14, -0.08, 0.02, 0.09, -0.18, 0.19, -0.03];
+/// The four client sets of [`SHARD_OMEGA`].
+pub const SHARD_IDS: [[u16; 2]; 4] = [[1, 2], [3, 4], [5, 6], [7, 8]];
+
+/// Per-set equal-offset retransmission-group seeds for the recovery
+/// workload ([`equal_offset_pair`]), pre-screened so every group's joint
+/// algebraic solve recovers both frames under the 8-client registry.
+pub const RECOVERY_SEEDS: [[u64; 2]; 4] = [[28, 43], [19, 22], [15, 29], [20, 31]];
+
+/// The clean 17 dB link of client `id` in the [`SHARD_IDS`] plan.
+pub fn shard_link(id: u16) -> LinkProfile {
+    LinkProfile::clean_with_omega(17.0, SHARD_OMEGA[(id - 1) as usize])
+}
+
+/// The AP's registry of all eight [`SHARD_IDS`] clients.
+pub fn shard_registry() -> ClientRegistry {
+    let mut registry = ClientRegistry::new();
+    for id in 1u16..=8 {
+        let l = shard_link(id);
+        registry.associate(
+            id,
+            ClientInfo { omega: l.association_omega(), snr_db: l.snr_db, taps: l.isi.clone() },
+        );
+    }
+    registry
+}
+
+/// One equal-offset retransmission group of the recovery workload:
+/// client set `ids` collides twice at the **identical** relative offset
+/// Δ (§4.5's Δ₁ = Δ₂ failure case), which only the joint algebraic
+/// solve can decode. Returns both collision buffers and Δ; the first
+/// client starts at sample 0 in both.
+pub fn equal_offset_pair(ids: [u16; 2], seed: u64) -> ([Vec<Complex>; 2], usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (la, lb) = (shard_link(ids[0]), shard_link(ids[1]));
+    let a = airframe(ids[0], seed as u16, 120, 80_000 + seed * 7 + ids[0] as u64 * 101);
+    let b = airframe(ids[1], seed as u16, 120, 81_000 + seed * 11 + ids[1] as u64 * 101);
+    let delta = 280 + 20 * (seed as usize % 3);
+    let (ca, cb) = (la.draw(&mut rng), lb.draw(&mut rng));
+    let mut mk = || {
+        synth_collision(
+            &[
+                PlacedTx { air: &a, base: &ca, start: 0 },
+                PlacedTx { air: &b, base: &cb, start: delta },
+            ],
+            1.0,
+            &mut rng,
+        )
+        .buffer
+    };
+    ([mk(), mk()], delta)
 }
 
 /// Draws a pair of collision offsets (symbols) from the 802.11 MAC, with

@@ -558,6 +558,29 @@ pub fn solve_group(
     best
 }
 
+/// The first window's least-squares system of `group`'s first solver
+/// pass, as [`solve_group`] hands it to [`lstsq_cond`]: the equation
+/// rows, the observations and the ridge `λ`. `None` when the group has
+/// no solvable shape or the pass stalls before assembling a system.
+/// Lets benchmarks and tests time or check one window solve alone.
+pub fn first_window_system(
+    group: &RecoveryGroup,
+    registry: &ClientRegistry,
+    preamble: &Preamble,
+    cfg: &DecoderConfig,
+    ws: &mut Scratch,
+) -> Option<(Vec<Vec<Complex>>, Vec<Complex>, f64)> {
+    let mut solver = Solver::new(group, registry, preamble, cfg)?;
+    solver.subtract_preambles(ws);
+    loop {
+        match solver.prepare_window(ws) {
+            WindowPrep::Advanced => continue,
+            WindowPrep::Stalled => return None,
+            WindowPrep::System(sys) => return Some((sys.rows, sys.b, sys.lambda)),
+        }
+    }
+}
+
 /// The per-group solver state.
 struct Solver<'a> {
     group: &'a RecoveryGroup,
@@ -614,16 +637,29 @@ impl WindowPrep {
 
 /// One sliding window's assembled regularised least-squares system plus
 /// everything [`Solver::apply_window`] needs to gate and commit its
-/// solution. Column `col_of[(packet, symbol)]` holds that unknown symbol;
-/// `diag[j]` is column `j`'s observation energy (the normal-matrix
-/// diagonal), which gates commits against `MIN_OBSERVATION * diag_max`.
+/// solution. Each packet's unknown symbols are one contiguous run of
+/// columns, from `col_start[q]` (symbol `sym_start[q]`) up to
+/// `col_start[q + 1]`; [`WindowSystem::col_of`] maps a symbol to its
+/// column. `diag[j]` is column `j`'s observation energy (the
+/// normal-matrix diagonal), which gates commits against
+/// `MIN_OBSERVATION * diag_max`.
 struct WindowSystem {
     rows: Vec<Vec<Complex>>,
     b: Vec<Complex>,
     lambda: f64,
     diag: Vec<f64>,
     diag_max: f64,
-    col_of: HashMap<(usize, usize), usize>,
+    col_start: Vec<usize>,
+    sym_start: Vec<usize>,
+}
+
+impl WindowSystem {
+    /// The column holding unknown symbol `n` of packet `q`.
+    fn col_of(&self, q: usize, n: usize) -> usize {
+        let j = self.col_start[q] + (n - self.sym_start[q]);
+        debug_assert!(j < self.col_start[q + 1], "symbol {n} of packet {q} is outside the window");
+        j
+    }
 }
 
 impl<'a> Solver<'a> {
@@ -805,10 +841,7 @@ impl<'a> Solver<'a> {
     /// finalizes every packet (slice to bits, CRC gate).
     fn run(&mut self, ws: &mut Scratch) -> Vec<RecoveredPacket> {
         let k = self.group.packets();
-        for q in 0..k {
-            let range = 0..self.preamble.len().min(self.lens[q]);
-            self.subtract_packet(q, range, ws);
-        }
+        self.subtract_preambles(ws);
         while (0..k).any(|q| self.frontier[q] < self.lens[q]) {
             match self.prepare_window(ws) {
                 WindowPrep::Advanced => continue,
@@ -824,6 +857,15 @@ impl<'a> Solver<'a> {
         (0..k).map(|q| self.finalize(q)).collect()
     }
 
+    /// Subtracts every packet's known preamble image from the residuals,
+    /// the first step of a pass.
+    fn subtract_preambles(&mut self, ws: &mut Scratch) {
+        for q in 0..self.group.packets() {
+            let range = 0..self.preamble.len().min(self.lens[q]);
+            self.subtract_packet(q, range, ws);
+        }
+    }
+
     /// One window step: assemble this window's equations. Either yields
     /// the regularised least-squares system for [`Solver::run`] to solve
     /// and feed back through [`Solver::apply_window`], or reports that the
@@ -836,14 +878,13 @@ impl<'a> Solver<'a> {
 
         // unknown columns: per packet, the next `WINDOW` undecided symbols
         let mut cols: Vec<(usize, usize)> = Vec::new();
-        let mut col_of: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut col_start = Vec::with_capacity(k + 1);
         for q in 0..k {
+            col_start.push(cols.len());
             let hi = (self.frontier[q] + WINDOW).min(self.lens[q]);
-            for n in self.frontier[q]..hi {
-                col_of.insert((q, n), cols.len());
-                cols.push((q, n));
-            }
+            cols.extend((self.frontier[q]..hi).map(|n| (q, n)));
         }
+        col_start.push(cols.len());
         if cols.is_empty() {
             return WindowPrep::Stalled;
         }
@@ -935,7 +976,8 @@ impl<'a> Solver<'a> {
         let diag_min = diag.iter().copied().filter(|&d| d > 0.0).fold(f64::INFINITY, f64::min);
         let spread = if diag_min.is_finite() { (diag_max / diag_min).sqrt().min(1e3) } else { 1.0 };
         let lambda = LAMBDA * mean_diag.max(1e-12) * spread;
-        WindowPrep::System(WindowSystem { rows, b, lambda, diag, diag_max, col_of })
+        let sym_start = self.frontier.clone();
+        WindowPrep::System(WindowSystem { rows, b, lambda, diag, diag_max, col_start, sym_start })
     }
 
     /// Second half of a window step: consume the solution of the system
@@ -966,7 +1008,7 @@ impl<'a> Solver<'a> {
             let end = (start + COMMIT).min(self.lens[q]);
             let mut n = start;
             while n < end {
-                let j = sys.col_of[&(q, n)];
+                let j = sys.col_of(q, n);
                 if sys.diag[j] < threshold {
                     break;
                 }

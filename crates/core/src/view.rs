@@ -596,8 +596,13 @@ impl ChannelView {
             kernel.fir_apply_into(&self.taps, &xw, &mut shaped_buf);
             &mut shaped_buf
         };
-        // apply gain + phase ramp on the symbol grid, in place
+        // apply gain + phase ramp on the symbol grid, in place; an exact
+        // zero stays zero, so it skips the trig (a unit impulse is zero
+        // everywhere but its few ISI taps)
         for (i, v) in shaped.iter_mut().enumerate() {
+            if *v == ZERO {
+                continue;
+            }
             let n = (lo + i as isize) as f64;
             *v = *v * self.gain * Complex::cis(self.phase.at(n));
         }
@@ -1133,6 +1138,55 @@ mod tests {
             v.feedback(&observed, &img, range, &sym_fn, &mut pool, &mut kernel);
         }
         assert!((v.mu + 0.2).abs() < 0.08, "mu {} want -0.2", v.mu);
+    }
+
+    /// `synthesize_unit_into` without the zero skip: every shaped entry
+    /// goes through gain × phase ramp, as the loop did before the skip.
+    fn synthesize_unit_unskipped(v: &ChannelView, n: usize, total_syms: usize) -> Image {
+        let mut kernel = Kernel::new(v.cfg.backend);
+        let margin = v.taps.len() + 9;
+        let range = n.saturating_sub(margin)..(n + margin + 1).min(total_syms);
+        let lo = range.start as isize - margin as isize;
+        let hi = range.end as isize + margin as isize;
+        let xw: Vec<Complex> =
+            (lo..hi).map(|i| if i == n as isize { Complex::real(1.0) } else { ZERO }).collect();
+        let mut shaped = xw.clone();
+        if !v.taps.is_identity() {
+            kernel.fir_apply_into(&v.taps, &xw, &mut shaped);
+        }
+        for (i, s) in shaped.iter_mut().enumerate() {
+            let ni = (lo + i as isize) as f64;
+            *s = *s * v.gain * Complex::cis(v.phase.at(ni));
+        }
+        let p_first = (v.start as f64 + v.mu + range.start as f64 - 0.5).ceil().max(0.0) as usize;
+        let p_last = (v.start as f64 + v.mu + range.end as f64 - 0.5).ceil().max(0.0) as usize;
+        let t0 = p_first as f64 - v.start as f64 - v.mu - lo as f64;
+        let mut out = Image { first: p_first, samples: Vec::new() };
+        kernel.resample_into(&shaped, t0, 1.0, p_last.saturating_sub(p_first), &mut out.samples);
+        out
+    }
+
+    #[test]
+    fn unit_image_zero_skip_matches_unskipped_loop() {
+        let cfg = DecoderConfig::default();
+        let isi = Fir::new(
+            vec![Complex::new(0.2, -0.1), Complex::real(1.0), Complex::new(-0.15, 0.05)],
+            1,
+        );
+        let total_syms = 120;
+        let mut pool = BufPool::new();
+        let mut kernel = Kernel::new(cfg.backend);
+        let mut out = Image::default();
+        for taps in [Fir::identity(), isi] {
+            let v = ChannelView::from_params(30, 0.37, 0.8, 0.6, -0.07, taps.clone(), &cfg);
+            for n in [0, 1, 57, total_syms - 2, total_syms - 1] {
+                v.synthesize_unit_into(n, total_syms, &mut pool, &mut kernel, &mut out);
+                let want = synthesize_unit_unskipped(&v, n, total_syms);
+                assert_eq!(out.first, want.first, "n {n}, taps {}", taps.len());
+                assert_eq!(out.samples, want.samples, "n {n}, taps {}", taps.len());
+                assert!(out.samples.iter().any(|&s| s != ZERO), "n {n}: empty image");
+            }
+        }
     }
 
     #[test]
