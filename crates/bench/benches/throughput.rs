@@ -43,8 +43,7 @@ use zigzag_channel::scenario::{hidden_pair, synth_collision, PlacedTx};
 use zigzag_core::config::StreamConfig;
 use zigzag_core::config::{ClientRegistry, DecoderConfig, RecoveryConfig, ShardConfig};
 use zigzag_core::engine::{
-    decode_batch, unit_seed, BatchEngine, DecodeUnit, Pipeline, ReceiverCore, Scratch,
-    ShardedReceiver,
+    unit_seed, BatchEngine, Pipeline, ReceiverCore, Scratch, ShardedReceiver,
 };
 use zigzag_core::receiver::DecodePath;
 use zigzag_core::stream::carve_buffer;
@@ -61,6 +60,23 @@ use zigzag_testbed::{
 };
 
 const UNITS: usize = 64;
+
+/// One independent receiver workload: a fresh receiver fed a sequence
+/// of buffers (one retransmission group's collisions).
+struct Unit {
+    cfg: DecoderConfig,
+    registry: ClientRegistry,
+    buffers: Vec<Vec<Complex>>,
+}
+
+/// Decodes every unit on a fresh `ReceiverCore`, units in parallel across
+/// the engine, returning each unit's concatenated events in input order.
+fn decode_units(engine: &BatchEngine, units: &[Unit]) -> Vec<Vec<ReceiverEvent>> {
+    engine.map(units, |_, unit| {
+        let mut rx = ReceiverCore::new(unit.cfg.clone(), unit.registry.clone());
+        unit.buffers.iter().flat_map(|b| rx.process(b)).collect()
+    })
+}
 
 /// Per-set retransmission-group seeds, pre-screened (like `K3_SEEDS`) so
 /// every group's pair decodes through the full receiver under the
@@ -117,7 +133,7 @@ fn build_recovery_stream() -> (ClientRegistry, Vec<Vec<Complex>>) {
 /// ground-truth executor and the full receiver pipeline recover all
 /// three frames (the k-way matcher is conservative by design — a
 /// detection-starved set stays stored awaiting more retransmissions;
-/// that path is covered by the testbed's `run_sets` tests, while this
+/// that path is covered by the testbed's `run_set` tests, while this
 /// bench pins the successful-decode path's identity and throughput).
 const K3_SEEDS: [u64; 16] = [0, 1, 2, 3, 4, 9, 12, 14, 15, 16, 17, 18, 19, 20, 25, 26];
 
@@ -134,7 +150,7 @@ const K3_BASELINE_BUFFERS_PER_SEC: f64 = 7.6;
 /// one receiver (store → store → k-way match → zigzag), plus the frames
 /// the hand-driven executor recovers from the same buffers with
 /// ground-truth placements.
-fn build_k3_units(backend: BackendKind) -> (Vec<DecodeUnit>, Vec<Vec<Frame>>) {
+fn build_k3_units(backend: BackendKind) -> (Vec<Unit>, Vec<Vec<Frame>>) {
     let omegas = [-0.08, 0.02, 0.09];
     let offs = [[0usize, 310, 620], [0, 620, 310], [100, 0, 450]];
     let mut units = Vec::with_capacity(K3_SEEDS.len());
@@ -173,7 +189,7 @@ fn build_k3_units(backend: BackendKind) -> (Vec<DecodeUnit>, Vec<Vec<Frame>>) {
             &mut Scratch::with_backend(backend),
         );
         expected.push(out.packets.into_iter().filter_map(|p| p.frame).collect());
-        units.push(DecodeUnit { cfg: DecoderConfig::with_backend(backend), registry, buffers });
+        units.push(Unit { cfg: DecoderConfig::with_backend(backend), registry, buffers });
     }
     (units, expected)
 }
@@ -182,7 +198,7 @@ fn build_k3_units(backend: BackendKind) -> (Vec<DecodeUnit>, Vec<Vec<Frame>>) {
 /// backend: each is a fresh receiver fed the two collisions of one
 /// retransmission pair (store → match → zigzag), i.e. 128 collision
 /// buffers in total. The signal content is identical across backends.
-fn build_units(backend: BackendKind) -> Vec<DecodeUnit> {
+fn build_units(backend: BackendKind) -> Vec<Unit> {
     (0..UNITS)
         .map(|i| {
             let mut rng = StdRng::seed_from_u64(unit_seed(2008, i));
@@ -194,7 +210,7 @@ fn build_units(backend: BackendKind) -> Vec<DecodeUnit> {
             let d2 = 60 + 10 * (i % 5);
             let hp = hidden_pair(&a, &b, &la, &lb, d1, d2, &mut rng);
             let registry = zigzag_testbed::registry_for(&[(1, &la), (2, &lb)]);
-            DecodeUnit {
+            Unit {
                 cfg: DecoderConfig::with_backend(backend),
                 registry,
                 buffers: vec![hp.collision1.buffer, hp.collision2.buffer],
@@ -220,14 +236,14 @@ fn bench_batch_decode(c: &mut Criterion) {
         );
         for (engine_name, engine) in [("single_thread", &single), ("multi_thread", &multi)] {
             let name = format!("batch_decode_{engine_name}/{}", backend.name());
-            c.bench_function(&name, |b| b.iter(|| decode_batch(engine, &units)));
+            c.bench_function(&name, |b| b.iter(|| decode_units(engine, &units)));
             // the compat criterion reports the median ns/iter of the run
             // it just timed — no extra passes needed
             timings.push((name, c.last_ns));
         }
         // --- determinism across thread counts (per backend) ---
-        let events_single = decode_batch(&single, &units);
-        let events_multi = decode_batch(&multi, &units);
+        let events_single = decode_units(&single, &units);
+        let events_multi = decode_units(&multi, &units);
         assert_eq!(
             events_single,
             events_multi,
@@ -254,15 +270,15 @@ fn bench_batch_decode(c: &mut Criterion) {
     println!("batch[k3]: {} work units / {k3_buffers} collision buffers", k3_units.len());
     for (engine_name, engine) in [("single_thread", &single), ("multi_thread", &multi)] {
         let name = format!("batch_decode_k3_{engine_name}/simd");
-        c.bench_function(&name, |b| b.iter(|| decode_batch(engine, &k3_units)));
+        c.bench_function(&name, |b| b.iter(|| decode_units(engine, &k3_units)));
         timings.push((name, c.last_ns));
     }
     // identity gates: thread counts agree, and the pipeline's k-way
     // zigzag deliveries equal the hand-driven executor's recoveries
-    let k3_events = decode_batch(&single, &k3_units);
+    let k3_events = decode_units(&single, &k3_units);
     assert_eq!(
         k3_events,
-        decode_batch(&multi, &k3_units),
+        decode_units(&multi, &k3_units),
         "[k3] multi-threaded decode must be bit-identical to single-threaded"
     );
     let mut k3_delivered = 0usize;
@@ -289,7 +305,7 @@ fn bench_batch_decode(c: &mut Criterion) {
     let (k3_scalar_units, _) = build_k3_units(BackendKind::Scalar);
     assert_eq!(
         k3_events,
-        decode_batch(&single, &k3_scalar_units),
+        decode_units(&single, &k3_scalar_units),
         "[k3] scalar and simd kernel backends must produce identical decode events"
     );
 

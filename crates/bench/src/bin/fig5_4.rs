@@ -14,7 +14,7 @@ use rand::prelude::*;
 use zigzag_bench::trials;
 use zigzag_channel::fading::LinkProfile;
 use zigzag_core::engine::BatchEngine;
-use zigzag_testbed::{run_pairs, ExperimentConfig, PairScenario};
+use zigzag_testbed::{run_pair, ExperimentConfig, PairScenario};
 
 fn main() {
     let rounds = trials(40, 12);
@@ -43,7 +43,8 @@ fn main() {
             }
         })
         .collect();
-    let runs = run_pairs(&engine, &scenarios, &cfg);
+    let runs =
+        engine.map(&scenarios, |_, s| run_pair(&s.link_a, &s.link_b, s.p_sense, &cfg, s.seed));
     for (dsnr, run) in points.iter().zip(runs.iter()) {
         println!(
             "{dsnr:>6.1} | {:>7.2} {:>7.2} {:>7.2} | {:>7.2} {:>7.2} {:>7.2} | {:>7.2} {:>7.2} {:>7.2}",

@@ -16,7 +16,7 @@ use zigzag_bench::{section, trials};
 use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::pathloss::Sensing;
 use zigzag_core::engine::BatchEngine;
-use zigzag_testbed::{run_pairs, ExperimentConfig, PairScenario, Samples, Testbed};
+use zigzag_testbed::{run_pair, ExperimentConfig, PairScenario, Samples, Testbed};
 
 fn cdf_print(name: &str, s: &Samples) {
     print!("{name} CDF:");
@@ -71,7 +71,8 @@ fn main() {
         });
         hidden_flags.push(matches!(sensing, Sensing::Hidden | Sensing::Partial(_)));
     }
-    let runs = run_pairs(&engine, &scenarios, &cfg);
+    let runs =
+        engine.map(&scenarios, |_, s| run_pair(&s.link_a, &s.link_b, s.p_sense, &cfg, s.seed));
     for (run, &is_ht) in runs.iter().zip(hidden_flags.iter()) {
         tput_802.push(run.s802.total_throughput());
         tput_zz.push(run.zigzag.total_throughput());

@@ -2,8 +2,9 @@
 //!
 //! One binary per table/figure of the paper's Chapter 5 (plus the
 //! Chapter 4 analyses). Each binary prints the same rows/series the paper
-//! reports, next to the paper's numbers where applicable; EXPERIMENTS.md
-//! records a full paper-vs-measured comparison.
+//! reports, next to the paper's numbers where applicable. Nothing records
+//! or checks those rows yet: the paper-vs-measured ledger is planned as
+//! item 1 of `ROADMAP.md`.
 //!
 //! Run with `--quick` for CI-sized trial counts; default sizes aim at the
 //! paper's statistical weight within laptop minutes.

@@ -372,15 +372,18 @@ impl From<ClientRegistry> for SharedRegistry {
 
 /// Shape of the sharded multi-core receiver
 /// ([`ShardedReceiver`](crate::engine::shard::ShardedReceiver)): how many
-/// receiver shards run and how deep each shard's bounded ingest queue is.
+/// receiver shards run and, on the stream path, how deep each shard's
+/// bounded ingest queue is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Number of receiver shards (one `ReceiverCore` each); `0` means one
     /// per available CPU.
     pub shards: usize,
-    /// Bounded depth of each shard's ingest queue. Ingestion *blocks*
-    /// when a queue is full (backpressure — buffers are never dropped),
-    /// so the depth bounds how far detection runs ahead of decode.
+    /// Bounded depth of each shard's ingest queue on the stream path
+    /// ([`process_stream`](crate::engine::shard::ShardedReceiver::process_stream))
+    /// only; a finite batch has no queues. The carver *blocks* when a
+    /// queue is full (backpressure — regions are never dropped), so the
+    /// depth bounds how far carving runs ahead of decode.
     pub queue_depth: usize,
 }
 

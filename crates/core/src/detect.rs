@@ -95,7 +95,10 @@ pub fn detect_packets(
         let threshold = client_threshold(cfg, l, info.snr_db);
         for grid in [buffer, half.as_slice()] {
             kernel.scan_into(grid, preamble.symbols(), info.omega, 0..grid.len(), &mut corr);
-            for p in find_peaks(&corr, threshold, l) {
+            // a non-finite correlation (a NaN or ±∞ sample inside the
+            // preamble window) is never a spike: it would merge its
+            // neighbours into one bogus region
+            for p in find_peaks(&corr, threshold, l).into_iter().filter(|p| p.mag().is_finite()) {
                 all.push(Detection {
                     pos: p.pos,
                     client,

@@ -5,7 +5,11 @@
 //! Monte-Carlo rounds — and strictly sequential within one (the receiver
 //! FSM carries state between a client's buffers). A [`BatchEngine`] fans
 //! a slice of units across a scoped thread pool and returns outputs in
-//! input order.
+//! input order. Stateful work — a receiver shard fed many client sets, or
+//! one receiver per cell episode — goes through the keyed map
+//! (`BatchEngine::map_keyed`): each item names the state it runs
+//! against, one state's items run in input order on one worker, and
+//! distinct states run in parallel.
 //!
 //! **Determinism.** Results are written by unit index, every unit's RNG is
 //! seeded from [`unit_seed`] (a function of the base seed and the unit
@@ -13,11 +17,8 @@
 //! bit-for-bit identical for any thread count, including 1. The
 //! multi-thread-equals-single-thread test in `tests/engine.rs` pins this.
 
-use crate::config::{ClientRegistry, DecoderConfig};
-use crate::receiver::{ReceiverEvent, ZigzagReceiver};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use zigzag_phy::complex::Complex;
 
 /// A scoped worker pool for independent work units.
 #[derive(Clone, Copy, Debug)]
@@ -109,6 +110,60 @@ impl BatchEngine {
             })
             .collect()
     }
+
+    /// The keyed map: runs `f(&mut states[key(item)], item)` for every
+    /// item and returns the outputs in input order. One state's items run
+    /// in input order on one worker; distinct states run in parallel. With
+    /// one thread, or when every item keys the same state, it runs inline
+    /// on the caller's thread.
+    ///
+    /// Each state sees exactly the subsequence of items a serial loop
+    /// would feed it, so outputs are identical for any thread count. A
+    /// panic in `f` propagates to the caller once the other workers finish.
+    pub(crate) fn map_keyed<S, T, O, K, F>(
+        &self,
+        states: &mut [S],
+        items: Vec<T>,
+        key: K,
+        f: F,
+    ) -> Vec<O>
+    where
+        S: Send,
+        T: Send,
+        O: Send,
+        K: Fn(&T) -> usize,
+        F: Fn(&mut S, T) -> O + Sync,
+    {
+        let keys: Vec<usize> = items.iter().map(key).collect();
+        if self.threads <= 1 || keys.iter().all(|&k| k == keys[0]) {
+            return items.into_iter().zip(keys).map(|(t, k)| f(&mut states[k], t)).collect();
+        }
+        let n = items.len();
+        let mut queues: Vec<Vec<(usize, T)>> = states.iter().map(|_| Vec::new()).collect();
+        for (i, (t, k)) in items.into_iter().zip(keys).enumerate() {
+            queues[k].push((i, t));
+        }
+        // one work unit per touched state, claimed whole by one worker
+        let units: Vec<_> = states
+            .iter_mut()
+            .zip(queues)
+            .filter(|(_, queue)| !queue.is_empty())
+            .map(|unit| Mutex::new(Some(unit)))
+            .collect();
+        let done: Vec<Vec<(usize, O)>> = self.map(&units, |_, unit| {
+            let (state, queue) = unit
+                .lock()
+                .expect("keyed unit poisoned")
+                .take()
+                .expect("every keyed unit is claimed once");
+            queue.into_iter().map(|(i, t)| (i, f(state, t))).collect()
+        });
+        let mut out: Vec<Option<O>> = (0..n).map(|_| None).collect();
+        for (i, o) in done.into_iter().flatten() {
+            out[i] = Some(o);
+        }
+        out.into_iter().map(|o| o.expect("every item ran on its state")).collect()
+    }
 }
 
 impl Default for BatchEngine {
@@ -127,31 +182,6 @@ pub fn unit_seed(base: u64, index: usize) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// One independent receiver workload: a fresh [`ZigzagReceiver`] fed a
-/// sequence of receive buffers (e.g. one client's or one AP's traffic).
-#[derive(Clone, Debug)]
-pub struct DecodeUnit {
-    /// Receiver configuration.
-    pub cfg: DecoderConfig,
-    /// Association registry for this unit's receiver.
-    pub registry: ClientRegistry,
-    /// Receive buffers, processed in order through one receiver FSM.
-    pub buffers: Vec<Vec<Complex>>,
-}
-
-/// Decodes every unit through a fresh receiver, in parallel across units,
-/// returning each unit's concatenated event stream in input order.
-pub fn decode_batch(engine: &BatchEngine, units: &[DecodeUnit]) -> Vec<Vec<ReceiverEvent>> {
-    engine.map(units, |_, unit| {
-        let mut rx = ZigzagReceiver::new(unit.cfg.clone(), unit.registry.clone());
-        let mut events = Vec::new();
-        for buffer in &unit.buffers {
-            events.extend(rx.process(buffer));
-        }
-        events
-    })
 }
 
 #[cfg(test)]
@@ -184,6 +214,85 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a, unit_seed(42, 0));
         assert_ne!(unit_seed(42, 5), unit_seed(43, 5));
+    }
+
+    /// Skewed keys: every third item goes to hot state 0, the rest spread
+    /// over cold states 1..=9.
+    fn skewed_key(i: usize) -> usize {
+        if i.is_multiple_of(3) {
+            0
+        } else {
+            1 + i % 9
+        }
+    }
+
+    #[test]
+    fn map_keyed_returns_outputs_in_input_order() {
+        let items: Vec<usize> = (0..200).collect();
+        for threads in [1, 2, 4] {
+            let mut states = vec![0u64; 10];
+            let out = BatchEngine::new(threads).map_keyed(
+                &mut states,
+                items.clone(),
+                |&i| skewed_key(i),
+                |seen, i| {
+                    *seen += 1;
+                    (i, *seen)
+                },
+            );
+            let order: Vec<usize> = out.iter().map(|&(i, _)| i).collect();
+            assert_eq!(order, items, "outputs out of input order at {threads} threads");
+            assert_eq!(states.iter().sum::<u64>(), 200, "every item runs exactly once");
+            assert_eq!(states[0], 67, "the hot state sees every third item");
+        }
+    }
+
+    #[test]
+    fn map_keyed_feeds_each_state_its_items_in_input_order() {
+        let items: Vec<usize> = (0..300).collect();
+        // what a serial loop returns: each item's position in its key's run
+        let serial: Vec<usize> = items
+            .iter()
+            .map(|&i| (0..=i).filter(|&j| skewed_key(j) == skewed_key(i)).count())
+            .collect();
+        for threads in [1, 2, 4] {
+            let mut states: Vec<Vec<usize>> = vec![Vec::new(); 10];
+            let out = BatchEngine::new(threads).map_keyed(
+                &mut states,
+                items.clone(),
+                |&i| skewed_key(i),
+                |log, i| {
+                    log.push(i);
+                    log.len()
+                },
+            );
+            for (k, log) in states.iter().enumerate() {
+                let want: Vec<usize> =
+                    items.iter().copied().filter(|&i| skewed_key(i) == k).collect();
+                assert_eq!(log, &want, "state {k} saw its items out of order at {threads} threads");
+            }
+            assert_eq!(out, serial, "outputs diverged from the serial loop at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn map_keyed_panic_propagates_instead_of_hanging() {
+        for threads in [1, 2, 4] {
+            let mut states = vec![(); 4];
+            let items: Vec<usize> = (0..64).collect();
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                BatchEngine::new(threads).map_keyed(
+                    &mut states,
+                    items,
+                    |&i| i % 4,
+                    |_, i| {
+                        assert_ne!(i, 37, "injected failure");
+                        i
+                    },
+                )
+            }));
+            assert!(run.is_err(), "a panic in f must reach the caller at {threads} threads");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The sharded multi-core receiver: N [`ReceiverCore`]s behind a
-//! bounded-queue ingestion front end.
+//! The sharded multi-core receiver: N [`ReceiverCore`]s, one per core,
+//! with buffers routed to them by detected client set.
 //!
 //! The paper's AP decodes every hidden-terminal collision on one receive
 //! chain. A production AP serving many concurrent client sets wants one
@@ -8,24 +8,25 @@
 //! PAPERS.md assume exactly this), so buffers can be routed by detected
 //! client set and decoded in parallel without changing any result.
 //!
-//! The moving parts:
+//! A finite batch ([`ShardedReceiver::process_batch`]) runs in three
+//! steps:
 //!
-//! * [`IngestQueue`] — a bounded blocking queue per shard. Ingestion
-//!   *blocks* when a queue is full (backpressure; buffers are never
-//!   dropped), so detection runs at most `queue_depth` buffers ahead of
-//!   each shard's decode — ingest, detection, and zigzag execution
-//!   overlap instead of running buffer-at-a-time.
-//! * a **detect-only routing pre-pass** — the router runs the ordinary
+//! * **detect** — one parallel pass of the ordinary
 //!   [`DetectStage`](crate::engine::stage::DetectStage) scan (same
-//!   function, same [`Scratch`]) over a window of buffers in parallel on
-//!   [`BatchEngine`]'s scoped pool, hashes each buffer's detected
-//!   client set ([`route_shard`]), and enqueues the buffer *with its
-//!   detections* — the shard pipeline reuses them instead of re-scanning.
-//! * [`ShardedReceiver`] — owns one [`ReceiverCore`] per shard (each
-//!   with its own [`CollisionStore`](crate::matchset::CollisionStore) and
-//!   [`Scratch`]); shards share only the association registry behind the
-//!   read-mostly [`SharedRegistry`] handle. A deterministic merge step
-//!   reorders per-shard event streams by buffer sequence number.
+//!   function, same [`Scratch`]) over the whole batch on
+//!   [`BatchEngine`]'s scoped pool;
+//! * **route** — each buffer's detected client set is hashed to a shard
+//!   ([`route_shard`]);
+//! * **keyed map** — `BatchEngine::map_keyed` runs each shard's buffers
+//!   in sequence order on one worker, distinct shards in parallel, and
+//!   returns events in input order. The shard pipeline reuses the
+//!   detections instead of re-scanning.
+//!
+//! Each shard owns its own [`CollisionStore`](crate::matchset::CollisionStore)
+//! and [`Scratch`]; shards share only the association registry behind
+//! the read-mostly [`SharedRegistry`] handle. Only the continuous stream
+//! ([`ShardedReceiver::process_stream`]) is queue-fed, because only its
+//! input is unbounded; see [`crate::stream`] for its backpressure chain.
 //!
 //! **Determinism.** Events are bit-identical for any shard count,
 //! including 1 (which is exactly a single `ReceiverCore`), because the
@@ -49,127 +50,14 @@
 //! ROADMAP follow-on.
 
 use crate::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig, SharedRegistry};
-use crate::detect::{detect_packets, Detection};
+use crate::detect::detect_packets;
 use crate::engine::batch::BatchEngine;
 use crate::engine::scratch::Scratch;
 use crate::engine::stage::{Pipeline, ReceiverCore};
 use crate::matchset::collision_key;
 use crate::receiver::ReceiverEvent;
-use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
 use zigzag_phy::complex::Complex;
 use zigzag_phy::preamble::Preamble;
-
-/// A bounded blocking queue between the ingestion front end and one
-/// receiver shard.
-///
-/// `push` blocks while the queue is full — backpressure, never loss —
-/// and `pop` blocks while it is empty, returning `None` only after
-/// [`IngestQueue::close`] with the queue drained.
-#[derive(Debug)]
-pub struct IngestQueue<T> {
-    state: Mutex<QueueState<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    cap: usize,
-}
-
-#[derive(Debug)]
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-    high_water: usize,
-    stalls: u64,
-}
-
-impl<T> IngestQueue<T> {
-    /// An open queue holding at most `cap` items (at least 1).
-    pub fn new(cap: usize) -> Self {
-        Self {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
-                high_water: 0,
-                stalls: 0,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Maximum number of queued items.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Current number of queued items.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("ingest queue poisoned").items.len()
-    }
-
-    /// `true` if nothing is queued right now.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Highest occupancy the queue has reached since creation — how close
-    /// the producer has come to saturating this shard.
-    pub fn high_water(&self) -> usize {
-        self.state.lock().expect("ingest queue poisoned").high_water
-    }
-
-    /// How many `push` calls found the queue full and had to block
-    /// (backpressure events — each one throttled the producer).
-    pub fn stalls(&self) -> u64 {
-        self.state.lock().expect("ingest queue poisoned").stalls
-    }
-
-    /// Enqueues an item, blocking while the queue is full. Returns the
-    /// item back if the queue was closed.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut state = self.state.lock().expect("ingest queue poisoned");
-        if state.items.len() >= self.cap && !state.closed {
-            state.stalls += 1;
-        }
-        while state.items.len() >= self.cap && !state.closed {
-            state = self.not_full.wait(state).expect("ingest queue poisoned");
-        }
-        if state.closed {
-            return Err(item);
-        }
-        state.items.push_back(item);
-        state.high_water = state.high_water.max(state.items.len());
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Dequeues the oldest item, blocking while the queue is empty.
-    /// Returns `None` once the queue is closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("ingest queue poisoned");
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                drop(state);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).expect("ingest queue poisoned");
-        }
-    }
-
-    /// Closes the queue: pending items still drain, further pushes fail,
-    /// and blocked consumers wake.
-    pub fn close(&self) {
-        self.state.lock().expect("ingest queue poisoned").closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
 
 /// The shard a detected client set routes to: FNV-1a over the key with a
 /// SplitMix64-style avalanche finalizer (raw FNV's low bits barely mix,
@@ -191,34 +79,9 @@ pub fn route_shard(key: &[u16], shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
-/// One routed unit of ingest: a receive buffer, its sequence number, and
-/// the routing pre-pass's detections (reused by the shard pipeline).
-struct Job<'a> {
-    seq: usize,
-    buffer: &'a [Complex],
-    detections: Vec<Detection>,
-}
-
-/// One shard's `(sequence, events)` output, awaiting the deterministic
-/// merge.
-type ShardResults = Mutex<Vec<(usize, Vec<ReceiverEvent>)>>;
-
-/// Closes the given queues when dropped — the panic-safety latch that
-/// keeps a dying router or shard worker from leaving the other side
-/// blocked forever on a condvar with no waker.
-struct CloseOnDrop<'a, T>(&'a [IngestQueue<T>]);
-
-impl<T> Drop for CloseOnDrop<'_, T> {
-    fn drop(&mut self) {
-        for q in self.0 {
-            q.close();
-        }
-    }
-}
-
 /// The sharded AP receiver: one [`ReceiverCore`] per shard on
-/// [`BatchEngine`]'s scoped thread pool, fed through bounded
-/// [`IngestQueue`]s by a client-set-hash router.
+/// [`BatchEngine`]'s scoped thread pool, fed by a client-set-hash
+/// router.
 ///
 /// # Example
 ///
@@ -253,12 +116,6 @@ pub struct ShardedReceiver {
     pub(crate) cores: Vec<ReceiverCore>,
     router_ws: Scratch,
     pub(crate) loads: Vec<u64>,
-    /// Cumulative backpressure stalls per shard queue (every `push` that
-    /// found the queue full), accumulated across `process_batch` /
-    /// `process_stream` calls.
-    pub(crate) stalls: Vec<u64>,
-    /// Highest ingest-queue occupancy each shard has seen.
-    pub(crate) high_water: Vec<usize>,
 }
 
 impl ShardedReceiver {
@@ -291,8 +148,6 @@ impl ShardedReceiver {
             cores,
             router_ws,
             loads: vec![0; shards],
-            stalls: vec![0; shards],
-            high_water: vec![0; shards],
         }
     }
 
@@ -305,21 +160,6 @@ impl ShardedReceiver {
     /// "exercises routing" when more than one entry is non-zero).
     pub fn loads(&self) -> &[u64] {
         &self.loads
-    }
-
-    /// Cumulative backpressure stalls per shard: how many times the
-    /// ingest front end found that shard's queue full and had to block.
-    /// Non-zero entries mean decode was the bottleneck for that shard
-    /// (the queue depth was reached and the producer was throttled).
-    pub fn shard_stalls(&self) -> &[u64] {
-        &self.stalls
-    }
-
-    /// Highest ingest-queue occupancy each shard has reached across all
-    /// `process_batch` / `process_stream` calls so far — `queue_depth`
-    /// means that shard saturated its queue at least once.
-    pub fn queue_high_water(&self) -> &[usize] {
-        &self.high_water
     }
 
     /// Read access to the shared association registry.
@@ -354,8 +194,6 @@ impl ShardedReceiver {
             core.reset_history();
         }
         self.loads.iter_mut().for_each(|l| *l = 0);
-        self.stalls.iter_mut().for_each(|s| *s = 0);
-        self.high_water.iter_mut().for_each(|h| *h = 0);
     }
 
     /// Processes one receive buffer inline (detect pre-pass, route,
@@ -369,162 +207,44 @@ impl ShardedReceiver {
         self.cores[shard].receive_detected(&self.pipeline, buffer, detections)
     }
 
-    /// Processes a sequence of receive buffers through the sharded
-    /// pipeline, returning each buffer's events in input order (the
-    /// deterministic merge: per-shard streams are reordered by buffer
-    /// sequence number, so the output is bit-identical to a single
-    /// [`ReceiverCore`] fed the same sequence).
+    /// Processes a finite batch of receive buffers through the sharded
+    /// pipeline, returning each buffer's events in input order —
+    /// bit-identical to a single [`ReceiverCore`] fed the same sequence.
     ///
-    /// The router (caller thread) detect-scans a window of
-    /// `shards × queue_depth` buffers in parallel on the scoped pool,
-    /// then dispatches them in sequence order to the shard queues while
-    /// the shard workers decode — so detection of window *w+1* overlaps
-    /// zigzag execution of window *w*, and a full queue blocks the
-    /// router (backpressure) rather than dropping buffers.
+    /// One parallel detect pass covers the whole batch; each buffer is
+    /// then routed by its detected client set, and the keyed map decodes
+    /// every shard's buffers in sequence order on one worker, distinct
+    /// shards in parallel.
     pub fn process_batch(&mut self, buffers: &[Vec<Complex>]) -> Vec<Vec<ReceiverEvent>> {
-        let n = self.cores.len();
-        if n <= 1 || buffers.len() <= 1 {
-            return buffers.iter().map(|b| self.process(b)).collect();
-        }
-        let depth = self.shard_cfg.queue_depth.max(1);
-        let window = n * depth;
-        let engine = BatchEngine::new(n);
-        let Self { cfg, registry, pipeline, preamble, cores, loads, stalls, high_water, .. } = self;
-        let (cfg, registry, pipeline, preamble) = (&*cfg, &*registry, &*pipeline, &*preamble);
-
-        let queues: Vec<IngestQueue<Job<'_>>> = (0..n).map(|_| IngestQueue::new(depth)).collect();
-        let results: Vec<ShardResults> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
-
-        std::thread::scope(|s| {
-            for ((core, queue), slot) in cores.iter_mut().zip(&queues).zip(&results) {
-                s.spawn(move || {
-                    // Panic safety: if decode panics, the closing guard
-                    // wakes the router out of its blocking push (which
-                    // then fails loudly) instead of leaving it asleep on
-                    // a condvar nobody will ever signal.
-                    let _closer = CloseOnDrop(std::slice::from_ref(queue));
-                    let mut local = Vec::new();
-                    while let Some(job) = queue.pop() {
-                        let ev = core.receive_detected(pipeline, job.buffer, job.detections);
-                        local.push((job.seq, ev));
-                    }
-                    *slot.lock().expect("shard result slot poisoned") = local;
-                });
-            }
-
-            // Router: windowed parallel detect, in-order dispatch. The
-            // guard closes every queue however the router exits (end of
-            // batch, or a panic in detection/routing), so shard workers
-            // always drain and join.
-            let closer = CloseOnDrop(&queues);
-            let mut seq = 0usize;
-            for chunk in buffers.chunks(window) {
-                let dets: Vec<Vec<Detection>> = engine.map_with(
-                    chunk,
-                    || Scratch::with_backend(cfg.backend),
-                    |ws, _, buf| detect_packets(buf, preamble, registry, cfg, ws),
-                );
-                for (i, detections) in dets.into_iter().enumerate() {
-                    let shard = route_shard(&collision_key(&detections, cfg.key_window), n);
-                    loads[shard] += 1;
-                    let job = Job { seq: seq + i, buffer: &chunk[i], detections };
-                    if queues[shard].push(job).is_err() {
-                        // only a dead (panicked) worker closes its queue
-                        // early; surface that instead of dropping input
-                        panic!("shard {shard} worker terminated before its ingest completed");
-                    }
-                }
-                seq += chunk.len();
-            }
-            drop(closer);
-        });
-
-        for (i, q) in queues.iter().enumerate() {
-            stalls[i] += q.stalls();
-            high_water[i] = high_water[i].max(q.high_water());
-        }
-
-        let mut out = vec![Vec::new(); buffers.len()];
-        for slot in results {
-            for (seq, ev) in slot.into_inner().expect("shard result slot poisoned") {
-                out[seq] = ev;
-            }
-        }
-        out
+        let engine = BatchEngine::new(self.cores.len());
+        let Self { cfg, registry, pipeline, preamble, cores, loads, .. } = self;
+        let detections = engine.map_with(
+            buffers,
+            || Scratch::with_backend(cfg.backend),
+            |ws, _, buf| detect_packets(buf, preamble, registry, cfg, ws),
+        );
+        let routed: Vec<_> = buffers
+            .iter()
+            .zip(detections)
+            .map(|(buffer, dets)| {
+                let shard = route_shard(&collision_key(&dets, cfg.key_window), cores.len());
+                loads[shard] += 1;
+                (shard, buffer, dets)
+            })
+            .collect();
+        let pipeline = &*pipeline;
+        engine.map_keyed(
+            cores,
+            routed,
+            |&(shard, ..)| shard,
+            |core, (_, buffer, dets)| core.receive_detected(pipeline, buffer, dets),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn queue_is_fifo_and_drains_after_close() {
-        let q = IngestQueue::new(4);
-        assert!(q.is_empty());
-        for i in 0..3 {
-            q.push(i).unwrap();
-        }
-        assert_eq!(q.len(), 3);
-        q.close();
-        assert_eq!(q.push(9), Err(9), "push after close must fail");
-        assert_eq!((q.pop(), q.pop(), q.pop(), q.pop()), (Some(0), Some(1), Some(2), None));
-    }
-
-    #[test]
-    fn queue_capacity_has_a_floor_of_one() {
-        assert_eq!(IngestQueue::<u8>::new(0).capacity(), 1);
-    }
-
-    #[test]
-    fn queue_telemetry_tracks_occupancy_and_stalls() {
-        let q = IngestQueue::new(2);
-        assert_eq!((q.high_water(), q.stalls()), (0, 0));
-        q.push(1).unwrap();
-        assert_eq!(q.high_water(), 1);
-        q.push(2).unwrap();
-        assert_eq!(q.high_water(), 2);
-        // a blocked push on a full queue counts exactly one stall
-        std::thread::scope(|s| {
-            s.spawn(|| q.push(3).unwrap());
-            while q.stalls() == 0 {
-                std::thread::yield_now();
-            }
-            assert_eq!(q.pop(), Some(1));
-        });
-        assert_eq!(q.stalls(), 1);
-        assert_eq!(q.high_water(), 2, "pop before the blocked push lands keeps occupancy ≤ cap");
-        // draining does not reset the marks
-        assert_eq!((q.pop(), q.pop()), (Some(2), Some(3)));
-        assert_eq!((q.high_water(), q.stalls()), (2, 1));
-    }
-
-    #[test]
-    fn full_queue_blocks_producer_without_dropping() {
-        // Backpressure semantics: with capacity 2 and a slow consumer,
-        // every one of the 64 pushes must eventually land, the queue
-        // never exceeds capacity, and the consumer sees all items in
-        // order.
-        let q = IngestQueue::new(2);
-        let max_seen = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for i in 0..64usize {
-                    q.push(i).unwrap();
-                    max_seen.fetch_max(q.len(), Ordering::Relaxed);
-                }
-                q.close();
-            });
-            let mut got = Vec::new();
-            while let Some(i) = q.pop() {
-                std::thread::yield_now();
-                got.push(i);
-            }
-            assert_eq!(got, (0..64).collect::<Vec<_>>(), "no buffer may be dropped or reordered");
-        });
-        assert!(max_seen.load(Ordering::Relaxed) <= 2, "bounded queue must stay bounded");
-    }
 
     #[test]
     fn routing_is_deterministic_and_in_range() {
@@ -543,9 +263,8 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_instead_of_hanging() {
-        // A decode panic on a shard worker must unwind out of
-        // `process_batch` — the failure mode being prevented is the
-        // router sleeping forever on the dead worker's full queue.
+        // A decode panic on a shard must unwind out of `process_batch`
+        // rather than leave the batch waiting on a dead worker.
         use crate::engine::stage::{DecodeStage, Flow, UnitCtx};
         struct PanicStage;
         impl DecodeStage for PanicStage {

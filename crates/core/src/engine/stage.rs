@@ -1,12 +1,11 @@
 //! The trait-based decode pipeline.
 //!
 //! The §5.1d receiver flow — detect → standard decode → capture/IC →
-//! match → plan → zigzag → store — used to be one hard-wired call chain
-//! inside `ZigzagReceiver::process`. Here each step is a [`DecodeStage`]:
-//! an inspectable, reorderable unit that reads/writes the per-buffer
-//! [`UnitCtx`], mutates the shared [`ReceiverCore`] state, and appends
-//! [`ReceiverEvent`]s. A [`Pipeline`] runs stages in order until one
-//! reports [`Flow::Done`].
+//! match → plan → zigzag → store — runs as a sequence of
+//! [`DecodeStage`]s. Each stage is an inspectable, reorderable unit that
+//! reads/writes the per-buffer [`UnitCtx`], mutates the shared
+//! [`ReceiverCore`] state, and appends [`ReceiverEvent`]s. A
+//! [`Pipeline`] runs stages in order until one reports [`Flow::Done`].
 //!
 //! [`Pipeline::standard`] is the §5.1d order and the only receive path;
 //! custom pipelines can drop, reorder, or wrap stages — e.g. skipping
@@ -14,7 +13,7 @@
 //! instrumentation stages.
 
 use crate::capture::{mrc_combine_retry, subtract_decoded};
-use crate::config::{ClientRegistry, DecoderConfig, SharedRegistry};
+use crate::config::{ClientInfo, ClientRegistry, DecoderConfig, SharedRegistry};
 use crate::detect::{detect_packets, Detection};
 use crate::engine::scratch::Scratch;
 use crate::matchset::{
@@ -26,15 +25,16 @@ use crate::recovery::{group_from_pool, group_from_rejected, solve_group, Salvage
 use crate::standard::{decode_frame, decode_single, SingleDecode};
 use crate::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
 use std::collections::HashSet;
+use std::sync::OnceLock;
 use zigzag_phy::complex::Complex;
 use zigzag_phy::preamble::Preamble;
 
-/// The receiver's long-lived state, shared by every stage: configuration,
-/// a read-mostly handle to the association registry (shard-shareable, see
-/// [`SharedRegistry`]), the shard-*owned* indexed unmatched-collision
-/// store, the salvage pool of evicted collisions (recovery feed), the
-/// faulty-weak-version store for cross-collision MRC, the delivery dedup
-/// set, and the hot-path [`Scratch`].
+/// The ZigZag AP receiver: the long-lived state every stage shares —
+/// configuration, a read-mostly handle to the association registry
+/// (shard-shareable, see [`SharedRegistry`]), the shard-*owned* indexed
+/// unmatched-collision store, the salvage pool of evicted collisions
+/// (recovery feed), the faulty-weak-version store for cross-collision
+/// MRC, the delivery dedup set, and the hot-path [`Scratch`].
 ///
 /// # Example
 ///
@@ -42,13 +42,12 @@ use zigzag_phy::preamble::Preamble;
 ///
 /// ```
 /// use zigzag_core::config::{ClientRegistry, DecoderConfig};
-/// use zigzag_core::engine::{Pipeline, ReceiverCore};
+/// use zigzag_core::engine::ReceiverCore;
 /// use zigzag_phy::complex::Complex;
 ///
 /// let mut core = ReceiverCore::new(DecoderConfig::default(), ClientRegistry::new());
-/// let pipeline = Pipeline::standard();
 /// // no clients associated, so a noise buffer fails cleanly
-/// let events = core.receive(&pipeline, &vec![Complex::real(0.01); 256]);
+/// let events = core.process(&vec![Complex::real(0.01); 256]);
 /// assert_eq!(events, vec![zigzag_core::ReceiverEvent::DecodeFailed]);
 /// ```
 pub struct ReceiverCore {
@@ -96,10 +95,25 @@ impl ReceiverCore {
         self.registry = registry;
     }
 
-    /// Runs one receive buffer through `pipeline` against this state —
-    /// the full-stack entry point the front end
-    /// ([`ZigzagReceiver::process`](crate::receiver::ZigzagReceiver::process))
-    /// and batch drivers use.
+    /// Associates a client (what the 802.11 association handshake would
+    /// establish, §4.2.1).
+    pub fn associate(&mut self, id: u16, info: ClientInfo) {
+        self.registry.associate(id, info);
+    }
+
+    /// Read access to the decoder configuration.
+    pub fn config(&self) -> &DecoderConfig {
+        &self.cfg
+    }
+
+    /// Processes one receive buffer through the standard §5.1d pipeline
+    /// ([`Pipeline::standard`]) and returns what happened.
+    pub fn process(&mut self, buffer: &[Complex]) -> Vec<ReceiverEvent> {
+        self.receive(standard_pipeline(), buffer)
+    }
+
+    /// Runs one receive buffer through a custom `pipeline` against this
+    /// state; [`Self::process`] is this with the standard pipeline.
     pub fn receive(&mut self, pipeline: &Pipeline, buffer: &[Complex]) -> Vec<ReceiverEvent> {
         pipeline.run(self, buffer)
     }
@@ -260,6 +274,13 @@ pub trait DecodeStage: Send + Sync {
         unit: &mut UnitCtx<'_>,
         events: &mut Vec<ReceiverEvent>,
     ) -> Flow;
+}
+
+/// The standard pipeline [`ReceiverCore::process`] runs, built once per
+/// process: stages hold no state, so every core on every thread shares it.
+pub(crate) fn standard_pipeline() -> &'static Pipeline {
+    static STANDARD: OnceLock<Pipeline> = OnceLock::new();
+    STANDARD.get_or_init(Pipeline::standard)
 }
 
 /// An ordered set of stages.

@@ -26,12 +26,16 @@
 //!    elimination over collision groups the chunk scheduler cannot peel
 //!    (§4.5's Δ₁ = Δ₂ failure case among them), fed by rejected match
 //!    sets and the salvage pool of store evictions.
-//! 8. [`receiver`] — the AP front-end tying it all together, with the
-//!    unmatched-collision store.
+//! 8. [`ReceiverCore`] — the AP receiver tying it all together: the
+//!    association registry, the unmatched-collision store and the
+//!    delivery history, driven one buffer at a time by
+//!    [`ReceiverCore::process`]; [`receiver`] defines the events it
+//!    reports.
 //!
 //! The steps above execute as a trait-based stage pipeline inside
 //! [`engine`], which also provides the [`BatchEngine`] (deterministic
-//! multi-threaded fan-out over independent work units) and the
+//! multi-threaded fan-out over independent work units, and the keyed map
+//! that sharded batches and cell episodes decode through) and the
 //! [`Scratch`] arena the hot loops draw their buffers from.
 //!
 //! Supporting modules: [`view`] (per-packet-per-collision channel model —
@@ -65,12 +69,9 @@ pub use config::{
     ClientInfo, ClientRegistry, DecoderConfig, RecoveryConfig, ShardConfig, SharedRegistry,
     StreamConfig,
 };
-pub use engine::{
-    decode_batch, unit_seed, BatchEngine, DecodeUnit, IngestQueue, Pipeline, Scratch,
-    ShardedReceiver,
-};
+pub use engine::{unit_seed, BatchEngine, Pipeline, ReceiverCore, Scratch, ShardedReceiver};
 pub use matchset::{CollisionStore, MatchOutcome, MatchSet, RejectedSet, StoredCollision};
-pub use receiver::{ReceiverEvent, ZigzagReceiver};
+pub use receiver::ReceiverEvent;
 pub use recovery::{RecoveredPacket, RecoveryGroup, SalvagePool};
 pub use service::{CollisionService, EpisodeRound};
 pub use stream::{

@@ -1,4 +1,4 @@
-//! The ZigZag access-point receiver front end.
+//! What the ZigZag access-point receiver reports: decode events and paths.
 //!
 //! Implements the §5.1(d) flow: "First, the packet is detected … Second,
 //! we try to decode the packet using the standard approach. If standard
@@ -13,13 +13,10 @@
 //! lower power (i.e., a capture scenario)."
 //!
 //! The flow itself lives in [`crate::engine::stage`] as a reorderable
-//! stage pipeline, the only receive path; this module is the stateful
-//! front end tying the pipeline to the association registry and the
-//! collision store.
+//! stage pipeline, the only receive path, and the receiver is its
+//! long-lived state, [`ReceiverCore`](crate::engine::ReceiverCore); this
+//! module defines what the receiver reports.
 
-use crate::config::{ClientInfo, ClientRegistry, DecoderConfig};
-use crate::engine::stage::{Pipeline, ReceiverCore};
-use zigzag_phy::complex::Complex;
 use zigzag_phy::frame::Frame;
 
 /// How a delivered frame was recovered.
@@ -60,92 +57,11 @@ pub enum ReceiverEvent {
     DecodeFailed,
 }
 
-/// The ZigZag AP receiver: pipeline + long-lived state.
-pub struct ZigzagReceiver {
-    core: ReceiverCore,
-    pipeline: Pipeline,
-}
-
-impl ZigzagReceiver {
-    /// Creates a receiver with the given configuration and association
-    /// registry, running the standard §5.1d pipeline.
-    pub fn new(cfg: DecoderConfig, registry: ClientRegistry) -> Self {
-        Self::with_pipeline(cfg, registry, Pipeline::standard())
-    }
-
-    /// Creates a receiver over a custom stage pipeline.
-    pub fn with_pipeline(cfg: DecoderConfig, registry: ClientRegistry, pipeline: Pipeline) -> Self {
-        Self { core: ReceiverCore::new(cfg, registry), pipeline }
-    }
-
-    /// Associates a client (what the 802.11 association handshake would
-    /// establish, §4.2.1).
-    pub fn associate(&mut self, id: u16, info: ClientInfo) {
-        self.core.registry.associate(id, info);
-    }
-
-    /// Read access to the association registry.
-    pub fn registry(&self) -> &ClientRegistry {
-        &self.core.registry
-    }
-
-    /// Read access to the decoder configuration.
-    pub fn config(&self) -> &DecoderConfig {
-        &self.core.cfg
-    }
-
-    /// The stage pipeline this receiver runs.
-    pub fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
-    }
-
-    /// Number of unmatched collisions currently stored (§4.2.2).
-    pub fn stored_collisions(&self) -> usize {
-        self.core.store.len()
-    }
-
-    /// Forgets delivery history (between experiment runs).
-    pub fn reset_history(&mut self) {
-        self.core.reset_history();
-    }
-
-    /// Processes one receive buffer through the stage pipeline and
-    /// returns what happened.
-    pub fn process(&mut self, buffer: &[Complex]) -> Vec<ReceiverEvent> {
-        self.core.receive(&self.pipeline, buffer)
-    }
-
-    /// Decodes one continuous stretch of air through the streaming front
-    /// end ([`crate::stream`]): carves collision regions out of `air`
-    /// with the windowed scanner and decodes each region on this
-    /// receiver, returning per-region outcomes in stream order. The
-    /// single-core, no-threads counterpart of
-    /// [`ShardedReceiver::process_stream`](crate::engine::ShardedReceiver::process_stream)
-    /// — identical regions, identical events.
-    pub fn process_air(
-        &mut self,
-        air: &[Complex],
-        scfg: &crate::config::StreamConfig,
-    ) -> Vec<crate::stream::RegionOutcome> {
-        crate::stream::carve_buffer(air, &self.core.cfg, &self.core.registry, scfg)
-            .into_iter()
-            .map(|r| {
-                let events = self.core.receive_detected(&self.pipeline, &r.samples, r.detections);
-                crate::stream::RegionOutcome {
-                    seq: r.seq,
-                    start: r.start,
-                    len: r.samples.len(),
-                    queue_wait_ns: 0,
-                    events,
-                }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ClientInfo, ClientRegistry, DecoderConfig};
+    use crate::engine::{Pipeline, ReceiverCore};
     use rand::prelude::*;
     use zigzag_channel::fading::LinkProfile;
     use zigzag_channel::scenario::{clean_reception, hidden_pair};
@@ -158,8 +74,8 @@ mod tests {
         encode_frame(&f, Modulation::Bpsk, &Preamble::default_len())
     }
 
-    fn receiver_with(links: &[(u16, &LinkProfile)]) -> ZigzagReceiver {
-        let mut rx = ZigzagReceiver::new(DecoderConfig::default(), ClientRegistry::new());
+    fn receiver_with(links: &[(u16, &LinkProfile)]) -> ReceiverCore {
+        let mut rx = ReceiverCore::new(DecoderConfig::default(), ClientRegistry::new());
         for (id, l) in links {
             rx.associate(
                 *id,
@@ -225,7 +141,7 @@ mod tests {
         let a = air(1, 7, 300);
         let b = air(2, 9, 300);
         let hp = hidden_pair(&a, &b, &la, &lb, 420, 140, &mut rng);
-        let mut rx = ZigzagReceiver::new(DecoderConfig::with_solo_reap(), ClientRegistry::new());
+        let mut rx = ReceiverCore::new(DecoderConfig::with_solo_reap(), ClientRegistry::new());
         for (id, l) in [(1, &la), (2, &lb)] {
             rx.associate(
                 id,
@@ -256,7 +172,7 @@ mod tests {
             )),
             "the partner must be reaped from the stored collision: {ev2:?}"
         );
-        assert_eq!(rx.stored_collisions(), 0, "the reaped entry is consumed");
+        assert_eq!(rx.store().len(), 0, "the reaped entry is consumed");
     }
 
     #[test]
@@ -327,10 +243,10 @@ mod tests {
             let hp = hidden_pair(&a, &b, &la, &lb, 300, 100, &mut rng);
             let _ = rx.process(&hp.collision1.buffer);
         }
-        assert!(rx.stored_collisions() > 0, "workload must store collisions");
-        for entry in rx.core.store().iter() {
+        assert!(!rx.store().is_empty(), "workload must store collisions");
+        for entry in rx.store().iter() {
             assert!(
-                rx.core.store().key_len(&entry.key) <= rx.config().collision_store,
+                rx.store().key_len(&entry.key) <= rx.config().collision_store,
                 "key {:?} exceeds the per-key bound",
                 entry.key
             );
@@ -359,7 +275,7 @@ mod tests {
         // two client sets on one AP: the shared-AP config windows the
         // client-set keys so one set's data sidelobes (§5.3a false
         // positives) can't pollute the other's store index
-        let mut rx = ZigzagReceiver::new(DecoderConfig::shared_ap(), ClientRegistry::new());
+        let mut rx = ReceiverCore::new(DecoderConfig::shared_ap(), ClientRegistry::new());
         for (id, l) in [(1u16, &la), (2, &lb), (3, &lc), (4, &ld)] {
             rx.associate(
                 id,
@@ -392,9 +308,9 @@ mod tests {
         // `collision_store` in total, so the burst had flushed {1,2}'s
         // member by now; the keyed store holds the burst *and* it.
         assert!(
-            rx.stored_collisions() > rx.config().collision_store,
+            rx.store().len() > rx.config().collision_store,
             "burst must overflow the old global bound (stored {})",
-            rx.stored_collisions()
+            rx.store().len()
         );
 
         // set {1,2}'s matching retransmission arrives: with FIFO
@@ -424,9 +340,8 @@ mod tests {
 
     #[test]
     fn standard_pipeline_reports_expected_stages() {
-        let rx = receiver_with(&[]);
         assert_eq!(
-            rx.pipeline().stage_names(),
+            Pipeline::standard().stage_names(),
             ["detect", "standard-decode", "capture", "match", "plan", "zigzag", "recover", "store"]
         );
     }

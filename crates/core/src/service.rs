@@ -12,18 +12,19 @@
 //!
 //! [`CollisionService`] owns that per-episode receiver state. Rounds
 //! arrive batched (everything that closed in one simulated slot); the
-//! service fans independent episodes across a [`BatchEngine`] while
-//! keeping each episode's rounds sequential through its own
-//! [`ZigzagReceiver`]. Outputs are returned in input order and are
-//! bit-identical across thread counts: episodes share no state, and the
-//! engine's dynamic scheduling never reorders results.
+//! service decodes them through the [`BatchEngine`]'s keyed map with the
+//! episode as key, so independent episodes run in parallel while each
+//! episode's rounds stay sequential through its own [`ReceiverCore`].
+//! Outputs are returned in input order and are bit-identical across
+//! thread counts: episodes share no state. (A sharded batch is the same
+//! keyed map with a different key: there one shard core serves many
+//! client sets.)
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use crate::config::{ClientRegistry, DecoderConfig};
-use crate::engine::BatchEngine;
-use crate::receiver::{ReceiverEvent, ZigzagReceiver};
+use crate::engine::{BatchEngine, ReceiverCore};
+use crate::receiver::ReceiverEvent;
 use zigzag_phy::complex::Complex;
 
 /// One lowered round: the synthesized air of everything that overlapped
@@ -46,7 +47,7 @@ pub struct EpisodeRound {
 pub struct CollisionService {
     engine: BatchEngine,
     cfg: DecoderConfig,
-    episodes: HashMap<u64, ZigzagReceiver>,
+    episodes: HashMap<u64, ReceiverCore>,
 }
 
 impl CollisionService {
@@ -71,7 +72,7 @@ impl CollisionService {
     /// Stored (unresolved) collisions held for `episode`, if it is
     /// active.
     pub fn episode_depth(&self, episode: u64) -> Option<usize> {
-        self.episodes.get(&episode).map(ZigzagReceiver::stored_collisions)
+        self.episodes.get(&episode).map(|rx| rx.store().len())
     }
 
     /// Decodes a batch of rounds and returns each round's receiver
@@ -82,46 +83,29 @@ impl CollisionService {
     /// receiver — exactly the semantics of the serial loop, independent
     /// of the worker count.
     pub fn decode_rounds(&mut self, rounds: &[EpisodeRound]) -> Vec<Vec<ReceiverEvent>> {
-        // group round indices by episode, first-appearance order
+        // check each touched episode's receiver out of the map (creating
+        // it on first sight), in first-appearance order
+        let mut slot: HashMap<u64, usize> = HashMap::new();
         let mut order: Vec<u64> = Vec::new();
-        let mut by_episode: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (i, r) in rounds.iter().enumerate() {
-            by_episode
-                .entry(r.episode)
-                .or_insert_with(|| {
-                    order.push(r.episode);
-                    Vec::new()
-                })
-                .push(i);
+        let mut cores: Vec<ReceiverCore> = Vec::new();
+        for r in rounds {
+            slot.entry(r.episode).or_insert_with(|| {
+                order.push(r.episode);
+                cores.push(
+                    self.episodes
+                        .remove(&r.episode)
+                        .unwrap_or_else(|| ReceiverCore::new(self.cfg.clone(), r.registry.clone())),
+                );
+                cores.len() - 1
+            });
         }
-        // move each episode's receiver (creating it on first sight) into
-        // a work item the pool can claim
-        let work: Vec<Mutex<(ZigzagReceiver, Vec<usize>)>> = order
-            .iter()
-            .map(|&ep| {
-                let idxs = by_episode.remove(&ep).expect("grouped above");
-                let rx = self.episodes.remove(&ep).unwrap_or_else(|| {
-                    ZigzagReceiver::new(self.cfg.clone(), rounds[idxs[0]].registry.clone())
-                });
-                Mutex::new((rx, idxs))
-            })
-            .collect();
-        let per_group: Vec<Vec<(usize, Vec<ReceiverEvent>)>> = self.engine.map(&work, |_, cell| {
-            let mut guard = cell.lock().expect("episode work item poisoned");
-            let (rx, idxs) = &mut *guard;
-            idxs.clone().into_iter().map(|i| (i, rx.process(&rounds[i].buffer))).collect()
-        });
-        // reclaim receiver state, then scatter events back to input order
-        for (&ep, cell) in order.iter().zip(work) {
-            let (rx, _) = cell.into_inner().expect("episode work item poisoned");
-            self.episodes.insert(ep, rx);
-        }
-        let mut out: Vec<Vec<ReceiverEvent>> = vec![Vec::new(); rounds.len()];
-        for group in per_group {
-            for (i, events) in group {
-                out[i] = events;
-            }
-        }
+        let out = self.engine.map_keyed(
+            &mut cores,
+            rounds.iter().collect(),
+            |r| slot[&r.episode],
+            |rx, r| rx.process(&r.buffer),
+        );
+        self.episodes.extend(order.into_iter().zip(cores));
         out
     }
 
@@ -289,5 +273,47 @@ mod tests {
         }
         assert_eq!(outs[0], outs[1], "1 vs 2 threads");
         assert_eq!(outs[0], outs[2], "1 vs 4 threads");
+    }
+
+    #[test]
+    fn interleaved_rounds_equal_a_serial_loop_per_episode() {
+        // six episodes, three rounds each (collision, retransmission,
+        // solo), interleaved in a scrambled order and split over two
+        // batches so receiver state must persist between calls
+        let eps: Vec<Episode> = (0..6).map(|i| make_episode(90 + i)).collect();
+        let mut rounds: Vec<EpisodeRound> = Vec::new();
+        for step in 0..3 {
+            for i in [3usize, 0, 5, 1, 4, 2] {
+                let ep = &eps[i];
+                let buffer = [&ep.collision1, &ep.collision2, &ep.solo][step].clone();
+                rounds.push(EpisodeRound {
+                    episode: 100 + i as u64,
+                    registry: if step == 0 { ep.registry.clone() } else { ClientRegistry::new() },
+                    buffer,
+                });
+            }
+        }
+        // the reference: one ReceiverCore per episode, rounds in order
+        let mut serial: HashMap<u64, ReceiverCore> = HashMap::new();
+        let want: Vec<Vec<ReceiverEvent>> = rounds
+            .iter()
+            .map(|r| {
+                serial
+                    .entry(r.episode)
+                    .or_insert_with(|| {
+                        ReceiverCore::new(DecoderConfig::with_solo_reap(), r.registry.clone())
+                    })
+                    .process(&r.buffer)
+            })
+            .collect();
+        assert!(want.iter().flatten().any(|e| matches!(e, ReceiverEvent::Delivered { .. })));
+        for threads in [1, 2, 4] {
+            let mut svc = CollisionService::new(DecoderConfig::with_solo_reap(), threads);
+            let (first, second) = rounds.split_at(7);
+            let mut got = svc.decode_rounds(first);
+            got.extend(svc.decode_rounds(second));
+            assert_eq!(got, want, "service diverged from the serial loop at {threads} threads");
+            assert_eq!(svc.active_episodes(), 6);
+        }
     }
 }

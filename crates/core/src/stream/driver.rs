@@ -12,11 +12,14 @@
 //!      └──────────────────┴───────────────────────────────┘
 //! ```
 //!
-//! A slow shard fills its bounded [`IngestQueue`]; the carver's dispatch
+//! A slow shard fills its bounded `IngestQueue`; the carver's dispatch
 //! blocks; the driver stops draining the ring; the ring fills; and
 //! [`StreamSource::push_samples`] blocks. Memory is bounded by
 //! `ring_depth + shards × queue_depth × region` and **no sample is ever
 //! dropped** — the contract `tests/stream.rs` pins at `queue_depth = 1`.
+//! This is the only queue-fed path: a finite batch
+//! ([`ShardedReceiver::process_batch`]) goes through the keyed map
+//! instead, since nothing upstream of it needs throttling.
 //!
 //! # Determinism
 //!
@@ -25,14 +28,16 @@
 //! regions — and therefore the decode events — are bit-identical no
 //! matter how the producer chunks its pushes, how often the ring stalls,
 //! or how many shards decode. That makes the whole streaming front end
-//! an extension of the repo's 3-level determinism contract.
+//! a level of the repo's determinism contract.
 
 use super::carver::{CarvedRegion, RegionCarver};
+use super::queue::IngestQueue;
 use super::ring::SampleRing;
 use super::window::WindowScanner;
 use crate::config::{ClientRegistry, DecoderConfig, StreamConfig};
 use crate::engine::scratch::Scratch;
-use crate::engine::shard::{route_shard, IngestQueue, ShardedReceiver};
+use crate::engine::shard::{route_shard, ShardedReceiver};
+use crate::engine::stage::{standard_pipeline, ReceiverCore};
 use crate::matchset::collision_key;
 use crate::receiver::ReceiverEvent;
 use std::sync::{Condvar, Mutex};
@@ -248,23 +253,15 @@ impl SharedStream {
     }
 }
 
-/// Closes the stream when dropped (producer-side panic safety: the
-/// driver must never wait forever on a source that died mid-push).
-struct CloseStreamOnDrop<'a>(&'a SharedStream);
+/// Runs its closure when dropped — the stream graph's one panic-safety
+/// latch. However a thread exits (return or unwind), it closes or aborts
+/// what the other threads block on, so no thread is left asleep on a
+/// condvar nobody will signal and a panic always propagates.
+struct OnDrop<F: FnMut()>(F);
 
-impl Drop for CloseStreamOnDrop<'_> {
+impl<F: FnMut()> Drop for OnDrop<F> {
     fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-/// Aborts the ring when dropped (driver-side panic safety: the producer
-/// must never wait forever on a driver that died mid-carve).
-struct AbortStreamOnDrop<'a>(&'a SharedStream);
-
-impl Drop for AbortStreamOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.abort();
+        (self.0)();
     }
 }
 
@@ -353,18 +350,6 @@ struct RegionJob {
     enqueued: Instant,
 }
 
-/// Closes the given queues when dropped (same panic-safety latch as the
-/// batch router's).
-struct CloseQueuesOnDrop<'a>(&'a [IngestQueue<RegionJob>]);
-
-impl Drop for CloseQueuesOnDrop<'_> {
-    fn drop(&mut self) {
-        for q in self.0 {
-            q.close();
-        }
-    }
-}
-
 impl ShardedReceiver {
     /// Decodes a continuous IQ stream: spawns `producer` on its own
     /// thread with a [`StreamSource`] to push arbitrary sample chunks
@@ -414,19 +399,21 @@ impl ShardedReceiver {
         let queues: Vec<IngestQueue<RegionJob>> = (0..n).map(|_| IngestQueue::new(depth)).collect();
         let results: Vec<Mutex<Vec<RegionOutcome>>> =
             (0..n).map(|_| Mutex::new(Vec::new())).collect();
-        let Self { cfg, pipeline, cores, loads, stalls, high_water, .. } = self;
+        let Self { cfg, pipeline, cores, loads, .. } = self;
         let (cfg, pipeline) = (&*cfg, &*pipeline);
         let shared_ref = &shared;
 
         let mut carved_samples = 0u64;
         std::thread::scope(|s| {
             s.spawn(move || {
-                let _close = CloseStreamOnDrop(shared_ref);
+                // a producer that died mid-push must not strand the driver
+                let _close = OnDrop(|| shared_ref.close());
                 producer(&StreamSource { shared: shared_ref });
             });
             for ((core, queue), slot) in cores.iter_mut().zip(&queues).zip(&results) {
                 s.spawn(move || {
-                    let _closer = CloseQueuesOnDrop(std::slice::from_ref(queue));
+                    // a dead worker must not strand the driver on its queue
+                    let _closer = OnDrop(|| queue.close());
                     let mut local = Vec::new();
                     while let Some(job) = queue.pop() {
                         let queue_wait_ns = job.enqueued.elapsed().as_nanos() as u64;
@@ -449,8 +436,8 @@ impl ShardedReceiver {
             // guards exist for panic safety: whatever kills the driver,
             // the workers' queues close and the producer's ring aborts,
             // so every thread exits and the panic propagates.
-            let _abort = AbortStreamOnDrop(shared_ref);
-            let closer = CloseQueuesOnDrop(&queues);
+            let _abort = OnDrop(|| shared_ref.abort());
+            let closer = OnDrop(|| queues.iter().for_each(IngestQueue::close));
             let mut chunk = Vec::new();
             let mut regions = Vec::new();
             loop {
@@ -483,12 +470,6 @@ impl ShardedReceiver {
         region_out.sort_by_key(|r| r.seq);
 
         let (samples, source_stalls, ring_high_water) = shared.stats();
-        let shard_stalls: Vec<u64> = queues.iter().map(|q| q.stalls()).collect();
-        let queue_hw: Vec<usize> = queues.iter().map(|q| q.high_water()).collect();
-        for (i, q) in queues.iter().enumerate() {
-            stalls[i] += q.stalls();
-            high_water[i] = high_water[i].max(q.high_water());
-        }
         StreamOutcome {
             stats: StreamStats {
                 samples,
@@ -496,10 +477,31 @@ impl ShardedReceiver {
                 carved_samples,
                 source_stalls,
                 ring_high_water,
-                shard_stalls,
-                queue_high_water: queue_hw,
+                shard_stalls: queues.iter().map(|q| q.stalls()).collect(),
+                queue_high_water: queues.iter().map(|q| q.high_water()).collect(),
             },
             regions: region_out,
         }
+    }
+}
+
+impl ReceiverCore {
+    /// Decodes one continuous stretch of air on this receiver: carves
+    /// collision regions out of `air` with the windowed scanner and runs
+    /// each through the standard pipeline, returning per-region outcomes
+    /// in stream order. The single-core, no-threads counterpart of
+    /// [`ShardedReceiver::process_stream`] — identical regions, identical
+    /// events.
+    pub fn process_air(&mut self, air: &[Complex], scfg: &StreamConfig) -> Vec<RegionOutcome> {
+        carve_buffer(air, &self.cfg, &self.registry, scfg)
+            .into_iter()
+            .map(|r| RegionOutcome {
+                seq: r.seq,
+                start: r.start,
+                len: r.samples.len(),
+                queue_wait_ns: 0,
+                events: self.receive_detected(standard_pipeline(), &r.samples, r.detections),
+            })
+            .collect()
     }
 }

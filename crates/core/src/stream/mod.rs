@@ -37,6 +37,7 @@
 
 mod carver;
 mod driver;
+mod queue;
 mod ring;
 mod window;
 

@@ -196,7 +196,9 @@ impl WindowScanner {
             for g in &c.grids {
                 for p in self.commit..commit_hi {
                     let mag = g.mags[p - cb];
-                    if mag < c.threshold {
+                    // `detect_packets`' rule: a non-finite correlation is
+                    // never a spike
+                    if mag < c.threshold || !mag.is_finite() {
                         continue;
                     }
                     let lo = p.saturating_sub(l).max(cb);

@@ -19,8 +19,9 @@ use rand::prelude::*;
 use zigzag_channel::fading::{ChannelParams, LinkProfile};
 use zigzag_channel::scenario::{synth_collision, PlacedTx, SynthCollision};
 use zigzag_core::capture::capture_decode;
-use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig};
-use zigzag_core::engine::{BatchEngine, Scratch};
+use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig};
+use zigzag_core::engine::{BatchEngine, ReceiverCore, Scratch, ShardedReceiver};
+use zigzag_core::receiver::{DecodePath, ReceiverEvent};
 use zigzag_core::schedule::PlanOutcome;
 use zigzag_core::standard::decode_single;
 use zigzag_core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
@@ -88,6 +89,28 @@ impl TxState {
         self.seq = self.seq.wrapping_add(1);
         *self = TxState::new(src, self.seq, payload, link, rng);
     }
+
+    /// The retry-or-advance step after a round: a delivered frame, or one
+    /// past the retry limit (dropped), makes way for the sender's next
+    /// frame; anything else is retried. Returns `true` when the frame
+    /// left the queue (it counts as offered).
+    fn settle(
+        &mut self,
+        delivered: bool,
+        src: u16,
+        link: &LinkProfile,
+        cfg: &ExperimentConfig,
+        rng: &mut StdRng,
+    ) -> bool {
+        if !delivered {
+            self.retries += 1;
+            if self.retries <= cfg.mac.retry_limit {
+                return false;
+            }
+        }
+        self.advance(src, cfg.payload, link, rng);
+        true
+    }
 }
 
 /// Builds the association registry for a sender pair (what the AP learned
@@ -103,21 +126,26 @@ pub fn registry_for(links: &[(u16, &LinkProfile)]) -> ClientRegistry {
     reg
 }
 
-fn synth_round(
-    a: &TxState,
-    b: &TxState,
-    start_a: usize,
-    start_b: usize,
+/// The senders' frames collided at the given start offsets.
+fn collide(tx: &[TxState], starts: &[usize], rng: &mut StdRng) -> SynthCollision {
+    let placed: Vec<PlacedTx<'_>> = tx
+        .iter()
+        .zip(starts)
+        .map(|(t, &start)| PlacedTx { air: &t.air, base: &t.chan, start })
+        .collect();
+    synth_collision(&placed, 1.0, rng)
+}
+
+/// Fresh exponential-backoff jitter for each sender at its retry count,
+/// as start offsets from the earliest sender.
+fn jitter_starts(
+    retries: impl Iterator<Item = u32>,
+    cfg: &ExperimentConfig,
     rng: &mut StdRng,
-) -> SynthCollision {
-    synth_collision(
-        &[
-            PlacedTx { air: &a.air, base: &a.chan, start: start_a },
-            PlacedTx { air: &b.air, base: &b.chan, start: start_b },
-        ],
-        1.0,
-        rng,
-    )
+) -> Vec<usize> {
+    let jitters: Vec<u32> = retries.map(|r| Backoff::Exponential.draw(&cfg.mac, r, rng)).collect();
+    let m = *jitters.iter().min().expect("k >= 1");
+    jitters.iter().map(|&j| cfg.mac.slots_to_symbols(j - m)).collect()
 }
 
 fn clean_ber(
@@ -189,27 +217,19 @@ fn run_contending(
     type StoredRound = ((u16, u16), i64, SynthCollision, [usize; 2]);
     let mut stored: Option<StoredRound> = None;
     let preamble = Preamble::default_len();
-    let policy = Backoff::Exponential;
 
     let handle_delivery =
         |out: &mut SchemeOutcome, tx: &mut [TxState; 2], s: usize, ber: f64, rng: &mut StdRng| {
             out.bits += tx[s].air.mpdu_bits.len();
             out.bit_errors += (ber * tx[s].air.mpdu_bits.len() as f64).round() as usize;
-            if delivered(ber) {
+            let ok = delivered(ber);
+            if ok {
                 out.delivered[s] += 1;
-                out.offered[s] += 1;
-                let src = (s + 1) as u16;
-                tx[s].advance(src, cfg.payload, links[s], rng);
-                true
-            } else {
-                tx[s].retries += 1;
-                if tx[s].retries > cfg.mac.retry_limit {
-                    out.offered[s] += 1; // dropped
-                    let src = (s + 1) as u16;
-                    tx[s].advance(src, cfg.payload, links[s], rng);
-                }
-                false
             }
+            if tx[s].settle(ok, (s + 1) as u16, links[s], cfg, rng) {
+                out.offered[s] += 1;
+            }
+            ok
         };
 
     let mut round = 0usize;
@@ -228,12 +248,10 @@ fn run_contending(
         }
 
         // collision: both transmit with fresh jitter
-        let ja = policy.draw(&cfg.mac, tx[0].retries, &mut rng);
-        let jb = policy.draw(&cfg.mac, tx[1].retries, &mut rng);
-        let m = ja.min(jb);
-        let (sa, sb) = (cfg.mac.slots_to_symbols(ja - m), cfg.mac.slots_to_symbols(jb - m));
+        let starts = jitter_starts(tx.iter().map(|t| t.retries), cfg, &mut rng);
+        let (sa, sb) = (starts[0], starts[1]);
         let signed_offset = sb as i64 - sa as i64;
-        let sc = synth_round(&tx[0], &tx[1], sa, sb, &mut rng);
+        let sc = collide(&tx, &starts, &mut rng);
         out.airtime += 1.0;
         round += 1;
 
@@ -365,27 +383,16 @@ pub struct PairScenario {
     pub seed: u64,
 }
 
-/// Runs many sender-pair experiments across the [`BatchEngine`]. Results
-/// are in scenario order and bit-for-bit independent of the engine's
-/// thread count: each scenario's randomness comes only from its own seed.
-pub fn run_pairs(
-    engine: &BatchEngine,
-    scenarios: &[PairScenario],
-    cfg: &ExperimentConfig,
-) -> Vec<PairRun> {
-    engine.map(scenarios, |_, s| run_pair(&s.link_a, &s.link_b, s.p_sense, cfg, s.seed))
-}
-
 /// One k-sender scenario for the full-stack receiver flow: `k` saturated
 /// senders (one link each), a carrier-sense probability, and a seed.
 ///
 /// Where [`PairScenario`]/[`run_pair`] compare the three schemes with a
 /// hand-rolled decode flow, a `SetScenario` drives every receive buffer
 /// through the *actual* receiver pipeline
-/// ([`ZigzagReceiver::process`](zigzag_core::ZigzagReceiver::process), i.e.
-/// `ReceiverCore::receive`): collisions accumulate in the keyed store
-/// until a decodable k×k match set exists, then ZigZag recovers all k
-/// frames. This is the generalization `run_pairs` was the k=2 shadow of.
+/// ([`ReceiverCore::process`](zigzag_core::ReceiverCore::process)):
+/// collisions accumulate in the keyed store until a decodable k×k match
+/// set exists, then ZigZag recovers all k frames. This is the
+/// generalization the pair flow is the k=2 shadow of.
 #[derive(Clone, Debug)]
 pub struct SetScenario {
     /// Per-sender links to the AP (sender `i` gets client id `i+1`).
@@ -433,104 +440,138 @@ impl SetOutcome {
     }
 }
 
+/// How a client set's senders contend each round.
+#[derive(Clone, Copy, Debug)]
+enum Contention<'a> {
+    /// Exponential backoff behind a carrier-sense draw: with probability
+    /// `p_sense` the senders hear each other and take k clean slots,
+    /// otherwise all k collide with fresh MAC jitter.
+    Backoff { p_sense: f64 },
+    /// All senders collide at these fixed offsets every round, with no
+    /// sense draw (§4.5's degenerate backoff).
+    Fixed(&'a [usize]),
+}
+
+/// One saturated client set in flight: its senders, its own RNG stream
+/// and its tally. Sender `i` is client `base + i + 1`.
+struct SetRun<'a> {
+    links: &'a [LinkProfile],
+    contention: Contention<'a>,
+    base: u16,
+    rng: StdRng,
+    tx: Vec<TxState>,
+    out: SetOutcome,
+}
+
+impl<'a> SetRun<'a> {
+    fn new(
+        links: &'a [LinkProfile],
+        contention: Contention<'a>,
+        base: u16,
+        seed: u64,
+        cfg: &ExperimentConfig,
+    ) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tx = links
+            .iter()
+            .enumerate()
+            .map(|(i, l)| TxState::new(base + i as u16 + 1, 0, cfg.payload, l, &mut rng))
+            .collect();
+        let out = SetOutcome {
+            delivered: vec![0; links.len()],
+            offered: vec![0; links.len()],
+            ..SetOutcome::default()
+        };
+        Self { links, contention, base, rng, tx, out }
+    }
+
+    /// Synthesizes this round's receive buffers onto `batch` (one
+    /// collision, or k clean slots after a carrier-sense success) and
+    /// charges their airtime; returns how many buffers it added.
+    fn synth_round(&mut self, cfg: &ExperimentConfig, batch: &mut Vec<Vec<Complex>>) -> usize {
+        let Self { contention, tx, rng, out, .. } = self;
+        let starts: Vec<usize> = match *contention {
+            Contention::Fixed(offsets) => offsets.to_vec(),
+            Contention::Backoff { p_sense } => {
+                if rng.gen_bool(p_sense.clamp(0.0, 1.0)) {
+                    for t in tx.iter() {
+                        batch.push(collide(std::slice::from_ref(t), &[0], rng).buffer);
+                    }
+                    out.airtime += tx.len() as f64;
+                    return tx.len();
+                }
+                jitter_starts(tx.iter().map(|t| t.retries), cfg, rng)
+            }
+        };
+        batch.push(collide(tx, &starts, rng).buffer);
+        out.airtime += 1.0;
+        1
+    }
+}
+
+/// The shared saturated-set driver, one contention round: every set
+/// synthesizes its buffers, `decode` turns the whole round's batch into
+/// per-buffer events (one receiver core, or a sharded batch), the events
+/// are scored against each set's in-flight frames, and every sender
+/// retries or advances.
+fn contend_round(
+    sets: &mut [SetRun<'_>],
+    cfg: &ExperimentConfig,
+    decode: &mut impl FnMut(&[Vec<Complex>]) -> Vec<Vec<ReceiverEvent>>,
+) {
+    let mut batch = Vec::new();
+    let mut owner = Vec::new();
+    for (j, set) in sets.iter_mut().enumerate() {
+        let added = set.synth_round(cfg, &mut batch);
+        owner.extend(std::iter::repeat_n(j, added));
+    }
+    let mut got: Vec<Vec<bool>> = sets.iter().map(|set| vec![false; set.tx.len()]).collect();
+    for (events, &j) in decode(&batch).iter().zip(&owner) {
+        let set = &mut sets[j];
+        for ev in events {
+            record_set_event(ev, set.base, &set.tx, &mut got[j], &mut set.out);
+        }
+    }
+    for (set, got) in sets.iter_mut().zip(got) {
+        for (i, t) in set.tx.iter_mut().enumerate() {
+            if got[i] {
+                set.out.delivered[i] += 1;
+            }
+            if t.settle(got[i], set.base + i as u16 + 1, &set.links[i], cfg, &mut set.rng) {
+                set.out.offered[i] += 1;
+            }
+        }
+    }
+}
+
+/// Decodes a round's buffers one by one on a single receiver core.
+fn on_core(rx: &mut ReceiverCore) -> impl FnMut(&[Vec<Complex>]) -> Vec<Vec<ReceiverEvent>> + '_ {
+    |batch| batch.iter().map(|b| rx.process(b)).collect()
+}
+
+/// The registry of one set's senders, client ids `1..=k`.
+fn set_registry(links: &[LinkProfile]) -> ClientRegistry {
+    let ids: Vec<(u16, &LinkProfile)> =
+        links.iter().enumerate().map(|(i, l)| (i as u16 + 1, l)).collect();
+    registry_for(&ids)
+}
+
 /// Runs one saturated k-sender scenario end-to-end through the receiver
 /// pipeline. Each contention round either resolves by carrier sense
 /// (clean slots, one per sender) or all k senders collide with fresh
 /// MAC jitter; every receive buffer goes through
-/// `ZigzagReceiver::process`, so delivery happens exactly when the
-/// pipeline's detect/match/plan/zigzag stages recover a frame.
+/// `ReceiverCore::process`, so delivery happens exactly when the
+/// pipeline's detect/match/plan/zigzag stages recover a frame. Runs
+/// until `cfg.rounds` packet durations of airtime are spent.
 pub fn run_set(scenario: &SetScenario, cfg: &ExperimentConfig) -> SetOutcome {
-    let k = scenario.links.len();
-    let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0x5E7);
-    let ids: Vec<(u16, &LinkProfile)> =
-        scenario.links.iter().enumerate().map(|(i, l)| (i as u16 + 1, l)).collect();
-    let reg = registry_for(&ids);
-    let mut rx = zigzag_core::ZigzagReceiver::new(cfg.decoder.clone(), reg);
-    let mut tx: Vec<TxState> = (0..k)
-        .map(|s| TxState::new(s as u16 + 1, 0, cfg.payload, &scenario.links[s], &mut rng))
-        .collect();
-    let mut out =
-        SetOutcome { delivered: vec![0; k], offered: vec![0; k], ..SetOutcome::default() };
-    let policy = Backoff::Exponential;
-
-    let mut round = 0usize;
-    while round < cfg.rounds {
-        let mut got = vec![false; k];
-        if rng.gen_bool(scenario.p_sense.clamp(0.0, 1.0)) {
-            // carrier sense worked: k clean slots, still through the
-            // full receiver pipeline
-            for s in 0..k {
-                let sc = synth_collision(
-                    &[PlacedTx { air: &tx[s].air, base: &tx[s].chan, start: 0 }],
-                    1.0,
-                    &mut rng,
-                );
-                for ev in rx.process(&sc.buffer) {
-                    record_event(&ev, &tx, &mut got, &mut out);
-                }
-                out.airtime += 1.0;
-                round += 1;
-            }
-        } else {
-            // all k collide with fresh jitter
-            let jitters: Vec<u32> =
-                (0..k).map(|s| policy.draw(&cfg.mac, tx[s].retries, &mut rng)).collect();
-            let m = *jitters.iter().min().expect("k >= 1");
-            let placed: Vec<PlacedTx<'_>> = (0..k)
-                .map(|s| PlacedTx {
-                    air: &tx[s].air,
-                    base: &tx[s].chan,
-                    start: cfg.mac.slots_to_symbols(jitters[s] - m),
-                })
-                .collect();
-            let sc = synth_collision(&placed, 1.0, &mut rng);
-            for ev in rx.process(&sc.buffer) {
-                record_event(&ev, &tx, &mut got, &mut out);
-            }
-            out.airtime += 1.0;
-            round += 1;
-        }
-        for s in 0..k {
-            if got[s] {
-                out.delivered[s] += 1;
-                out.offered[s] += 1;
-                tx[s].advance(s as u16 + 1, cfg.payload, &scenario.links[s], &mut rng);
-            } else {
-                tx[s].retries += 1;
-                if tx[s].retries > cfg.mac.retry_limit {
-                    out.offered[s] += 1; // dropped
-                    tx[s].advance(s as u16 + 1, cfg.payload, &scenario.links[s], &mut rng);
-                }
-            }
-        }
+    let mut rx = ReceiverCore::new(cfg.decoder.clone(), set_registry(&scenario.links));
+    let contention = Contention::Backoff { p_sense: scenario.p_sense };
+    let mut set = [SetRun::new(&scenario.links, contention, 0, scenario.seed ^ 0x5E7, cfg)];
+    while set[0].out.airtime < cfg.rounds as f64 {
+        contend_round(&mut set, cfg, &mut on_core(&mut rx));
     }
-    out
-}
-
-/// Scores one receiver event against the senders' in-flight frames.
-fn record_event(
-    ev: &zigzag_core::ReceiverEvent,
-    tx: &[TxState],
-    got: &mut [bool],
-    out: &mut SetOutcome,
-) {
-    use zigzag_core::receiver::DecodePath;
-    match ev {
-        zigzag_core::ReceiverEvent::Delivered { frame, path } => {
-            let s = frame.src as usize;
-            if s >= 1 && s <= tx.len() && frame.seq == tx[s - 1].seq {
-                got[s - 1] = true;
-                if *path == DecodePath::Zigzag {
-                    out.zigzag_delivered += 1;
-                }
-                if *path == DecodePath::Recovered {
-                    out.recovered_delivered += 1;
-                }
-            }
-        }
-        zigzag_core::ReceiverEvent::CollisionStored => out.collisions_stored += 1,
-        zigzag_core::ReceiverEvent::DecodeFailed => {}
-    }
+    let [set] = set;
+    set.out
 }
 
 /// A degenerate-backoff hidden-sender scenario: every collision round
@@ -558,58 +599,19 @@ pub struct RecoveryScenario {
 
 /// Runs one degenerate-backoff scenario end-to-end through the receiver
 /// pipeline: every round all senders collide at the scenario's fixed
-/// offsets, and each buffer goes through `ZigzagReceiver::process`.
+/// offsets, and each buffer goes through `ReceiverCore::process`.
 /// With recovery disabled the outcome is (by §4.5) zero deliveries; with
 /// recovery enabled, consecutive collisions jointly solve.
 pub fn run_recovery_set(scenario: &RecoveryScenario, cfg: &ExperimentConfig) -> SetOutcome {
-    let k = scenario.links.len();
-    assert_eq!(k, scenario.offsets.len(), "one fixed offset per sender");
-    let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0x41EC);
-    let ids: Vec<(u16, &LinkProfile)> =
-        scenario.links.iter().enumerate().map(|(i, l)| (i as u16 + 1, l)).collect();
-    let reg = registry_for(&ids);
-    let mut rx = zigzag_core::ZigzagReceiver::new(cfg.decoder.clone(), reg);
-    let mut tx: Vec<TxState> = (0..k)
-        .map(|s| TxState::new(s as u16 + 1, 0, cfg.payload, &scenario.links[s], &mut rng))
-        .collect();
-    let mut out =
-        SetOutcome { delivered: vec![0; k], offered: vec![0; k], ..SetOutcome::default() };
-
-    for _round in 0..cfg.rounds {
-        let placed: Vec<PlacedTx<'_>> = (0..k)
-            .map(|s| PlacedTx { air: &tx[s].air, base: &tx[s].chan, start: scenario.offsets[s] })
-            .collect();
-        let sc = synth_collision(&placed, 1.0, &mut rng);
-        let mut got = vec![false; k];
-        for ev in rx.process(&sc.buffer) {
-            record_event(&ev, &tx, &mut got, &mut out);
-        }
-        out.airtime += 1.0;
-        for s in 0..k {
-            if got[s] {
-                out.delivered[s] += 1;
-                out.offered[s] += 1;
-                tx[s].advance(s as u16 + 1, cfg.payload, &scenario.links[s], &mut rng);
-            } else {
-                tx[s].retries += 1;
-                if tx[s].retries > cfg.mac.retry_limit {
-                    out.offered[s] += 1; // dropped
-                    tx[s].advance(s as u16 + 1, cfg.payload, &scenario.links[s], &mut rng);
-                }
-            }
-        }
+    assert_eq!(scenario.links.len(), scenario.offsets.len(), "one fixed offset per sender");
+    let mut rx = ReceiverCore::new(cfg.decoder.clone(), set_registry(&scenario.links));
+    let contention = Contention::Fixed(&scenario.offsets);
+    let mut set = [SetRun::new(&scenario.links, contention, 0, scenario.seed ^ 0x41EC, cfg)];
+    for _ in 0..cfg.rounds {
+        contend_round(&mut set, cfg, &mut on_core(&mut rx));
     }
-    out
-}
-
-/// Runs many degenerate-backoff scenarios across the [`BatchEngine`];
-/// results are in scenario order and thread-count invariant.
-pub fn run_recovery_sets(
-    engine: &BatchEngine,
-    scenarios: &[RecoveryScenario],
-    cfg: &ExperimentConfig,
-) -> Vec<SetOutcome> {
-    engine.map(scenarios, |_, s| run_recovery_set(s, cfg))
+    let [set] = set;
+    set.out
 }
 
 /// One cell of the typical-link impairment sweep: a phase-noise class ×
@@ -706,16 +708,6 @@ pub fn run_impairment_sweep(
     curve
 }
 
-/// Runs many k-sender scenarios across the [`BatchEngine`]; results are
-/// in scenario order and independent of the engine's thread count.
-pub fn run_sets(
-    engine: &BatchEngine,
-    scenarios: &[SetScenario],
-    cfg: &ExperimentConfig,
-) -> Vec<SetOutcome> {
-    engine.map(scenarios, |_, s| run_set(s, cfg))
-}
-
 /// Outcome of a [`run_sharded_sets`] run: per-set §5.1f outcomes plus
 /// how the router spread the buffers over shards.
 #[derive(Clone, Debug, PartialEq)]
@@ -735,9 +727,10 @@ pub struct ShardedRun {
 /// globally distinct oscillator offsets — the AP-wide registry tells
 /// clients apart by ω (§4.2.1). Each contention round, every set either
 /// resolves by carrier sense (k clean slots) or collides with fresh MAC
-/// jitter, exactly as in [`run_set`]; the round's buffers from *all*
-/// sets are then interleaved into one batch through
-/// [`ShardedReceiver::process_batch`](zigzag_core::ShardedReceiver::process_batch), so collisions of different sets
+/// jitter, exactly as in [`run_set`] (but `cfg.rounds` counts contention
+/// rounds here, not airtime); the round's buffers from *all* sets are
+/// then interleaved into one batch through
+/// [`ShardedReceiver::process_batch`], so collisions of different sets
 /// land on (and accumulate in) their owning shard's store concurrently.
 ///
 /// Deterministic for a given scenario list and config at **any** shard
@@ -745,117 +738,24 @@ pub struct ShardedRun {
 pub fn run_sharded_sets(
     scenarios: &[SetScenario],
     cfg: &ExperimentConfig,
-    shard: zigzag_core::ShardConfig,
+    shard: ShardConfig,
 ) -> ShardedRun {
-    let bases: Vec<u16> = scenarios
-        .iter()
-        .scan(0u16, |acc, s| {
-            let base = *acc;
-            *acc += s.links.len() as u16;
-            Some(base)
-        })
-        .collect();
-    let mut registry = ClientRegistry::new();
-    for (s, base) in scenarios.iter().zip(&bases) {
-        for (i, l) in s.links.iter().enumerate() {
-            registry.associate(
-                base + i as u16 + 1,
-                ClientInfo { omega: l.association_omega(), snr_db: l.snr_db, taps: l.isi.clone() },
-            );
-        }
+    let mut ids: Vec<(u16, &LinkProfile)> = Vec::new();
+    let mut sets: Vec<SetRun<'_>> = Vec::new();
+    for s in scenarios {
+        let base = ids.len() as u16;
+        ids.extend(s.links.iter().enumerate().map(|(i, l)| (base + i as u16 + 1, l)));
+        let contention = Contention::Backoff { p_sense: s.p_sense };
+        sets.push(SetRun::new(&s.links, contention, base, s.seed ^ 0x5A4D, cfg));
     }
-    let mut rx = zigzag_core::ShardedReceiver::new(cfg.decoder.clone(), shard, registry);
-    let policy = Backoff::Exponential;
-
-    let mut rngs: Vec<StdRng> =
-        scenarios.iter().map(|s| StdRng::seed_from_u64(s.seed ^ 0x5A4D)).collect();
-    let mut txs: Vec<Vec<TxState>> = scenarios
-        .iter()
-        .zip(&bases)
-        .zip(&mut rngs)
-        .map(|((s, base), rng)| {
-            (0..s.links.len())
-                .map(|i| TxState::new(base + i as u16 + 1, 0, cfg.payload, &s.links[i], rng))
-                .collect()
-        })
-        .collect();
-    let mut outcomes: Vec<SetOutcome> = scenarios
-        .iter()
-        .map(|s| SetOutcome {
-            delivered: vec![0; s.links.len()],
-            offered: vec![0; s.links.len()],
-            ..SetOutcome::default()
-        })
-        .collect();
-
+    let mut rx = ShardedReceiver::new(cfg.decoder.clone(), shard, registry_for(&ids));
     for _ in 0..cfg.rounds {
-        // Every set contributes this round's buffers; tags remember the
-        // owning set of each batch slot.
-        let mut batch: Vec<Vec<Complex>> = Vec::new();
-        let mut tags: Vec<usize> = Vec::new();
-        for (j, s) in scenarios.iter().enumerate() {
-            let k = s.links.len();
-            let rng = &mut rngs[j];
-            if rng.gen_bool(s.p_sense.clamp(0.0, 1.0)) {
-                // carrier sense worked: k clean slots
-                for tx in txs[j].iter() {
-                    let sc = synth_collision(
-                        &[PlacedTx { air: &tx.air, base: &tx.chan, start: 0 }],
-                        1.0,
-                        rng,
-                    );
-                    batch.push(sc.buffer);
-                    tags.push(j);
-                }
-                outcomes[j].airtime += k as f64;
-            } else {
-                // all k of the set collide with fresh jitter
-                let jitters: Vec<u32> =
-                    txs[j].iter().map(|tx| policy.draw(&cfg.mac, tx.retries, rng)).collect();
-                let m = *jitters.iter().min().expect("k >= 1");
-                let placed: Vec<PlacedTx<'_>> = txs[j]
-                    .iter()
-                    .zip(&jitters)
-                    .map(|(tx, &jit)| PlacedTx {
-                        air: &tx.air,
-                        base: &tx.chan,
-                        start: cfg.mac.slots_to_symbols(jit - m),
-                    })
-                    .collect();
-                let sc = synth_collision(&placed, 1.0, rng);
-                batch.push(sc.buffer);
-                tags.push(j);
-                outcomes[j].airtime += 1.0;
-            }
-        }
-
-        let events = rx.process_batch(&batch);
-        let mut got: Vec<Vec<bool>> =
-            scenarios.iter().map(|s| vec![false; s.links.len()]).collect();
-        for (evs, &j) in events.iter().zip(&tags) {
-            for ev in evs {
-                record_set_event(ev, bases[j], &txs[j], &mut got[j], &mut outcomes[j]);
-            }
-        }
-        for (j, s) in scenarios.iter().enumerate() {
-            let rng = &mut rngs[j];
-            for (i, tx) in txs[j].iter_mut().enumerate() {
-                let src = bases[j] + i as u16 + 1;
-                if got[j][i] {
-                    outcomes[j].delivered[i] += 1;
-                    outcomes[j].offered[i] += 1;
-                    tx.advance(src, cfg.payload, &s.links[i], rng);
-                } else {
-                    tx.retries += 1;
-                    if tx.retries > cfg.mac.retry_limit {
-                        outcomes[j].offered[i] += 1; // dropped
-                        tx.advance(src, cfg.payload, &s.links[i], rng);
-                    }
-                }
-            }
-        }
+        contend_round(&mut sets, cfg, &mut |batch| rx.process_batch(batch));
     }
-    ShardedRun { outcomes, shard_loads: rx.loads().to_vec() }
+    ShardedRun {
+        outcomes: sets.into_iter().map(|set| set.out).collect(),
+        shard_loads: rx.loads().to_vec(),
+    }
 }
 
 /// One continuous stretch of receiver air synthesized from a k-sender
@@ -889,10 +789,6 @@ pub fn continuous_air(
 ) -> StreamAir {
     let k = scenario.links.len();
     let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0x57AE);
-    let ids: Vec<(u16, &LinkProfile)> =
-        scenario.links.iter().enumerate().map(|(i, l)| (i as u16 + 1, l)).collect();
-    let registry = registry_for(&ids);
-    let policy = Backoff::Exponential;
     let mut samples = zigzag_channel::noise::awgn_vec(&mut rng, gap, 1.0);
     let mut bursts = 0;
     for g in 0..groups {
@@ -902,39 +798,26 @@ pub fn continuous_air(
             })
             .collect();
         for retry in 0..k as u32 {
-            let jitters: Vec<u32> =
-                txs.iter().map(|_| policy.draw(&cfg.mac, retry, &mut rng)).collect();
-            let m = *jitters.iter().min().expect("k >= 1");
-            let placed: Vec<PlacedTx<'_>> = txs
-                .iter()
-                .zip(&jitters)
-                .map(|(tx, &jit)| PlacedTx {
-                    air: &tx.air,
-                    base: &tx.chan,
-                    start: cfg.mac.slots_to_symbols(jit - m),
-                })
-                .collect();
-            let sc = synth_collision(&placed, 1.0, &mut rng);
-            samples.extend_from_slice(&sc.buffer);
+            let starts = jitter_starts(txs.iter().map(|_| retry), cfg, &mut rng);
+            samples.extend_from_slice(&collide(&txs, &starts, &mut rng).buffer);
             samples.extend(zigzag_channel::noise::awgn_vec(&mut rng, gap, 1.0));
             bursts += 1;
         }
     }
-    StreamAir { registry, samples, bursts }
+    StreamAir { registry: set_registry(&scenario.links), samples, bursts }
 }
 
 /// Scores one receiver event against a set's in-flight frames, with the
 /// set's global client-id base.
 fn record_set_event(
-    ev: &zigzag_core::ReceiverEvent,
+    ev: &ReceiverEvent,
     base: u16,
     tx: &[TxState],
     got: &mut [bool],
     out: &mut SetOutcome,
 ) {
-    use zigzag_core::receiver::DecodePath;
     match ev {
-        zigzag_core::ReceiverEvent::Delivered { frame, path } => {
+        ReceiverEvent::Delivered { frame, path } => {
             let s = frame.src.wrapping_sub(base) as usize;
             if s >= 1 && s <= tx.len() && frame.seq == tx[s - 1].seq {
                 got[s - 1] = true;
@@ -946,8 +829,8 @@ fn record_set_event(
                 }
             }
         }
-        zigzag_core::ReceiverEvent::CollisionStored => out.collisions_stored += 1,
-        zigzag_core::ReceiverEvent::DecodeFailed => {}
+        ReceiverEvent::CollisionStored => out.collisions_stored += 1,
+        ReceiverEvent::DecodeFailed => {}
     }
 }
 
@@ -1030,7 +913,7 @@ mod tests {
             })
             .collect();
         let cfg = ExperimentConfig { payload: 150, rounds: 18, ..Default::default() };
-        let outs = run_sets(&BatchEngine::single_threaded(), &scenarios, &cfg);
+        let outs = BatchEngine::single_threaded().map(&scenarios, |_, s| run_set(s, &cfg));
         let zigzag: usize = outs.iter().map(|o| o.zigzag_delivered).sum();
         assert!(zigzag > 0, "the k-way matched-collision path must fire: {outs:?}");
         for o in &outs {
@@ -1125,15 +1008,16 @@ mod tests {
             decoder: DecoderConfig::with_recovery(),
             ..Default::default()
         };
-        let seq = run_recovery_sets(&BatchEngine::single_threaded(), &scenarios, &cfg);
-        let par = run_recovery_sets(&BatchEngine::new(3), &scenarios, &cfg);
-        assert_eq!(seq, par, "run_recovery_sets must be thread-count invariant");
+        let run = |engine: BatchEngine| engine.map(&scenarios, |_, s| run_recovery_set(s, &cfg));
+        let seq = run(BatchEngine::single_threaded());
+        let par = run(BatchEngine::new(3));
+        assert_eq!(seq, par, "batched recovery sets must be thread-count invariant");
     }
 
     #[test]
     fn two_sender_set_reduces_to_pair_flow() {
-        // k = 2 through run_sets exercises the same pairwise match path
-        // run_pairs always used.
+        // k = 2 through run_set exercises the same pairwise match path
+        // the pair flow uses.
         let s = SetScenario { links: omega_spread_links(2, 16.0), p_sense: 0.0, seed: 901 };
         let cfg = ExperimentConfig { payload: 150, rounds: 16, ..Default::default() };
         let out = run_set(&s, &cfg);
@@ -1164,13 +1048,9 @@ mod tests {
             decoder: DecoderConfig::shared_ap(),
             ..Default::default()
         };
-        let r1 = run_sharded_sets(&scenarios, &cfg, zigzag_core::ShardConfig::with_shards(1));
-        let r2 = run_sharded_sets(&scenarios, &cfg, zigzag_core::ShardConfig::with_shards(2));
-        let r4 = run_sharded_sets(
-            &scenarios,
-            &cfg,
-            zigzag_core::ShardConfig { shards: 4, queue_depth: 2 },
-        );
+        let r1 = run_sharded_sets(&scenarios, &cfg, ShardConfig::with_shards(1));
+        let r2 = run_sharded_sets(&scenarios, &cfg, ShardConfig::with_shards(2));
+        let r4 = run_sharded_sets(&scenarios, &cfg, ShardConfig { shards: 4, queue_depth: 2 });
         assert_eq!(r1.outcomes, r2.outcomes, "2-shard run diverged from single-shard");
         assert_eq!(r1.outcomes, r4.outcomes, "4-shard run diverged from single-shard");
         let zigzag: usize = r1.outcomes.iter().map(|o| o.zigzag_delivered).sum();
@@ -1191,9 +1071,10 @@ mod tests {
             .map(|i| SetScenario { links: omega_spread_links(3, 16.0), p_sense: 0.2, seed: 70 + i })
             .collect();
         let cfg = ExperimentConfig { payload: 120, rounds: 9, ..Default::default() };
-        let seq = run_sets(&BatchEngine::single_threaded(), &scenarios, &cfg);
-        let par = run_sets(&BatchEngine::new(3), &scenarios, &cfg);
-        assert_eq!(seq, par, "run_sets must be thread-count invariant");
+        let run = |engine: BatchEngine| engine.map(&scenarios, |_, s| run_set(s, &cfg));
+        let seq = run(BatchEngine::single_threaded());
+        let par = run(BatchEngine::new(3));
+        assert_eq!(seq, par, "batched sets must be thread-count invariant");
     }
 
     #[test]
@@ -1231,8 +1112,11 @@ mod tests {
             })
             .collect();
         let cfg = ExperimentConfig { payload: 150, rounds: 6, ..Default::default() };
-        let seq = run_pairs(&BatchEngine::single_threaded(), &scenarios, &cfg);
-        let par = run_pairs(&BatchEngine::new(3), &scenarios, &cfg);
+        let run = |engine: BatchEngine| {
+            engine.map(&scenarios, |_, s| run_pair(&s.link_a, &s.link_b, s.p_sense, &cfg, s.seed))
+        };
+        let seq = run(BatchEngine::single_threaded());
+        let par = run(BatchEngine::new(3));
         for (a, b) in seq.iter().zip(par.iter()) {
             assert_eq!(a.zigzag.delivered, b.zigzag.delivered);
             assert_eq!(a.s802.delivered, b.s802.delivered);

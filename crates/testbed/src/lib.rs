@@ -21,8 +21,8 @@ pub use cell::{SignalCellConfig, SignalResolver};
 
 pub use experiment::{
     continuous_air, impaired_recovery_scenario, registry_for, run_impairment_sweep, run_pair,
-    run_pairs, run_set, run_sets, run_sharded_sets, ExperimentConfig, ImpairmentPoint, PairRun,
-    PairScenario, ReclaimPoint, SetOutcome, SetScenario, ShardedRun, StreamAir,
+    run_set, run_sharded_sets, ExperimentConfig, ImpairmentPoint, PairRun, PairScenario,
+    ReclaimPoint, SetOutcome, SetScenario, ShardedRun, StreamAir,
 };
 pub use metrics::{delivered, Samples, SchemeOutcome, DELIVERY_BER};
 pub use topology::Testbed;

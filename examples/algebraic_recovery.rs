@@ -22,7 +22,7 @@ use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::{synth_collision, PlacedTx};
 use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig};
 use zigzag::core::receiver::{DecodePath, ReceiverEvent};
-use zigzag::core::ZigzagReceiver;
+use zigzag::core::ReceiverCore;
 use zigzag::phy::frame::{encode_frame, Frame};
 use zigzag::phy::modulation::Modulation;
 use zigzag::phy::preamble::Preamble;
@@ -67,7 +67,7 @@ fn main() {
     // The paper's receiver: stores the first collision, *rejects* the
     // second (the pure-shift alignment is the Δ₁ = Δ₂ case its scheduler
     // cannot decode), stores it too. Nothing ever delivers.
-    let mut zigzag_only = ZigzagReceiver::new(DecoderConfig::default(), reg.clone());
+    let mut zigzag_only = ReceiverCore::new(DecoderConfig::default(), reg.clone());
     let mut delivered = 0;
     for c in [&c1, &c2] {
         delivered += zigzag_only
@@ -81,7 +81,7 @@ fn main() {
     // The recovery-enabled receiver: the confirmed-but-undecodable
     // alignment goes to the algebraic batch solver, which decodes both
     // packets jointly across the two buffers.
-    let mut rx = ZigzagReceiver::new(DecoderConfig::with_recovery(), reg);
+    let mut rx = ReceiverCore::new(DecoderConfig::with_recovery(), reg);
     let _ = rx.process(&c1);
     for ev in rx.process(&c2) {
         if let ReceiverEvent::Delivered { frame, path } = ev {

@@ -11,9 +11,8 @@ use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::hidden_pair;
 use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig};
 use zigzag::core::engine::{
-    CaptureStage, DetectStage, MatchStage, Pipeline, StandardDecodeStage, StoreStage,
+    CaptureStage, DetectStage, MatchStage, Pipeline, ReceiverCore, StandardDecodeStage, StoreStage,
 };
-use zigzag::core::receiver::ZigzagReceiver;
 use zigzag::phy::frame::{encode_frame, Frame};
 use zigzag::phy::modulation::Modulation;
 use zigzag::phy::preamble::Preamble;
@@ -50,18 +49,18 @@ fn main() {
         Box::new(MatchStage),
         Box::new(StoreStage),
     ]);
-    let mut rx = ZigzagReceiver::with_pipeline(DecoderConfig::default(), registry, pipeline);
-    println!("custom pipeline: {:?}", rx.pipeline().stage_names());
+    let mut rx = ReceiverCore::new(DecoderConfig::default(), registry);
+    println!("custom pipeline: {:?}", pipeline.stage_names());
 
     for (k, buf) in [&hp.collision1.buffer, &hp.collision2.buffer].iter().enumerate() {
-        let events = rx.process(buf);
+        let events = rx.receive(&pipeline, buf);
         println!(
             "collision {}: events {:?}  stored collisions now: {}",
             k + 1,
             events,
-            rx.stored_collisions()
+            rx.store().len()
         );
     }
-    assert_eq!(rx.stored_collisions(), 2, "matched pair must be preserved, not destroyed");
+    assert_eq!(rx.store().len(), 2, "matched pair must be preserved, not destroyed");
     println!("both collisions retained in the store (nothing consumed them) — contract holds");
 }

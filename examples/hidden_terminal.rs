@@ -1,6 +1,6 @@
 //! Hidden-terminal flow through the full AP receiver front end.
 //!
-//! Drives [`zigzag_core::receiver::ZigzagReceiver`] the way a radio would:
+//! Drives [`zigzag_core::engine::ReceiverCore`] the way a radio would:
 //! buffers arrive one at a time; the first collision is detected and
 //! stored, the retransmission is matched (§4.2.2) and both frames pop out
 //! of the ZigZag path with their CRCs intact.
@@ -11,7 +11,8 @@ use rand::prelude::*;
 use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::hidden_pair;
 use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig};
-use zigzag_core::receiver::{ReceiverEvent, ZigzagReceiver};
+use zigzag_core::engine::ReceiverCore;
+use zigzag_core::receiver::ReceiverEvent;
 use zigzag_phy::frame::{encode_frame, Frame};
 use zigzag_phy::modulation::Modulation;
 use zigzag_phy::preamble::Preamble;
@@ -21,7 +22,7 @@ fn main() {
     let alice = LinkProfile::typical(16.0, &mut rng);
     let bob = LinkProfile::typical(16.0, &mut rng);
 
-    let mut ap = ZigzagReceiver::new(DecoderConfig::default(), ClientRegistry::new());
+    let mut ap = ReceiverCore::new(DecoderConfig::default(), ClientRegistry::new());
     ap.associate(
         1,
         ClientInfo { omega: alice.association_omega(), snr_db: 16.0, taps: alice.isi.clone() },

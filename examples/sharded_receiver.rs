@@ -16,8 +16,8 @@ use rand::prelude::*;
 use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::hidden_pair;
 use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig};
-use zigzag::core::engine::ShardedReceiver;
-use zigzag::core::receiver::{DecodePath, ReceiverEvent, ZigzagReceiver};
+use zigzag::core::engine::{ReceiverCore, ShardedReceiver};
+use zigzag::core::receiver::{DecodePath, ReceiverEvent};
 use zigzag::phy::complex::Complex;
 use zigzag::phy::frame::{encode_frame, Frame};
 use zigzag::phy::modulation::Modulation;
@@ -92,7 +92,7 @@ fn main() {
 
     // The sharding contract: bit-identical to one ReceiverCore fed the
     // same sequence.
-    let mut single = ZigzagReceiver::new(DecoderConfig::shared_ap(), registry);
+    let mut single = ReceiverCore::new(DecoderConfig::shared_ap(), registry);
     let reference: Vec<Vec<ReceiverEvent>> = stream.iter().map(|b| single.process(b)).collect();
     assert_eq!(events, reference, "sharded output must equal the single-core receiver's");
     println!("sharded events identical to a single ReceiverCore — all four frames recovered");

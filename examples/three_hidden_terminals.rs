@@ -2,7 +2,7 @@
 //!
 //! Three senders, hidden from each other, collide three times with
 //! different MAC offsets. Every receive buffer goes through the actual
-//! AP pipeline (`ZigzagReceiver::process`, i.e. `ReceiverCore::receive`):
+//! AP pipeline (`ReceiverCore::process`):
 //! the first two collisions are detected as unresolvable and parked in
 //! the keyed collision store; the third completes a decodable 3×3 match
 //! set, and the k-way matcher + greedy scheduler + executor recover all
@@ -14,7 +14,8 @@ use rand::prelude::*;
 use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::{synth_collision, PlacedTx};
 use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig};
-use zigzag::core::receiver::{DecodePath, ReceiverEvent, ZigzagReceiver};
+use zigzag::core::engine::ReceiverCore;
+use zigzag::core::receiver::{DecodePath, ReceiverEvent};
 use zigzag::phy::frame::{encode_frame, Frame};
 use zigzag::phy::modulation::Modulation;
 use zigzag::phy::preamble::Preamble;
@@ -49,7 +50,7 @@ fn main() {
             ClientInfo { omega: l.association_omega(), snr_db: l.snr_db, taps: l.isi.clone() },
         );
     }
-    let mut rx = ZigzagReceiver::new(DecoderConfig::default(), registry);
+    let mut rx = ReceiverCore::new(DecoderConfig::default(), registry);
 
     let mut recovered = Vec::new();
     for (round, offs) in offsets.iter().enumerate() {
@@ -61,7 +62,7 @@ fn main() {
         for ev in events {
             match ev {
                 ReceiverEvent::CollisionStored => {
-                    print!("stored unmatched (store now holds {})", rx.stored_collisions())
+                    print!("stored unmatched (store now holds {})", rx.store().len())
                 }
                 ReceiverEvent::Delivered { frame, path } => {
                     print!("delivered src {} via {:?}  ", frame.src, path);
@@ -79,7 +80,7 @@ fn main() {
         let sent: &Frame = &airs[(frame.src - 1) as usize].frame;
         assert_eq!(frame, sent, "recovered frame must be bit-exact");
     }
-    assert_eq!(rx.stored_collisions(), 0, "matched store entries are consumed");
+    assert_eq!(rx.store().len(), 0, "matched store entries are consumed");
     println!(
         "all three packets recovered bit-exact through the receiver's k-way \
          store/match/zigzag path — each sender effectively got 1/3 of the medium (Fig 5-9)"

@@ -26,7 +26,7 @@ use zigzag::channel::fading::{LinkProfile, DEFAULT_PHASE_NOISE, DEFAULT_SAMPLING
 use zigzag::channel::scenario::{synth_collision, PlacedTx};
 use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig};
 use zigzag::core::receiver::{DecodePath, ReceiverEvent};
-use zigzag::core::ZigzagReceiver;
+use zigzag::core::ReceiverCore;
 use zigzag::phy::frame::{encode_frame, Frame};
 use zigzag::phy::modulation::Modulation;
 use zigzag::phy::preamble::Preamble;
@@ -75,7 +75,7 @@ fn main() {
     let c2 = collide(&mut rng);
 
     let recovered = |cfg: DecoderConfig| -> Vec<Frame> {
-        let mut rx = ZigzagReceiver::new(cfg, reg.clone());
+        let mut rx = ReceiverCore::new(cfg, reg.clone());
         [&c1, &c2]
             .iter()
             .flat_map(|c| rx.process(c))

@@ -6,8 +6,8 @@ use rand::prelude::*;
 use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::hidden_pair;
 use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig};
-use zigzag::core::engine::Scratch;
-use zigzag::core::receiver::{ReceiverEvent, ZigzagReceiver};
+use zigzag::core::engine::{ReceiverCore, Scratch};
+use zigzag::core::receiver::ReceiverEvent;
 use zigzag::core::schedule::PlanOutcome;
 use zigzag::core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
 use zigzag::mac::{Backoff, MacParams};
@@ -94,7 +94,7 @@ fn receiver_front_end_delivers_both_frames() {
     // An 802.11 sender retransmits until acked; feed the AP successive
     // collisions until both frames come out (frame-level delivery needs a
     // clean CRC, so a marginal pass just waits for the next pair).
-    let mut ap = ZigzagReceiver::new(DecoderConfig::default(), registry(&[(1, &la), (2, &lb)]));
+    let mut ap = ReceiverCore::new(DecoderConfig::default(), registry(&[(1, &la), (2, &lb)]));
     let mut delivered: Vec<(u16, u16)> = Vec::new();
     for (round, (d1, d2)) in [(360, 130), (280, 90), (420, 180)].iter().enumerate() {
         let hp = hidden_pair(&a, &b, &la, &lb, *d1, *d2, &mut rng);
@@ -120,7 +120,7 @@ fn receiver_front_end_delivers_both_frames() {
 fn no_collision_no_overhead() {
     let mut rng = StdRng::seed_from_u64(5);
     let l = LinkProfile::typical(15.0, &mut rng);
-    let mut ap = ZigzagReceiver::new(DecoderConfig::default(), registry(&[(1, &l)]));
+    let mut ap = ReceiverCore::new(DecoderConfig::default(), registry(&[(1, &l)]));
     for seq in 0..4u16 {
         let f = Frame::with_random_payload(0, 1, seq, 250, seq as u64);
         let a = encode_frame(&f, Modulation::Bpsk, &Preamble::default_len());

@@ -9,10 +9,10 @@ use zigzag::channel::scenario::{clean_reception, hidden_pair, synth_collision, P
 use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig};
 use zigzag::core::detect::detect_packets;
 use zigzag::core::engine::{
-    decode_batch, unit_seed, BatchEngine, CaptureStage, DecodeUnit, DetectStage, MatchStage,
-    Pipeline, ReceiverCore, Scratch, StandardDecodeStage, StoreStage,
+    unit_seed, BatchEngine, CaptureStage, DetectStage, MatchStage, Pipeline, ReceiverCore, Scratch,
+    StandardDecodeStage, StoreStage,
 };
-use zigzag::core::receiver::{DecodePath, ReceiverEvent, ZigzagReceiver};
+use zigzag::core::receiver::{DecodePath, ReceiverEvent};
 use zigzag::core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
 use zigzag::phy::complex::Complex;
 use zigzag::phy::frame::{encode_frame, Frame};
@@ -30,6 +30,23 @@ fn registry(links: &[(u16, &LinkProfile)]) -> ClientRegistry {
     reg
 }
 
+/// One independent receiver workload: a fresh receiver fed a sequence
+/// of buffers, in order.
+struct Unit {
+    cfg: DecoderConfig,
+    registry: ClientRegistry,
+    buffers: Vec<Vec<Complex>>,
+}
+
+/// Decodes every unit on a fresh `ReceiverCore`, units fanned across the
+/// engine, returning each unit's concatenated events in input order.
+fn decode_units(engine: &BatchEngine, units: &[Unit]) -> Vec<Vec<ReceiverEvent>> {
+    engine.map(units, |_, unit| {
+        let mut rx = ReceiverCore::new(unit.cfg.clone(), unit.registry.clone());
+        unit.buffers.iter().flat_map(|b| rx.process(b)).collect()
+    })
+}
+
 fn air(src: u16, seq: u16, len: usize) -> zigzag::phy::frame::AirFrame {
     let f = Frame::with_random_payload(0, src, seq, len, 40_000 + src as u64 * 131 + seq as u64);
     encode_frame(&f, Modulation::Bpsk, &Preamble::default_len())
@@ -37,7 +54,7 @@ fn air(src: u16, seq: u16, len: usize) -> zigzag::phy::frame::AirFrame {
 
 /// A mixed workload per unit: a clean delivery, a hidden-terminal
 /// retransmission pair (store → match → zigzag), and a noise buffer.
-fn build_units(n: usize, payload: usize) -> Vec<DecodeUnit> {
+fn build_units(n: usize, payload: usize) -> Vec<Unit> {
     (0..n)
         .map(|i| {
             let mut rng = StdRng::seed_from_u64(unit_seed(77, i));
@@ -50,7 +67,7 @@ fn build_units(n: usize, payload: usize) -> Vec<DecodeUnit> {
             let d2 = 70 + 10 * (i % 4);
             let hp = hidden_pair(&a, &b, &la, &lb, d1, d2, &mut rng);
             let noise = zigzag::channel::noise::awgn_vec(&mut rng, 1500, 1.0);
-            DecodeUnit {
+            Unit {
                 cfg: DecoderConfig::default(),
                 registry: registry(&[(1, &la), (2, &lb)]),
                 buffers: vec![clean.buffer, hp.collision1.buffer, hp.collision2.buffer, noise],
@@ -62,7 +79,7 @@ fn build_units(n: usize, payload: usize) -> Vec<DecodeUnit> {
 /// Unequal-power collision units (strong 22 dB over weak 13 dB), so the
 /// capture / interference-cancellation / MRC-retry stage is exercised
 /// too — equal-power units never take it.
-fn build_capture_units(n: usize, payload: usize) -> Vec<DecodeUnit> {
+fn build_capture_units(n: usize, payload: usize) -> Vec<Unit> {
     (0..n)
         .map(|i| {
             let mut rng = StdRng::seed_from_u64(unit_seed(15, i));
@@ -71,7 +88,7 @@ fn build_capture_units(n: usize, payload: usize) -> Vec<DecodeUnit> {
             let a = air(1, 500 + i as u16, payload);
             let b = air(2, 500 + i as u16, payload);
             let hp = hidden_pair(&a, &b, &la, &lb, 300, 120, &mut rng);
-            DecodeUnit {
+            Unit {
                 cfg: DecoderConfig::default(),
                 registry: registry(&[(1, &la), (2, &lb)]),
                 buffers: vec![hp.collision1.buffer, hp.collision2.buffer],
@@ -100,7 +117,7 @@ fn pipeline_delivers_only_offered_frames() {
     let mut capture_fired = false;
     let mut delivered = 0usize;
     for unit in &units {
-        let mut rx = ZigzagReceiver::new(unit.cfg.clone(), unit.registry.clone());
+        let mut rx = ReceiverCore::new(unit.cfg.clone(), unit.registry.clone());
         for (k, buffer) in unit.buffers.iter().enumerate() {
             for event in rx.process(buffer) {
                 let ReceiverEvent::Delivered { frame, path } = event else { continue };
@@ -124,7 +141,7 @@ fn pipeline_delivers_only_offered_frames() {
 #[test]
 fn batch_engine_is_deterministic_across_thread_counts() {
     let units = build_units(8, 150);
-    let reference = decode_batch(&BatchEngine::single_threaded(), &units);
+    let reference = decode_units(&BatchEngine::single_threaded(), &units);
     // the workload must actually exercise the decode paths
     let delivered: usize = reference
         .iter()
@@ -133,7 +150,7 @@ fn batch_engine_is_deterministic_across_thread_counts() {
         .count();
     assert!(delivered >= units.len(), "workload too easy: {delivered} deliveries");
     for threads in [2, 4, 8] {
-        let out = decode_batch(&BatchEngine::new(threads), &units);
+        let out = decode_units(&BatchEngine::new(threads), &units);
         assert_eq!(reference, out, "batch decode diverged at {threads} threads");
     }
 }
@@ -145,8 +162,8 @@ fn batch_engine_preserves_order_under_skew() {
     let mut units = build_units(5, 150);
     let heavy = build_units(1, 600);
     units[0] = heavy.into_iter().next().unwrap();
-    let seq = decode_batch(&BatchEngine::single_threaded(), &units);
-    let par = decode_batch(&BatchEngine::new(4), &units);
+    let seq = decode_units(&BatchEngine::single_threaded(), &units);
+    let par = decode_units(&BatchEngine::new(4), &units);
     assert_eq!(seq, par);
 }
 
@@ -165,15 +182,15 @@ fn custom_pipeline_without_zigzag_keeps_stored_collisions() {
         Box::new(MatchStage),
         Box::new(StoreStage),
     ]);
-    let mut rx = ZigzagReceiver::with_pipeline(unit.cfg.clone(), unit.registry.clone(), pipeline);
+    let mut rx = ReceiverCore::new(unit.cfg.clone(), unit.registry.clone());
     // buffers[1] and buffers[2] are the matched retransmission pair
-    let ev1 = rx.process(&unit.buffers[1]);
+    let ev1 = rx.receive(&pipeline, &unit.buffers[1]);
     assert!(ev1.contains(&ReceiverEvent::CollisionStored), "{ev1:?}");
-    assert_eq!(rx.stored_collisions(), 1);
-    let ev2 = rx.process(&unit.buffers[2]);
+    assert_eq!(rx.store().len(), 1);
+    let ev2 = rx.receive(&pipeline, &unit.buffers[2]);
     assert!(ev2.contains(&ReceiverEvent::CollisionStored), "{ev2:?}");
     // the matched stored collision was put back alongside the new one
-    assert_eq!(rx.stored_collisions(), 2, "matched stored collision must not be lost");
+    assert_eq!(rx.store().len(), 2, "matched stored collision must not be lost");
 }
 
 /// The k-way tentpole: a 3-sender/3-collision workload decodes all three
@@ -251,7 +268,7 @@ fn scratch_reuse_is_stateless_across_buffers() {
     let units = build_units(1, 200);
     let unit = &units[0];
     let run = |buffers: &[Vec<Complex>]| {
-        let mut rx = ZigzagReceiver::new(unit.cfg.clone(), unit.registry.clone());
+        let mut rx = ReceiverCore::new(unit.cfg.clone(), unit.registry.clone());
         buffers.iter().flat_map(|b| rx.process(b)).collect::<Vec<_>>()
     };
     assert_eq!(run(&unit.buffers), run(&unit.buffers));
@@ -274,7 +291,7 @@ fn non_finite_buffers_are_rejected_without_touching_the_store() {
 
     // the genuine collision is stored — the spliced case below is only
     // rejected because of its one NaN sample
-    let mut rx = ZigzagReceiver::new(cfg.clone(), reg.clone());
+    let mut rx = ReceiverCore::new(cfg.clone(), reg.clone());
     assert_eq!(rx.process(&hp.collision1.buffer), vec![ReceiverEvent::CollisionStored]);
     let detections = detect_packets(
         &hp.collision1.buffer,
@@ -294,9 +311,9 @@ fn non_finite_buffers_are_rejected_without_touching_the_store() {
         ("collision with one NaN sample", spliced),
     ];
     for (what, buffer) in &hostile {
-        let mut rx = ZigzagReceiver::new(cfg.clone(), reg.clone());
+        let mut rx = ReceiverCore::new(cfg.clone(), reg.clone());
         assert_eq!(rx.process(buffer), vec![ReceiverEvent::DecodeFailed], "{what}: process");
-        assert_eq!(rx.stored_collisions(), 0, "{what}: process polluted the store");
+        assert_eq!(rx.store().len(), 0, "{what}: process polluted the store");
 
         let mut core = ReceiverCore::new(cfg.clone(), reg.clone());
         let events = core.receive_detected(&Pipeline::standard(), buffer, detections.clone());

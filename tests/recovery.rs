@@ -10,7 +10,7 @@ use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::{synth_collision, PlacedTx};
 use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig};
 use zigzag::core::engine::{Pipeline, ReceiverCore, ShardedReceiver};
-use zigzag::core::receiver::{DecodePath, ReceiverEvent, ZigzagReceiver};
+use zigzag::core::receiver::{DecodePath, ReceiverEvent};
 use zigzag::phy::complex::Complex;
 use zigzag::phy::frame::{encode_frame, Frame};
 use zigzag::phy::kernel::BackendKind;
@@ -83,7 +83,7 @@ fn equal_offsets_decode_only_through_recovery() {
     // Recovery disabled: the pipeline provably cannot decode — the pure-
     // shift alignment is rejected by the matcher, both buffers end up
     // stored, nothing delivers.
-    let mut base = ZigzagReceiver::new(DecoderConfig::default(), reg.clone());
+    let mut base = ReceiverCore::new(DecoderConfig::default(), reg.clone());
     let mut base_events = Vec::new();
     for b in &buffers {
         base_events.extend(base.process(b));
@@ -96,14 +96,14 @@ fn equal_offsets_decode_only_through_recovery() {
     // Recovery enabled: the second collision's confirmed-but-undecodable
     // alignment is solved jointly across both buffers; both frames must
     // come back CRC-verified through the Recovered path.
-    let mut rx = ZigzagReceiver::new(DecoderConfig::with_recovery(), reg);
+    let mut rx = ReceiverCore::new(DecoderConfig::with_recovery(), reg);
     let ev1 = rx.process(&buffers[0]);
     assert!(ev1.contains(&ReceiverEvent::CollisionStored), "{ev1:?}");
     let ev2 = rx.process(&buffers[1]);
     let recovered = delivered_frames(&ev2, DecodePath::Recovered);
     assert_eq!(recovered.len(), 2, "both packets must recover, got {ev2:?}");
     assert!(recovered.contains(&frames[0]) && recovered.contains(&frames[1]));
-    assert_eq!(rx.stored_collisions(), 0, "the solved group must be consumed");
+    assert_eq!(rx.store().len(), 0, "the solved group must be consumed");
 }
 
 #[test]
@@ -290,7 +290,7 @@ fn evicted_collision_recovers_through_salvage_pool() {
         .buffer
     };
     let cfg = DecoderConfig { collision_store: 1, ..DecoderConfig::with_recovery() };
-    let mut rx = ZigzagReceiver::new(cfg, reg);
+    let mut rx = ReceiverCore::new(cfg, reg);
     let ev1 = rx.process(&buffers[0]);
     assert!(ev1.contains(&ReceiverEvent::CollisionStored), "{ev1:?}");
     let ev2 = rx.process(&interloper);
@@ -334,7 +334,7 @@ fn evicted_then_salvaged_set_never_double_emits() {
     let c3 = mk(300, &mut rng);
 
     let reg = registry(&[(1, &la), (2, &lb)]);
-    let mut rx = ZigzagReceiver::new(DecoderConfig::with_recovery(), reg);
+    let mut rx = ReceiverCore::new(DecoderConfig::with_recovery(), reg);
     let ev1 = rx.process(&c1);
     assert!(ev1.contains(&ReceiverEvent::CollisionStored), "{ev1:?}");
     let ev2 = rx.process(&c2);

@@ -16,7 +16,7 @@ use zigzag::channel::fading::{LinkProfile, DEFAULT_PHASE_NOISE, DEFAULT_SAMPLING
 use zigzag::channel::scenario::{synth_collision, PlacedTx};
 use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig};
 use zigzag::core::engine::{Pipeline, ReceiverCore, ShardedReceiver};
-use zigzag::core::receiver::{DecodePath, ReceiverEvent, ZigzagReceiver};
+use zigzag::core::receiver::{DecodePath, ReceiverEvent};
 use zigzag::phy::complex::Complex;
 use zigzag::phy::frame::{encode_frame, Frame};
 use zigzag::phy::kernel::BackendKind;
@@ -252,7 +252,7 @@ fn phase_noisy_members_recruit_through_salvage_pool() {
         let (reg, buffers, frames) = equal_offset_group((&la, &lb), 120, 300, 2, seed);
         let evict = interloper((&la, &lb), 120, seed);
         let cfg = DecoderConfig { collision_store: 1, ..DecoderConfig::with_recovery() };
-        let mut rx = ZigzagReceiver::new(cfg, reg);
+        let mut rx = ReceiverCore::new(cfg, reg);
         let ev1 = rx.process(&buffers[0]);
         assert!(ev1.contains(&ReceiverEvent::CollisionStored), "seed {seed}: {ev1:?}");
         let ev2 = rx.process(&evict);

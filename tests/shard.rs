@@ -1,13 +1,14 @@
 //! Sharded-receiver integration tests: event streams must be
-//! bit-identical across shard counts (the deterministic-merge contract),
-//! and bounded-queue ingestion must apply backpressure without ever
-//! dropping a buffer.
+//! bit-identical across shard counts (the keyed map returns events in
+//! input order), and the stream path's bounded queues must apply
+//! backpressure without ever dropping a buffer.
 
 use proptest::prelude::*;
 use rand::prelude::*;
 use zigzag::channel::fading::LinkProfile;
+use zigzag::channel::noise::awgn_vec;
 use zigzag::channel::scenario::{hidden_pair, synth_collision, PlacedTx};
-use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig};
+use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig, StreamConfig};
 use zigzag::core::engine::ShardedReceiver;
 use zigzag::core::receiver::ReceiverEvent;
 use zigzag::phy::complex::Complex;
@@ -164,8 +165,8 @@ fn k3_workload_is_shard_count_invariant_and_decodes() {
     assert_eq!(delivered, 3, "the 3×3 system must decode all three frames");
 }
 
-/// Streaming (`process`) and batched (`process_batch`) ingestion run the
-/// same router and shards, so their event streams must agree.
+/// One-at-a-time (`process`) and batched (`process_batch`) ingestion run
+/// the same router and shards, so their event streams must agree.
 #[test]
 fn streaming_and_batched_ingestion_agree() {
     let sets = vec![
@@ -182,10 +183,11 @@ fn streaming_and_batched_ingestion_agree() {
     assert_eq!(out_batched, out_streaming);
 }
 
-/// Queue-full backpressure: with the smallest possible queues and more
-/// buffers than total queue capacity, ingestion must block rather than
-/// drop — every buffer still produces its events, identical to the
-/// unconstrained run.
+/// Queue-full backpressure: a finite batch has no queues, so its events
+/// ignore the queue depth; on the stream path, with the smallest
+/// possible queues and more regions than total queue capacity, the
+/// carver must block rather than drop — every sample is accepted and
+/// every region decodes exactly as with deep queues on one shard.
 #[test]
 fn queue_full_backpressure_never_drops_a_buffer() {
     let sets = vec![
@@ -196,7 +198,32 @@ fn queue_full_backpressure_never_drops_a_buffer() {
     let (registry, stream) = interleave(sets, 21);
     let deep = assert_shard_invariant(&registry, &stream, 32);
     let shallow = assert_shard_invariant(&registry, &stream, 1);
-    assert_eq!(deep, shallow, "queue depth must never change events, only pacing");
+    assert_eq!(deep, shallow, "queue depth must never change batch events");
+
+    // the same buffers as one continuous air, gaps wider than max_packet
+    let mut rng = StdRng::seed_from_u64(21);
+    let mut air = awgn_vec(&mut rng, 5000, 1.0);
+    for buffer in &stream {
+        air.extend_from_slice(buffer);
+        air.extend(awgn_vec(&mut rng, 5000, 1.0));
+    }
+    let run = |shards: usize, queue_depth: usize| {
+        let mut rx = ShardedReceiver::new(
+            DecoderConfig::shared_ap(),
+            ShardConfig { shards, queue_depth },
+            registry.clone(),
+        );
+        rx.process_stream(&StreamConfig::default(), |src| {
+            for chunk in air.chunks(1000) {
+                src.push_samples(chunk);
+            }
+        })
+    };
+    let (deep, shallow) = (run(1, 32), run(4, 1));
+    assert_eq!(shallow.stats.samples, air.len() as u64, "no sample may be dropped");
+    assert!(shallow.regions.len() >= stream.len(), "every collision must carve a region");
+    assert!(shallow.regions.iter().all(|r| !r.events.is_empty()), "a region was dropped");
+    assert_eq!(shallow.events(), deep.events(), "queue depth must change pacing, never events");
 }
 
 proptest! {

@@ -12,8 +12,10 @@ use zigzag::channel::noise::awgn_vec;
 use zigzag::channel::scenario::hidden_pair;
 use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig, StreamConfig};
 use zigzag::core::detect::detect_packets;
-use zigzag::core::engine::{Scratch, ShardedReceiver};
-use zigzag::core::receiver::{ReceiverEvent, ZigzagReceiver};
+use zigzag::core::engine::{
+    DecodeStage, Flow, Pipeline, ReceiverCore, Scratch, ShardedReceiver, UnitCtx,
+};
+use zigzag::core::receiver::ReceiverEvent;
 use zigzag::core::stream::{carve_buffer, CarvedRegion, Segmenter};
 use zigzag::phy::complex::Complex;
 use zigzag::phy::frame::{encode_frame, Frame};
@@ -33,6 +35,8 @@ struct Air {
     registry: ClientRegistry,
     samples: Vec<Complex>,
     collisions: usize,
+    /// Stream index one past each spliced collision's last sample.
+    ends: Vec<usize>,
 }
 
 /// Builds `pairs.len()` hidden pairs; each pair contributes its two
@@ -68,11 +72,13 @@ fn build_air(pairs: &[([u16; 2], [f64; 2], usize, u64)], gap: usize) -> Air {
     let mut rng = StdRng::seed_from_u64(0xA1A);
     let mut samples = awgn_vec(&mut rng, gap, 1.0);
     let collisions = order.len();
+    let mut ends = Vec::new();
     for buf in order {
         samples.extend_from_slice(&buf);
+        ends.push(samples.len());
         samples.extend(awgn_vec(&mut rng, gap, 1.0));
     }
-    Air { registry, samples, collisions }
+    Air { registry, samples, collisions, ends }
 }
 
 fn outcome_key(r: &zigzag::core::stream::RegionOutcome) -> (usize, usize, usize, &[ReceiverEvent]) {
@@ -206,7 +212,7 @@ fn sync_process_air_matches_threaded_stream() {
     let air = build_air(&[([1, 2], [-0.13, 0.14], 420, 3)], 5000);
     let cfg = DecoderConfig::shared_ap();
     let scfg = StreamConfig::default();
-    let mut sync_rx = ZigzagReceiver::new(cfg.clone(), air.registry.clone());
+    let mut sync_rx = ReceiverCore::new(cfg.clone(), air.registry.clone());
     let sync_out = sync_rx.process_air(&air.samples, &scfg);
     let mut rx =
         ShardedReceiver::new(cfg, ShardConfig { shards: 2, queue_depth: 1 }, air.registry.clone());
@@ -253,12 +259,98 @@ fn depth_one_backpressure_never_drops_a_sample() {
         out.stats.ring_high_water,
         scfg.effective_ring_depth(l)
     );
-    // telemetry surfaces through the receiver accessors too
-    assert_eq!(rx.shard_stalls().len(), rx.shards());
-    assert_eq!(rx.queue_high_water().len(), rx.shards());
-    for (&hw, run_hw) in rx.queue_high_water().iter().zip(&out.stats.queue_high_water) {
+    // per-shard queue telemetry: one entry per shard, bounded by the depth
+    assert_eq!(out.stats.shard_stalls.len(), rx.shards());
+    assert_eq!(out.stats.queue_high_water.len(), rx.shards());
+    for &hw in &out.stats.queue_high_water {
         assert!(hw <= 1, "depth-1 queues can never exceed one entry: {hw}");
-        assert!(*run_hw <= hw, "cumulative high water must cover the run's");
+    }
+}
+
+/// A decode panic on a shard worker must unwind out of
+/// `process_stream` at the smallest queue depth, not leave the driver
+/// blocked on the dead worker's full queue (or the producer on a full
+/// ring).
+#[test]
+fn worker_panic_in_a_stream_propagates_instead_of_hanging() {
+    struct PanicStage;
+    impl DecodeStage for PanicStage {
+        fn name(&self) -> &'static str {
+            "panic"
+        }
+        fn run(
+            &self,
+            _: &mut ReceiverCore,
+            _: &mut UnitCtx<'_>,
+            _: &mut Vec<ReceiverEvent>,
+        ) -> Flow {
+            panic!("injected decode failure");
+        }
+    }
+    let air = build_air(&[([1, 2], [-0.13, 0.14], 420, 4), ([3, 4], [-0.08, 0.02], 300, 5)], 5000);
+    let scfg = StreamConfig { window: 1024, ring_depth: 1, ..StreamConfig::default() };
+    let mut rx = ShardedReceiver::with_pipeline(
+        DecoderConfig::shared_ap(),
+        ShardConfig { shards: 2, queue_depth: 1 },
+        air.registry.clone(),
+        Pipeline::from_stages(vec![Box::new(PanicStage)]),
+    );
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        rx.process_stream(&scfg, |src| {
+            for chunk in air.samples.chunks(777) {
+                src.push_samples(chunk);
+            }
+        })
+    }));
+    assert!(run.is_err(), "worker panic must propagate, not deadlock");
+}
+
+/// A burst of non-finite samples (a glitching front end) in the quiet
+/// gap between two carved regions must not touch them: a non-finite
+/// correlation is never a spike, so both the pre-cut carve and the
+/// stream carve equal the clean air's, the events are the clean air's,
+/// and nothing is stored for the burst. Without the rule, the windows
+/// holding the burst produced spurious detections that extended the
+/// first region over the second collision, and the merged region was
+/// rejected whole.
+#[test]
+fn non_finite_burst_in_a_gap_leaves_regions_and_events_unchanged() {
+    let clean = build_air(&[([1, 2], [-0.13, 0.14], 420, 0)], 5000);
+    let cfg = DecoderConfig::shared_ap();
+    let scfg = StreamConfig::default();
+    let shard = ShardConfig { shards: 2, queue_depth: 2 };
+    let decode = |samples: &[Complex]| {
+        let mut rx = ShardedReceiver::new(cfg.clone(), shard, clean.registry.clone());
+        let out = rx.process_stream(&scfg, |src| {
+            for chunk in samples.chunks(1500) {
+                src.push_samples(chunk);
+            }
+        });
+        let key: Vec<_> = out.regions.iter().map(|r| (r.seq, r.start, r.len)).collect();
+        (key, out.events(), rx.stored_collisions())
+    };
+    let want_regions = carve_buffer(&clean.samples, &cfg, &clean.registry, &scfg);
+    assert_eq!(want_regions.len(), clean.collisions, "one region per collision");
+    let want = decode(&clean.samples);
+    assert!(want.1[0].contains(&ReceiverEvent::CollisionStored), "{:?}", want.1);
+    let delivered =
+        want.1.iter().flatten().filter(|e| matches!(e, ReceiverEvent::Delivered { .. })).count();
+    assert_eq!(delivered, 2, "the clean air delivers both frames");
+
+    // the quiet air between the two regions, not just between the two
+    // collisions: a region runs `max_packet` past its last spike
+    let (first, second) = (&want_regions[0], &want_regions[1]);
+    let gap = first.start + first.samples.len()..second.start;
+    assert!(gap.start > clean.ends[0] && gap.len() > 1500 + 2 * 64, "gap {gap:?}");
+    for value in [f64::NAN, f64::INFINITY] {
+        for burst in [1, 64, 1500] {
+            let at = (gap.start + gap.end - burst) / 2;
+            let mut samples = clean.samples.clone();
+            samples[at..at + burst].fill(Complex::new(value, value));
+            let regions = carve_buffer(&samples, &cfg, &clean.registry, &scfg);
+            assert_eq!(regions, want_regions, "pre-cut carve moved ({value} × {burst})");
+            assert_eq!(decode(&samples), want, "stream decode moved ({value} × {burst})");
+        }
     }
 }
 
