@@ -99,17 +99,15 @@ fn bench_capture_anchors(c: &mut Criterion) {
     c.bench_function("decode_frame_collision", |b| b.iter(|| anchor(&mut ws)));
 }
 
+/// Δ 300/100 at three payloads, plus a near-equal Δ 19/20 pair whose
+/// chunks are one symbol each, the chunk scheduler's worst case.
 fn bench_zigzag_pair(c: &mut Criterion) {
-    for payload in [200usize, 500, 1500] {
-        c.bench_with_input(
-            BenchmarkId::new("zigzag_pair_decode", payload),
-            &payload,
-            |b, &payload| {
-                b.iter(|| {
-                    run_zigzag_pair(12.0, payload, 300, 100, &DecoderConfig::default(), false, 7)
-                })
-            },
-        );
+    let cases = [(200usize, 300usize, 100usize), (500, 300, 100), (1500, 300, 100), (200, 19, 20)];
+    for (payload, d1, d2) in cases {
+        let id = if d1 == 300 { payload.to_string() } else { format!("{payload}_d{d1}_{d2}") };
+        c.bench_with_input(BenchmarkId::new("zigzag_pair_decode", id), &payload, |b, &payload| {
+            b.iter(|| run_zigzag_pair(12.0, payload, d1, d2, &DecoderConfig::default(), false, 7))
+        });
     }
 }
 

@@ -4,7 +4,10 @@
 //! §4.2.2 match metric (raw and footprint-backed), plus the equalizer
 //! design and Viterbi decoding baselines. These quantify the
 //! per-buffer detection cost the §4.6 complexity discussion treats as
-//! "typical functionality".
+//! "typical functionality". Two `plan_all` rows time the §4.5 chunk
+//! scheduler alone on retransmission pairs of 1,760-symbol packets: at
+//! Δ 300/100 and at the near-equal Δ 19/20, where every chunk is one
+//! symbol, so the per-step cost of finding runs dominates.
 //!
 //! Besides timing, this bench is a regression gate: each primitive's
 //! outputs are checked against the scalar reference (within 1e-9) on
@@ -19,6 +22,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::prelude::*;
 use std::fmt::Write as _;
+use zigzag_core::schedule::{pair_layouts, PlanOutcome, PlanState};
 use zigzag_phy::coding;
 use zigzag_phy::complex::Complex;
 use zigzag_phy::equalize::{design_inverse, estimate_channel_taps};
@@ -282,6 +286,16 @@ fn bench_viterbi(c: &mut Criterion, r: &mut Results) {
     r.record("viterbi_decode_1024", c.last_ns);
 }
 
+fn bench_schedule(c: &mut Criterion, r: &mut Results) {
+    for (d1, d2) in [(19usize, 20usize), (300, 100)] {
+        let fresh = PlanState::new(vec![1760; 2], pair_layouts(1760, 1760, d1, d2));
+        let name = format!("plan_all_pair_1760_d{d1}_{d2}");
+        c.bench_function(&name, |b| b.iter(|| fresh.clone().plan_all().1));
+        r.record(&name, c.last_ns);
+        assert_eq!(fresh.clone().plan_all().1, PlanOutcome::Complete, "{name}");
+    }
+}
+
 fn run(c: &mut Criterion) {
     let mut r = Results { entries: Vec::new() };
     bench_correlation(c, &mut r);
@@ -291,6 +305,7 @@ fn run(c: &mut Criterion) {
     bench_matching(c, &mut r);
     bench_equalizer(c, &mut r);
     bench_viterbi(c, &mut r);
+    bench_schedule(c, &mut r);
 
     for n in [4096usize, 16384] {
         let scalar = r.ns(&format!("scan_into_{n}/scalar")).unwrap();

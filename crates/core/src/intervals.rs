@@ -28,32 +28,23 @@ impl IntervalSet {
     }
 
     /// Inserts a range, merging with any overlapping or adjacent ranges.
+    /// In place: two binary searches find the ranges `r` touches, which
+    /// collapse into one.
     pub fn insert(&mut self, r: Range<usize>) {
         if r.is_empty() {
             return;
         }
-        let mut new_start = r.start;
-        let mut new_end = r.end;
-        let mut out = Vec::with_capacity(self.ranges.len() + 1);
-        let mut placed = false;
-        for existing in self.ranges.drain(..) {
-            if existing.end < new_start || existing.start > new_end {
-                // disjoint and non-adjacent
-                if existing.start > new_end && !placed {
-                    out.push(new_start..new_end);
-                    placed = true;
-                }
-                out.push(existing);
-            } else {
-                new_start = new_start.min(existing.start);
-                new_end = new_end.max(existing.end);
-            }
+        // ranges[..lo] end strictly before `r`; ranges[hi..] start
+        // strictly after it; ranges[lo..hi] overlap or abut it
+        let lo = self.ranges.partition_point(|e| e.end < r.start);
+        let hi = self.ranges.partition_point(|e| e.start <= r.end);
+        if lo == hi {
+            self.ranges.insert(lo, r);
+            return;
         }
-        if !placed {
-            out.push(new_start..new_end);
-        }
-        out.sort_by_key(|r| r.start);
-        self.ranges = out;
+        let merged = r.start.min(self.ranges[lo].start)..r.end.max(self.ranges[hi - 1].end);
+        self.ranges[lo] = merged;
+        self.ranges.drain(lo + 1..hi);
     }
 
     /// `true` if `idx` is in the set.
@@ -164,6 +155,31 @@ mod tests {
         s.insert(8..10);
         s.insert(1..9);
         assert_eq!(s.ranges(), &[0..10]);
+    }
+
+    #[test]
+    fn insert_matches_membership_bitmap() {
+        // sorted, disjoint, non-adjacent ranges are the unique form of a
+        // set, so matching a bitmap pins the exact range list
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..200 {
+            let (mut s, mut bits) = (IntervalSet::new(), [false; 96]);
+            for _ in 0..rng.gen_range(1..16) {
+                let a = rng.gen_range(0..90usize);
+                let r = a..(a + rng.gen_range(0..8usize)).min(96);
+                bits[r.clone()].iter_mut().for_each(|b| *b = true);
+                s.insert(r);
+                let mut want: Vec<Range<usize>> = Vec::new();
+                for i in (0..96).filter(|&i| bits[i]) {
+                    match want.last_mut() {
+                        Some(last) if last.end == i => last.end = i + 1,
+                        _ => want.push(i..i + 1),
+                    }
+                }
+                assert_eq!(s.ranges(), &want[..]);
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!   interference-free **runs** (chunks). The signal-level executor in
 //!   [`crate::zigzag`] consumes these steps one at a time, so lengths can
 //!   be revised mid-flight (a packet's true length becomes known only when
-//!   its PLCP header is decoded).
+//!   its PLCP header is decoded). Runs come from interval arithmetic on
+//!   the decoded sets (see [`PlanState::runs_in`]), so an executor step
+//!   costs O(intervals), not O(packet length): a near-equal-offset pair
+//!   that decodes in 1-symbol chunks stays linear in its step count.
 //! * [`decodable`] — a fast peeling-style decider used by the Fig 4-7
 //!   Monte-Carlo (failure probability vs number of colliding senders),
 //!   where millions of offset patterns must be tested.
@@ -111,56 +114,52 @@ impl PlanState {
         self.lens.iter().zip(self.decoded.iter()).all(|(&l, d)| d.covers(0..l))
     }
 
-    /// `true` if buffer position `pos` of collision `c` is free of
-    /// interference for `packet` (every *other* covering symbol decoded).
-    fn position_free(&self, c: &CollisionLayout, pos: usize, packet: usize) -> bool {
-        for pl in &c.placements {
-            if pl.packet == packet {
-                continue;
-            }
-            if pos < pl.start {
-                continue;
-            }
-            let sym = pos - pl.start;
-            if sym < self.lens[pl.packet] && !self.decoded[pl.packet].contains(sym) {
-                return false;
-            }
-        }
-        true
-    }
-
     /// All maximal interference-free undecoded runs currently available in
-    /// collision `ci`.
+    /// collision `ci`: placements in layout order, each placement's runs
+    /// ascending.
+    ///
+    /// Built from intervals, never from positions. For the placement of
+    /// packet `p`, the *blocked* set in `p`'s symbol coordinates is the
+    /// union, over every placement of another packet `p'`, of `p'`'s
+    /// undecoded gaps within `0..len(p')`, shifted by `start(p') −
+    /// start(p)` and clipped at 0. The runs are that set's gaps inside
+    /// each undecoded gap of `p` that fits in the buffer. One call's cost
+    /// grows with the number of decoded and undecoded intervals of the
+    /// collision's packets (a handful in a zigzag decode), not with packet
+    /// length.
     pub fn runs_in(&self, ci: usize) -> Vec<Step> {
         let c = &self.collisions[ci];
         let mut steps = Vec::new();
         for pl in &c.placements {
-            let plen = self.lens[pl.packet];
-            // symbols of this packet that fit inside the buffer
-            let max_sym = plen.min(c.len.saturating_sub(pl.start));
-            for gap in self.decoded[pl.packet].gaps(0..max_sym) {
-                // split the gap into maximal runs of free positions
-                let mut run_start: Option<usize> = None;
-                for u in gap.clone() {
-                    let free = self.position_free(c, pl.start + u, pl.packet);
-                    match (free, run_start) {
-                        (true, None) => run_start = Some(u),
-                        (false, Some(s)) => {
-                            steps.push(Step { collision: ci, packet: pl.packet, range: s..u });
-                            run_start = None;
-                        }
-                        _ => {}
-                    }
+            let mut blocked = IntervalSet::new();
+            for other in c.placements.iter().filter(|o| o.packet != pl.packet) {
+                for g in self.decoded[other.packet].gaps(0..self.lens[other.packet]) {
+                    // `g` in `other`'s symbols → `pl`'s symbols, clipped at 0
+                    let shifted = if other.start >= pl.start {
+                        let d = other.start - pl.start;
+                        g.start + d..g.end + d
+                    } else {
+                        let d = pl.start - other.start;
+                        g.start.saturating_sub(d)..g.end.saturating_sub(d)
+                    };
+                    blocked.insert(shifted);
                 }
-                if let Some(s) = run_start {
-                    steps.push(Step { collision: ci, packet: pl.packet, range: s..gap.end });
+            }
+            // symbols of this packet that fit inside the buffer
+            let max_sym = self.lens[pl.packet].min(c.len.saturating_sub(pl.start));
+            for gap in self.decoded[pl.packet].gaps(0..max_sym) {
+                for run in blocked.gaps(gap) {
+                    steps.push(Step { collision: ci, packet: pl.packet, range: run });
                 }
             }
         }
         steps
     }
 
-    /// All available runs across all collisions.
+    /// All available runs across all collisions, collision by collision
+    /// in [`PlanState::runs_in`] order. The executor calls this once per
+    /// step, so a step costs O(intervals) per collision, never
+    /// O(packet length).
     pub fn available_runs(&self) -> Vec<Step> {
         (0..self.collisions.len()).flat_map(|c| self.runs_in(c)).collect()
     }
@@ -409,6 +408,179 @@ pub fn pair_layouts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::prelude::*;
+
+    /// The per-position reference semantics [`PlanState::runs_in`] must
+    /// reproduce; O(packet length × placements) per call.
+    impl PlanState {
+        /// `true` if buffer position `pos` of collision `c` is free of
+        /// interference for `packet` (every *other* covering symbol
+        /// decoded).
+        fn position_free(&self, c: &CollisionLayout, pos: usize, packet: usize) -> bool {
+            for pl in &c.placements {
+                if pl.packet == packet {
+                    continue;
+                }
+                if pos < pl.start {
+                    continue;
+                }
+                let sym = pos - pl.start;
+                if sym < self.lens[pl.packet] && !self.decoded[pl.packet].contains(sym) {
+                    return false;
+                }
+            }
+            true
+        }
+
+        /// [`PlanState::runs_in`] by scanning every undecoded position.
+        fn runs_in_by_position(&self, ci: usize) -> Vec<Step> {
+            let c = &self.collisions[ci];
+            let mut steps = Vec::new();
+            for pl in &c.placements {
+                let plen = self.lens[pl.packet];
+                let max_sym = plen.min(c.len.saturating_sub(pl.start));
+                for gap in self.decoded[pl.packet].gaps(0..max_sym) {
+                    // split the gap into maximal runs of free positions
+                    let mut run_start: Option<usize> = None;
+                    for u in gap.clone() {
+                        let free = self.position_free(c, pl.start + u, pl.packet);
+                        match (free, run_start) {
+                            (true, None) => run_start = Some(u),
+                            (false, Some(s)) => {
+                                steps.push(Step { collision: ci, packet: pl.packet, range: s..u });
+                                run_start = None;
+                            }
+                            _ => {}
+                        }
+                    }
+                    if let Some(s) = run_start {
+                        steps.push(Step { collision: ci, packet: pl.packet, range: s..gap.end });
+                    }
+                }
+            }
+            steps
+        }
+
+        /// [`PlanState::plan_all`]'s loop over the per-position runs.
+        fn plan_all_by_position(&mut self) -> (Vec<Step>, PlanOutcome) {
+            let mut plan = Vec::new();
+            loop {
+                if self.is_complete() {
+                    return (plan, PlanOutcome::Complete);
+                }
+                let runs: Vec<Step> =
+                    (0..self.collisions.len()).flat_map(|c| self.runs_in_by_position(c)).collect();
+                let mut progressed = false;
+                for step in runs {
+                    for r in self.decoded[step.packet].gaps(step.range.clone()) {
+                        self.mark(step.packet, r.clone());
+                        plan.push(Step {
+                            collision: step.collision,
+                            packet: step.packet,
+                            range: r,
+                        });
+                        progressed = true;
+                    }
+                }
+                if !progressed {
+                    return (plan, PlanOutcome::Stuck);
+                }
+            }
+        }
+
+        fn assert_runs_match_oracle(&self) {
+            for ci in 0..self.collisions.len() {
+                assert_eq!(self.runs_in(ci), self.runs_in_by_position(ci), "collision {ci}");
+            }
+        }
+    }
+
+    /// A random planner: 2–4 packets, 1–4 collisions, each packet absent
+    /// from a collision with probability 1/4, starts up to 60 samples past
+    /// the buffer end, and decoded sets of up to 5 random intervals.
+    fn random_state(rng: &mut StdRng) -> PlanState {
+        let k = rng.gen_range(2..5usize);
+        let lens: Vec<usize> = (0..k).map(|_| rng.gen_range(0..160usize)).collect();
+        let collisions = (0..rng.gen_range(1..5usize))
+            .map(|_| {
+                let len = rng.gen_range(1..320usize);
+                let placements = (0..k)
+                    .filter_map(|packet| {
+                        let start = rng.gen_range(0..len + 60);
+                        (rng.gen_range(0..4u8) != 0).then_some(Placement { packet, start })
+                    })
+                    .collect();
+                CollisionLayout { placements, len }
+            })
+            .collect();
+        let mut st = PlanState::new(lens.clone(), collisions);
+        for (q, &l) in lens.iter().enumerate() {
+            for _ in 0..rng.gen_range(0..6u8) {
+                let a = rng.gen_range(0..l + 10);
+                st.mark(q, a..a + rng.gen_range(1..30usize));
+            }
+        }
+        st
+    }
+
+    proptest! {
+        /// The interval construction of `runs_in` equals the per-position
+        /// scan at every step of an executor-like walk: take the run
+        /// nearest a random frontier, sometimes only part of it, and
+        /// sometimes learn a shorter length (a parsed PLCP) partway.
+        #[test]
+        fn runs_in_matches_position_scan(seed: u64) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut st = random_state(&mut rng);
+            let k = st.lens.len();
+            for _ in 0..400 {
+                st.assert_runs_match_oracle();
+                if rng.gen_range(0..8u8) == 0 {
+                    let q = rng.gen_range(0..k);
+                    let shrunk = rng.gen_range(0..st.len_of(q) + 1);
+                    st.set_len(q, shrunk);
+                    st.assert_runs_match_oracle();
+                }
+                let f = rng.gen_range(0..200usize);
+                let nearest = |s: &Step| (s.range.start.abs_diff(f), s.range.start);
+                let Some(step) = st.available_runs().into_iter().min_by_key(nearest) else {
+                    break;
+                };
+                let end = rng.gen_range(step.range.start + 1..step.range.end + 1);
+                st.mark(step.packet, step.range.start..end);
+            }
+        }
+
+        /// `plan_all` from a random mid-plan state (partial decodes, shrunk
+        /// lengths) yields the same step sequence and outcome as the same
+        /// loop over the per-position runs.
+        #[test]
+        fn plan_all_matches_position_scan(seed: u64) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut st = random_state(&mut rng);
+            for q in 0..st.lens.len() {
+                if rng.gen_bool(0.3) {
+                    let shrunk = rng.gen_range(0..st.len_of(q) + 1);
+                    st.set_len(q, shrunk);
+                }
+            }
+            let mut oracle = st.clone();
+            prop_assert_eq!(st.plan_all(), oracle.plan_all_by_position());
+            prop_assert_eq!(st.decoded, oracle.decoded);
+        }
+    }
+
+    #[test]
+    fn near_equal_offsets_decode_in_one_symbol_chunks() {
+        // Δ₁ = 19, Δ₂ = 20: each chunk frees exactly one more symbol
+        let mut st = pair_state(400, 19, 20);
+        let mut oracle = st.clone();
+        let (plan, outcome) = st.plan_all();
+        assert_eq!(outcome, PlanOutcome::Complete);
+        assert!(plan.iter().filter(|s| s.range.len() == 1).count() > 700);
+        assert_eq!((plan, outcome), oracle.plan_all_by_position());
+    }
 
     fn pair_state(len: usize, d1: usize, d2: usize) -> PlanState {
         PlanState::new(vec![len, len], pair_layouts(len, len, d1, d2))
