@@ -17,10 +17,11 @@
 
 use crate::config::{ClientRegistry, DecoderConfig};
 use crate::engine::scratch::Scratch;
+use crate::sic::MIN_FEEDBACK_CHUNK;
 use crate::standard::{decode_single, SingleDecode};
-use crate::view::{ChannelView, Image};
+use crate::view::{ChannelView, Image, Tracking};
 use zigzag_phy::complex::Complex;
-use zigzag_phy::frame::{decode_mpdu, Frame};
+use zigzag_phy::frame::Frame;
 
 use zigzag_phy::preamble::Preamble;
 
@@ -89,8 +90,8 @@ pub fn subtract_known(
         observed.clear();
         observed.extend_from_slice(&residual[span.clone()]);
         img.subtract_from(&mut residual);
-        if e - s >= 16 && observed.len() == img.samples.len() {
-            v.feedback(&observed, &img, s..e, &sym_fn, pool, kernel);
+        if e - s >= MIN_FEEDBACK_CHUNK && observed.len() == img.samples.len() {
+            v.feedback(&observed, &img, s..e, &sym_fn, pool, kernel, Tracking::Chunk);
         }
         s = e;
     }
@@ -172,8 +173,7 @@ pub fn mrc_combined_bits(v1: &SingleDecode, v2: &SingleDecode) -> Option<Vec<u8>
 /// recovered from different collisions, using MRC, and retries the CRC.
 pub fn mrc_combine_retry(v1: &SingleDecode, v2: &SingleDecode) -> Option<Frame> {
     let plcp = v1.plcp.or(v2.plcp)?;
-    let bits = mrc_combined_bits(v1, v2)?;
-    decode_mpdu(&bits, plcp.seed)
+    plcp.frame_from_bits(&mrc_combined_bits(v1, v2)?)
 }
 
 #[cfg(test)]

@@ -13,10 +13,12 @@ use zigzag_phy::filter::Fir;
 use zigzag_phy::kernel::BackendKind;
 
 /// How the match layer searches candidate alignments
-/// ([`crate::matchset`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// ([`crate::matchset`]). The receiver always runs `Staged`; `Exhaustive`
+/// is the oracle the staged-vs-exhaustive differential tests compare it
+/// against.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MatchSearch {
-    /// Coarse-to-fine funnel (the default): candidate alignments pass a
+    /// Coarse-to-fine funnel (the receiver's): candidate alignments pass a
     /// short-window integer-τ prefilter, survivors are promoted to the
     /// half-sample coarse metric, and only per-bucket winners pay the
     /// full-window τ=0.25 metric — with mid-accumulation abandonment of
@@ -25,7 +27,6 @@ pub enum MatchSearch {
     /// (prefilter margins are sized so any true match survives; bailed
     /// metrics are exact whenever they clear the threshold), so it
     /// selects the same match sets as the exhaustive path.
-    #[default]
     Staged,
     /// Evaluate every candidate alignment at full precision with no
     /// prefilters or early abandonment — the reference the
@@ -52,17 +53,6 @@ pub struct DecoderConfig {
     /// Correlation detection threshold factor β in `Γ' > β·L·ĥ`
     /// (§5.3a; the paper uses 0.65).
     pub beta: f64,
-    /// Gain α of the reconstruction frequency update `δf̂ += α·δφ/δt`.
-    pub alpha_freq: f64,
-    /// Decision-directed PLL proportional gain.
-    pub pll_kp: f64,
-    /// Decision-directed PLL integral gain.
-    pub pll_ki: f64,
-    /// Mueller–Müller timing loop gain (applied once per block to the
-    /// block-averaged timing error — see `ChannelView::decode_chunk`).
-    pub mm_gain: f64,
-    /// Sub-block size (symbols) between timing re-interpolations.
-    pub block: usize,
     /// How many recent unmatched collisions the AP stores **per
     /// client-set key** (§4.2.2: "it is sufficient to store the few most
     /// recent collisions"). A k-sender match set needs k−1 stored
@@ -92,9 +82,6 @@ pub struct DecoderConfig {
     /// (`zigzag_phy::kernel`). Defaults to the simd backend;
     /// `ZIGZAG_BACKEND=scalar` selects the scalar reference process-wide.
     pub backend: BackendKind,
-    /// How the match layer searches candidate alignments: the staged
-    /// coarse-to-fine funnel (default) or the exhaustive reference.
-    pub match_search: MatchSearch,
     /// The algebraic batch-recovery subsystem
     /// ([`crate::recovery`]): joint Gaussian elimination over collision
     /// groups the chunk scheduler cannot peel. Off by default — see
@@ -104,9 +91,8 @@ pub struct DecoderConfig {
     /// a successful *single-packet* decode, re-encode the packet,
     /// subtract it from every stored collision that contains this client
     /// (the ANC primitive, [`crate::capture::subtract_known`]), and try
-    /// to decode the buried partners from the residuals. `false` (the
-    /// default) keeps the receiver bit-identical to the pre-reap
-    /// pipeline: a solo reception never touches the store.
+    /// to decode the buried partners from the residuals. Off by default:
+    /// a solo reception then never touches the store.
     pub solo_reap: bool,
 }
 
@@ -126,9 +112,8 @@ pub struct DecoderConfig {
 /// ridge — whose constants live in [`crate::recovery`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecoveryConfig {
-    /// Master switch. `false` (the default) keeps the receiver
-    /// bit-identical to the pre-recovery pipeline: rejected alignments
-    /// and evictions are dropped exactly as before.
+    /// Master switch. Off by default: rejected alignments and evictions
+    /// are then dropped.
     pub enabled: bool,
     /// Salvage-pool capacity **per client-set key** (evicted collisions
     /// retained for future joint solves; same keyed-bounding discipline
@@ -171,20 +156,9 @@ impl Default for DecoderConfig {
             // threshold for the same false-positive rate. 0.78 balances
             // FP/FN at the paper's few-percent level (Table 5.1 bench).
             beta: 0.78,
-            alpha_freq: 0.3,
-            // Cool loop gains: at the evaluation's SNRs the BPSK decision
-            // noise is ~0.35 rad/symbol, and a hot integral gain turns it
-            // into frequency jitter that wrecks whole blocks. kp alone
-            // keeps ramp lag at ω_resid/kp ≈ 0.006 rad for the
-            // association-jitter residual.
-            pll_kp: 0.04,
-            pll_ki: 2e-4,
-            mm_gain: 0.3,
-            block: 128,
             collision_store: 4,
             key_window: usize::MAX,
             backend: BackendKind::default(),
-            match_search: MatchSearch::default(),
             recovery: RecoveryConfig::default(),
             solo_reap: false,
         }

@@ -13,7 +13,7 @@
 //! instrumentation stages.
 
 use crate::capture::{mrc_combine_retry, subtract_decoded};
-use crate::config::{ClientInfo, ClientRegistry, DecoderConfig, SharedRegistry};
+use crate::config::{ClientInfo, ClientRegistry, DecoderConfig, MatchSearch, SharedRegistry};
 use crate::detect::{detect_packets, Detection};
 use crate::engine::scratch::Scratch;
 use crate::matchset::{
@@ -653,7 +653,7 @@ impl DecodeStage for MatchStage {
         // otherwise take the historical fast path, which skips that
         // signal work entirely.
         let ReceiverCore { cfg, registry, preamble, store, scratch, .. } = rx;
-        let search = cfg.match_search;
+        let search = MatchSearch::Staged;
         let outcome = if cfg.recovery.enabled {
             classify_match(
                 search,

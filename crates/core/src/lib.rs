@@ -60,6 +60,7 @@ pub mod receiver;
 pub mod recovery;
 pub mod schedule;
 pub mod service;
+mod sic;
 pub mod standard;
 pub mod stream;
 pub mod view;

@@ -115,8 +115,10 @@ pub fn collision_key(detections: &[Detection], window: usize) -> Vec<u16> {
 /// most-populous key on overflow. Real deployments see a handful of
 /// concurrently-active hidden-terminal sets per shard; the valve only
 /// matters under a key-cardinality flood (e.g. detection misattributing
-/// clients at very low SNR).
-const MAX_TRACKED_KEYS: usize = 16;
+/// clients at very low SNR). The salvage pool
+/// ([`SalvagePool`](crate::recovery::SalvagePool)) bounds its entries by
+/// the same valve.
+pub(crate) const MAX_TRACKED_KEYS: usize = 16;
 
 /// The indexed unmatched-collision store: keyed by client set, with O(1)
 /// id lookup/removal, insertion order preserved per key, and **per-key**
@@ -629,9 +631,9 @@ fn coarse_metric(
 
 /// The single matching entry point (§4.2.2 / §4.5): aligns the current
 /// collision against the store and returns a [`MatchSet`] once a
-/// decodable system exists. `search` is `DecoderConfig::match_search`:
-/// the staged coarse-to-fine funnel, or the exhaustive reference the
-/// differential tests compare it against.
+/// decodable system exists. `search` is the staged coarse-to-fine funnel
+/// the receiver runs, or the exhaustive reference the differential tests
+/// compare it against.
 ///
 /// Dispatch is on the number of *distinct* clients detected: two take
 /// the pairwise path (bit-identical to the historical two-sender

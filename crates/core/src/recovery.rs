@@ -41,17 +41,18 @@
 //!   normal equations, [`zigzag_phy::linalg::lstsq_cond`], with a ridge
 //!   scaled from each window's measured observation spread); well-
 //!   observed symbols are sliced to their constellation, committed, their
-//!   images delta-subtracted from every buffer (with per-window PI phase
-//!   tracking of every view), and the window advances. This is block
+//!   images delta-subtracted from every buffer through the cancellation
+//!   core the ZigZag executor uses (with per-window PI phase tracking of
+//!   every view), and the window advances. This is block
 //!   Gaussian elimination with decision feedback: peelable regions cost
 //!   one well-conditioned triangular solve, and regions peeling cannot
 //!   touch (duplicate offsets) are carried by the cross-collision channel
 //!   diversity. A CRC-failed solve is retried from re-estimated channels
 //!   (turbo re-estimation, arXiv:1401.7374; see [`solve_group`]).
 //! * **Output** — per-packet frames, emitted **only** when the CRC-32
-//!   checks out ([`decode_mpdu`]); the receiver's `(src, seq)` delivery
-//!   dedup makes emission idempotent across the zigzag and recovery
-//!   paths.
+//!   checks out ([`PlcpHeader::frame_from_bits`]); the receiver's
+//!   `(src, seq)` delivery dedup makes emission idempotent across the
+//!   zigzag and recovery paths.
 //!
 //! The pipeline hosts this as
 //! [`RecoverStage`](crate::engine::stage::RecoverStage) (after the
@@ -63,22 +64,18 @@ use crate::config::{debug_trace, ClientRegistry, DecoderConfig};
 use crate::detect::Detection;
 use crate::engine::scratch::Scratch;
 use crate::matcher::{MATCH_THRESHOLD, MATCH_WINDOW};
-use crate::matchset::{footprint_metric, pair_alignment, RejectedSet, StoredCollision, MAX_KWAY};
-use crate::schedule::{min_coverage_lens, shift_signature};
-use crate::view::{ChannelView, PacketLayout, WindowPll};
+use crate::matchset::{
+    footprint_metric, pair_alignment, RejectedSet, StoredCollision, MAX_KWAY, MAX_TRACKED_KEYS,
+};
+use crate::schedule::{min_coverage_lens, shift_signature, CollisionLayout};
+use crate::sic::Cancellation;
+use crate::view::{ChannelView, PacketLayout, Tracking, WindowPll};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use zigzag_phy::bits::bits_to_bytes;
 use zigzag_phy::complex::{Complex, ZERO};
-use zigzag_phy::frame::{decode_mpdu, Frame, PlcpHeader, PLCP_SYMBOLS};
+use zigzag_phy::frame::{Frame, PlcpHeader, PLCP_SYMBOLS};
 use zigzag_phy::linalg::{gram_conditioning, lstsq_cond};
-use zigzag_phy::modulation::Modulation;
 use zigzag_phy::preamble::Preamble;
-
-/// How many distinct client-set keys the salvage pool tracks before the
-/// global safety valve sheds the oldest entry (same discipline as the
-/// collision store's valve).
-const MAX_TRACKED_KEYS: usize = 16;
 
 /// Solver window width, in symbols per packet: how many undecided
 /// symbols of each packet enter one joint least-squares solve.
@@ -102,21 +99,6 @@ const MIN_OBSERVATION: f64 = 0.25;
 /// Turbo re-estimation passes after a CRC-failed first solve (see
 /// [`solve_group`]).
 const TURBO_ITERS: usize = 2;
-
-/// Proportional gain of the per-window PI phase tracker (one per
-/// collision × packet). A sweep of the impaired-link reclaim over kp ∈
-/// [0.05, 1.6] × ki ∈ [0, 0.4], at four impairment classes up to 3× the
-/// typical phase noise and drift, peaked at 21/144 on a plateau holding
-/// kp 0.65 with ki ≤ 0.08. Reclaim collapses below kp ≈ 0.1 (the loop
-/// cannot follow the walk) and above kp ≈ 1.6 or ki ≈ 0.4 (noise
-/// amplification). 0.65 is the plateau centre, the gain most tolerant of
-/// a deployment's oscillator differing from the model.
-const WINDOW_PLL_KP: f64 = 0.65;
-
-/// Integral gain of the per-window PI phase tracker (absorbs residual
-/// frequency offset); the centre of the same plateau as
-/// [`WINDOW_PLL_KP`].
-const WINDOW_PLL_KI: f64 = 0.02;
 
 /// Conditioning floor for salvage-pool member admission: a candidate is
 /// recruited only while the group's channel-proxy Gram matrix keeps at
@@ -357,14 +339,7 @@ fn proxy_row(
     corrs: &[Complex],
 ) -> (usize, Vec<Complex>) {
     let k = corrs.len();
-    let layout = crate::schedule::CollisionLayout {
-        placements: pairing_starts
-            .iter()
-            .map(|&(packet, start)| crate::schedule::Placement { packet, start })
-            .collect(),
-        len: 0,
-    };
-    let sig = shift_signature(k, &layout);
+    let sig = shift_signature(k, &CollisionLayout::from_pairs(pairing_starts, 0));
     let block = signatures.iter().position(|s| *s == sig).unwrap_or_else(|| {
         signatures.push(sig);
         signatures.len() - 1
@@ -591,25 +566,19 @@ struct Solver<'a> {
     views: Vec<Vec<Option<ChannelView>>>,
     /// Start of packet `q` in collision `c` (usize::MAX when absent).
     starts: Vec<Vec<usize>>,
+    /// Per-packet layouts; `total_syms` is the packet's length, shrunk
+    /// to the PLCP's once that is read.
     layouts: Vec<PacketLayout>,
     plcp: Vec<Option<PlcpHeader>>,
-    lens: Vec<usize>,
     decided: Vec<Vec<Option<Complex>>>,
     frontier: Vec<usize>,
-    residuals: Vec<Vec<Complex>>,
-    /// Accumulated synthesized image per (collision, packet) — the
-    /// executor's delta-subtraction invariant
-    /// `residual[c] = buffer[c] − Σ_q acc[c][q]`.
-    img_acc: Vec<Vec<Vec<Complex>>>,
-    /// Per-(collision × packet) PI phase-tracker state for the windowed
-    /// feedback ([`ChannelView::feedback_windowed`]).
+    /// The group's residuals and committed images.
+    sic: Cancellation,
+    /// Per-(collision × packet) PI phase-tracker state
+    /// ([`Tracking::Window`]).
     pll: Vec<Vec<WindowPll>>,
     debug: bool,
 }
-
-/// Minimum committed chunk length for reconstruction feedback to fire
-/// (mirrors the executor's `MIN_FEEDBACK_CHUNK`).
-const MIN_FEEDBACK_CHUNK: usize = 16;
 
 /// Outcome of [`Solver::prepare_window`].
 enum WindowPrep {
@@ -717,17 +686,11 @@ impl<'a> Solver<'a> {
         if k == 0 || m == 0 {
             return None;
         }
-        let layouts_sched: Vec<crate::schedule::CollisionLayout> = group
+        let layouts_sched: Vec<CollisionLayout> = group
             .placements
             .iter()
-            .zip(group.buffers.iter())
-            .map(|(pl, buf)| crate::schedule::CollisionLayout {
-                placements: pl
-                    .iter()
-                    .map(|&(packet, start)| crate::schedule::Placement { packet, start })
-                    .collect(),
-                len: buf.len(),
-            })
+            .zip(&group.buffers)
+            .map(|(pl, buf)| CollisionLayout::from_pairs(pl, buf.len()))
             .collect();
         let lens = min_coverage_lens(k, &layouts_sched);
         if lens.iter().any(|&l| l <= preamble.len() + PLCP_SYMBOLS) {
@@ -771,15 +734,9 @@ impl<'a> Solver<'a> {
             starts,
             layouts,
             plcp: vec![None; k],
-            lens,
             decided,
             frontier: vec![preamble.len(); k],
-            residuals: group.buffers.clone(),
-            img_acc: group
-                .buffers
-                .iter()
-                .map(|b| (0..k).map(|_| vec![ZERO; b.len()]).collect())
-                .collect(),
+            sic: Cancellation::new(group.buffers.iter().map(Vec::as_slice), k),
             pll: (0..group.collisions()).map(|_| vec![WindowPll::default(); k]).collect(),
             debug: debug_trace(),
         }
@@ -808,9 +765,7 @@ impl<'a> Solver<'a> {
                     continue;
                 };
                 cleaned.clear();
-                cleaned.extend(
-                    self.residuals[c].iter().zip(self.img_acc[c][q].iter()).map(|(&r, &a)| r + a),
-                );
+                cleaned.extend(self.sic.cleaned(c, q));
                 let v = ChannelView::estimate(
                     &cleaned,
                     start,
@@ -828,6 +783,11 @@ impl<'a> Solver<'a> {
         Some(Self::assemble(self.group, self.preamble, self.cfg, starts, lens, views))
     }
 
+    /// Packet `q`'s length in symbols.
+    fn len(&self, q: usize) -> usize {
+        self.layouts[q].total_syms
+    }
+
     /// The sample reach of one symbol through ISI taps + the sinc
     /// interpolation skirt (matching the synthesis margin).
     fn reach(&self) -> usize {
@@ -842,7 +802,7 @@ impl<'a> Solver<'a> {
     fn run(&mut self, ws: &mut Scratch) -> Vec<RecoveredPacket> {
         let k = self.group.packets();
         self.subtract_preambles(ws);
-        while (0..k).any(|q| self.frontier[q] < self.lens[q]) {
+        while (0..k).any(|q| self.frontier[q] < self.len(q)) {
             match self.prepare_window(ws) {
                 WindowPrep::Advanced => continue,
                 WindowPrep::Stalled => break,
@@ -861,7 +821,7 @@ impl<'a> Solver<'a> {
     /// the first step of a pass.
     fn subtract_preambles(&mut self, ws: &mut Scratch) {
         for q in 0..self.group.packets() {
-            let range = 0..self.preamble.len().min(self.lens[q]);
+            let range = 0..self.preamble.len().min(self.len(q));
             self.subtract_packet(q, range, ws);
         }
     }
@@ -881,7 +841,7 @@ impl<'a> Solver<'a> {
         let mut col_start = Vec::with_capacity(k + 1);
         for q in 0..k {
             col_start.push(cols.len());
-            let hi = (self.frontier[q] + WINDOW).min(self.lens[q]);
+            let hi = (self.frontier[q] + WINDOW).min(self.len(q));
             cols.extend((self.frontier[q]..hi).map(|n| (q, n)));
         }
         col_start.push(cols.len());
@@ -898,7 +858,7 @@ impl<'a> Solver<'a> {
             let mut any_active = false;
             for q in 0..k {
                 let s = self.starts[c][q];
-                if s == usize::MAX || self.frontier[q] >= self.lens[q] {
+                if s == usize::MAX || self.frontier[q] >= self.len(q) {
                     continue;
                 }
                 any_active = true;
@@ -907,10 +867,10 @@ impl<'a> Solver<'a> {
                 // the window already reaches q's end, where there is
                 // nothing beyond to protect
                 let w_end = self.frontier[q] + WINDOW;
-                if w_end < self.lens[q] {
+                if w_end < self.len(q) {
                     hi = hi.min((s + w_end).saturating_sub(reach));
                 } else {
-                    hi = hi.min(s + self.lens[q] + reach);
+                    hi = hi.min(s + self.len(q) + reach);
                 }
             }
             if !any_active || lo >= hi {
@@ -935,8 +895,9 @@ impl<'a> Solver<'a> {
             for c in 0..m {
                 row_base[c] = acc;
                 acc += spans[c].len();
+                let residual = self.sic.residual(c);
                 for (i, p) in spans[c].clone().enumerate() {
-                    b[row_base[c] + i] = self.residuals[c][p];
+                    b[row_base[c] + i] = residual[p];
                 }
             }
         }
@@ -949,7 +910,7 @@ impl<'a> Solver<'a> {
                 if spans[c].is_empty() {
                     continue;
                 }
-                view.synthesize_unit_into(n, self.lens[q], pool, kernel, image);
+                view.synthesize_unit_into(n, self.len(q), pool, kernel, image);
                 let first = image.first;
                 for (s_idx, &sample) in image.samples.iter().enumerate() {
                     let p = first + s_idx;
@@ -1005,7 +966,7 @@ impl<'a> Solver<'a> {
         let mut committed_any = false;
         for q in 0..k {
             let start = self.frontier[q];
-            let end = (start + COMMIT).min(self.lens[q]);
+            let end = (start + COMMIT).min(self.len(q));
             let mut n = start;
             while n < end {
                 let j = sys.col_of(q, n);
@@ -1026,7 +987,7 @@ impl<'a> Solver<'a> {
                 self.subtract_packet(q, start..n, ws);
                 self.try_parse_plcp(q);
                 if self.debug {
-                    eprintln!("recover: q{q} committed {start}..{n} of {}", self.lens[q]);
+                    eprintln!("recover: q{q} committed {start}..{n} of {}", self.len(q));
                 }
             }
         }
@@ -1045,7 +1006,7 @@ impl<'a> Solver<'a> {
         let mut skipped = false;
         for q in 0..self.group.packets() {
             let mut n = self.frontier[q];
-            let end = (n + COMMIT).min(self.lens[q]);
+            let end = (n + COMMIT).min(self.len(q));
             while n < end && !self.covered(q, n) {
                 self.decided[q][n] = Some(ZERO);
                 n += 1;
@@ -1054,7 +1015,8 @@ impl<'a> Solver<'a> {
             self.frontier[q] = n;
         }
         if self.debug && !skipped {
-            eprintln!("recover: stalled at frontiers {:?} of {:?}", self.frontier, self.lens);
+            let lens: Vec<usize> = (0..self.group.packets()).map(|q| self.len(q)).collect();
+            eprintln!("recover: stalled at frontiers {:?} of {lens:?}", self.frontier);
         }
         skipped
     }
@@ -1067,101 +1029,51 @@ impl<'a> Solver<'a> {
         })
     }
 
-    /// Delta-subtracts packet `q`'s image over `range` from every buffer
-    /// containing it, maintaining the accumulated-image invariant, and
-    /// feeds the reconstruction error to the view's PI phase tracker.
+    /// Renders packet `q`'s committed symbols over `range` into every
+    /// buffer containing it through the cancellation core, feeding each
+    /// view's PI phase tracker.
     fn subtract_packet(&mut self, q: usize, range: std::ops::Range<usize>, ws: &mut Scratch) {
         if range.is_empty() {
             return;
         }
-        let Scratch { pool, image, kernel, .. } = ws;
         for c in 0..self.group.collisions() {
             let Some(view) = self.views[c][q].as_mut() else {
                 continue;
             };
-            let decided = &self.decided[q];
-            let sym_fn = |n: usize| decided.get(n).copied().flatten();
-            let m2 = view.taps.len() + 9;
-            let exp = range.start.saturating_sub(m2)..(range.end + m2).min(decided.len());
-            view.synthesize_into(exp.clone(), &sym_fn, pool, kernel, image);
-            let blen = self.residuals[c].len();
-            let span = image.first.min(blen)..image.range().end.min(blen);
-            let mut observed = pool.take();
-            observed.extend(span.clone().map(|p| self.residuals[c][p] + self.img_acc[c][q][p]));
-            for (i, p) in span.clone().enumerate() {
-                let new_val = image.samples[i];
-                self.residuals[c][p] -= new_val - self.img_acc[c][q][p];
-                self.img_acc[c][q][p] = new_val;
-            }
-            if range.len() >= MIN_FEEDBACK_CHUNK && observed.len() == image.samples.len() {
-                // per-window PI tracking: follows the phase-noise walk
-                // with damped response to any single (still
-                // interference-contaminated) window, integrator on the
-                // residual frequency offset
-                view.feedback_windowed(
-                    &observed,
-                    image,
-                    exp,
-                    &sym_fn,
-                    pool,
-                    kernel,
-                    &mut self.pll[c][q],
-                    WINDOW_PLL_KP,
-                    WINDOW_PLL_KI,
-                );
-            }
-            pool.put(observed);
+            let tracking = Tracking::Window(&mut self.pll[c][q]);
+            self.sic.render(c, q, view, range.clone(), &self.decided[q], tracking, ws);
         }
     }
 
-    /// Parses the PLCP once its symbols are all committed; on success
-    /// learns the packet's real length and body modulation (mirrors the
-    /// executor's `try_parse_plcp`).
+    /// Learns packet `q`'s length and body modulation once its PLCP
+    /// symbols are all committed.
     fn try_parse_plcp(&mut self, q: usize) {
         if self.plcp[q].is_some() {
             return;
         }
-        let pre = self.preamble.len();
-        let span = pre..pre + PLCP_SYMBOLS;
-        if span.end > self.decided[q].len() || !span.clone().all(|n| self.decided[q][n].is_some()) {
-            return;
-        }
-        let bits: Vec<u8> =
-            span.flat_map(|n| Modulation::Bpsk.decide(self.decided[q][n].unwrap()).0).collect();
-        let Some(plcp) = PlcpHeader::from_bytes(&bits_to_bytes(&bits)) else {
+        let decided = &self.decided[q];
+        let Some((plcp, fits)) = self.layouts[q].learn_plcp(|n| decided.get(n).copied().flatten())
+        else {
             return;
         };
-        let body_syms = plcp.modulation.symbols_for_bits(plcp.mpdu_len as usize * 8);
-        let total = pre + PLCP_SYMBOLS + body_syms;
         self.plcp[q] = Some(plcp);
-        self.layouts[q].payload_mod = plcp.modulation;
-        if total <= self.layouts[q].total_syms {
-            self.layouts[q].total_syms = total;
-            self.lens[q] = total;
+        if fits {
+            let total = self.len(q);
             self.decided[q].truncate(total);
             self.frontier[q] = self.frontier[q].min(total);
         }
         if self.debug {
-            eprintln!("recover: q{q} PLCP parsed, len {} mod {:?}", total, plcp.modulation);
+            eprintln!("recover: q{q} PLCP parsed, len {} mod {:?}", self.len(q), plcp.modulation);
         }
     }
 
     /// Slices the committed symbols to bits and CRC-checks the frame.
     fn finalize(&self, q: usize) -> RecoveredPacket {
-        let complete = self.frontier[q] >= self.lens[q] && self.plcp[q].is_some();
-        let body_start = self.layouts[q].body_start();
-        let mut scrambled_bits = Vec::new();
-        for n in body_start..self.lens[q] {
-            let point = self.decided[q].get(n).copied().flatten().unwrap_or(ZERO);
-            scrambled_bits.extend(self.layouts[q].modulation_at(n).decide(point).0);
-        }
-        let mut frame = None;
-        if let Some(plcp) = self.plcp[q] {
-            let want_bits = plcp.mpdu_len as usize * 8;
-            if scrambled_bits.len() >= want_bits {
-                frame = decode_mpdu(&scrambled_bits[..want_bits], plcp.seed);
-            }
-        }
+        let complete = self.frontier[q] >= self.len(q) && self.plcp[q].is_some();
+        let decided = &self.decided[q];
+        let scrambled_bits = self.layouts[q]
+            .body_bits((0..self.len(q)).map(|n| decided.get(n).copied().flatten().unwrap_or(ZERO)));
+        let frame = self.plcp[q].and_then(|plcp| plcp.frame_from_bits(&scrambled_bits));
         RecoveredPacket { client: self.group.clients[q], frame, scrambled_bits, complete }
     }
 }

@@ -49,6 +49,16 @@ pub struct CollisionLayout {
     pub len: usize,
 }
 
+impl CollisionLayout {
+    /// The layout of `(packet, start)` placements in a buffer of `len`
+    /// samples.
+    pub(crate) fn from_pairs(placements: &[(usize, usize)], len: usize) -> Self {
+        let placements =
+            placements.iter().map(|&(packet, start)| Placement { packet, start }).collect();
+        Self { placements, len }
+    }
+}
+
 /// A decodable chunk: symbols `range` of `packet`, interference-free in
 /// `collision`.
 #[derive(Clone, Debug, PartialEq, Eq)]

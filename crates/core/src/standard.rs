@@ -11,10 +11,8 @@
 use crate::config::{ClientRegistry, DecoderConfig};
 use crate::engine::scratch::Scratch;
 use crate::view::{ChannelView, Direction, PacketLayout};
-use zigzag_phy::bits::bits_to_bytes;
 use zigzag_phy::complex::Complex;
-use zigzag_phy::frame::{decode_mpdu, Frame, PlcpHeader, PLCP_SYMBOLS};
-use zigzag_phy::modulation::Modulation;
+use zigzag_phy::frame::{Frame, PlcpHeader, PLCP_SYMBOLS};
 use zigzag_phy::preamble::Preamble;
 
 /// Output of a single-packet decode attempt.
@@ -140,22 +138,11 @@ fn decode_header(
     );
     let soft = std::mem::take(&mut chunk.soft);
     let decided = std::mem::take(&mut chunk.decided);
-    let plcp_bits: Vec<u8> =
-        decided[preamble.len()..].iter().flat_map(|&d| Modulation::Bpsk.decide(d).0).collect();
-    let plcp = PlcpHeader::from_bytes(&bits_to_bytes(&plcp_bits));
-
-    let body_fits = match plcp {
-        Some(h) => {
-            let end = layout.body_start() + h.modulation.symbols_for_bits(h.mpdu_len as usize * 8);
-            let fits = end <= layout.total_syms;
-            layout.payload_mod = h.modulation;
-            layout.total_syms = end.min(layout.total_syms);
-            fits
-        }
-        // unreadable header: decode what's in the buffer as BPSK so the
-        // caller can still score bits / attempt capture subtraction
-        None => false,
-    };
+    // an unreadable header leaves the layout as is: the rest of the
+    // buffer decodes as BPSK so the caller can still score bits /
+    // attempt capture subtraction
+    let header = layout.learn_plcp(|n| decided.get(n).copied());
+    let (plcp, body_fits) = (header.map(|(h, _)| h), header.is_some_and(|(_, fits)| fits));
     Some(Header { view, layout, plcp, body_fits, soft, decided })
 }
 
@@ -175,16 +162,8 @@ fn decode_body(buffer: &[Complex], start: usize, header: Header, ws: &mut Scratc
     soft.extend_from_slice(&chunk.soft);
     decided.extend_from_slice(&chunk.decided);
 
-    let body_mod = layout.payload_mod;
-    let mut scrambled_bits: Vec<u8> = Vec::new();
-    for &d in &chunk.decided {
-        scrambled_bits.extend(body_mod.decide(d).0);
-    }
-
-    let frame = plcp.and_then(|h| {
-        let want = h.mpdu_len as usize * 8;
-        (scrambled_bits.len() >= want).then(|| decode_mpdu(&scrambled_bits[..want], h.seed))?
-    });
+    let scrambled_bits = layout.body_bits(decided.iter().copied());
+    let frame = plcp.and_then(|h| h.frame_from_bits(&scrambled_bits));
 
     let total_syms = layout.total_syms;
     SingleDecode { frame, plcp, scrambled_bits, soft, decided, view, start, total_syms }
@@ -200,6 +179,7 @@ mod tests {
     use zigzag_phy::bits::bit_error_rate;
     use zigzag_phy::filter::Fir;
     use zigzag_phy::frame::encode_frame;
+    use zigzag_phy::modulation::Modulation;
 
     fn air(src: u16, len: usize, m: Modulation) -> zigzag_phy::frame::AirFrame {
         let f = Frame::with_random_payload(0, src, 3, len, 55 + src as u64);

@@ -29,13 +29,49 @@
 
 use crate::config::{debug_pll, DecoderConfig};
 use crate::engine::scratch::BufPool;
+use zigzag_phy::bits::bits_to_bytes;
 use zigzag_phy::complex::{inner, Complex, ZERO};
 use zigzag_phy::equalize::{design_inverse, estimate_channel_taps, DEFAULT_EQUALIZER_TAPS};
 use zigzag_phy::filter::Fir;
+use zigzag_phy::frame::PlcpHeader;
 use zigzag_phy::interp::{interp_at, tap_weight, DEFAULT_HALF_WIDTH};
 use zigzag_phy::kernel::Kernel;
 use zigzag_phy::modulation::Modulation;
 use zigzag_phy::sync::estimate_freq;
+
+/// Gain α of the reconstruction frequency update `δf̂ += α·δφ/δt`.
+const ALPHA_FREQ: f64 = 0.3;
+
+// Cool loop gains: at the evaluation's SNRs the BPSK decision noise is
+// ~0.35 rad/symbol, and a hot integral gain turns it into frequency
+// jitter that wrecks whole blocks. kp alone keeps ramp lag at
+// ω_resid/kp ≈ 0.006 rad for the association-jitter residual.
+/// Decision-directed PLL proportional gain of the chunk decoder.
+const PLL_KP: f64 = 0.04;
+/// Decision-directed PLL integral gain of the chunk decoder.
+const PLL_KI: f64 = 2e-4;
+
+/// Mueller–Müller timing loop gain, applied once per block to the
+/// block-averaged timing error (see [`ChannelView::decode_chunk_into`]).
+const MM_GAIN: f64 = 0.3;
+
+/// Sub-block size (symbols) between timing re-interpolations.
+const BLOCK: usize = 128;
+
+/// Proportional gain of the recovery solver's per-window PI phase
+/// tracker ([`Tracking::Window`]). A sweep of the impaired-link reclaim
+/// over kp ∈ [0.05, 1.6] × ki ∈ [0, 0.4], at four impairment classes up
+/// to 3× the typical phase noise and drift, peaked at 21/144 on a plateau
+/// holding kp 0.65 with ki ≤ 0.08. Reclaim collapses below kp ≈ 0.1 (the
+/// loop cannot follow the walk) and above kp ≈ 1.6 or ki ≈ 0.4 (noise
+/// amplification). 0.65 is the plateau centre, the gain most tolerant of
+/// a deployment's oscillator differing from the model.
+const WINDOW_PLL_KP: f64 = 0.65;
+
+/// Integral gain of the per-window PI phase tracker (absorbs residual
+/// frequency offset); the centre of the same plateau as
+/// [`WINDOW_PLL_KP`].
+const WINDOW_PLL_KI: f64 = 0.02;
 
 /// Decode direction (§4.3b forward/backward decoding).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,6 +159,46 @@ impl PacketLayout {
     pub fn body_start(&self) -> usize {
         self.preamble.len() + self.plcp_syms
     }
+
+    /// Reads the PLCP from the packet's decided symbols (`symbol(n)` is
+    /// the constellation point at symbol `n`, `None` while undecided) and
+    /// learns the body modulation and length from it. The length only
+    /// ever shrinks: a header announcing more symbols than `total_syms`
+    /// leaves it as is. Returns the header and whether the announced body
+    /// fits; `None`, with the layout untouched, while a PLCP symbol is
+    /// undecided or when the header fails its CRC-8.
+    pub(crate) fn learn_plcp(
+        &mut self,
+        symbol: impl Fn(usize) -> Option<Complex>,
+    ) -> Option<(PlcpHeader, bool)> {
+        let span = self.preamble.len()..self.body_start();
+        if !span.clone().all(|n| symbol(n).is_some()) {
+            return None;
+        }
+        let bits: Vec<u8> = span
+            .flat_map(|n| Modulation::Bpsk.decide(symbol(n).expect("checked above")).0)
+            .collect();
+        let plcp = PlcpHeader::from_bytes(&bits_to_bytes(&bits))?;
+        let total =
+            self.body_start() + plcp.modulation.symbols_for_bits(plcp.mpdu_len as usize * 8);
+        self.payload_mod = plcp.modulation;
+        let fits = total <= self.total_syms;
+        if fits {
+            self.total_syms = total;
+        }
+        Some((plcp, fits))
+    }
+
+    /// Slices a whole-packet symbol stream (symbol 0 first) to the
+    /// scrambled MPDU bits: every symbol from [`PacketLayout::body_start`]
+    /// on, at the modulation in effect there.
+    pub(crate) fn body_bits(&self, symbols: impl IntoIterator<Item = Complex>) -> Vec<u8> {
+        let mut bits = Vec::new();
+        for (n, s) in symbols.into_iter().enumerate().skip(self.body_start()) {
+            bits.extend(self.modulation_at(n).decide(s).0);
+        }
+        bits
+    }
 }
 
 /// Output of decoding one chunk.
@@ -136,15 +212,34 @@ pub struct ChunkDecode {
 }
 
 /// Per-loop state of the recovery solver's windowed PI phase tracker
-/// (one per collision × packet — see
-/// [`ChannelView::feedback_windowed`]). The integrator accumulates the
-/// persistent part of the per-window phase error, i.e. the residual
-/// frequency offset the association-time ω estimate missed, while the
-/// proportional term absorbs the phase-noise walk window by window.
+/// (one per collision × packet — see [`Tracking::Window`]). The
+/// integrator accumulates the persistent part of the per-window phase
+/// error, i.e. the residual frequency offset the association-time ω
+/// estimate missed, while the proportional term absorbs the phase-noise
+/// walk window by window.
 #[derive(Clone, Debug, Default)]
-pub struct WindowPll {
+pub(crate) struct WindowPll {
     /// Integrated phase correction (radians per window).
-    pub integ: f64,
+    integ: f64,
+}
+
+/// How [`ChannelView::feedback`] turns a rendered image's reconstruction
+/// error into parameter corrections.
+pub(crate) enum Tracking<'a> {
+    /// No feedback: the image is rendered and subtracted only (the
+    /// executor's re-render after a re-estimate).
+    Off,
+    /// The §4.2.4 one-shot correction: the full measured `δφ` plus an
+    /// `α·δφ/δt` frequency nudge (the executor's chunks, capture's
+    /// blocks).
+    Chunk,
+    /// The recovery solver's per-window damped PI loop: the phase
+    /// correction is `kp·δφ + ∫ki·δφ`. The proportional term follows the
+    /// phase-noise walk with bounded response to any single noisy window
+    /// (the observed span is still contaminated by the *other* packets'
+    /// undecided symbols mid-solve), and the integrator converges on the
+    /// residual frequency offset.
+    Window(&'a mut WindowPll),
 }
 
 /// A synthesized image of a chunk, on the receive-buffer sample grid.
@@ -307,25 +402,11 @@ impl ChannelView {
         } else {
             Fir::identity()
         };
-        let inv = if taps.is_identity() {
-            Fir::identity()
-        } else {
-            design_inverse(&taps, DEFAULT_EQUALIZER_TAPS).unwrap_or_else(Fir::identity)
-        };
-
-        Some(ChannelView {
-            start,
-            mu: best_mu,
-            gain: h.abs(),
-            phase: PhaseModel::new(h.arg(), 0.0, omega),
-            taps,
-            inv,
-            last_fb_n: None,
-            cfg: cfg.clone(),
-        })
+        Some(ChannelView::from_params(start, best_mu, h.abs(), h.arg(), omega, taps, cfg))
     }
 
-    /// Builds a view directly from known parameters (tests, oracles).
+    /// Builds a view from known parameters: what [`ChannelView::estimate`]
+    /// found, or a test oracle's truth.
     pub fn from_params(
         start: usize,
         mu: f64,
@@ -364,25 +445,10 @@ impl ChannelView {
     ///
     /// Tracking loops (PLL + Mueller–Müller) run inside the chunk and
     /// leave the view's phase/timing models positioned at the chunk's far
-    /// end (in processing direction).
-    pub fn decode_chunk(
-        &mut self,
-        buffer: &[Complex],
-        range: std::ops::Range<usize>,
-        layout: &PacketLayout,
-        dir: Direction,
-    ) -> ChunkDecode {
-        let mut pool = BufPool::new();
-        let mut kernel = Kernel::new(self.cfg.backend);
-        let mut out = ChunkDecode::default();
-        self.decode_chunk_into(buffer, range, layout, dir, &mut pool, &mut kernel, &mut out);
-        out
-    }
-
-    /// In-place variant of [`ChannelView::decode_chunk`]: fills `out`
-    /// (cleared first) and draws temporary grids from `pool`, so the
-    /// per-block resample/equalize buffers are reused across chunks. The
-    /// block resampling and equalization run on `kernel`'s backend.
+    /// end (in processing direction). Fills `out` (cleared first) and
+    /// draws temporary grids from `pool`, so the per-block
+    /// resample/equalize buffers are reused across chunks. The block
+    /// resampling and equalization run on `kernel`'s backend.
     #[allow(clippy::too_many_arguments)]
     pub fn decode_chunk_into(
         &mut self,
@@ -404,7 +470,7 @@ impl ChannelView {
             return;
         }
         let margin = self.inv.len();
-        let block = self.cfg.block.max(8);
+        let block = BLOCK;
 
         // iterate blocks in processing order
         let mut blocks: Vec<(usize, usize)> = Vec::new();
@@ -421,7 +487,7 @@ impl ChannelView {
         // fine PLL residual state folded into the model per block
         let mut fine_phase = 0.0f64;
         let mut fine_freq = 0.0f64;
-        let (kp, ki, mm_g) = (self.cfg.pll_kp, self.cfg.pll_ki, self.cfg.mm_gain);
+        let (kp, ki, mm_g) = (PLL_KP, PLL_KI, MM_GAIN);
         let mm_sign = if dir == Direction::Forward { 1.0 } else { -1.0 };
         let mut prev_soft = ZERO;
         let mut prev_dec = ZERO;
@@ -526,22 +592,9 @@ impl ChannelView {
     /// Synthesizes the image of symbols `range` on the buffer grid, from
     /// the clean constellation points in `symbols` (indexed by absolute
     /// symbol index; `None` for undecoded neighbours, treated as zero at
-    /// the margins).
-    pub fn synthesize(
-        &self,
-        range: std::ops::Range<usize>,
-        symbols: &dyn Fn(usize) -> Option<Complex>,
-    ) -> Image {
-        let mut pool = BufPool::new();
-        let mut kernel = Kernel::new(self.cfg.backend);
-        let mut img = Image::default();
-        self.synthesize_at_into(range, symbols, self.mu, &mut pool, &mut kernel, &mut img);
-        img
-    }
-
-    /// In-place variant of [`ChannelView::synthesize`]: fills `out`
-    /// (reusing its sample buffer) and draws temporaries from `pool`; the
-    /// ISI shaping and grid interpolation run on `kernel`'s backend.
+    /// the margins). Fills `out` (reusing its sample buffer) and draws
+    /// temporaries from `pool`; the ISI shaping and grid interpolation
+    /// run on `kernel`'s backend.
     pub fn synthesize_into(
         &self,
         range: std::ops::Range<usize>,
@@ -551,6 +604,12 @@ impl ChannelView {
         out: &mut Image,
     ) {
         self.synthesize_at_into(range, symbols, self.mu, pool, kernel, out);
+    }
+
+    /// Symbols an image reaches past its range on either side: the ISI
+    /// taps plus the sinc-interpolation skirt.
+    pub(crate) fn margin(&self) -> usize {
+        self.taps.len() + 9
     }
 
     /// The unit-impulse column image: the buffer-grid samples this view
@@ -567,7 +626,7 @@ impl ChannelView {
         kernel: &mut Kernel,
         out: &mut Image,
     ) {
-        let margin = self.taps.len() + 9;
+        let margin = self.margin();
         let lo_sym = n.saturating_sub(margin);
         let hi_sym = (n + margin + 1).min(total_syms);
         let unit = |i: usize| (i == n).then(|| Complex::real(1.0));
@@ -583,7 +642,7 @@ impl ChannelView {
         kernel: &mut Kernel,
         out: &mut Image,
     ) {
-        let m = self.taps.len() + 9; // ISI + sinc-kernel margin
+        let m = self.margin();
         let lo = range.start as isize - m as isize;
         let hi = range.end as isize + m as isize;
         // clean symbols over the margin window
@@ -622,13 +681,15 @@ impl ChannelView {
     /// Reconstruction-tracking feedback (§4.2.4b–c): given the *actual*
     /// received image of a chunk (`observed`, i.e. the buffer span with
     /// every other contribution subtracted) and our synthesized `image`,
-    /// update phase, frequency (`δf̂ += α·δφ/δt`), amplitude, and timing.
+    /// update phase and frequency as `tracking` says, then amplitude and
+    /// timing.
     ///
-    /// `mid_n` is the chunk's centre symbol index (the `δt` reference).
-    /// Does nothing if tracking is disabled in the configuration. The
-    /// timing early/late-gate images are synthesized into pooled buffers
-    /// on `kernel`'s backend.
-    pub fn feedback(
+    /// `range`'s centre symbol is the `δt` reference. Does nothing under
+    /// [`Tracking::Off`]; each tracked quantity is skipped when disabled
+    /// in the configuration. The timing early/late-gate images are
+    /// synthesized into pooled buffers on `kernel`'s backend.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn feedback(
         &mut self,
         observed: &[Complex],
         image: &Image,
@@ -636,48 +697,12 @@ impl ChannelView {
         symbols: &dyn Fn(usize) -> Option<Complex>,
         pool: &mut BufPool,
         kernel: &mut Kernel,
+        tracking: Tracking<'_>,
     ) {
-        self.feedback_inner(observed, image, range, symbols, pool, kernel, None);
-    }
-
-    /// [`ChannelView::feedback`] with the phase update replaced by a
-    /// damped PI loop carrying explicit per-loop state — the recovery
-    /// solver's per-window phase tracker. Instead of applying the full
-    /// measured `δφ` (plus a `δφ/δt` frequency nudge) in one shot, the
-    /// correction is `kp·δφ + ∫ki·δφ`: the proportional term follows the
-    /// phase-noise walk with bounded response to any single noisy window
-    /// (the observed span is still contaminated by the *other* packets'
-    /// undecided symbols mid-solve), and the integrator converges on the
-    /// residual frequency offset. Gain and timing tracking are shared
-    /// with the one-shot path unchanged.
-    #[allow(clippy::too_many_arguments)] // mirrors feedback + the loop state
-    pub fn feedback_windowed(
-        &mut self,
-        observed: &[Complex],
-        image: &Image,
-        range: std::ops::Range<usize>,
-        symbols: &dyn Fn(usize) -> Option<Complex>,
-        pool: &mut BufPool,
-        kernel: &mut Kernel,
-        pll: &mut WindowPll,
-        kp: f64,
-        ki: f64,
-    ) {
-        self.feedback_inner(observed, image, range, symbols, pool, kernel, Some((pll, kp, ki)));
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal seam shared by both feedback paths
-    fn feedback_inner(
-        &mut self,
-        observed: &[Complex],
-        image: &Image,
-        range: std::ops::Range<usize>,
-        symbols: &dyn Fn(usize) -> Option<Complex>,
-        pool: &mut BufPool,
-        kernel: &mut Kernel,
-        pll: Option<(&mut WindowPll, f64, f64)>,
-    ) {
-        if observed.len() != image.samples.len() || observed.is_empty() {
+        if matches!(tracking, Tracking::Off)
+            || observed.len() != image.samples.len()
+            || observed.is_empty()
+        {
             return;
         }
         let c = inner(observed, &image.samples);
@@ -690,17 +715,15 @@ impl ChannelView {
 
         if self.cfg.track_phase {
             let dphi = ratio.arg();
-            match pll {
-                Some((state, kp, ki)) => {
-                    state.integ += ki * dphi;
+            match tracking {
+                Tracking::Window(state) => {
+                    state.integ += WINDOW_PLL_KI * dphi;
                     self.phase.rebase(mid_n);
-                    self.phase.correct(kp * dphi + state.integ, 0.0);
+                    self.phase.correct(WINDOW_PLL_KP * dphi + state.integ, 0.0);
                 }
-                None => {
+                Tracking::Chunk | Tracking::Off => {
                     let domega = match self.last_fb_n {
-                        Some(last) if mid_n > last + 1.0 => {
-                            self.cfg.alpha_freq * dphi / (mid_n - last)
-                        }
+                        Some(last) if mid_n > last + 1.0 => ALPHA_FREQ * dphi / (mid_n - last),
                         _ => 0.0,
                     };
                     self.phase.rebase(mid_n);
@@ -749,11 +772,6 @@ impl ChannelView {
             pool.put(early.samples);
             pool.put(late.samples);
         }
-    }
-
-    /// Effective SNR of this view against unit noise, in dB.
-    pub fn snr_db(&self) -> f64 {
-        20.0 * self.gain.log10()
     }
 
     /// Re-anchors the phase model at the packet start: keeps everything
@@ -871,6 +889,7 @@ fn normalise_main_tap(f: Fir) -> Fir {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::scratch::Scratch;
     use rand::prelude::*;
     use zigzag_channel::fading::ChannelParams;
     use zigzag_channel::noise::add_awgn;
@@ -890,6 +909,34 @@ mod tests {
             payload_mod: a.modulation,
             total_syms: a.len(),
         }
+    }
+
+    /// Decodes `range` through `ws`'s chunk buffers; returns a copy of
+    /// the decode.
+    fn decode(
+        ws: &mut Scratch,
+        v: &mut ChannelView,
+        buf: &[Complex],
+        range: std::ops::Range<usize>,
+        layout: &PacketLayout,
+        dir: Direction,
+    ) -> ChunkDecode {
+        let Scratch { pool, chunk, kernel, .. } = ws;
+        v.decode_chunk_into(buf, range, layout, dir, pool, kernel, chunk);
+        chunk.clone()
+    }
+
+    /// Synthesizes `range` through `ws`'s image buffer; returns a copy of
+    /// the image.
+    fn synth(
+        ws: &mut Scratch,
+        v: &ChannelView,
+        range: std::ops::Range<usize>,
+        symbols: &dyn Fn(usize) -> Option<Complex>,
+    ) -> Image {
+        let Scratch { pool, image, kernel, .. } = ws;
+        v.synthesize_into(range, symbols, pool, kernel, image);
+        image.clone()
     }
 
     /// Builds a clean single-packet reception and returns
@@ -998,7 +1045,8 @@ mod tests {
             ChannelView::estimate(&buf, 0, p.symbols(), Some(0.05 + 2e-4), None, true, &cfg)
                 .unwrap();
         let layout = layout_for(&a);
-        let out = v.decode_chunk(&buf, 0..a.len(), &layout, Direction::Forward);
+        let mut ws = Scratch::with_backend(cfg.backend);
+        let out = decode(&mut ws, &mut v, &buf, 0..a.len(), &layout, Direction::Forward);
         // compare MPDU bits
         let body = &out.decided[a.mpdu_start()..];
         let bits: Vec<u8> = body.iter().flat_map(|&d| Modulation::Bpsk.decide(d).0).collect();
@@ -1021,10 +1069,11 @@ mod tests {
         // forward pass to get end-state
         let mut vf =
             ChannelView::estimate(&buf, 0, p.symbols(), Some(0.02), None, true, &cfg).unwrap();
-        let fwd = vf.decode_chunk(&buf, 0..a.len(), &layout, Direction::Forward);
+        let mut ws = Scratch::with_backend(cfg.backend);
+        let fwd = decode(&mut ws, &mut vf, &buf, 0..a.len(), &layout, Direction::Forward);
         // backward pass: clone the *post-forward* view (model at packet end)
         let mut vb = vf.clone();
-        let bwd = vb.decode_chunk(&buf, 0..a.len(), &layout, Direction::Backward);
+        let bwd = decode(&mut ws, &mut vb, &buf, 0..a.len(), &layout, Direction::Backward);
         let ber_of = |out: &ChunkDecode| {
             let bits: Vec<u8> = out.decided[a.mpdu_start()..]
                 .iter()
@@ -1056,10 +1105,11 @@ mod tests {
         let mut v =
             ChannelView::estimate(&buf, 0, p.symbols(), Some(0.03), None, true, &cfg).unwrap();
         let layout = layout_for(&a);
-        let out = v.decode_chunk(&buf, 0..a.len(), &layout, Direction::Forward);
+        let mut ws = Scratch::with_backend(cfg.backend);
+        let out = decode(&mut ws, &mut v, &buf, 0..a.len(), &layout, Direction::Forward);
         // rebuild image with the post-decode view (fully tracked)
         let decided = out.decided.clone();
-        let img = v.synthesize(0..a.len(), &|n| decided.get(n).copied());
+        let img = synth(&mut ws, &v, 0..a.len(), &|n| decided.get(n).copied());
         let mut resid = buf.clone();
         img.subtract_from(&mut resid);
         // residual power over the packet interior vs pre-subtraction power
@@ -1097,11 +1147,12 @@ mod tests {
             &cfg,
         );
         let range = 100..300;
-        let img = v.synthesize(range.clone(), &sym_fn);
+        let mut ws = Scratch::with_backend(cfg.backend);
+        let img = synth(&mut ws, &v, range.clone(), &sym_fn);
         let observed: Vec<Complex> = buf[img.range()].to_vec();
         let before = v.phase.at(200.0);
         let (mut pool, mut kernel) = (BufPool::new(), Kernel::new(cfg.backend));
-        v.feedback(&observed, &img, range, &sym_fn, &mut pool, &mut kernel);
+        v.feedback(&observed, &img, range, &sym_fn, &mut pool, &mut kernel, Tracking::Chunk);
         let after = v.phase.at(200.0);
         assert!(
             (after - 0.5).abs() < (before - 0.5).abs(),
@@ -1130,12 +1181,13 @@ mod tests {
         // view believes mu = 0; the channel advanced the packet by 0.2, so
         // the correct alignment is mu = −0.2
         let mut v = ChannelView::from_params(0, 0.0, 3.16, 0.0, 0.0, Fir::identity(), &cfg);
+        let mut ws = Scratch::with_backend(cfg.backend);
         for _ in 0..40 {
             let range = 100..300;
-            let img = v.synthesize(range.clone(), &sym_fn);
+            let img = synth(&mut ws, &v, range.clone(), &sym_fn);
             let observed: Vec<Complex> = buf[img.range()].to_vec();
             let (mut pool, mut kernel) = (BufPool::new(), Kernel::new(cfg.backend));
-            v.feedback(&observed, &img, range, &sym_fn, &mut pool, &mut kernel);
+            v.feedback(&observed, &img, range, &sym_fn, &mut pool, &mut kernel, Tracking::Chunk);
         }
         assert!((v.mu + 0.2).abs() < 0.08, "mu {} want -0.2", v.mu);
     }
@@ -1193,8 +1245,9 @@ mod tests {
     fn images_tile_exactly_across_chunks() {
         let cfg = DecoderConfig::default();
         let v = ChannelView::from_params(10, 0.3, 1.0, 0.0, 0.0, Fir::identity(), &cfg);
-        let i1 = v.synthesize(0..50, &|_| Some(Complex::real(1.0)));
-        let i2 = v.synthesize(50..100, &|_| Some(Complex::real(1.0)));
+        let mut ws = Scratch::with_backend(cfg.backend);
+        let i1 = synth(&mut ws, &v, 0..50, &|_| Some(Complex::real(1.0)));
+        let i2 = synth(&mut ws, &v, 50..100, &|_| Some(Complex::real(1.0)));
         assert_eq!(i1.range().end, i2.range().start, "chunks must tile");
     }
 
@@ -1344,6 +1397,59 @@ mod tests {
         }
     }
 
+    /// An encoded QPSK frame, its header, and a layout that has not read
+    /// the header yet, capped at `cap` symbols.
+    fn unread(cap: usize) -> (zigzag_phy::frame::AirFrame, PlcpHeader, PacketLayout) {
+        let f = Frame::with_random_payload(0, 3, 9, 120, 5);
+        let a = encode_frame(&f, Modulation::Qpsk, &Preamble::default_len());
+        let h = PlcpHeader {
+            modulation: Modulation::Qpsk,
+            seed: f.scramble_seed(),
+            mpdu_len: (a.mpdu_bits.len() / 8) as u16,
+        };
+        let layout = PacketLayout::unknown(
+            Preamble::default_len().symbols().to_vec(),
+            zigzag_phy::frame::PLCP_SYMBOLS,
+            cap,
+        );
+        (a, h, layout)
+    }
+
+    #[test]
+    fn learn_plcp_reads_the_header_and_shrinks_the_length() {
+        let (a, h, mut layout) = unread(5000);
+        let syms = a.symbols.clone();
+        assert_eq!(layout.learn_plcp(|n| syms.get(n).copied()), Some((h, true)));
+        assert_eq!(layout.total_syms, a.len());
+        assert_eq!(layout.payload_mod, Modulation::Qpsk);
+    }
+
+    #[test]
+    fn learn_plcp_leaves_the_layout_alone_without_a_header() {
+        let (a, _, mut layout) = unread(5000);
+        let before = format!("{layout:?}");
+        // a flipped PLCP symbol fails the CRC-8
+        let mut syms = a.symbols.clone();
+        let k = a.preamble_len + 3;
+        syms[k] = -syms[k];
+        assert!(layout.learn_plcp(|n| syms.get(n).copied()).is_none());
+        assert_eq!(format!("{layout:?}"), before);
+        // so does a PLCP symbol still undecided
+        let syms = a.symbols.clone();
+        assert!(layout.learn_plcp(|n| (n != k).then(|| syms[n])).is_none());
+        assert_eq!(format!("{layout:?}"), before);
+    }
+
+    #[test]
+    fn learn_plcp_never_grows_the_length() {
+        let (a, _, _) = unread(0);
+        let (_, h, mut layout) = unread(a.len() - 1);
+        let syms = a.symbols.clone();
+        assert_eq!(layout.learn_plcp(|n| syms.get(n).copied()), Some((h, false)));
+        assert_eq!(layout.total_syms, a.len() - 1, "the cap stands");
+        assert_eq!(layout.payload_mod, Modulation::Qpsk, "the modulation is still learnt");
+    }
+
     #[test]
     fn phase_model_algebra() {
         let mut m = PhaseModel::new(1.0, 0.0, 0.1);
@@ -1365,7 +1471,8 @@ mod tests {
         let cfg = DecoderConfig::default();
         let v = ChannelView::from_params(0, 0.0, 3.16, 0.0, 0.0, Fir::identity(), &cfg);
         let syms = a.symbols.clone();
-        let img = v.synthesize(10..40, &|n| syms.get(n).copied());
+        let img =
+            synth(&mut Scratch::with_backend(cfg.backend), &v, 10..40, &|n| syms.get(n).copied());
         img.subtract_from(&mut work);
         img.add_to(&mut work);
         for (x, y) in work.iter().zip(buf.iter()) {

@@ -6,10 +6,11 @@
 //! 1. asks the greedy scheduler ([`crate::schedule`]) for the next
 //!    interference-free chunk;
 //! 2. decodes it with the black-box chunk decoder
-//!    ([`ChannelView::decode_chunk`]);
+//!    ([`ChannelView::decode_chunk_into`]);
 //! 3. re-encodes it through the per-collision channel estimate and
 //!    **subtracts the image from every collision where the packet
-//!    appears** (§4.5 Step 2), applying the §4.2.4 tracking feedback;
+//!    appears** (§4.5 Step 2), applying the §4.2.4 tracking feedback —
+//!    the cancellation core the recovery solver shares;
 //! 4. repeats until both/all packets are decoded, learning each packet's
 //!    true length and body modulation when its PLCP header emerges;
 //! 5. optionally runs the **backward pass** (§4.3b): each packet is
@@ -21,11 +22,10 @@
 use crate::config::{debug_trace, ClientRegistry, DecoderConfig};
 use crate::engine::scratch::Scratch;
 use crate::schedule::{CollisionLayout, PlanOutcome, PlanState, Step};
-use crate::view::{ChannelView, Direction, PacketLayout};
-use zigzag_phy::bits::bits_to_bytes;
+use crate::sic::Cancellation;
+use crate::view::{ChannelView, Direction, PacketLayout, Tracking};
 use zigzag_phy::complex::Complex;
-use zigzag_phy::frame::{decode_mpdu, Frame, PlcpHeader, PLCP_SYMBOLS};
-use zigzag_phy::modulation::Modulation;
+use zigzag_phy::frame::{Frame, PlcpHeader, PLCP_SYMBOLS};
 use zigzag_phy::preamble::Preamble;
 
 /// What the receiver knows about one packet before ZigZag starts.
@@ -88,10 +88,6 @@ pub struct ZigzagDecoder<'r> {
     preamble: Preamble,
 }
 
-/// Minimum chunk size (symbols) for reconstruction feedback to fire —
-/// tiny chunks carry too little energy for a stable estimate.
-const MIN_FEEDBACK_CHUNK: usize = 16;
-
 impl<'r> ZigzagDecoder<'r> {
     /// Creates a decoder bound to an association registry.
     pub fn new(cfg: DecoderConfig, registry: &'r ClientRegistry) -> Self {
@@ -118,52 +114,33 @@ impl<'r> ZigzagDecoder<'r> {
 
         let layouts: Vec<CollisionLayout> = collisions
             .iter()
-            .map(|c| CollisionLayout {
-                placements: c
-                    .placements
-                    .iter()
-                    .map(|&(p, s)| crate::schedule::Placement { packet: p, start: s })
-                    .collect(),
-                len: c.buffer.len(),
-            })
+            .map(|c| CollisionLayout::from_pairs(&c.placements, c.buffer.len()))
             .collect();
         // upper-bound packet lengths: to the end of the longest buffer
         let max_lens = crate::schedule::upper_bound_lens(n_pkts, &layouts);
 
-        let mut plan = PlanState::new(max_lens.clone(), layouts);
-        let mut residuals: Vec<Vec<Complex>> =
-            collisions.iter().map(|c| c.buffer.to_vec()).collect();
-        // Accumulated synthesized image per (collision, packet). The
-        // residual invariant is `residual[c] = buffer[c] − Σ_q acc[c][q]`:
-        // each subtraction renders the packet's image over an *expanded*
-        // span from all currently-decided symbols and subtracts only the
-        // delta against the accumulator, so chunk-boundary tails (ISI
-        // post-cursors, sinc skirts) heal as soon as the neighbouring
-        // chunk is decoded instead of polluting the other packet.
-        let mut img_acc: Vec<Vec<Vec<Complex>>> = collisions
-            .iter()
-            .map(|c| (0..n_pkts).map(|_| vec![Complex::default(); c.buffer.len()]).collect())
-            .collect();
-        let mut views: Vec<Vec<Option<ChannelView>>> =
-            (0..n_cols).map(|_| (0..n_pkts).map(|_| None).collect()).collect();
-        // views estimated while the preamble was immersed in an
-        // interferer; re-estimated (and their images re-rendered) as soon
-        // as subtraction exposes the preamble
-        let mut immersed: Vec<Vec<bool>> = vec![vec![false; n_pkts]; n_cols];
-        let mut pkts: Vec<PktState> = (0..n_pkts)
-            .map(|q| PktState {
-                layout: PacketLayout::unknown(
-                    self.preamble.symbols().to_vec(),
-                    PLCP_SYMBOLS,
-                    max_lens[q],
-                ),
-                decided: vec![None; max_lens[q]],
-                soft_fwd: vec![None; max_lens[q]],
-                fwd_source_count: vec![0; n_cols],
-                plcp: None,
-                client: packets[q].client,
-            })
-            .collect();
+        let mut pass = Pass {
+            dec: self,
+            collisions,
+            plan: PlanState::new(max_lens.clone(), layouts),
+            sic: Cancellation::new(collisions.iter().map(|c| c.buffer), n_pkts),
+            views: vec![vec![None; n_pkts]; n_cols],
+            immersed: vec![vec![false; n_pkts]; n_cols],
+            pkts: (0..n_pkts)
+                .map(|q| PktState {
+                    layout: PacketLayout::unknown(
+                        self.preamble.symbols().to_vec(),
+                        PLCP_SYMBOLS,
+                        max_lens[q],
+                    ),
+                    decided: vec![None; max_lens[q]],
+                    soft_fwd: vec![None; max_lens[q]],
+                    fwd_source_count: vec![0; n_cols],
+                    plcp: None,
+                    client: packets[q].client,
+                })
+                .collect(),
+        };
 
         // ---------- forward pass ----------
         // One run per iteration, preferring the run closest to its view's
@@ -174,10 +151,10 @@ impl<'r> ZigzagDecoder<'r> {
         // available — with the extrapolation penalty physics imposes.
         let mut frontier: Vec<Vec<usize>> = vec![vec![0; n_pkts]; n_cols];
         let outcome = loop {
-            if plan.is_complete() {
+            if pass.plan.is_complete() {
                 break PlanOutcome::Complete;
             }
-            let runs = plan.available_runs();
+            let runs = pass.plan.available_runs();
             let best = runs.into_iter().min_by_key(|s| {
                 let f = frontier[s.collision][s.packet];
                 let dist = s.range.start.abs_diff(f);
@@ -191,219 +168,171 @@ impl<'r> ZigzagDecoder<'r> {
             // (the body would be sliced with the wrong constellation and
             // the bad decisions subtracted everywhere).
             {
-                let q = step.packet;
-                let body = pkts[q].layout.body_start();
-                if pkts[q].plcp.is_none() && step.range.start < body && step.range.end > body {
+                let st = &pass.pkts[step.packet];
+                let body = st.layout.body_start();
+                if st.plcp.is_none() && step.range.start < body && step.range.end > body {
                     step.range.end = body;
                 }
             }
             frontier[step.collision][step.packet] = step.range.end;
-            self.process_step(
-                &step,
-                collisions,
-                &mut plan,
-                &mut residuals,
-                &mut img_acc,
-                &mut views,
-                &mut immersed,
-                &mut pkts,
-                ws,
-            );
-            self.reestimate_exposed(
-                collisions,
-                &plan,
-                &mut residuals,
-                &mut img_acc,
-                &mut views,
-                &mut immersed,
-                &pkts,
-                ws,
-            );
+            pass.step(&step, ws);
+            pass.reestimate_exposed(ws);
         };
 
         // ---------- backward pass + MRC ----------
-        let mut results = Vec::with_capacity(n_pkts);
-        for q in 0..n_pkts {
-            let result = self.finalize_packet(
-                q, outcome, collisions, &plan, &residuals, &img_acc, &views, &pkts, ws,
-            );
-            results.push(result);
-        }
-        ZigzagOutput { packets: results, outcome }
+        let packets = (0..n_pkts).map(|q| pass.finalize(q, outcome, ws)).collect();
+        ZigzagOutput { packets, outcome }
     }
+}
 
+/// One decode's working state: the plan, the cancellation core, and the
+/// per-(collision × packet) views.
+struct Pass<'a> {
+    dec: &'a ZigzagDecoder<'a>,
+    collisions: &'a [CollisionSpec<'a>],
+    plan: PlanState,
+    sic: Cancellation,
+    views: Vec<Vec<Option<ChannelView>>>,
+    /// Views estimated while the preamble was immersed in an interferer;
+    /// re-estimated (and their images re-rendered) as soon as
+    /// subtraction exposes the preamble.
+    immersed: Vec<Vec<bool>>,
+    pkts: Vec<PktState>,
+}
+
+impl Pass<'_> {
     /// Decodes one chunk, stores its symbols, learns the PLCP if it just
-    /// completed, and subtracts the chunk image from every collision.
-    #[allow(clippy::too_many_arguments)]
-    fn process_step(
-        &self,
-        step: &Step,
-        collisions: &[CollisionSpec<'_>],
-        plan: &mut PlanState,
-        residuals: &mut [Vec<Complex>],
-        img_acc: &mut [Vec<Vec<Complex>>],
-        views: &mut [Vec<Option<ChannelView>>],
-        immersed: &mut [Vec<bool>],
-        pkts: &mut [PktState],
-        ws: &mut Scratch,
-    ) {
+    /// completed, and renders the packet's image into every collision
+    /// holding it.
+    fn step(&mut self, step: &Step, ws: &mut Scratch) {
         let (c, q) = (step.collision, step.packet);
 
-        // ensure a view exists for (q, c)
-        if views[c][q].is_none() {
-            if let Some((v, clean)) = self.make_view(q, c, collisions, plan, residuals, pkts) {
-                views[c][q] = Some(v);
-                immersed[c][q] = !clean;
-            }
-        }
-        let Some(view) = views[c][q].as_mut() else {
+        self.ensure_view(q, c);
+        let Some(view) = self.views[c][q].as_mut() else {
             // estimation impossible — mark as decoded to avoid livelock;
             // the packet will simply fail its CRC.
-            plan.mark(q, step.range.clone());
+            self.plan.mark(q, step.range.clone());
             return;
         };
 
         // decode the chunk from this collision's residual
-        let Scratch { pool, chunk, image, kernel } = ws;
+        let st = &mut self.pkts[q];
+        let Scratch { pool, chunk, kernel, .. } = ws;
         view.decode_chunk_into(
-            &residuals[c],
+            self.sic.residual(c),
             step.range.clone(),
-            &pkts[q].layout,
+            &st.layout,
             Direction::Forward,
             pool,
             kernel,
             chunk,
         );
-        let out = &*chunk;
         for (i, n) in step.range.clone().enumerate() {
-            if n < pkts[q].decided.len() && pkts[q].decided[n].is_none() {
-                pkts[q].decided[n] = Some(out.decided[i]);
-                pkts[q].soft_fwd[n] = Some(out.soft[i]);
+            if n < st.decided.len() && st.decided[n].is_none() {
+                st.decided[n] = Some(chunk.decided[i]);
+                st.soft_fwd[n] = Some(chunk.soft[i]);
             }
         }
         if debug_trace() {
             let evm: f64 =
-                out.soft.iter().zip(out.decided.iter()).map(|(s, d)| (*s - *d).abs()).sum::<f64>()
-                    / out.soft.len().max(1) as f64;
-            let v = views[c][q].as_ref().unwrap();
+                chunk.soft.iter().zip(&chunk.decided).map(|(s, d)| (*s - *d).abs()).sum::<f64>()
+                    / chunk.soft.len().max(1) as f64;
             eprintln!(
                 "step c{c} q{q} {:?}: evm={evm:.3} gain={:.2} omega={:.5} mu={:.3}",
                 step.range,
-                v.gain,
-                v.phase.omega(),
-                v.mu
+                view.gain,
+                view.phase.omega(),
+                view.mu
             );
         }
-        pkts[q].fwd_source_count[c] += step.range.len();
-        plan.mark(q, step.range.clone());
+        st.fwd_source_count[c] += step.range.len();
+        self.plan.mark(q, step.range.clone());
 
         // PLCP completion?
-        if pkts[q].plcp.is_none() {
-            self.try_parse_plcp(q, plan, pkts);
-        }
-
-        // subtract the chunk image from every collision containing q,
-        // maintaining the accumulated-image invariant (see `decode`)
-        for (ci, col) in collisions.iter().enumerate() {
-            if !col.placements.iter().any(|&(p, _)| p == q) {
-                continue;
-            }
-            if views[ci][q].is_none() {
-                if let Some((v, clean)) = self.make_view(q, ci, collisions, plan, residuals, pkts) {
-                    views[ci][q] = Some(v);
-                    immersed[ci][q] = !clean;
+        if st.plcp.is_none() {
+            let decided = &st.decided;
+            if let Some((plcp, fits)) = st.layout.learn_plcp(|n| decided.get(n).copied().flatten())
+            {
+                st.plcp = Some(plcp);
+                if fits {
+                    let total = st.layout.total_syms;
+                    self.plan.set_len(q, total);
+                    st.decided.truncate(total);
+                    st.soft_fwd.truncate(total);
                 }
             }
-            let Some(v) = views[ci][q].as_mut() else { continue };
-            let decided = &pkts[q].decided;
-            let sym_fn = |n: usize| decided.get(n).copied().flatten();
-            // expand by the ISI + interpolation margin so boundary tails
-            // of previously-subtracted chunks are re-rendered with the
-            // newly decided neighbours
-            let m2 = v.taps.len() + 9;
-            let exp = step.range.start.saturating_sub(m2)
-                ..(step.range.end + m2).min(pkts[q].decided.len());
-            v.synthesize_into(exp.clone(), &sym_fn, pool, kernel, image);
-            let img = &*image;
-            let blen = residuals[ci].len();
-            let span = img.first.min(blen)..img.range().end.min(blen);
-            // actual received image of q over the span (for feedback):
-            // residual + old accumulator = buffer − other packets
-            let mut observed = pool.take();
-            observed.extend(span.clone().map(|p| residuals[ci][p] + img_acc[ci][q][p]));
-            // delta-subtract against the accumulator
-            for (k, p) in span.clone().enumerate() {
-                let new_val = img.samples[k];
-                residuals[ci][p] -= new_val - img_acc[ci][q][p];
-                img_acc[ci][q][p] = new_val;
-            }
-            if debug_trace() {
-                let before = zigzag_phy::complex::mean_power(&observed);
-                let after = zigzag_phy::complex::mean_power(&residuals[ci][span.clone()]);
-                eprintln!(
-                    "    sub q{q} from c{ci} at {:?}: pwr {before:.2} -> {after:.2}",
-                    step.range
-                );
-            }
-            if step.range.len() >= MIN_FEEDBACK_CHUNK && observed.len() == img.samples.len() {
-                v.feedback(&observed, img, exp, &sym_fn, pool, kernel);
-            }
-            pool.put(observed);
         }
+
+        for ci in 0..self.collisions.len() {
+            if self.start_of(q, ci).is_none() {
+                continue;
+            }
+            self.ensure_view(q, ci);
+            let Some(v) = self.views[ci][q].as_mut() else { continue };
+            let decided = &self.pkts[q].decided;
+            self.sic.render(ci, q, v, step.range.clone(), decided, Tracking::Chunk, ws);
+        }
+    }
+
+    /// Where packet `q` starts in collision `c`, if it is there.
+    fn start_of(&self, q: usize, c: usize) -> Option<usize> {
+        self.collisions[c].placements.iter().find(|(p, _)| *p == q).map(|&(_, s)| s)
     }
 
     /// `true` if `q`'s preamble region in collision `c` is currently free
     /// of *live* interference (other packets absent or already subtracted).
-    fn preamble_clean(
-        &self,
-        q: usize,
-        c: usize,
-        collisions: &[CollisionSpec<'_>],
-        plan: &PlanState,
-    ) -> bool {
-        let Some(&(_, start)) = collisions[c].placements.iter().find(|(p, _)| *p == q) else {
+    fn preamble_clean(&self, q: usize, c: usize) -> bool {
+        let Some(start) = self.start_of(q, c) else {
             return false;
         };
-        let pre_span = start..start + self.preamble.len();
-        collisions[c].placements.iter().all(|&(p, s)| {
+        let pre_span = start..start + self.dec.preamble.len();
+        self.collisions[c].placements.iter().all(|&(p, s)| {
             if p == q {
                 return true;
             }
-            let p_len = plan.len_of(p);
+            let p_len = self.plan.len_of(p);
             let lo = pre_span.start.max(s);
             let hi = pre_span.end.min(s + p_len);
-            (lo..hi).all(|pos| plan.decoded(p).contains(pos - s))
+            (lo..hi).all(|pos| self.plan.decoded(p).contains(pos - s))
         })
     }
 
-    /// Creates the (q, c) view: channel from the (possibly immersed)
-    /// correlation at the packet's start, ω and ISI taps from the
-    /// association registry. Returns the view and whether the preamble
-    /// was clean at estimation time.
-    fn make_view(
+    /// Estimates packet `q`'s view at `start` of `buffer`: channel from
+    /// the (possibly immersed) correlation there, ω and ISI taps from the
+    /// association registry.
+    fn estimate(
         &self,
         q: usize,
-        c: usize,
-        collisions: &[CollisionSpec<'_>],
-        plan: &PlanState,
-        residuals: &[Vec<Complex>],
-        pkts: &[PktState],
-    ) -> Option<(ChannelView, bool)> {
-        let start = collisions[c].placements.iter().find(|(p, _)| *p == q).map(|&(_, s)| s)?;
-        let info = self.registry.get(pkts[q].client);
-        let omega = info.map(|i| i.omega);
+        buffer: &[Complex],
+        start: usize,
+        clean: bool,
+    ) -> Option<ChannelView> {
+        let info = self.dec.registry.get(self.pkts[q].client);
         let taps = info.map(|i| i.taps.clone());
-        let clean = self.preamble_clean(q, c, collisions, plan);
-        let v = ChannelView::estimate(
-            &residuals[c],
+        ChannelView::estimate(
+            buffer,
             start,
-            self.preamble.symbols(),
-            omega,
+            self.dec.preamble.symbols(),
+            info.map(|i| i.omega),
             taps.as_ref(),
             clean,
-            &self.cfg,
-        )?;
-        Some((v, clean))
+            &self.dec.cfg,
+        )
+    }
+
+    /// Creates the (q, c) view from collision `c`'s residual unless it
+    /// exists, remembering whether the preamble was clean at estimation
+    /// time.
+    fn ensure_view(&mut self, q: usize, c: usize) {
+        if self.views[c][q].is_some() {
+            return;
+        }
+        let Some(start) = self.start_of(q, c) else { return };
+        let clean = self.preamble_clean(q, c);
+        if let Some(v) = self.estimate(q, self.sic.residual(c), start, clean) {
+            self.views[c][q] = Some(v);
+            self.immersed[c][q] = !clean;
+        }
     }
 
     /// Re-estimates any immersed view whose preamble has since been
@@ -411,57 +340,26 @@ impl<'r> ZigzagDecoder<'r> {
     /// the improved parameters. This is the big accuracy win of the
     /// matched-collision structure: the crude "preamble immersed in noise"
     /// estimate (§4.2.4a) only has to carry the first chunk or two.
-    #[allow(clippy::too_many_arguments)]
-    fn reestimate_exposed(
-        &self,
-        collisions: &[CollisionSpec<'_>],
-        plan: &PlanState,
-        residuals: &mut [Vec<Complex>],
-        img_acc: &mut [Vec<Vec<Complex>>],
-        views: &mut [Vec<Option<ChannelView>>],
-        immersed: &mut [Vec<bool>],
-        pkts: &[PktState],
-        ws: &mut Scratch,
-    ) {
-        let Scratch { pool, image, kernel, .. } = ws;
-        for c in 0..collisions.len() {
-            for q in 0..pkts.len() {
-                if views[c][q].is_none()
-                    || !immersed[c][q]
-                    || !self.preamble_clean(q, c, collisions, plan)
+    fn reestimate_exposed(&mut self, ws: &mut Scratch) {
+        for c in 0..self.collisions.len() {
+            for q in 0..self.pkts.len() {
+                if self.views[c][q].is_none() || !self.immersed[c][q] || !self.preamble_clean(q, c)
                 {
                     continue;
                 }
-                let start = collisions[c]
-                    .placements
-                    .iter()
-                    .find(|(p, _)| *p == q)
-                    .map(|&(_, s)| s)
-                    .unwrap();
+                let start = self.start_of(q, c).expect("views exist only where q is placed");
                 // estimate on "buffer − other packets" = residual + own acc
-                let pre_end = (start + self.preamble.len() + 8).min(residuals[c].len());
-                let mut pre_buf = pool.take();
-                pre_buf.extend_from_slice(&residuals[c][..pre_end]);
-                for (p, s) in pre_buf.iter_mut().enumerate() {
-                    *s += img_acc[c][q][p];
-                }
-                let info = self.registry.get(pkts[q].client);
-                let estimated = ChannelView::estimate(
-                    &pre_buf,
-                    start,
-                    self.preamble.symbols(),
-                    info.map(|i| i.omega),
-                    info.map(|i| i.taps.clone()).as_ref(),
-                    true,
-                    &self.cfg,
-                );
-                pool.put(pre_buf);
-                let Some(new_view) = estimated else {
+                let pre_end = (start + self.dec.preamble.len() + 8).min(self.sic.residual(c).len());
+                let mut pre_buf = ws.pool.take();
+                pre_buf.extend(self.sic.cleaned(c, q).take(pre_end));
+                let estimated = self.estimate(q, &pre_buf, start, true);
+                ws.pool.put(pre_buf);
+                let Some(mut new_view) = estimated else {
                     continue;
                 };
-                immersed[c][q] = false;
+                self.immersed[c][q] = false;
                 if debug_trace() {
-                    let old = views[c][q].as_ref().unwrap();
+                    let old = self.views[c][q].as_ref().expect("checked above");
                     eprintln!(
                         "    reest q{q} c{c}: gain {:.2}->{:.2} mu {:.3}->{:.3} phase0 {:.3}->{:.3}",
                         old.gain,
@@ -473,109 +371,59 @@ impl<'r> ZigzagDecoder<'r> {
                     );
                 }
                 // re-render the accumulated image over all decided ranges
-                let decided = &pkts[q].decided;
-                let sym_fn = |n: usize| decided.get(n).copied().flatten();
-                let m2 = new_view.taps.len() + 9;
-                let blen = residuals[c].len();
-                for r in plan.decoded(q).ranges() {
-                    let exp = r.start.saturating_sub(m2)..(r.end + m2).min(decided.len());
-                    new_view.synthesize_into(exp, &sym_fn, pool, kernel, image);
-                    let span = image.first.min(blen)..image.range().end.min(blen);
-                    for (k, p) in span.enumerate() {
-                        let new_val = image.samples[k];
-                        residuals[c][p] -= new_val - img_acc[c][q][p];
-                        img_acc[c][q][p] = new_val;
-                    }
+                for r in self.plan.decoded(q).ranges() {
+                    let decided = &self.pkts[q].decided;
+                    self.sic.render(c, q, &mut new_view, r.clone(), decided, Tracking::Off, ws);
                 }
-                views[c][q] = Some(new_view);
+                self.views[c][q] = Some(new_view);
             }
         }
     }
 
-    /// Parses the PLCP once its symbols are all decided; on success learns
-    /// the packet's real length and body modulation.
-    fn try_parse_plcp(&self, q: usize, plan: &mut PlanState, pkts: &mut [PktState]) {
-        let pre = self.preamble.len();
-        let span = pre..pre + PLCP_SYMBOLS;
-        if span.end > pkts[q].decided.len() || !span.clone().all(|n| pkts[q].decided[n].is_some()) {
-            return;
-        }
-        let bits: Vec<u8> = span
-            .clone()
-            .flat_map(|n| Modulation::Bpsk.decide(pkts[q].decided[n].unwrap()).0)
-            .collect();
-        let bytes = bits_to_bytes(&bits);
-        let Some(plcp) = PlcpHeader::from_bytes(&bytes) else {
-            return;
-        };
-        let body_syms = plcp.modulation.symbols_for_bits(plcp.mpdu_len as usize * 8);
-        let total = pre + PLCP_SYMBOLS + body_syms;
-        pkts[q].plcp = Some(plcp);
-        pkts[q].layout.payload_mod = plcp.modulation;
-        if total <= pkts[q].layout.total_syms {
-            pkts[q].layout.total_syms = total;
-            plan.set_len(q, total);
-            pkts[q].decided.truncate(total);
-            pkts[q].soft_fwd.truncate(total);
-        }
-    }
-
     /// Backward pass for one packet + MRC + CRC check.
-    #[allow(clippy::too_many_arguments)]
-    fn finalize_packet(
-        &self,
-        q: usize,
-        outcome: PlanOutcome,
-        collisions: &[CollisionSpec<'_>],
-        plan: &PlanState,
-        residuals: &[Vec<Complex>],
-        img_acc: &[Vec<Vec<Complex>>],
-        views: &[Vec<Option<ChannelView>>],
-        pkts: &[PktState],
-        ws: &mut Scratch,
-    ) -> PacketResult {
-        let st = &pkts[q];
+    fn finalize(&self, q: usize, outcome: PlanOutcome, ws: &mut Scratch) -> PacketResult {
+        let st = &self.pkts[q];
         let total = st.layout.total_syms;
-        let complete = plan.decoded(q).covers(0..total) && st.plcp.is_some();
+        let complete = self.plan.decoded(q).covers(0..total) && st.plcp.is_some();
 
         // forward soft stream (normalised)
         let soft_fwd: Vec<Complex> =
             (0..total).map(|n| st.soft_fwd.get(n).copied().flatten().unwrap_or_default()).collect();
 
         let mut streams: Vec<(Vec<Complex>, f64)> = Vec::new();
-        let fwd_gain =
-            views.iter().filter_map(|vc| vc[q].as_ref()).map(|v| v.gain).fold(0.0f64, f64::max);
+        let fwd_gain = self
+            .views
+            .iter()
+            .filter_map(|vc| vc[q].as_ref())
+            .map(|v| v.gain)
+            .fold(0.0f64, f64::max);
         streams.push((soft_fwd, fwd_gain * fwd_gain));
 
         // backward pass from the least-used collision copy
-        if self.cfg.backward && complete && outcome == PlanOutcome::Complete {
-            let bwd_col = (0..collisions.len())
-                .filter(|&c| collisions[c].placements.iter().any(|&(p, _)| p == q))
+        if self.dec.cfg.backward && complete && outcome == PlanOutcome::Complete {
+            let bwd_col = (0..self.collisions.len())
+                .filter(|&c| self.start_of(q, c).is_some())
                 .min_by_key(|&c| st.fwd_source_count[c]);
-            if let Some(c) = bwd_col {
-                if let Some(base_view) = views[c][q].as_ref() {
-                    // rebuild "this packet + noise": residual with q's own
-                    // accumulated image added back
-                    let Scratch { pool, chunk, kernel, .. } = ws;
-                    let mut buf = pool.take();
-                    buf.extend_from_slice(&residuals[c]);
-                    for (p, b) in buf.iter_mut().enumerate() {
-                        *b += img_acc[c][q][p];
-                    }
-                    let mut v = base_view.clone();
-                    v.decode_chunk_into(
-                        &buf,
-                        0..total,
-                        &st.layout,
-                        Direction::Backward,
-                        pool,
-                        kernel,
-                        chunk,
-                    );
-                    pool.put(buf);
-                    streams
-                        .push((std::mem::take(&mut chunk.soft), base_view.gain * base_view.gain));
-                }
+            if let Some((c, base_view)) =
+                bwd_col.and_then(|c| self.views[c][q].as_ref().map(|v| (c, v)))
+            {
+                // rebuild "this packet + noise": residual with q's own
+                // accumulated image added back
+                let Scratch { pool, chunk, kernel, .. } = ws;
+                let mut buf = pool.take();
+                buf.extend(self.sic.cleaned(c, q));
+                let mut v = base_view.clone();
+                v.decode_chunk_into(
+                    &buf,
+                    0..total,
+                    &st.layout,
+                    Direction::Backward,
+                    pool,
+                    kernel,
+                    chunk,
+                );
+                pool.put(buf);
+                streams.push((std::mem::take(&mut chunk.soft), base_view.gain * base_view.gain));
             }
         }
 
@@ -625,39 +473,20 @@ impl<'r> ZigzagDecoder<'r> {
             streams.iter().map(|(s, w)| (s.as_slice(), *w)).collect();
         let mut combined = ws.pool.take();
         ws.kernel.combine_weighted_into(&refs, &mut combined);
-        let body_start = st.layout.body_start();
-        let mut scrambled_bits = Vec::new();
-        for (n, &s) in combined.iter().enumerate().skip(body_start) {
-            let m = st.layout.modulation_at(n);
-            scrambled_bits.extend(m.decide(s).0);
-        }
+        let mut scrambled_bits = st.layout.body_bits(combined.iter().copied());
+        ws.pool.put(combined);
 
         // try CRC on combined, then per-stream fallbacks
-        let mut frame = None;
-        if let Some(plcp) = st.plcp {
-            let want_bits = plcp.mpdu_len as usize * 8;
-            if scrambled_bits.len() >= want_bits {
-                frame = decode_mpdu(&scrambled_bits[..want_bits], plcp.seed);
-            }
-            if frame.is_none() {
-                for (s, _) in &streams {
-                    let mut bits = Vec::new();
-                    for (n, &v) in s.iter().enumerate().skip(body_start) {
-                        let m = st.layout.modulation_at(n);
-                        bits.extend(m.decide(v).0);
-                    }
-                    if bits.len() >= want_bits {
-                        if let Some(f) = decode_mpdu(&bits[..want_bits], plcp.seed) {
-                            frame = Some(f);
-                            scrambled_bits = bits;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-
-        ws.pool.put(combined);
+        let frame = st.plcp.and_then(|plcp| {
+            plcp.frame_from_bits(&scrambled_bits).or_else(|| {
+                streams.iter().find_map(|(s, _)| {
+                    let bits = st.layout.body_bits(s.iter().copied());
+                    let frame = plcp.frame_from_bits(&bits)?;
+                    scrambled_bits = bits;
+                    Some(frame)
+                })
+            })
+        });
         PacketResult { frame, plcp: st.plcp, scrambled_bits, complete }
     }
 }
@@ -671,6 +500,7 @@ mod tests {
     use zigzag_core_test_util::*;
     use zigzag_phy::bits::bit_error_rate;
     use zigzag_phy::frame::encode_frame;
+    use zigzag_phy::modulation::Modulation;
 
     /// Shared helpers for zigzag executor tests.
     mod zigzag_core_test_util {

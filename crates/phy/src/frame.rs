@@ -181,6 +181,14 @@ impl PlcpHeader {
             mpdu_len: u16::from_le_bytes([b[2], b[3]]),
         })
     }
+
+    /// The frame this header announces, from the demodulated scrambled
+    /// MPDU bits: the first `mpdu_len · 8` bits through [`decode_mpdu`].
+    /// `None` when fewer bits arrived or the CRC-32 fails.
+    pub fn frame_from_bits(&self, scrambled_bits: &[u8]) -> Option<Frame> {
+        let want = self.mpdu_len as usize * 8;
+        decode_mpdu(scrambled_bits.get(..want)?, self.seed)
+    }
 }
 
 /// A fully PHY-encoded frame: the transmitted symbol stream plus the
@@ -309,6 +317,26 @@ mod tests {
             let decoded = decode_mpdu(bits, f.scramble_seed()).expect("decode");
             assert_eq!(decoded, f, "{m:?}");
         }
+    }
+
+    #[test]
+    fn frame_from_bits_reads_only_the_announced_length() {
+        let f = test_frame();
+        let air = encode_frame(&f, Modulation::Qpsk, &Preamble::default_len());
+        let plcp = PlcpHeader {
+            modulation: Modulation::Qpsk,
+            seed: f.scramble_seed(),
+            mpdu_len: (air.mpdu_bits.len() / 8) as u16,
+        };
+        // trailing bits (a symbol's padding) are ignored
+        let mut padded = air.mpdu_bits.clone();
+        padded.extend([1, 0, 1]);
+        assert_eq!(plcp.frame_from_bits(&padded), Some(f));
+        // one bit short of the announced length: no frame
+        assert!(plcp.frame_from_bits(&air.mpdu_bits[..air.mpdu_bits.len() - 1]).is_none());
+        // a flipped bit fails the CRC-32
+        padded[40] ^= 1;
+        assert!(plcp.frame_from_bits(&padded).is_none());
     }
 
     #[test]
