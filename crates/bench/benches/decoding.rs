@@ -3,7 +3,8 @@
 //! an equal-power collision, the two-packet ZigZag executor vs payload
 //! size, the k-sender generalisation — quantifying §4.6's claim that
 //! ZigZag is linear in the number of colliding senders and needs only
-//! "two decoding lines" — and one window solve of algebraic recovery.
+//! "two decoding lines" — and the assembly and solve of one algebraic
+//! recovery window.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
@@ -156,9 +157,12 @@ fn bench_zigzag_k_senders(c: &mut Criterion) {
     }
 }
 
-/// One `lstsq_cond` on a recovery window: the first window system of the
-/// throughput bench's first equal-offset group (§4.5's Δ₁ = Δ₂), the
-/// regularised least-squares step the joint solver repeats per window.
+/// One recovery window on the throughput bench's first equal-offset
+/// group (§4.5's Δ₁ = Δ₂): `recovery_window_assemble` builds the first
+/// window system from the raw buffers (view estimates, preamble
+/// subtraction, template columns), and `recovery_window_lstsq` solves
+/// it — the regularised least-squares step the joint solver repeats per
+/// window.
 fn bench_recovery_window(c: &mut Criterion) {
     let ids = SHARD_IDS[0];
     let (buffers, delta) = equal_offset_pair(ids, RECOVERY_SEEDS[0][0]);
@@ -174,6 +178,10 @@ fn bench_recovery_window(c: &mut Criterion) {
             .expect("the equal-offset group assembles a window");
     assert!(lstsq_cond(&rows, &b, lambda).is_some(), "the window system must solve");
     println!("recovery window: {} rows x {} unknowns", rows.len(), rows[0].len());
+    let registry = shard_registry();
+    c.bench_function("recovery_window_assemble", |bch| {
+        bch.iter(|| first_window_system(&group, &registry, &preamble, &cfg, &mut ws))
+    });
     c.bench_function("recovery_window_lstsq", |bch| bch.iter(|| lstsq_cond(&rows, &b, lambda)));
 }
 

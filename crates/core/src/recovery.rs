@@ -31,11 +31,13 @@
 //!   bounded store evicted — eviction becomes signal instead of loss.
 //! * **Equations** — extracted from per-(collision × packet)
 //!   [`ChannelView`]s, exactly the estimation the ZigZag executor uses:
-//!   each unknown symbol's coefficient column is the view's synthesized
-//!   unit-impulse image (gain, phase ramp, fractional timing, ISI taps —
-//!   all rendered through the pluggable
-//!   [`kernel::Backend`](zigzag_phy::kernel), so equation extraction
-//!   rides the same scalar/simd seam as the rest of the phy).
+//!   each unknown symbol's coefficient column is the view's unit-impulse
+//!   image (gain, phase ramp, fractional timing, ISI taps). Per window,
+//!   each view renders one such image as a template through the
+//!   pluggable [`kernel::Backend`](zigzag_phy::kernel), so equation
+//!   extraction rides the same scalar/simd seam as the rest of the phy;
+//!   every column is that template shifted to its symbol and rotated by
+//!   the view's carrier phase there.
 //! * **Solver** — a sliding window of per-packet frontier symbols is
 //!   solved by regularised least squares (Gaussian elimination on the
 //!   normal equations, [`zigzag_phy::linalg::lstsq_cond`], with a ridge
@@ -69,7 +71,7 @@ use crate::matchset::{
 };
 use crate::schedule::{min_coverage_lens, shift_signature, CollisionLayout};
 use crate::sic::Cancellation;
-use crate::view::{ChannelView, PacketLayout, Tracking, WindowPll};
+use crate::view::{ChannelView, Image, PacketLayout, Tracking, WindowPll};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use zigzag_phy::complex::{Complex, ZERO};
@@ -826,35 +828,16 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// One window step: assemble this window's equations. Either yields
-    /// the regularised least-squares system for [`Solver::run`] to solve
-    /// and feed back through [`Solver::apply_window`], or reports that the
-    /// frontier advanced without a system (uncovered symbols skipped), or
-    /// that the solve has genuinely stalled.
-    fn prepare_window(&mut self, ws: &mut Scratch) -> WindowPrep {
+    /// Per-collision equation windows: a position is usable once every
+    /// symbol its sample can reach (`reach` samples away) is either
+    /// decided or in the window. Empty when no packet of the collision is
+    /// still open.
+    fn equation_spans(&self, reach: usize) -> Vec<std::ops::Range<usize>> {
         let k = self.group.packets();
-        let m = self.group.collisions();
-        let reach = self.reach();
-
-        // unknown columns: per packet, the next `WINDOW` undecided symbols
-        let mut cols: Vec<(usize, usize)> = Vec::new();
-        let mut col_start = Vec::with_capacity(k + 1);
-        for q in 0..k {
-            col_start.push(cols.len());
-            let hi = (self.frontier[q] + WINDOW).min(self.len(q));
-            cols.extend((self.frontier[q]..hi).map(|n| (q, n)));
-        }
-        col_start.push(cols.len());
-        if cols.is_empty() {
-            return WindowPrep::Stalled;
-        }
-
-        // per-collision equation windows: a position is usable once every
-        // symbol its sample can touch is either decided or in the window
-        let mut spans: Vec<std::ops::Range<usize>> = Vec::with_capacity(m);
-        for c in 0..m {
+        let mut spans = Vec::with_capacity(self.group.collisions());
+        for (c, buffer) in self.group.buffers.iter().enumerate() {
             let mut lo = usize::MAX;
-            let mut hi = self.group.buffers[c].len();
+            let mut hi = buffer.len();
             let mut any_active = false;
             for q in 0..k {
                 let s = self.starts[c][q];
@@ -879,15 +862,42 @@ impl<'a> Solver<'a> {
                 spans.push(lo..hi);
             }
         }
+        spans
+    }
+
+    /// One window step: assemble this window's equations. Either yields
+    /// the regularised least-squares system for [`Solver::run`] to solve
+    /// and feed back through [`Solver::apply_window`], or reports that the
+    /// frontier advanced without a system (uncovered symbols skipped), or
+    /// that the solve has genuinely stalled.
+    fn prepare_window(&mut self, ws: &mut Scratch) -> WindowPrep {
+        let k = self.group.packets();
+        let m = self.group.collisions();
+        let reach = self.reach();
+
+        // unknown columns: per packet, the next `WINDOW` undecided symbols
+        let mut col_start = Vec::with_capacity(k + 1);
+        let mut cols = 0;
+        for q in 0..k {
+            col_start.push(cols);
+            cols += (self.frontier[q] + WINDOW).min(self.len(q)).saturating_sub(self.frontier[q]);
+        }
+        col_start.push(cols);
+        if cols == 0 {
+            return WindowPrep::Stalled;
+        }
+
+        let spans = self.equation_spans(reach);
         let n_rows: usize = spans.iter().map(|s| s.len()).sum();
         if n_rows == 0 {
             return WindowPrep::from_skip(self.force_skip_uncovered());
         }
 
-        // assemble A and b: coefficient columns are unit-impulse images
-        // through the views (gain · phase ramp · ISI · sinc resample, all
-        // on the kernel backend)
-        let mut rows = vec![vec![ZERO; cols.len()]; n_rows];
+        // assemble A and b: packet q's coefficient columns in collision c
+        // are one unit-impulse template through the view (gain · ISI ·
+        // sinc resample, on the kernel backend), shifted and rotated per
+        // symbol
+        let mut rows = vec![vec![ZERO; cols]; n_rows];
         let mut b = vec![ZERO; n_rows];
         let mut row_base = vec![0usize; m];
         {
@@ -901,29 +911,31 @@ impl<'a> Solver<'a> {
                 }
             }
         }
-        let Scratch { pool, image, kernel, .. } = ws;
-        for (j, &(q, n)) in cols.iter().enumerate() {
-            for c in 0..m {
+        let Scratch { pool, kernel, .. } = ws;
+        let mut template = Image { first: 0, samples: pool.take() };
+        for (c, span) in spans.iter().enumerate() {
+            if span.is_empty() {
+                continue;
+            }
+            for q in 0..k {
                 let Some(view) = self.views[c][q].as_ref() else {
                     continue;
                 };
-                if spans[c].is_empty() {
-                    continue;
-                }
-                view.synthesize_unit_into(n, self.len(q), pool, kernel, image);
-                let first = image.first;
-                for (s_idx, &sample) in image.samples.iter().enumerate() {
-                    let p = first + s_idx;
-                    if spans[c].contains(&p) {
-                        rows[row_base[c] + (p - spans[c].start)][j] = sample;
+                view.unit_template_into(pool, kernel, &mut template);
+                for (j, n) in (col_start[q]..col_start[q + 1]).zip(self.frontier[q]..) {
+                    for (p, a) in view.unit_column(&template, n, self.len(q)) {
+                        if span.contains(&p) {
+                            rows[row_base[c] + (p - span.start)][j] = a;
+                        }
                     }
                 }
             }
         }
+        pool.put(template.samples);
 
         // observation energies (normal-matrix diagonal) gate the commits
         let diag: Vec<f64> =
-            (0..cols.len()).map(|j| rows.iter().map(|r| r[j].norm_sq()).sum::<f64>()).collect();
+            (0..cols).map(|j| rows.iter().map(|r| r[j].norm_sq()).sum::<f64>()).collect();
         let diag_max = diag.iter().fold(0.0f64, |a, &b| a.max(b));
         if diag_max <= 0.0 {
             return WindowPrep::from_skip(self.force_skip_uncovered());
@@ -1271,5 +1283,106 @@ mod tests {
         let fp = pool.candidates(&[1, 2]).next().unwrap().footprint.borrow();
         assert!(fp.covers(buffer.len(), 0.25), "the cached footprint must survive round 2");
         assert_eq!(fp.lanes().len(), lanes_round1, "round 2 must not rebuild or extend lanes");
+    }
+
+    /// Two collisions of the same two 60-byte packets at equal offsets
+    /// (Δ₁ = Δ₂ = 280), on clean links or typical ones with ISI.
+    fn equal_offset_group(isi: bool, seed: u64) -> (RecoveryGroup, ClientRegistry) {
+        use crate::config::ClientInfo;
+        use rand::prelude::*;
+        use zigzag_channel::fading::LinkProfile;
+        use zigzag_channel::scenario::{synth_collision, PlacedTx};
+        use zigzag_phy::frame::encode_frame;
+        use zigzag_phy::modulation::Modulation;
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let links = if isi {
+            [LinkProfile::typical(16.0, &mut rng), LinkProfile::typical(16.0, &mut rng)]
+        } else {
+            [LinkProfile::clean_with_omega(17.0, -0.08), LinkProfile::clean_with_omega(17.0, 0.09)]
+        };
+        let airs = [1u16, 2].map(|src| {
+            let frame = Frame::with_random_payload(0, src, 3, 60, seed + u64::from(src));
+            encode_frame(&frame, Modulation::Bpsk, &Preamble::default_len())
+        });
+        let (ca, cb) = (links[0].draw(&mut rng), links[1].draw(&mut rng));
+        let delta = 280;
+        let placed = [
+            PlacedTx { air: &airs[0], base: &ca, start: 0 },
+            PlacedTx { air: &airs[1], base: &cb, start: delta },
+        ];
+        let buffers = (0..2).map(|_| synth_collision(&placed, 1.0, &mut rng).buffer).collect();
+        let mut registry = ClientRegistry::new();
+        for (id, l) in [1u16, 2].into_iter().zip(&links) {
+            let info =
+                ClientInfo { omega: l.association_omega(), snr_db: l.snr_db, taps: l.isi.clone() };
+            registry.associate(id, info);
+        }
+        let group = RecoveryGroup {
+            buffers,
+            placements: vec![vec![(0, 0), (1, delta)]; 2],
+            clients: vec![1, 2],
+        };
+        (group, registry)
+    }
+
+    #[test]
+    fn window_rows_match_unit_image_columns() {
+        let cfg = DecoderConfig::default();
+        let preamble = Preamble::default_len();
+        for isi in [false, true] {
+            let (group, registry) = equal_offset_group(isi, 5);
+            let mut ws = Scratch::with_backend(cfg.backend);
+            let (rows, ..) = first_window_system(&group, &registry, &preamble, &cfg, &mut ws)
+                .expect("an equal-offset pair assembles a window");
+            // the same first window, for its views and equation spans
+            let mut solver = Solver::new(&group, &registry, &preamble, &cfg).unwrap();
+            solver.subtract_preambles(&mut ws);
+            let sys = loop {
+                match solver.prepare_window(&mut ws) {
+                    WindowPrep::System(sys) => break sys,
+                    WindowPrep::Advanced => continue,
+                    WindowPrep::Stalled => panic!("the second pass stalled"),
+                }
+            };
+            assert_eq!(rows, sys.rows, "first_window_system is the solver's first window");
+            let spans = solver.equation_spans(solver.reach());
+            assert_eq!(rows.len(), spans.iter().map(|s| s.len()).sum::<usize>());
+            let Scratch { pool, kernel, .. } = &mut ws;
+            let mut image = Image::default();
+            let mut observed = 0;
+            for q in 0..group.packets() {
+                let cols = sys.col_start[q]..sys.col_start[q + 1];
+                assert!(!cols.is_empty(), "packet {q} has no columns");
+                for (j, n) in cols.zip(sys.sym_start[q]..) {
+                    let mut want = vec![ZERO; rows.len()];
+                    let mut base = 0;
+                    for (c, span) in spans.iter().enumerate() {
+                        if let Some(view) = solver.views[c][q].as_ref().filter(|_| !span.is_empty())
+                        {
+                            view.synthesize_unit_into(n, solver.len(q), pool, kernel, &mut image);
+                            for (i, &a) in image.samples.iter().enumerate() {
+                                let p = image.first + i;
+                                if span.contains(&p) {
+                                    want[base + p - span.start] = a;
+                                }
+                            }
+                        }
+                        base += span.len();
+                    }
+                    // a look-ahead column no usable row reaches stays zero
+                    let peak = want.iter().map(|a| a.abs()).fold(0.0, f64::max);
+                    observed += usize::from(peak > 0.0);
+                    for (r, (row, w)) in rows.iter().zip(&want).enumerate() {
+                        let err = (row[j] - *w).abs();
+                        assert!(
+                            err <= 1e-12 * peak,
+                            "isi {isi}, row {r}, column {j}: error {err:e}"
+                        );
+                    }
+                }
+            }
+            assert!(observed >= 16, "isi {isi}: only {observed} observed columns");
+        }
     }
 }

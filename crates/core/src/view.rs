@@ -603,7 +603,7 @@ impl ChannelView {
         kernel: &mut Kernel,
         out: &mut Image,
     ) {
-        self.synthesize_at_into(range, symbols, self.mu, pool, kernel, out);
+        self.synthesize_at_into(range, symbols, &self.phase, pool, kernel, &mut [(self.mu, out)]);
     }
 
     /// Symbols an image reaches past its range on either side: the ISI
@@ -615,10 +615,10 @@ impl ChannelView {
     /// The unit-impulse column image: the buffer-grid samples this view
     /// produces for a lone `1 + 0j` at symbol `n` (every other symbol
     /// zero), over a symbol window wide enough to capture the full ISI +
-    /// interpolation skirt. These are the coefficient columns of
-    /// recovery's per-window least-squares systems — one call per
-    /// (column × collision) during assembly.
-    pub fn synthesize_unit_into(
+    /// interpolation skirt. The oracle [`ChannelView::unit_column`] is
+    /// checked against.
+    #[cfg(test)]
+    pub(crate) fn synthesize_unit_into(
         &self,
         n: usize,
         total_syms: usize,
@@ -626,21 +626,79 @@ impl ChannelView {
         kernel: &mut Kernel,
         out: &mut Image,
     ) {
-        let margin = self.margin();
-        let lo_sym = n.saturating_sub(margin);
-        let hi_sym = (n + margin + 1).min(total_syms);
         let unit = |i: usize| (i == n).then(|| Complex::real(1.0));
-        self.synthesize_into(lo_sym..hi_sym, &unit, pool, kernel, out);
+        self.synthesize_into(self.unit_window(n, total_syms), &unit, pool, kernel, out);
     }
 
+    /// The symbol window of a unit image of symbol `n` in a packet of
+    /// `total_syms` symbols: every symbol within the margin of `n`,
+    /// clipped at symbol 0 and at `total_syms`.
+    fn unit_window(&self, n: usize, total_syms: usize) -> std::ops::Range<usize> {
+        let margin = self.margin();
+        n.saturating_sub(margin)..(n + margin + 1).min(total_syms)
+    }
+
+    /// Recovery's column template: the image of a lone `1 + 0j` at symbol
+    /// `margin()` with the carrier phase zeroed there, over that symbol's
+    /// unit window. The phase model is linear and image positions step
+    /// one sample per symbol, so every unit column of the view is this
+    /// template shifted and rotated ([`ChannelView::unit_column`]).
+    pub(crate) fn unit_template_into(
+        &self,
+        pool: &mut BufPool,
+        kernel: &mut Kernel,
+        out: &mut Image,
+    ) {
+        let n0 = self.margin();
+        let unit = |i: usize| (i == n0).then(|| Complex::real(1.0));
+        let phase = PhaseModel::new(0.0, n0 as f64, self.phase.omega());
+        let window = self.unit_window(n0, 2 * n0 + 1);
+        self.synthesize_at_into(window, &unit, &phase, pool, kernel, &mut [(self.mu, out)]);
+    }
+
+    /// Unit column `n` of a packet of `total_syms` symbols, read off the
+    /// view's `template` ([`ChannelView::unit_template_into`]): `(p, a)`
+    /// for every buffer position `p` of the unit window's owned span
+    /// (clipped at buffer position 0), with `a = cis(φ(n)) · T(p − n)`.
+    /// Positions past the template's ends lie beyond every tap's reach
+    /// and read as zero.
+    pub(crate) fn unit_column<'t>(
+        &self,
+        template: &'t Image,
+        n: usize,
+        total_syms: usize,
+    ) -> impl Iterator<Item = (usize, Complex)> + 't {
+        let rot = Complex::cis(self.phase.at(n as f64));
+        // buffer position p sits at template position p − n + margin
+        let (m, first) = (self.margin(), template.first);
+        self.owned_span(self.unit_window(n, total_syms), self.mu).map(move |p| {
+            let t = (p + m).checked_sub(n + first).and_then(|i| template.samples.get(i));
+            (p, t.map_or(ZERO, |&t| rot * t))
+        })
+    }
+
+    /// Buffer positions whose nearest symbol index, at fractional timing
+    /// `mu`, falls in `range` — the span an image of `range` owns, which
+    /// tiles exactly across adjacent chunks.
+    fn owned_span(&self, range: std::ops::Range<usize>, mu: f64) -> std::ops::Range<usize> {
+        let first = (self.start as f64 + mu + range.start as f64 - 0.5).ceil().max(0.0) as usize;
+        let last = (self.start as f64 + mu + range.end as f64 - 0.5).ceil().max(0.0) as usize;
+        first..last.max(first)
+    }
+
+    /// The one synthesis body. Shapes symbols `range`, widened by the
+    /// margin, on the symbol grid once (ISI taps, gain, `phase` ramp),
+    /// then resamples that grid onto the buffer once per `(µ, image)` in
+    /// `outs`, so the timing gate's early and late images share a
+    /// shaping.
     fn synthesize_at_into(
         &self,
         range: std::ops::Range<usize>,
         symbols: &dyn Fn(usize) -> Option<Complex>,
-        mu: f64,
+        phase: &PhaseModel,
         pool: &mut BufPool,
         kernel: &mut Kernel,
-        out: &mut Image,
+        outs: &mut [(f64, &mut Image)],
     ) {
         let m = self.margin();
         let lo = range.start as isize - m as isize;
@@ -663,17 +721,16 @@ impl ChannelView {
                 continue;
             }
             let n = (lo + i as isize) as f64;
-            *v = *v * self.gain * Complex::cis(self.phase.at(n));
+            *v = *v * self.gain * Complex::cis(phase.at(n));
         }
-        // owned buffer span: positions whose nearest symbol index falls in
-        // `range` — tiles exactly across adjacent chunks
-        let p_first = (self.start as f64 + mu + range.start as f64 - 0.5).ceil().max(0.0) as usize;
-        let p_last = (self.start as f64 + mu + range.end as f64 - 0.5).ceil().max(0.0) as usize;
-        out.first = p_first;
-        // image positions step by exactly one sample in symbol units —
-        // another constant-fraction resampling the backend can cache
-        let t0 = p_first as f64 - self.start as f64 - mu - lo as f64;
-        kernel.resample_into(shaped, t0, 1.0, p_last.saturating_sub(p_first), &mut out.samples);
+        for (mu, out) in outs.iter_mut() {
+            let span = self.owned_span(range.clone(), *mu);
+            out.first = span.start;
+            // image positions step by exactly one sample in symbol units —
+            // another constant-fraction resampling the backend can cache
+            let t0 = span.start as f64 - self.start as f64 - *mu - lo as f64;
+            kernel.resample_into(shaped, t0, 1.0, span.len(), &mut out.samples);
+        }
         pool.put(xw);
         pool.put(shaped_buf);
     }
@@ -686,8 +743,9 @@ impl ChannelView {
     ///
     /// `range`'s centre symbol is the `δt` reference. Does nothing under
     /// [`Tracking::Off`]; each tracked quantity is skipped when disabled
-    /// in the configuration. The timing early/late-gate images are
-    /// synthesized into pooled buffers on `kernel`'s backend.
+    /// in the configuration. The timing early/late-gate images share one
+    /// shaping and are resampled into pooled buffers on `kernel`'s
+    /// backend.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn feedback(
         &mut self,
@@ -742,22 +800,8 @@ impl ChannelView {
             let delta = 0.3;
             let mut early = Image { first: 0, samples: pool.take() };
             let mut late = Image { first: 0, samples: pool.take() };
-            self.synthesize_at_into(
-                range.clone(),
-                symbols,
-                self.mu - delta,
-                pool,
-                kernel,
-                &mut early,
-            );
-            self.synthesize_at_into(
-                range.clone(),
-                symbols,
-                self.mu + delta,
-                pool,
-                kernel,
-                &mut late,
-            );
+            let gates = &mut [(self.mu - delta, &mut early), (self.mu + delta, &mut late)];
+            self.synthesize_at_into(range.clone(), symbols, &self.phase, pool, kernel, gates);
             let ce = corr_clipped(observed, image.first, &early);
             let cl = corr_clipped(observed, image.first, &late);
             // quality gate: a contaminated span (other packets still live
@@ -1238,6 +1282,152 @@ mod tests {
                 assert_eq!(out.samples, want.samples, "n {n}, taps {}", taps.len());
                 assert!(out.samples.iter().any(|&s| s != ZERO), "n {n}: empty image");
             }
+        }
+    }
+
+    #[test]
+    fn unit_columns_match_the_unit_image_oracle() {
+        let cfg = DecoderConfig::default();
+        let isi = Fir::new(
+            vec![Complex::new(0.2, -0.1), Complex::real(1.0), Complex::new(-0.15, 0.05)],
+            1,
+        );
+        let total = 300;
+        let mut pool = BufPool::new();
+        let mut kernel = Kernel::new(cfg.backend);
+        let (mut template, mut want) = (Image::default(), Image::default());
+        for taps in [Fir::identity(), isi] {
+            for start in [0, 500] {
+                for mu in [-0.45, 0.0, 0.37, 0.49] {
+                    // the phase anchor sits ~1000 symbols from every column
+                    for (omega, anchor) in
+                        [(0.0, 0.0), (1.3, -900.0), (-1.3, 1400.0), (0.21, 800.0)]
+                    {
+                        let mut v =
+                            ChannelView::from_params(start, mu, 0.8, 0.0, 0.0, taps.clone(), &cfg);
+                        v.phase = PhaseModel::new(0.6, anchor, omega);
+                        let m = v.margin();
+                        v.unit_template_into(&mut pool, &mut kernel, &mut template);
+                        for n in [0, 1, m - 1, m, total / 2, total - m - 1, total - 2, total - 1] {
+                            let at = format!(
+                                "taps {}, start {start}, µ {mu}, ω {omega}, n {n}",
+                                taps.len()
+                            );
+                            v.synthesize_unit_into(n, total, &mut pool, &mut kernel, &mut want);
+                            let got: Vec<(usize, Complex)> =
+                                v.unit_column(&template, n, total).collect();
+                            assert_eq!(got.len(), want.samples.len(), "{at}");
+                            let peak = want.samples.iter().map(|s| s.abs()).fold(0.0, f64::max);
+                            assert!(peak > 0.1, "{at}: empty oracle column");
+                            for (k, (&(p, a), &w)) in got.iter().zip(&want.samples).enumerate() {
+                                assert_eq!(p, want.first + k, "{at}");
+                                assert!(
+                                    (a - w).abs() <= 1e-12 * peak,
+                                    "{at}, p {p}: {a:?} vs {w:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `feedback` as it ran before the gate shared its shaping: phase and
+    /// gain through `feedback` with timing off, then the early and late
+    /// images from two single-µ syntheses.
+    fn feedback_two_call(
+        v: &mut ChannelView,
+        observed: &[Complex],
+        image: &Image,
+        range: std::ops::Range<usize>,
+        symbols: &dyn Fn(usize) -> Option<Complex>,
+        tracking: Tracking<'_>,
+    ) {
+        let (mut pool, mut kernel) = (BufPool::new(), Kernel::new(v.cfg.backend));
+        v.cfg.track_timing = false;
+        v.feedback(observed, image, range.clone(), symbols, &mut pool, &mut kernel, tracking);
+        v.cfg.track_timing = true;
+        let c = inner(observed, &image.samples);
+        let e_img: f64 = image.samples.iter().map(|s| s.norm_sq()).sum();
+        if observed.len() != image.samples.len() || e_img < 1e-9 || c.abs() < 1e-12 {
+            return;
+        }
+        let delta = 0.3;
+        let (mut early, mut late) = (Image::default(), Image::default());
+        for (mu, out) in [(v.mu - delta, &mut early), (v.mu + delta, &mut late)] {
+            let outs = &mut [(mu, out)];
+            v.synthesize_at_into(range.clone(), symbols, &v.phase, &mut pool, &mut kernel, outs);
+        }
+        let ce = corr_clipped(observed, image.first, &early);
+        let cl = corr_clipped(observed, image.first, &late);
+        let e_obs: f64 = observed.iter().map(|s| s.norm_sq()).sum();
+        let rho = c.norm_sq() / (e_obs * e_img).max(1e-12);
+        let denom = ce + cl;
+        if denom > 1e-9 && rho > 0.25 {
+            let e = (cl - ce) / denom;
+            v.mu += 0.3 * delta * e.clamp(-1.0, 1.0);
+        }
+    }
+
+    proptest::proptest! {
+        /// One shaping for both timing gates leaves µ, gain, the phase
+        /// model and the window integrator bit-equal to two syntheses.
+        #[test]
+        fn shared_gate_shaping_matches_two_syntheses(
+            seed: u64,
+            isi: bool,
+            window: bool,
+            start in 0usize..40,
+            mu in -0.5f64..0.5,
+            gain in 0.3f64..3.0,
+            phi in -3.0f64..3.0,
+            omega in -0.3f64..0.3,
+            from in 0usize..80,
+            len in 8usize..120,
+            dmu in -0.3f64..0.3,
+            dphi in -0.4f64..0.4,
+            integ in -0.2f64..0.2,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cfg = DecoderConfig::default();
+            let taps = if isi {
+                Fir::new(vec![Complex::new(0.2, -0.1), Complex::real(1.0), Complex::new(-0.15, 0.05)], 1)
+            } else {
+                Fir::identity()
+            };
+            let total = from + len + 20;
+            let syms: Vec<Complex> = (0..total)
+                .map(|_| Complex::cis(std::f64::consts::FRAC_PI_2 * rng.gen_range(0..4) as f64))
+                .collect();
+            let symbols = |n: usize| syms.get(n).copied();
+            let range = from..from + len;
+            let v = ChannelView::from_params(start, mu, gain, phi, omega, taps.clone(), &cfg);
+            let truth = ChannelView::from_params(start, mu + dmu, gain, phi + dphi, omega, taps, &cfg);
+            let mut ws = Scratch::with_backend(cfg.backend);
+            let mut buf = vec![ZERO; start + total + 40];
+            synth(&mut ws, &truth, range.clone(), &symbols).add_to(&mut buf);
+            for b in buf.iter_mut() {
+                *b += Complex::new(rng.gen_range(-0.05..0.05), rng.gen_range(-0.05..0.05));
+            }
+            let img = synth(&mut ws, &v, range.clone(), &symbols);
+            let observed = buf[img.range()].to_vec();
+            let (mut once, mut twice) = (v.clone(), v);
+            let (mut pll_once, mut pll_twice) = (WindowPll { integ }, WindowPll { integ });
+            let (track_once, track_twice) = if window {
+                (Tracking::Window(&mut pll_once), Tracking::Window(&mut pll_twice))
+            } else {
+                (Tracking::Chunk, Tracking::Chunk)
+            };
+            let Scratch { pool, kernel, .. } = &mut ws;
+            once.feedback(&observed, &img, range.clone(), &symbols, pool, kernel, track_once);
+            feedback_two_call(&mut twice, &observed, &img, range, &symbols, track_twice);
+            proptest::prop_assert_eq!(once.mu.to_bits(), twice.mu.to_bits());
+            proptest::prop_assert_eq!(once.gain.to_bits(), twice.gain.to_bits());
+            let bits = |p: &PhaseModel| [p.phase.to_bits(), p.ref_n.to_bits(), p.omega.to_bits()];
+            proptest::prop_assert_eq!(bits(&once.phase), bits(&twice.phase));
+            proptest::prop_assert_eq!(once.last_fb_n.map(f64::to_bits), twice.last_fb_n.map(f64::to_bits));
+            proptest::prop_assert_eq!(pll_once.integ.to_bits(), pll_twice.integ.to_bits());
         }
     }
 
