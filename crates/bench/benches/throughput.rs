@@ -28,7 +28,8 @@
 //! Finally, the cell co-simulation workload: a million symbolic stations
 //! through `zigzag_mac::cell` with a sampled fraction of genuine
 //! collisions lowered into this receiver (thread-count identity and
-//! lowered-verdict feedback gates never relax), plus the slotted-ALOHA
+//! lowered-verdict feedback gates never relax), the same cell resolved
+//! purely symbolically (the simulator's own cost), plus the slotted-ALOHA
 //! throughput curves whose ZigZag-vs-plain dominance gate relaxes with
 //! the perf gates.
 
@@ -601,6 +602,12 @@ fn bench_batch_decode(c: &mut Criterion) {
     c.bench_function("cell_sim_1m_dcf", |b| b.iter(|| cell_run(0)));
     timings.push(("cell_sim_1m_dcf".into(), c.last_ns));
     let cell_ms = c.last_ns / 1e6;
+    // the simulator's own cost: the same cell with every round resolved
+    // by the symbolic model, nothing lowered
+    c.bench_function("cell_sim_symbolic", |b| {
+        b.iter(|| run_cell(&cell_cfg, &mut DecodeModel::zigzag_ap(2008)))
+    });
+    timings.push(("cell_sim_symbolic".into(), c.last_ns));
     let cell_multi = cell_run(0);
     let cell_single = cell_run(1);
     assert_eq!(

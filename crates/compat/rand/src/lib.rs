@@ -89,8 +89,14 @@ macro_rules! impl_sample_uniform_int {
                 let span = (hi as i128) - (lo as i128) + if inclusive { 1 } else { 0 };
                 assert!(span > 0, "gen_range called with an empty range");
                 // Modulo draw: the bias over a u64 source is negligible for
-                // the simulation-sized spans used here.
-                let v = (rng.next_u64() as u128 % span as u128) as i128;
+                // the simulation-sized spans used here. Every span but the
+                // full 2^64 fits a u64, where the remainder is the same
+                // value at a fraction of a 128-bit division's cost.
+                let x = rng.next_u64();
+                let v = match u64::try_from(span) {
+                    Ok(span) => i128::from(x % span),
+                    Err(_) => (u128::from(x) % span as u128) as i128,
+                };
                 (lo as i128 + v) as $t
             }
         }
@@ -208,6 +214,48 @@ mod tests {
             assert!((-2.0..2.0).contains(&f));
             let w = rng.gen_range(0..=4u32);
             assert!(w <= 4);
+        }
+    }
+
+    /// The reference draw: the remainder taken in 128 bits for every span.
+    fn wide_draw(x: u64, lo: i128, hi: i128) -> i128 {
+        lo + (u128::from(x) % (hi - lo + 1) as u128) as i128
+    }
+
+    #[test]
+    fn narrow_modulo_equals_the_wide_formula() {
+        const DRAWS: usize = 100_000;
+        // Each case draws from one stream while a clone of it feeds the
+        // reference formula the same raw word.
+        fn check<T: SampleUniform + Into<i128> + std::fmt::Debug>(lo: T, hi: T, seed: u64) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut raw = rng.clone();
+            for _ in 0..DRAWS {
+                let got: T = rng.gen_range(lo..=hi);
+                let want = wide_draw(raw.next_u64(), lo.into(), hi.into());
+                assert_eq!(got.into(), want, "range {lo:?}..={hi:?}");
+            }
+        }
+        check(0u8, u8::MAX, 1);
+        check(3u8, 200, 2);
+        check(i8::MIN, i8::MAX, 3);
+        check(-5i8, 17, 4);
+        check(0u32, 31, 5);
+        check(0u32, u32::MAX, 6);
+        check(i32::MIN, i32::MAX, 7);
+        check(-1_000i32, 1_000, 8);
+        check(i64::MIN + 1, i64::MAX, 9);
+        check(-3i64, i64::MAX / 3, 10);
+        // span 2^64: the only spans that still take the 128-bit path
+        check(0u64, u64::MAX, 11);
+        check(i64::MIN, i64::MAX, 12);
+
+        // half-open ranges share the draw
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut raw = rng.clone();
+        for _ in 0..DRAWS {
+            let got = rng.gen_range(7u32..1_031);
+            assert_eq!(i128::from(got), wide_draw(raw.next_u64(), 7, 1_030));
         }
     }
 

@@ -2,10 +2,16 @@
 //!
 //! One tick per 802.11 slot. Stations are lazy: of a million configured
 //! ids, only those whose first arrival falls inside the run are ever
-//! materialised, so memory tracks *active* stations. Each station owns
-//! an RNG stream seeded from `(seed, id)` — every decision a station
+//! materialised, so memory tracks *active* stations. A station whose
+//! first uniform draw lies at or above a precomputed cutoff is skipped
+//! without evaluating the geometric gap (two logarithms) at all. The
+//! materialised stations form a dense table in ascending id order; wheel
+//! wakes carry the table index, so a wake reaches its station by one
+//! array access, and only the resolver-facing paths (verdicts, §4.1 reap
+//! peers) map an id back to its index, by binary search. Each station
+//! owns an RNG stream seeded from `(seed, id)` — every decision a station
 //! makes consumes only its own stream, so behaviour is independent of
-//! event interleaving, map iteration order and decode thread count.
+//! event interleaving and decode thread count.
 //!
 //! Per slot, the loop does two things in a fixed order:
 //!
@@ -211,18 +217,57 @@ pub struct CellOutcome {
     pub counters: Vec<(u32, StationCounters)>,
 }
 
+/// The gap [`geometric`] returns for a success probability of zero.
+const NEVER: u64 = u64::MAX / 4;
+
+/// Relative widening of the first-arrival cutoff. The cutoff and
+/// [`geometric_from`] share `ln(1 − p)`, so they disagree only by a few
+/// ulps of rounding; widening by far more than that keeps every skipped
+/// draw one that [`geometric_from`] would also have put past the run.
+const CUTOFF_MARGIN: f64 = 1e-9;
+
+/// Absolute widening of the first-arrival cutoff. [`geometric_from`]
+/// sees `u` only through `1 − u`, rounded to the grid of doubles below 1
+/// (spacing `EPSILON / 2`). For a cutoff under about 1e-7 — a small
+/// `slots · p` — the relative margin is finer than that grid, and a draw
+/// just above the cutoff can round back onto an in-run gap; eight grid
+/// steps put every skipped draw strictly past it.
+const CUTOFF_FLOOR: f64 = 4.0 * f64::EPSILON;
+
 /// Geometric inter-arrival gap: number of Bernoulli(`p`) slots until the
-/// first success, `≥ 1`. `p ≤ 0` returns effectively-never.
+/// first success, `≥ 1`. `p ≤ 0`, or a `p` so small that `1 − p` rounds
+/// to 1, returns effectively-never. Draws one uniform unless `p ≤ 0` or
+/// `p ≥ 1`.
 pub fn geometric<R: Rng + ?Sized>(rng: &mut R, p: f64) -> u64 {
+    if p >= 1.0 || p <= 0.0 {
+        return geometric_from(0.0, p);
+    }
+    geometric_from(rng.next_f64(), p)
+}
+
+/// [`geometric`]'s gap for the uniform draw `u ∈ [0, 1)`, by inversion.
+/// A `p` so small that `1 − p` rounds to 1 is effectively never, like
+/// `p ≤ 0`.
+fn geometric_from(u: f64, p: f64) -> u64 {
     if p >= 1.0 {
         return 1;
     }
-    if p <= 0.0 {
-        return u64::MAX / 4;
+    let log_q = (1.0 - p).ln();
+    if p <= 0.0 || log_q == 0.0 {
+        return NEVER;
     }
-    let u = rng.next_f64();
-    let gap = ((1.0 - u).ln() / (1.0 - p).ln()).floor();
-    (gap as u64).saturating_add(1).min(u64::MAX / 4)
+    let gap = ((1.0 - u).ln() / log_q).floor();
+    (gap as u64).saturating_add(1).min(NEVER)
+}
+
+/// The first-arrival cutoff for `0 < p < 1`: a station whose first
+/// uniform is at least this has [`geometric_from`]` − 1 ≥ slots`, so its
+/// first arrival falls outside a run of `slots` slots. The exact bound is
+/// `P(first < slots) = 1 − (1 − p)^slots`, computed with the same
+/// `ln(1 − p)` as [`geometric_from`] and widened by [`CUTOFF_MARGIN`]
+/// and [`CUTOFF_FLOOR`].
+fn first_arrival_cutoff(p: f64, slots: u64) -> f64 {
+    -(slots as f64 * (1.0 - p).ln()).exp_m1() * (1.0 + CUTOFF_MARGIN) + CUTOFF_FLOOR
 }
 
 struct Station {
@@ -253,10 +298,26 @@ impl Station {
             counters: StationCounters::default(),
         }
     }
+
+    /// Whether the frame `seq` is still in service here.
+    fn serving(&self, seq: u32) -> bool {
+        self.has_frame && self.seq == seq
+    }
+
+    /// Queues this station's one attempt wake (at table index `index`).
+    /// Beyond the horizon the run is over and the frame counts as
+    /// in-flight at the end.
+    fn await_attempt(&mut self, wheel: &mut EventWheel, index: u32, slot: u64) {
+        self.pending_attempt = Some(slot);
+        let _ = wheel.schedule(slot, Wake::Attempt(index));
+    }
 }
 
 #[derive(Clone, Copy)]
 struct Tx {
+    /// Dense table index of the transmitter.
+    index: u32,
+    /// Its station id.
     station: u32,
     seq: u32,
     attempt: u32,
@@ -311,48 +372,14 @@ fn align_up(x: u64, m: u64) -> u64 {
     x.div_ceil(m) * m
 }
 
-struct Sim<'a> {
-    cfg: &'a CellConfig,
-    arrival_p: f64,
-    horizon: u64,
-    stations: HashMap<u32, Station>,
-    wheel: EventWheel,
-    media: Vec<Component>,
-    busy_until: Vec<u64>,
-    closes: Vec<Vec<u32>>,
-    episodes: HashMap<u64, EpisodeState>,
-    retired: Vec<u64>,
-    stats: CellStats,
+/// The FNV-1a trace hash, and the event list when it is recorded.
+struct TraceLog {
     hash: u64,
-    trace: Vec<TraceEvent>,
+    record: bool,
+    events: Vec<TraceEvent>,
 }
 
-impl<'a> Sim<'a> {
-    fn new(cfg: &'a CellConfig) -> Self {
-        let horizon = cfg.slots + u64::from(cfg.packet_slots) + u64::from(cfg.ack_slots) + 2;
-        let arrival_p = match cfg.arrivals {
-            ArrivalModel::Poisson { per_slot } => {
-                (per_slot / cfg.stations.max(1) as f64).clamp(0.0, 1.0)
-            }
-            ArrivalModel::Saturated => 1.0,
-        };
-        Sim {
-            cfg,
-            arrival_p,
-            horizon,
-            stations: HashMap::new(),
-            wheel: EventWheel::new(horizon),
-            media: (0..cfg.sensing.cells()).map(|_| Component::default()).collect(),
-            busy_until: vec![0; cfg.sensing.group_count()],
-            closes: vec![Vec::new(); horizon as usize],
-            episodes: HashMap::new(),
-            retired: Vec::new(),
-            stats: CellStats::default(),
-            hash: FNV_OFFSET,
-            trace: Vec::new(),
-        }
-    }
-
+impl TraceLog {
     fn emit(&mut self, ev: TraceEvent) {
         let h = self.hash;
         self.hash = match ev {
@@ -380,74 +407,150 @@ impl<'a> Sim<'a> {
                 fnv_word(fnv_word(fnv_word(h, 6), slot), u64::from(station))
             }
         };
-        if self.cfg.record_trace {
-            self.trace.push(ev);
+        if self.record {
+            self.events.push(ev);
         }
     }
+}
 
-    fn init_arrivals(&mut self) {
-        let seed = self.cfg.seed ^ STATION_TAG;
-        for id in 0..self.cfg.stations {
-            let mut rng = StdRng::seed_from_u64(mix2(seed, u64::from(id)));
-            let first = match self.cfg.arrivals {
-                ArrivalModel::Saturated => 0,
-                ArrivalModel::Poisson { .. } => geometric(&mut rng, self.arrival_p) - 1,
-            };
-            if first < self.cfg.slots {
-                self.stations.insert(id, Station::new(rng));
-                self.wheel.schedule(first, Wake::Arrival(id));
+/// Releases a finished frame's episodes: each loses one live member,
+/// and an episode with none left is queued for retirement.
+fn finish_episodes(
+    frame_episodes: &mut Vec<u64>,
+    episodes: &mut HashMap<u64, EpisodeState>,
+    retired: &mut Vec<u64>,
+) {
+    for ep in frame_episodes.drain(..) {
+        if let Some(state) = episodes.get_mut(&ep) {
+            state.live = state.live.saturating_sub(1);
+            if state.live == 0 {
+                retired.push(ep);
             }
         }
-        self.stats.stations_active = self.stations.len() as u64;
     }
+}
 
-    fn schedule_attempt(&mut self, st: &mut Station, id: u32, slot: u64) {
-        // beyond the horizon the run is over; the frame counts as
-        // in-flight at the end
-        st.pending_attempt = Some(slot);
-        let _ = self.wheel.schedule(slot, Wake::Attempt(id));
-    }
+struct Sim<'a> {
+    cfg: &'a CellConfig,
+    arrival_p: f64,
+    horizon: u64,
+    /// Ids of the materialised stations, ascending. A station's position
+    /// here is its dense index: `stations[i]` is station `ids[i]`, and
+    /// wheel wakes carry `i`.
+    ids: Vec<u32>,
+    stations: Vec<Station>,
+    wheel: EventWheel,
+    media: Vec<Component>,
+    busy_until: Vec<u64>,
+    closes: Vec<Vec<u32>>,
+    episodes: HashMap<u64, EpisodeState>,
+    retired: Vec<u64>,
+    stats: CellStats,
+    log: TraceLog,
+}
 
-    fn schedule_next_arrival(&mut self, st: &mut Station, id: u32, now: u64) {
-        let next = match self.cfg.arrivals {
-            ArrivalModel::Saturated => now + 1,
-            ArrivalModel::Poisson { .. } => now + geometric(&mut st.rng, self.arrival_p),
+impl<'a> Sim<'a> {
+    fn new(cfg: &'a CellConfig) -> Self {
+        let horizon = cfg.slots + u64::from(cfg.packet_slots) + u64::from(cfg.ack_slots) + 2;
+        let arrival_p = match cfg.arrivals {
+            ArrivalModel::Poisson { per_slot } => {
+                (per_slot / cfg.stations.max(1) as f64).clamp(0.0, 1.0)
+            }
+            ArrivalModel::Saturated => 1.0,
         };
-        if next < self.cfg.slots {
-            self.wheel.schedule(next, Wake::Arrival(id));
+        Sim {
+            cfg,
+            arrival_p,
+            horizon,
+            ids: Vec::new(),
+            stations: Vec::new(),
+            wheel: EventWheel::new(horizon),
+            media: (0..cfg.sensing.cells()).map(|_| Component::default()).collect(),
+            busy_until: vec![0; cfg.sensing.group_count()],
+            closes: vec![Vec::new(); horizon as usize],
+            episodes: HashMap::new(),
+            retired: Vec::new(),
+            stats: CellStats::default(),
+            log: TraceLog { hash: FNV_OFFSET, record: cfg.record_trace, events: Vec::new() },
         }
     }
 
-    fn on_arrival(&mut self, id: u32, t: u64) {
-        let mut st = self.stations.remove(&id).expect("arrival for unknown station");
+    /// Dense index of station `id`, if it was ever materialised.
+    fn index_of(&self, id: u32) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
+    }
+
+    /// Whether station `id` is still serving frame `seq`.
+    fn serving(&self, id: u32, seq: u32) -> bool {
+        self.index_of(id).is_some_and(|i| self.stations[i].serving(seq))
+    }
+
+    /// Materialises every station whose first arrival falls inside the
+    /// run, in ascending id order. For Poisson arrivals a station's first
+    /// uniform draw decides; a draw at or above [`first_arrival_cutoff`]
+    /// is skipped without evaluating [`geometric_from`].
+    fn init_arrivals(&mut self) {
+        let seed = self.cfg.seed ^ STATION_TAG;
+        let p = self.arrival_p;
+        // `None`: every station arrives in slot 0 without a draw
+        // (saturation, or a per-station probability of 1)
+        let cutoff = match self.cfg.arrivals {
+            ArrivalModel::Poisson { .. } if p < 1.0 => {
+                Some(first_arrival_cutoff(p, self.cfg.slots))
+            }
+            _ => None,
+        };
+        for id in 0..self.cfg.stations {
+            let mut rng = StdRng::seed_from_u64(mix2(seed, u64::from(id)));
+            let first = match cutoff {
+                None => 0,
+                Some(u_cut) => {
+                    let u = rng.next_f64();
+                    if u >= u_cut {
+                        continue;
+                    }
+                    geometric_from(u, p) - 1
+                }
+            };
+            if first < self.cfg.slots {
+                self.wheel.schedule(first, Wake::Arrival(self.ids.len() as u32));
+                self.ids.push(id);
+                self.stations.push(Station::new(rng));
+            }
+        }
+        self.stats.stations_active = self.ids.len() as u64;
+    }
+
+    fn on_arrival(&mut self, i: usize, t: u64) {
+        let id = self.ids[i];
+        let st = &mut self.stations[i];
         debug_assert!(!st.has_frame, "arrival while a frame is in service");
         st.has_frame = true;
         st.retries = 0;
         st.seq = st.counters.offered;
         st.counters.offered += 1;
         self.stats.offered_frames += 1;
-        self.emit(TraceEvent::Arrival { slot: t, station: id });
+        self.log.emit(TraceEvent::Arrival { slot: t, station: id });
         let at = match self.cfg.discipline {
             Discipline::Dcf { policy } => {
                 t + 1 + u64::from(st.backoff.draw(policy, &self.cfg.mac, &mut st.rng))
             }
             Discipline::SlottedAloha { .. } => align_up(t + 1, u64::from(self.cfg.packet_slots)),
         };
-        self.schedule_attempt(&mut st, id, at);
-        self.stations.insert(id, st);
+        st.await_attempt(&mut self.wheel, i as u32, at);
     }
 
-    fn on_attempt(&mut self, id: u32, t: u64) {
+    fn on_attempt(&mut self, i: usize, t: u64) {
         if t >= self.cfg.slots {
             // generation window over: the frame stays queued and is
             // counted as in-flight at the end
             return;
         }
-        let mut st = self.stations.remove(&id).expect("attempt for unknown station");
+        let id = self.ids[i];
+        let st = &mut self.stations[i];
         if !st.has_frame || st.pending_attempt != Some(t) {
             // stale wake: the frame was delivered by a §4.1 reap (or
             // rescheduled) while this wake sat in the wheel
-            self.stations.insert(id, st);
             return;
         }
         st.pending_attempt = None;
@@ -472,19 +575,23 @@ impl<'a> Sim<'a> {
                 st.counters.defers += 1;
                 st.backoff.on_defer();
                 self.stats.defers += 1;
-                self.emit(TraceEvent::Defer { slot: t, station: id, stage: st.backoff.stage() });
+                self.log.emit(TraceEvent::Defer {
+                    slot: t,
+                    station: id,
+                    stage: st.backoff.stage(),
+                });
                 let d = u64::from(st.backoff.draw(policy, &self.cfg.mac, &mut st.rng));
-                self.schedule_attempt(&mut st, id, release + 1 + d);
-                self.stations.insert(id, st);
+                st.await_attempt(&mut self.wheel, i as u32, release + 1 + d);
                 return;
             }
         }
-        self.start_tx(&mut st, id, t);
-        self.stations.insert(id, st);
+        self.start_tx(i, t);
     }
 
-    fn start_tx(&mut self, st: &mut Station, id: u32, t: u64) {
-        self.emit(TraceEvent::TxStart { slot: t, station: id, stage: st.backoff.stage() });
+    fn start_tx(&mut self, i: usize, t: u64) {
+        let id = self.ids[i];
+        let st = &self.stations[i];
+        self.log.emit(TraceEvent::TxStart { slot: t, station: id, stage: st.backoff.stage() });
         self.stats.tx_starts += 1;
         let cell = self.cfg.sensing.cell_of(id) as usize;
         let end = t + u64::from(self.cfg.packet_slots);
@@ -495,7 +602,13 @@ impl<'a> Sim<'a> {
             debug_assert!(comp.close_at > t, "joining a closed component");
             comp.close_at = comp.close_at.max(end);
         }
-        comp.txs.push(Tx { station: id, seq: st.seq, attempt: st.retries, start: t });
+        comp.txs.push(Tx {
+            index: i as u32,
+            station: id,
+            seq: st.seq,
+            attempt: st.retries,
+            start: t,
+        });
         let close_at = comp.close_at;
         if let Some(bucket) = self.closes.get_mut(close_at as usize) {
             bucket.push(cell as u32);
@@ -505,36 +618,20 @@ impl<'a> Sim<'a> {
         self.busy_until[g] = self.busy_until[g].max(busy_through);
     }
 
-    /// Releases a finished frame's episodes: each loses one live member,
-    /// and an episode with none left is queued for retirement.
-    fn finish_episodes(&mut self, st: &mut Station) {
-        for ep in st.episodes.drain(..) {
-            if let Some(state) = self.episodes.get_mut(&ep) {
-                state.live = state.live.saturating_sub(1);
-                if state.live == 0 {
-                    self.retired.push(ep);
-                }
-            }
-        }
-    }
-
-    fn feedback(&mut self, station: u32, seq: u32, verdict: Verdict, t: u64, lowered: bool) {
-        let mut st = self.stations.remove(&station).expect("verdict for unknown station");
-        debug_assert!(st.has_frame && st.seq == seq, "verdict for a stale frame");
-        match verdict {
+    fn feedback(&mut self, i: usize, seq: u32, verdict: Verdict, t: u64, lowered: bool) {
+        let station = self.ids[i];
+        let st = &mut self.stations[i];
+        debug_assert!(st.serving(seq), "verdict for a stale frame");
+        let finished = match verdict {
             Verdict::Delivered => {
                 st.counters.delivered += 1;
                 st.backoff.on_success();
-                st.retries = 0;
-                st.has_frame = false;
-                st.pending_attempt = None;
-                self.finish_episodes(&mut st);
                 self.stats.delivered_frames += 1;
                 if lowered {
                     self.stats.lowered_deliveries += 1;
                 }
-                self.emit(TraceEvent::Deliver { slot: t, station, lowered });
-                self.schedule_next_arrival(&mut st, station, t);
+                self.log.emit(TraceEvent::Deliver { slot: t, station, lowered });
+                true
             }
             Verdict::Pending | Verdict::Lost => {
                 st.counters.collisions += 1;
@@ -546,13 +643,9 @@ impl<'a> Sim<'a> {
                 if st.retries > self.cfg.mac.retry_limit {
                     st.counters.dropped += 1;
                     st.backoff.on_drop();
-                    st.retries = 0;
-                    st.has_frame = false;
-                    st.pending_attempt = None;
-                    self.finish_episodes(&mut st);
                     self.stats.dropped_frames += 1;
-                    self.emit(TraceEvent::Drop { slot: t, station });
-                    self.schedule_next_arrival(&mut st, station, t);
+                    self.log.emit(TraceEvent::Drop { slot: t, station });
+                    true
                 } else {
                     let earliest = t + u64::from(self.cfg.ack_slots) + 1;
                     let at = match self.cfg.discipline {
@@ -566,11 +659,31 @@ impl<'a> Sim<'a> {
                             align_up(earliest, frame) + (delay - 1) * frame
                         }
                     };
-                    self.schedule_attempt(&mut st, station, at);
+                    st.await_attempt(&mut self.wheel, i as u32, at);
+                    false
                 }
             }
+        };
+        if finished {
+            st.retries = 0;
+            st.has_frame = false;
+            st.pending_attempt = None;
+            finish_episodes(&mut st.episodes, &mut self.episodes, &mut self.retired);
+            let next = match self.cfg.arrivals {
+                ArrivalModel::Saturated => t + 1,
+                ArrivalModel::Poisson { .. } => t + geometric(&mut st.rng, self.arrival_p),
+            };
+            if next < self.cfg.slots {
+                self.wheel.schedule(next, Wake::Arrival(i as u32));
+            }
         }
-        self.stations.insert(station, st);
+    }
+
+    /// [`Self::feedback`] for a verdict the resolver addressed by station
+    /// id.
+    fn feedback_id(&mut self, station: u32, seq: u32, verdict: Verdict, t: u64, lowered: bool) {
+        let i = self.index_of(station).expect("verdict for unknown station");
+        self.feedback(i, seq, verdict, t, lowered);
     }
 
     fn close_components(&mut self, t: u64, resolver: &mut dyn CollisionResolver) {
@@ -587,7 +700,8 @@ impl<'a> Sim<'a> {
                 continue; // superseded by a later extension of the component
             }
             let mut txs = std::mem::take(&mut comp.txs);
-            txs.sort_by_key(|tx| (tx.start, tx.station));
+            // index order is id order
+            txs.sort_by_key(|tx| (tx.start, tx.index));
             if txs.len() == 1 {
                 let tx = txs[0];
                 // §4.1 reap opportunity: a solo retransmission of a frame
@@ -595,10 +709,10 @@ impl<'a> Sim<'a> {
                 // through the resolver as a k = 1 round so the buried
                 // peers can be recovered. A solo with no live episodes
                 // stays on the symbolic fast path.
-                let (episode, round_no, peers) = self.solo_reap_target(tx.station);
+                let (episode, round_no, peers) = self.solo_reap_target(tx.index as usize);
                 if peers.is_empty() {
                     self.stats.singles += 1;
-                    self.feedback(tx.station, tx.seq, Verdict::Delivered, t, false);
+                    self.feedback(tx.index as usize, tx.seq, Verdict::Delivered, t, false);
                     continue;
                 }
                 self.stats.recovery_rounds += 1;
@@ -630,7 +744,7 @@ impl<'a> Sim<'a> {
             let round_no = state.rounds;
             let base = txs.iter().map(|tx| tx.start).min().unwrap_or(t);
             for tx in &txs {
-                let st = self.stations.get_mut(&tx.station).expect("collider exists");
+                let st = &mut self.stations[tx.index as usize];
                 if !st.episodes.contains(&episode) {
                     st.episodes.push(episode);
                 }
@@ -660,7 +774,7 @@ impl<'a> Sim<'a> {
                 if res.lowered {
                     self.stats.lowered_rounds += 1;
                 }
-                self.emit(TraceEvent::Collision {
+                self.log.emit(TraceEvent::Collision {
                     slot: t,
                     cell: round.cell,
                     k: round.txs.len() as u32,
@@ -669,18 +783,14 @@ impl<'a> Sim<'a> {
                     lowered: res.lowered,
                 });
                 for (tx, v) in round.txs.iter().zip(&res.verdicts) {
-                    self.feedback(tx.station, tx.seq, *v, t, res.lowered);
+                    self.feedback_id(tx.station, tx.seq, *v, t, res.lowered);
                 }
                 // §4.1 reap deliveries: guarded, because an earlier round
                 // of this same batch may already have finished the peer
                 for fr in &res.recovered {
-                    let alive = self
-                        .stations
-                        .get(&fr.station)
-                        .is_some_and(|p| p.has_frame && p.seq == fr.seq);
-                    if alive {
+                    if self.serving(fr.station, fr.seq) {
                         self.stats.recovered_frames += 1;
-                        self.feedback(fr.station, fr.seq, Verdict::Delivered, t, res.lowered);
+                        self.feedback_id(fr.station, fr.seq, Verdict::Delivered, t, res.lowered);
                     }
                 }
             }
@@ -696,12 +806,13 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// For a solo transmission by `station`: the most recent live episode
-    /// (its key and accumulated round count) and every still-pending peer
-    /// frame across *all* of the station's live episodes — the §4.1 reap
-    /// set. Empty peers ⇒ no reap opportunity.
-    fn solo_reap_target(&self, station: u32) -> (u64, u32, Vec<FrameRef>) {
-        let st = self.stations.get(&station).expect("transmitter exists");
+    /// For a solo transmission by the station at index `i`: the most
+    /// recent live episode (its key and accumulated round count) and every
+    /// still-pending peer frame across *all* of the station's live
+    /// episodes — the §4.1 reap set. Empty peers ⇒ no reap opportunity.
+    fn solo_reap_target(&self, i: usize) -> (u64, u32, Vec<FrameRef>) {
+        let station = self.ids[i];
+        let st = &self.stations[i];
         let Some(&episode) = st.episodes.last() else {
             return (0, 0, Vec::new());
         };
@@ -712,8 +823,7 @@ impl<'a> Sim<'a> {
                     if s == station {
                         continue;
                     }
-                    let alive = self.stations.get(&s).is_some_and(|p| p.has_frame && p.seq == q);
-                    if alive && !peers.contains(&FrameRef { station: s, seq: q }) {
+                    if self.serving(s, q) && !peers.contains(&FrameRef { station: s, seq: q }) {
                         peers.push(FrameRef { station: s, seq: q });
                     }
                 }
@@ -725,15 +835,19 @@ impl<'a> Sim<'a> {
     }
 
     fn finish(mut self) -> CellOutcome {
-        let mut counters: Vec<(u32, StationCounters)> = Vec::with_capacity(self.stations.len());
-        for (&id, st) in &self.stations {
+        let mut counters: Vec<(u32, StationCounters)> = Vec::with_capacity(self.ids.len());
+        for (&id, st) in self.ids.iter().zip(&self.stations) {
             if st.has_frame {
                 self.stats.in_flight_at_end += 1;
             }
             counters.push((id, st.counters));
         }
-        counters.sort_unstable_by_key(|&(id, _)| id);
-        CellOutcome { stats: self.stats, trace_hash: self.hash, trace: self.trace, counters }
+        CellOutcome {
+            stats: self.stats,
+            trace_hash: self.log.hash,
+            trace: self.log.events,
+            counters,
+        }
     }
 }
 
@@ -743,12 +857,14 @@ pub fn run_cell(cfg: &CellConfig, resolver: &mut dyn CollisionResolver) -> CellO
     assert!(cfg.slots >= 1, "need at least one slot");
     let mut sim = Sim::new(cfg);
     sim.init_arrivals();
+    let mut wakes = Vec::new();
     for t in 0..sim.horizon {
         sim.close_components(t, resolver);
-        for wake in sim.wheel.drain(t) {
+        sim.wheel.drain(t, &mut wakes);
+        for &wake in &wakes {
             match wake {
-                Wake::Arrival(id) => sim.on_arrival(id, t),
-                Wake::Attempt(id) => sim.on_attempt(id, t),
+                Wake::Arrival(i) => sim.on_arrival(i as usize, t),
+                Wake::Attempt(i) => sim.on_attempt(i as usize, t),
             }
         }
     }
@@ -1009,6 +1125,108 @@ mod tests {
         // must stay within the same order of magnitude
         assert!(out.stats.stations_active < 1_000, "{} active", out.stats.stations_active);
         assert!(out.stats.offered_frames > 50);
+    }
+
+    /// Reference gap: direct inversion of its own uniform draw, which
+    /// [`geometric`] must reproduce draw for draw wherever `1 − p` does
+    /// not round to 1.
+    fn geometric_oracle<R: Rng + ?Sized>(rng: &mut R, p: f64) -> u64 {
+        if p >= 1.0 {
+            return 1;
+        }
+        if p <= 0.0 {
+            return u64::MAX / 4;
+        }
+        let u = rng.next_f64();
+        let gap = ((1.0 - u).ln() / (1.0 - p).ln()).floor();
+        (gap as u64).saturating_add(1).min(u64::MAX / 4)
+    }
+
+    proptest::proptest! {
+        /// A first uniform at or above the cutoff always puts the first
+        /// arrival at or past the run's end, at the cutoff, at its
+        /// neighbouring floats and within 1e-12 of it; and the factored
+        /// gap equals the oracle's on the same stream.
+        #[test]
+        fn cutoff_never_skips_an_arrival_inside_the_run(
+            ln_p in 1e-9f64.ln()..0.5f64.ln(),
+            ln_slots in 0f64..10_000_000f64.ln(),
+            seed: u64,
+        ) {
+            // log-uniform p over [1e-9, 0.5] and slots over [1, 1e7], so
+            // the small `slots · p` cutoffs that only the absolute floor
+            // protects come up as often as the large ones
+            let p = ln_p.exp().clamp(1e-9, 0.5);
+            let slots = (ln_slots.exp() as u64).clamp(1, 10_000_000);
+            let u_cut = first_arrival_cutoff(p, slots);
+            let probes = [
+                u_cut,
+                u_cut.next_up(),
+                u_cut.next_down(),
+                u_cut * (1.0 + 1e-12),
+                u_cut * (1.0 - 1e-12),
+            ];
+            for u in probes.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                if u >= u_cut {
+                    proptest::prop_assert!(
+                        // first arrival in slot gap − 1, at or past `slots`
+                        geometric_from(u, p) > slots,
+                        "p {p:e}, slots {slots}: u {u:e} >= cutoff {u_cut:e} arrives inside the run"
+                    );
+                }
+            }
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = a.clone();
+            for _ in 0..64 {
+                proptest::prop_assert_eq!(geometric(&mut a, p), geometric_oracle(&mut b, p));
+            }
+        }
+    }
+
+    #[test]
+    fn cutoff_edges_at_zero_and_one() {
+        // p = 1 arrives at once without a draw, so it never takes the
+        // cutoff path; its gap is 1 whatever the uniform
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut untouched = rng.clone();
+        assert_eq!(geometric(&mut rng, 1.0), 1);
+        assert_eq!(rng.next_u64(), untouched.next_u64(), "p = 1 draws nothing");
+        assert_eq!(geometric_from(0.999, 1.0), 1);
+        // p = 0 never arrives: the cutoff is the absolute floor alone, so
+        // nearly every uniform skips, and the formula puts the rest (and
+        // every other draw) past the run too
+        assert_eq!(first_arrival_cutoff(0.0, 10_000), CUTOFF_FLOOR);
+        for u in [0.0, CUTOFF_FLOOR.next_down(), 0.5, 1.0f64.next_down()] {
+            assert!(geometric_from(u, 0.0) > 10_000);
+        }
+        assert_eq!(geometric(&mut rng, 0.0), geometric_oracle(&mut untouched, 0.0));
+        // a p whose 1 − p rounds to 1 is as never as p = 0
+        assert_eq!(first_arrival_cutoff(1e-17, 10_000), CUTOFF_FLOOR);
+        assert_eq!(geometric_from(0.5, 1e-17), geometric_from(0.5, 0.0));
+    }
+
+    #[test]
+    fn cutoff_floor_covers_small_slot_probability_products() {
+        // slots · p ≈ 1.4e-8: a purely relative margin puts the cutoff
+        // within one rounding step of 1 − u, and the draw just above it
+        // still arrives in slot 5
+        let (p, slots): (f64, u64) = (2.390_606_037_967_338_5e-9, 6);
+        let relative_only = -(slots as f64 * (1.0 - p).ln()).exp_m1() * (1.0 + CUTOFF_MARGIN);
+        assert!(geometric_from(relative_only, p) <= slots, "the relative margin alone is short");
+        let u_cut = first_arrival_cutoff(p, slots);
+        for u in [u_cut, u_cut.next_up(), u_cut * (1.0 + 1e-12)] {
+            assert!(geometric_from(u, p) > slots, "u {u:e} skipped an in-run arrival");
+        }
+    }
+
+    #[test]
+    fn tiny_loads_materialise_no_stations() {
+        for per_slot in [0.0, 1e-12] {
+            let mut cfg = dcf_cfg(1_000_000, 500, 5);
+            cfg.arrivals = ArrivalModel::Poisson { per_slot };
+            let out = run_cell(&cfg, &mut DecodeModel::zigzag_ap(5));
+            assert_eq!(out.stats.stations_active, 0, "per_slot {per_slot}");
+        }
     }
 
     #[test]

@@ -3,11 +3,17 @@
 //! The simulator is slot-synchronous (one 802.11 slot per tick), so the
 //! natural priority queue is a wheel: one bucket per slot, drained in
 //! slot order. Within a slot, wakes are sorted by a packed key —
-//! arrivals before transmission attempts, then by station id — so the
+//! arrivals before transmission attempts, then by station index — so the
 //! drain order is a pure function of the schedule, never of insertion
 //! order.
+//!
+//! A wake carries the station's *dense index* into the simulator's
+//! station table, not its id. Indices are handed out in ascending id
+//! order, so sorting by index is sorting by id: the drain order is the
+//! one an id-keyed wheel would give, and a wake reaches its station by
+//! one array access.
 
-/// A scheduled wake-up for one station.
+/// A scheduled wake-up for one station, by its dense table index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Wake {
     /// A new frame arrives at the station's queue head.
@@ -66,16 +72,18 @@ impl EventWheel {
         }
     }
 
-    /// Removes and returns the wakes of `slot`, in canonical order
-    /// (arrivals first, then attempts, each by station id).
-    pub fn drain(&mut self, slot: u64) -> Vec<Wake> {
-        let bucket = match self.slots.get_mut(slot as usize) {
-            Some(b) if !b.is_empty() => std::mem::take(b),
-            _ => return Vec::new(),
+    /// Removes the wakes of `slot` into `out` (cleared first), in
+    /// canonical order: arrivals first, then attempts, each by station
+    /// index. The caller keeps `out` across slots, so draining allocates
+    /// nothing once the buffer has grown to the busiest slot.
+    pub fn drain(&mut self, slot: u64, out: &mut Vec<Wake>) {
+        out.clear();
+        let Some(bucket) = self.slots.get_mut(slot as usize) else {
+            return;
         };
-        let mut keys = bucket;
+        let mut keys = std::mem::take(bucket);
         keys.sort_unstable();
-        keys.into_iter().map(Wake::unpack).collect()
+        out.extend(keys.into_iter().map(Wake::unpack));
     }
 }
 
@@ -90,18 +98,25 @@ mod tests {
         assert!(w.schedule(2, Wake::Arrival(9)));
         assert!(w.schedule(2, Wake::Attempt(3)));
         assert!(w.schedule(2, Wake::Arrival(1)));
+        let mut out = vec![Wake::Attempt(99)];
+        w.drain(2, &mut out);
         assert_eq!(
-            w.drain(2),
+            out,
             vec![Wake::Arrival(1), Wake::Arrival(9), Wake::Attempt(3), Wake::Attempt(7)]
         );
-        assert!(w.drain(2).is_empty(), "drain empties the bucket");
+        w.drain(2, &mut out);
+        assert!(out.is_empty(), "drain empties the bucket and clears the buffer");
     }
 
     #[test]
     fn beyond_horizon_is_dropped() {
         let mut w = EventWheel::new(2);
         assert!(!w.schedule(2, Wake::Arrival(0)));
-        assert!(w.drain(1).is_empty());
+        let mut out = Vec::new();
+        w.drain(1, &mut out);
+        assert!(out.is_empty());
+        w.drain(2, &mut out);
+        assert!(out.is_empty(), "draining past the horizon is empty");
         assert_eq!(w.horizon(), 2);
     }
 

@@ -1,11 +1,12 @@
 //! Integration tests for the cell-scale co-simulator's symbolic layer:
-//! determinism of the event trace, MAC/receiver semantics, and the
-//! conservation invariant under random seeds and loads.
+//! determinism of the event trace, golden outputs pinned across commits,
+//! MAC/receiver semantics, and the conservation invariant under random
+//! seeds and loads.
 
 use proptest::proptest;
 use zigzag_mac::cell::{
-    run_cell, symbolic_curve, ArrivalModel, CellConfig, CellPreset, DecodeModel, Discipline,
-    SensingGraph,
+    run_cell, symbolic_curve, ArrivalModel, CellConfig, CellOutcome, CellPreset, CellStats,
+    DecodeModel, Discipline, SensingGraph, StationCounters,
 };
 use zigzag_mac::{Backoff, MacParams};
 
@@ -35,6 +36,105 @@ fn same_seed_is_bit_identical() {
 
     let c = run_cell(&dcf_cfg(600, 4_000, 43), &mut DecodeModel::zigzag_ap(43));
     assert_ne!(a.trace_hash, c.trace_hash, "a different seed must diverge");
+}
+
+/// FNV-1a over every station's id and counters, in id order.
+fn counters_fold(counters: &[(u32, StationCounters)]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &(id, c) in counters {
+        for word in [id, c.offered, c.delivered, c.dropped, c.collisions, c.defers] {
+            for byte in u64::from(word).to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+fn assert_golden(out: &CellOutcome, trace_hash: u64, stats: CellStats, counters: u64) {
+    assert_eq!(out.stats, stats, "CellStats moved");
+    assert_eq!(out.trace_hash, trace_hash, "trace hash moved: {:#018x}", out.trace_hash);
+    assert_eq!(counters_fold(&out.counters), counters, "station counters moved");
+}
+
+// Golden outputs, recorded at commit c993b99 (before the dense station
+// table, the first-arrival cutoff and the 64-bit backoff modulo). A
+// change to the simulator's event order, RNG consumption or arrival
+// sampling moves them; a pure speed change must not.
+
+#[test]
+fn golden_dcf_hidden_cells() {
+    let preset = CellPreset::DcfHidden { cells: 2, groups_per_cell: 2 };
+    let out = run_cell(&preset.config(20_000, 2_000, 0.1, 7), &mut preset.model(7));
+    let stats = CellStats {
+        stations_active: 208,
+        offered_frames: 208,
+        delivered_frames: 50,
+        dropped_frames: 0,
+        singles: 20,
+        collision_rounds: 136,
+        recovery_rounds: 5,
+        recovered_frames: 7,
+        lowered_rounds: 0,
+        lowered_deliveries: 0,
+        lowered_retries: 0,
+        defers: 1_738,
+        tx_starts: 454,
+        max_k: 27,
+        in_flight_at_end: 158,
+    };
+    assert_golden(&out, 0xc40c_beee_7798_39ed, stats, 0x4cac_ffb3_dea7_8cf1);
+}
+
+#[test]
+fn golden_zigzag_aloha() {
+    let preset = CellPreset::ZigzagAloha { cells: 1 };
+    let out = run_cell(&preset.config(2_000, 2_000, 0.4, 77), &mut preset.model(77));
+    let stats = CellStats {
+        stations_active: 648,
+        offered_frames: 778,
+        delivered_frames: 777,
+        dropped_frames: 0,
+        singles: 471,
+        collision_rounds: 264,
+        recovery_rounds: 103,
+        recovered_frames: 140,
+        lowered_rounds: 0,
+        lowered_deliveries: 0,
+        lowered_retries: 0,
+        defers: 0,
+        tx_starts: 1_185,
+        max_k: 6,
+        in_flight_at_end: 1,
+    };
+    assert_golden(&out, 0x0748_d882_e51d_84fc, stats, 0x6698_2848_98ca_c873);
+}
+
+#[test]
+fn golden_saturated_dcf() {
+    // saturation: every station arrives in slot 0 without an arrival draw
+    let mut cfg = dcf_cfg(8, 3_000, 13);
+    cfg.sensing = SensingGraph::hidden_groups(1, 2);
+    cfg.arrivals = ArrivalModel::Saturated;
+    let out = run_cell(&cfg, &mut DecodeModel::zigzag_ap(13));
+    let stats = CellStats {
+        stations_active: 8,
+        offered_frames: 103,
+        delivered_frames: 97,
+        dropped_frames: 0,
+        singles: 22,
+        collision_rounds: 79,
+        recovery_rounds: 24,
+        recovered_frames: 30,
+        lowered_rounds: 0,
+        lowered_deliveries: 0,
+        lowered_retries: 0,
+        defers: 162,
+        tx_starts: 222,
+        max_k: 5,
+        in_flight_at_end: 6,
+    };
+    assert_golden(&out, 0x68b4_9335_f7ef_bf9d, stats, 0x18fe_6163_0535_cb38);
 }
 
 #[test]
