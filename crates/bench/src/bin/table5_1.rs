@@ -14,7 +14,7 @@ use zigzag_bench::{airframe, draw_offsets, run_zigzag_pair, section, trials};
 use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::{clean_reception, hidden_pair};
 use zigzag_core::config::DecoderConfig;
-use zigzag_core::detect::{detect_packets, is_collision};
+use zigzag_core::detect::detect_packets;
 use zigzag_core::engine::{unit_seed, BatchEngine, Scratch};
 use zigzag_phy::preamble::Preamble;
 
@@ -35,14 +35,14 @@ fn correlation_rates(n_trials: usize) -> (f64, f64) {
         // clean packet: any extra detection is a false positive
         let rx = clean_reception(&a, &la, &mut rng);
         let det = detect_packets(&rx.buffer, &preamble, &reg, &cfg, &mut ws);
-        if is_collision(&det) {
+        if det.len() > 1 {
             fp += 1;
         }
         // collision: missing it is a false negative
         let (d1, _) = draw_offsets(&mut rng);
         let hp = hidden_pair(&a, &b, &la, &lb, d1.max(40), 0, &mut rng);
         let det = detect_packets(&hp.collision1.buffer, &preamble, &reg, &cfg, &mut ws);
-        if !is_collision(&det) {
+        if det.len() < 2 {
             fneg += 1;
         }
     }

@@ -7,7 +7,7 @@
 //! per-client state (plus the per-link static ISI taps and a coarse SNR
 //! estimate, both also learnable from any clean packet).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use zigzag_phy::filter::Fir;
 use zigzag_phy::kernel::BackendKind;
@@ -245,10 +245,10 @@ pub struct ClientInfo {
     pub taps: Fir,
 }
 
-/// The AP's association table.
+/// The AP's association table, ordered by client id.
 #[derive(Clone, Debug, Default)]
 pub struct ClientRegistry {
-    clients: HashMap<u16, ClientInfo>,
+    clients: BTreeMap<u16, ClientInfo>,
 }
 
 impl ClientRegistry {
@@ -267,7 +267,7 @@ impl ClientRegistry {
         self.clients.get(&id)
     }
 
-    /// Iterates over `(id, info)` pairs in unspecified order.
+    /// Iterates over `(id, info)` pairs in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (u16, &ClientInfo)> {
         self.clients.iter().map(|(&k, v)| (k, v))
     }
@@ -391,17 +391,11 @@ pub struct StreamConfig {
     /// retention; the scan cost per sample is the same either way
     /// because every correlation position is computed exactly once.
     pub window: usize,
-    /// Extra lookahead samples the scanner waits for beyond the window
-    /// being committed, so every committed position has its full
-    /// peak-suppression neighborhood and full-length correlation sums.
-    /// Values below the structural floor (preamble separation + preamble
-    /// length + interpolation margin, `2·L + 8`) are raised to it.
-    pub overlap: usize,
     /// Capacity of the bounded [`SampleRing`](crate::stream::SampleRing)
     /// in samples. When the ring is full, `push_samples` blocks — the
     /// end of the backpressure chain (shard queue → carver → ring →
-    /// source). Raised if necessary so one window + overlap + lead
-    /// always fits.
+    /// source). Raised if necessary so one advance — window, the
+    /// detector's lookahead and lead — always fits.
     pub ring_depth: usize,
     /// Quiet samples carved ahead of a region's first detection, so the
     /// carved buffer gives the decode pipeline the same interpolation
@@ -420,35 +414,27 @@ pub struct StreamConfig {
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        Self {
-            window: 4096,
-            overlap: 0, // raised to the structural floor at stream start
-            ring_depth: 1 << 16,
-            lead: 64,
-            max_packet: 4096,
-            max_region: 1 << 20,
-        }
+        Self { window: 4096, ring_depth: 1 << 16, lead: 64, max_packet: 4096, max_region: 1 << 20 }
     }
 }
 
 impl StreamConfig {
-    /// The effective lookahead for preamble length `l`: the configured
-    /// overlap with the structural floor `2·l + 8` applied (peak
-    /// suppression needs `l` of right context, the correlation sum reads
-    /// `l` further, and the half-sample grid interpolates 8 taps ahead).
-    pub fn effective_overlap(&self, l: usize) -> usize {
-        self.overlap.max(2 * l + 8)
-    }
-
     /// The effective window stride (floor: one preamble length).
     pub fn effective_window(&self, l: usize) -> usize {
         self.window.max(l)
     }
 
-    /// The effective ring capacity: at least one full advance —
-    /// window + overlap + lead + interpolation margin — must fit.
+    /// The smallest ring one full advance fits in: window, the
+    /// detector's lookahead ([`crate::detect`]), the lead a new region
+    /// may reach back for, and an interpolation margin.
+    pub(crate) fn ring_floor(&self, l: usize) -> usize {
+        self.effective_window(l) + crate::detect::lookahead(l) + self.lead + 16
+    }
+
+    /// The effective ring capacity: `ring_depth`, raised to the floor at
+    /// which one full advance fits.
     pub fn effective_ring_depth(&self, l: usize) -> usize {
-        self.ring_depth.max(self.effective_window(l) + self.effective_overlap(l) + self.lead + 16)
+        self.ring_depth.max(self.ring_floor(l))
     }
 }
 
@@ -508,13 +494,12 @@ mod tests {
     #[test]
     fn stream_config_applies_structural_floors() {
         let c = StreamConfig::default();
-        assert_eq!(c.effective_overlap(32), 72, "floor = 2·L + 8");
+        assert_eq!(crate::detect::lookahead(32), 72, "floor = 2·L + 8");
         assert!(c.effective_window(32) >= 32);
         assert!(c.effective_ring_depth(32) >= c.effective_window(32) + 72 + c.lead);
         // degenerate knobs are raised, never honored below the floor
-        let tiny = StreamConfig { window: 8, overlap: 4, ring_depth: 1, ..c };
+        let tiny = StreamConfig { window: 8, ring_depth: 1, ..c };
         assert_eq!(tiny.effective_window(32), 32);
-        assert_eq!(tiny.effective_overlap(32), 72);
         assert!(tiny.effective_ring_depth(32) >= 32 + 72 + tiny.lead);
     }
 

@@ -49,7 +49,7 @@
 //! regime the tests and benches pin; cross-shard client migration is a
 //! ROADMAP follow-on.
 
-use crate::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig, SharedRegistry};
+use crate::config::{ClientRegistry, DecoderConfig, ShardConfig, SharedRegistry};
 use crate::detect::detect_packets;
 use crate::engine::batch::BatchEngine;
 use crate::engine::scratch::Scratch;
@@ -114,7 +114,6 @@ pub struct ShardedReceiver {
     pub(crate) pipeline: Pipeline,
     pub(crate) preamble: Preamble,
     pub(crate) cores: Vec<ReceiverCore>,
-    router_ws: Scratch,
     pub(crate) loads: Vec<u64>,
 }
 
@@ -138,7 +137,6 @@ impl ShardedReceiver {
         let cores = (0..shards)
             .map(|_| ReceiverCore::with_registry(cfg.clone(), registry.clone()))
             .collect();
-        let router_ws = Scratch::with_backend(cfg.backend);
         Self {
             cfg,
             shard_cfg,
@@ -146,7 +144,6 @@ impl ShardedReceiver {
             pipeline,
             preamble: Preamble::default_len(),
             cores,
-            router_ws,
             loads: vec![0; shards],
         }
     }
@@ -162,29 +159,9 @@ impl ShardedReceiver {
         &self.loads
     }
 
-    /// Read access to the shared association registry.
-    pub fn registry(&self) -> &ClientRegistry {
-        &self.registry
-    }
-
-    /// Read access to the decoder configuration.
-    pub fn config(&self) -> &DecoderConfig {
-        &self.cfg
-    }
-
     /// Total unmatched collisions stored across all shards.
     pub fn stored_collisions(&self) -> usize {
         self.cores.iter().map(|c| c.store().len()).sum()
-    }
-
-    /// Associates a client and republishes the registry handle to every
-    /// shard (shards only ever *read* it; writes go through the front
-    /// end, copy-on-write).
-    pub fn associate(&mut self, id: u16, info: ClientInfo) {
-        self.registry.associate(id, info);
-        for core in &mut self.cores {
-            core.set_registry(self.registry.clone());
-        }
     }
 
     /// Forgets delivery history and stored collisions on every shard
@@ -194,17 +171,6 @@ impl ShardedReceiver {
             core.reset_history();
         }
         self.loads.iter_mut().for_each(|l| *l = 0);
-    }
-
-    /// Processes one receive buffer inline (detect pre-pass, route,
-    /// decode on the owning shard — no threads). Streaming counterpart
-    /// of [`Self::process_batch`]; same events, same shard state.
-    pub fn process(&mut self, buffer: &[Complex]) -> Vec<ReceiverEvent> {
-        let detections =
-            detect_packets(buffer, &self.preamble, &self.registry, &self.cfg, &mut self.router_ws);
-        let shard = route_shard(&collision_key(&detections, self.cfg.key_window), self.cores.len());
-        self.loads[shard] += 1;
-        self.cores[shard].receive_detected(&self.pipeline, buffer, detections)
     }
 
     /// Processes a finite batch of receive buffers through the sharded

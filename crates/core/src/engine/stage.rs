@@ -89,12 +89,6 @@ impl ReceiverCore {
         }
     }
 
-    /// Replaces this core's registry handle (after the owning front end
-    /// updated associations through its own handle).
-    pub fn set_registry(&mut self, registry: SharedRegistry) {
-        self.registry = registry;
-    }
-
     /// Associates a client (what the 802.11 association handshake would
     /// establish, §4.2.1).
     pub fn associate(&mut self, id: u16, info: ClientInfo) {

@@ -25,8 +25,7 @@
 //! [`StreamConfig::lead`]: crate::config::StreamConfig::lead
 //! [`StreamConfig::max_region`]: crate::config::StreamConfig::max_region
 
-use super::window::ScanSpan;
-use crate::detect::Detection;
+use crate::detect::{Detection, ScanSpan};
 use zigzag_phy::complex::Complex;
 
 /// One carved collision region: a `UnitCtx`-ready buffer plus the

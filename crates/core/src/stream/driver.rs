@@ -33,11 +33,10 @@
 use super::carver::{CarvedRegion, RegionCarver};
 use super::queue::IngestQueue;
 use super::ring::SampleRing;
-use super::window::WindowScanner;
 use crate::config::{ClientRegistry, DecoderConfig, StreamConfig};
+use crate::detect::{lookahead, WindowScanner};
 use crate::engine::scratch::Scratch;
 use crate::engine::shard::{route_shard, ShardedReceiver};
-use crate::engine::stage::{standard_pipeline, ReceiverCore};
 use crate::matchset::collision_key;
 use crate::receiver::ReceiverEvent;
 use std::sync::{Condvar, Mutex};
@@ -57,7 +56,7 @@ pub struct Segmenter {
     carver: RegionCarver,
     ws: Scratch,
     window: usize,
-    overlap: usize,
+    lookahead: usize,
     finished: bool,
 }
 
@@ -67,17 +66,13 @@ impl Segmenter {
     pub fn new(cfg: &DecoderConfig, registry: &ClientRegistry, scfg: &StreamConfig) -> Self {
         let preamble = Preamble::default_len();
         let l = preamble.len();
-        let window = scfg.effective_window(l);
-        let overlap = scfg.effective_overlap(l);
         Self {
-            // one full advance must always fit: window + overlap of
-            // lookahead plus the lead a new region may reach back for
-            ring: SampleRing::new(window + overlap + scfg.lead + 16),
+            ring: SampleRing::new(scfg.ring_floor(l)),
             scanner: WindowScanner::new(&preamble, registry, cfg),
             carver: RegionCarver::new(scfg.lead, scfg.max_packet, scfg.max_region),
             ws: Scratch::with_backend(cfg.backend),
-            window,
-            overlap,
+            window: scfg.effective_window(l),
+            lookahead: lookahead(l),
             finished: false,
         }
     }
@@ -104,7 +99,7 @@ impl Segmenter {
         loop {
             let took = self.ring.push(rest);
             rest = &rest[took..];
-            while self.ring.end() >= self.scanner.commit() + self.window + self.overlap {
+            while self.ring.end() >= self.scanner.commit() + self.window + self.lookahead {
                 self.advance_once(false, out);
             }
             if rest.is_empty() {
@@ -127,7 +122,7 @@ impl Segmenter {
     fn advance_once(&mut self, final_: bool, out: &mut Vec<CarvedRegion>) {
         let target = self.scanner.commit() + self.window;
         let (base, slice) = self.ring.live();
-        let span = self.scanner.advance(slice, base, target, final_, &mut self.ws.kernel);
+        let span = self.scanner.advance(slice, base, target, final_, &mut self.ws);
         let upto = self.scanner.commit();
         self.carver.advance(&span, slice, base, upto, out);
         if final_ {
@@ -482,26 +477,5 @@ impl ShardedReceiver {
             },
             regions: region_out,
         }
-    }
-}
-
-impl ReceiverCore {
-    /// Decodes one continuous stretch of air on this receiver: carves
-    /// collision regions out of `air` with the windowed scanner and runs
-    /// each through the standard pipeline, returning per-region outcomes
-    /// in stream order. The single-core, no-threads counterpart of
-    /// [`ShardedReceiver::process_stream`] — identical regions, identical
-    /// events.
-    pub fn process_air(&mut self, air: &[Complex], scfg: &StreamConfig) -> Vec<RegionOutcome> {
-        carve_buffer(air, &self.cfg, &self.registry, scfg)
-            .into_iter()
-            .map(|r| RegionOutcome {
-                seq: r.seq,
-                start: r.start,
-                len: r.samples.len(),
-                queue_wait_ns: 0,
-                events: self.receive_detected(standard_pipeline(), &r.samples, r.detections),
-            })
-            .collect()
     }
 }

@@ -8,18 +8,20 @@
 //! ```text
 //!                    ┌────────────── Segmenter ──────────────┐
 //! push_samples ──► SampleRing ──► WindowScanner ──► RegionCarver ──► CarvedRegion
-//!   (producer)    bounded ring    sliding §4.2.1      collision          │
-//!                 absolute idx    preamble scan,      regions across     ▼
-//!                                 overlap reused      window bounds   route ──► IngestQueue ──► ReceiverCore
+//!   (producer)    bounded ring    the §4.2.1         collision          │
+//!                 absolute idx    detector, one      regions across     ▼
+//!                                 window at a time   window bounds   route ──► IngestQueue ──► ReceiverCore
 //! ```
 //!
 //! * [`SampleRing`] ingests arbitrary-sized chunks and addresses them in
 //!   absolute stream coordinates.
-//! * `WindowScanner` runs the kernel-backend preamble scan over
-//!   sliding windows, carrying correlation context across the overlap
-//!   so **no sample is scanned twice** — and commits detections at
-//!   fixed window-stride boundaries, which is what makes the output
-//!   independent of producer chunking.
+//! * `WindowScanner` is the receiver's one collision detector
+//!   ([`crate::detect`]), advanced over sliding windows: it carries its
+//!   correlation context across window bounds so **no sample is scanned
+//!   twice**, and commits detections at fixed window-stride boundaries,
+//!   which is what makes the output independent of producer chunking.
+//!   A pre-cut buffer's `detect_packets` is one final advance of the
+//!   same scanner, so the stream detects what the buffer would.
 //! * `RegionCarver` assembles collision regions
 //!   from runs of detections — including collisions whose second packet
 //!   starts in a later window — and emits `UnitCtx`-ready buffers with
@@ -39,7 +41,6 @@ mod carver;
 mod driver;
 mod queue;
 mod ring;
-mod window;
 
 pub use carver::CarvedRegion;
 pub use driver::{

@@ -25,21 +25,9 @@ pub fn corr_at(y: &[Complex], s: &[Complex], delta: usize, omega: f64) -> Comple
     acc
 }
 
-/// Runs the sliding correlation over `positions` (typically `0..y.len()`),
-/// returning the complex correlation at each offset.
-pub fn scan(
-    y: &[Complex],
-    s: &[Complex],
-    omega: f64,
-    positions: std::ops::Range<usize>,
-) -> Vec<Complex> {
-    let mut out = Vec::new();
-    scan_into(y, s, omega, positions, &mut out);
-    out
-}
-
-/// In-place variant of [`scan`]: fills `out` (cleared first) with the
-/// correlation at each offset, reusing its allocation. The collision
+/// Runs the sliding correlation over `positions` (typically
+/// `0..y.len()`): fills `out` (cleared first) with the correlation at
+/// each offset, reusing its allocation. The collision
 /// detector runs one full-buffer scan per associated client per sampling
 /// grid, so this is the single largest allocation in the receive path.
 pub fn scan_into(
@@ -53,88 +41,10 @@ pub fn scan_into(
     out.extend(positions.map(|d| corr_at(y, s, d, omega)));
 }
 
-/// One detected correlation spike.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Peak {
-    /// Offset in the scanned range where the spike occurs.
-    pub pos: usize,
-    /// The complex correlation value at the spike. Its magnitude divided by
-    /// the sequence energy estimates the channel amplitude, its angle the
-    /// channel phase (§4.2.4a: `H = Γ'/Σ|s[k]|²`).
-    pub value: Complex,
-}
-
-impl Peak {
-    /// Magnitude of the correlation at the peak.
-    pub fn mag(&self) -> f64 {
-        self.value.abs()
-    }
-}
-
-/// Finds local maxima of the correlation magnitudes that exceed
-/// `threshold`, enforcing a minimum separation (in samples) between
-/// reported peaks — two packets cannot start closer than a preamble.
-pub fn find_peaks(corr: &[Complex], threshold: f64, min_separation: usize) -> Vec<Peak> {
-    let mags: Vec<f64> = corr.iter().map(|c| c.abs()).collect();
-    let mut peaks: Vec<Peak> = Vec::new();
-    for pos in 0..mags.len() {
-        if mags[pos] < threshold {
-            continue;
-        }
-        // local maximum over the separation window
-        let lo = pos.saturating_sub(min_separation);
-        let hi = (pos + min_separation + 1).min(mags.len());
-        if (lo..hi).any(|j| mags[j] > mags[pos] || (mags[j] == mags[pos] && j < pos)) {
-            continue;
-        }
-        peaks.push(Peak { pos, value: corr[pos] });
-    }
-    peaks
-}
-
-/// Convenience: scan + peak-find in one call over the whole buffer.
-pub fn detect_sequence(
-    y: &[Complex],
-    s: &[Complex],
-    omega: f64,
-    threshold: f64,
-    min_separation: usize,
-) -> Vec<Peak> {
-    let corr = scan(y, s, omega, 0..y.len());
-    find_peaks(&corr, threshold, min_separation)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::preamble::Preamble;
-    use rand::prelude::*;
-
-    fn noise(rng: &mut StdRng, n: usize, sigma: f64) -> Vec<Complex> {
-        // Box–Muller
-        (0..n)
-            .map(|_| {
-                let u1: f64 = rng.gen_range(1e-12..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
-                let r = (-2.0 * u1.ln()).sqrt() * sigma / 2.0_f64.sqrt();
-                Complex::from_polar(r, 2.0 * std::f64::consts::PI * u2)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn peak_at_embedded_preamble() {
-        let p = Preamble::standard(32);
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut y = noise(&mut rng, 500, 0.3);
-        let at = 200;
-        for (k, &s) in p.symbols().iter().enumerate() {
-            y[at + k] += s;
-        }
-        let peaks = detect_sequence(&y, p.symbols(), 0.0, 0.6 * p.energy(), 16);
-        assert_eq!(peaks.len(), 1);
-        assert_eq!(peaks[0].pos, at);
-    }
 
     #[test]
     fn peak_value_estimates_channel() {
@@ -164,58 +74,6 @@ mod tests {
         let comp = corr_at(&y, p.symbols(), 20, omega).abs();
         assert!(comp > 0.99 * p.energy());
         assert!(plain < 0.3 * comp, "plain {plain} comp {comp}");
-    }
-
-    #[test]
-    fn two_packets_two_peaks() {
-        // The collision-detection picture of Fig 4-2: a second preamble in
-        // the middle of a reception spikes at the colliding packet's start.
-        let p = Preamble::standard(32);
-        let mut rng = StdRng::seed_from_u64(5);
-        let data: Vec<Complex> =
-            (0..400).map(|_| Complex::real(if rng.gen_bool(0.5) { 1.0 } else { -1.0 })).collect();
-        let mut y = vec![ZERO; 600];
-        // packet 1 at 50: preamble + data
-        for (k, &s) in p.symbols().iter().enumerate() {
-            y[50 + k] += s;
-        }
-        for (k, &d) in data.iter().enumerate() {
-            y[50 + 32 + k] += d;
-        }
-        // packet 2 at 300 (inside packet 1's body)
-        for (k, &s) in p.symbols().iter().enumerate() {
-            y[300 + k] += s;
-        }
-        for (k, &d) in data.iter().take(200).enumerate() {
-            y[300 + 32 + k] += d * Complex::cis(1.0);
-        }
-        let peaks = detect_sequence(&y, p.symbols(), 0.0, 0.62 * p.energy(), 16);
-        let positions: Vec<usize> = peaks.iter().map(|p| p.pos).collect();
-        assert!(positions.contains(&50), "positions {positions:?}");
-        assert!(positions.contains(&300), "positions {positions:?}");
-    }
-
-    #[test]
-    fn no_peak_in_pure_noise() {
-        let p = Preamble::standard(32);
-        let mut rng = StdRng::seed_from_u64(17);
-        let y = noise(&mut rng, 2000, 1.0);
-        let peaks = detect_sequence(&y, p.symbols(), 0.0, 0.65 * p.energy(), 16);
-        assert!(peaks.is_empty(), "false peaks: {peaks:?}");
-    }
-
-    #[test]
-    fn min_separation_suppresses_shoulders() {
-        let p = Preamble::standard(32);
-        let mut y = vec![ZERO; 100];
-        for (k, &s) in p.symbols().iter().enumerate() {
-            y[40 + k] = s * 2.0;
-        }
-        // Autocorrelation sidelobes extend over the whole ±(L−1) overlap
-        // range, so the suppression window must cover the preamble length —
-        // which is how the collision detector in zigzag-core uses it.
-        let peaks = detect_sequence(&y, p.symbols(), 0.0, 0.3 * p.energy(), 32);
-        assert_eq!(peaks.len(), 1, "{peaks:?}");
     }
 
     #[test]

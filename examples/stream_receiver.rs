@@ -8,9 +8,10 @@
 //!
 //! * a producer (your SDR callback; here a closure pushing synthesized
 //!   air in arbitrary-sized chunks) feeds a bounded sample ring;
-//! * a windowed scanner runs the preamble correlation incrementally —
-//!   no sample is scanned twice, and the detections are bit-identical
-//!   to a one-shot scan of the whole air;
+//! * the receiver's one collision detector runs the preamble
+//!   correlation a window at a time — no sample is scanned twice, and a
+//!   one-shot scan of the whole air is one final advance of the same
+//!   detector, so the detections are the same;
 //! * a carver cuts collision regions around detection runs (a region
 //!   stays open while new preambles keep landing, so collisions
 //!   straddling window boundaries come out whole) and routes each

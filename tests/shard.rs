@@ -165,8 +165,9 @@ fn k3_workload_is_shard_count_invariant_and_decodes() {
     assert_eq!(delivered, 3, "the 3×3 system must decode all three frames");
 }
 
-/// One-at-a-time (`process`) and batched (`process_batch`) ingestion run
-/// the same router and shards, so their event streams must agree.
+/// One-at-a-time (one-buffer `process_batch` calls) and batched
+/// ingestion run the same router and shards, so their event streams
+/// must agree.
 #[test]
 fn streaming_and_batched_ingestion_agree() {
     let sets = vec![
@@ -179,7 +180,7 @@ fn streaming_and_batched_ingestion_agree() {
     let out_batched = batched.process_batch(&stream);
     let mut streaming = ShardedReceiver::new(DecoderConfig::shared_ap(), cfg, registry);
     let out_streaming: Vec<Vec<ReceiverEvent>> =
-        stream.iter().map(|b| streaming.process(b)).collect();
+        stream.chunks(1).flat_map(|b| streaming.process_batch(b)).collect();
     assert_eq!(out_batched, out_streaming);
 }
 

@@ -205,20 +205,32 @@ fn collision_straddling_a_window_boundary_decodes_identically() {
     assert_eq!(delivered, 2, "the straddling pair must fully resolve");
 }
 
-/// The synchronous single-core entry point must produce the same regions
-/// and events as the threaded sharded driver.
+/// The synchronous single-core path — carve the air in one shot, then
+/// decode each region on one `ReceiverCore` with its attached
+/// detections — must produce the same regions and events as the
+/// threaded sharded driver.
 #[test]
 fn sync_process_air_matches_threaded_stream() {
     let air = build_air(&[([1, 2], [-0.13, 0.14], 420, 3)], 5000);
     let cfg = DecoderConfig::shared_ap();
     let scfg = StreamConfig::default();
     let mut sync_rx = ReceiverCore::new(cfg.clone(), air.registry.clone());
-    let sync_out = sync_rx.process_air(&air.samples, &scfg);
+    let pipeline = Pipeline::standard();
+    let sync_out: Vec<_> = carve_buffer(&air.samples, &cfg, &air.registry, &scfg)
+        .into_iter()
+        .map(|r| {
+            let events = sync_rx.receive_detected(&pipeline, &r.samples, r.detections);
+            (r.seq, r.start, r.samples.len(), events)
+        })
+        .collect();
     let mut rx =
         ShardedReceiver::new(cfg, ShardConfig { shards: 2, queue_depth: 1 }, air.registry.clone());
     let out = rx.process_stream(&scfg, |src| src.push_samples(&air.samples));
     assert_eq!(
-        sync_out.iter().map(outcome_key).collect::<Vec<_>>(),
+        sync_out
+            .iter()
+            .map(|(seq, start, len, ev)| (*seq, *start, *len, &ev[..]))
+            .collect::<Vec<_>>(),
         out.regions.iter().map(outcome_key).collect::<Vec<_>>(),
     );
 }
