@@ -7,7 +7,10 @@
 //! "typical functionality". Two `plan_all` rows time the §4.5 chunk
 //! scheduler alone on retransmission pairs of 1,760-symbol packets: at
 //! Δ 300/100 and at the near-equal Δ 19/20, where every chunk is one
-//! symbol, so the per-step cost of finding runs dominates.
+//! symbol, so the per-step cost of finding runs dominates. Two
+//! `channel_apply` rows time the channel simulator's per-transmission
+//! synthesis (`ChannelParams::apply`) on a drift-free and on a drifting
+//! link.
 //!
 //! Besides timing, this bench is a regression gate: each primitive's
 //! outputs are checked against the scalar reference (within 1e-9) on
@@ -22,12 +25,14 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::prelude::*;
 use std::fmt::Write as _;
+use zigzag_channel::fading::LinkProfile;
 use zigzag_core::schedule::{pair_layouts, PlanOutcome, PlanState};
 use zigzag_phy::coding;
 use zigzag_phy::complex::Complex;
 use zigzag_phy::equalize::{design_inverse, estimate_channel_taps};
 use zigzag_phy::filter::Fir;
 use zigzag_phy::kernel::{BackendKind, CorrFootprint, Kernel, MatchScore};
+use zigzag_phy::modulation::Modulation;
 use zigzag_phy::preamble::Preamble;
 
 const BACKENDS: [BackendKind; 2] = [BackendKind::Scalar, BackendKind::Simd];
@@ -296,6 +301,29 @@ fn bench_schedule(c: &mut Criterion, r: &mut Results) {
     }
 }
 
+/// `ChannelParams::apply` on a 620-symbol BPSK frame (between the cell
+/// co-simulation's 480-symbol 40-byte frames and the 960 symbols of a
+/// 100-byte frame) over a drift-free `clean_with_omega`
+/// link, whose resampler reuses one tap vector per binade of the
+/// position, and over a `typical` link, whose drifting sampling clock
+/// refills the taps at every sample (plus ISI and phase noise).
+fn bench_channel_apply(c: &mut Criterion, r: &mut Results) {
+    let mut rng = StdRng::seed_from_u64(8);
+    let bits: Vec<u8> = (0..620).map(|_| rng.gen_range(0..2u8)).collect();
+    let tx = Modulation::Bpsk.modulate(&bits);
+    let links = [
+        ("clean", LinkProfile::clean_with_omega(17.0, 0.02)),
+        ("typical", LinkProfile::typical(17.0, &mut rng)),
+    ];
+    for (tag, link) in links {
+        let ch = link.draw(&mut rng);
+        assert_eq!(ch.sampling_drift == 0.0, tag == "clean", "{tag}: drift {}", ch.sampling_drift);
+        let name = format!("channel_apply_620_{tag}");
+        c.bench_function(&name, |b| b.iter(|| ch.apply(&tx, &mut rng).len()));
+        r.record(&name, c.last_ns);
+    }
+}
+
 fn run(c: &mut Criterion) {
     let mut r = Results { entries: Vec::new() };
     bench_correlation(c, &mut r);
@@ -306,6 +334,7 @@ fn run(c: &mut Criterion) {
     bench_equalizer(c, &mut r);
     bench_viterbi(c, &mut r);
     bench_schedule(c, &mut r);
+    bench_channel_apply(c, &mut r);
 
     for n in [4096usize, 16384] {
         let scalar = r.ns(&format!("scan_into_{n}/scalar")).unwrap();

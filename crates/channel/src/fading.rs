@@ -9,7 +9,14 @@
 //! 2. **Sampling offset** (§3.1.2): the receiver samples the band-limited
 //!    continuous signal `µ` seconds away from the transmitter's sample
 //!    points, and clock drift makes `µ` wander — modelled by windowed-sinc
-//!    resampling at positions `n·(1+drift) + µ`.
+//!    resampling at positions `n·(1+drift) + µ`. The resampling runs on the
+//!    kernel's cached-tap resampler ([`Kernel::resample_into`]), which is
+//!    bit-identical to the scalar reference
+//!    [`zigzag_phy::interp::resample_into`] and refills its 16–17 sinc·Hann
+//!    taps only when the fractional position changes. On a drift-free
+//!    link that is about `log₂(len)` times per frame (positions `µ + n`
+//!    share one fraction within each binade); a drifting link moves the
+//!    fraction at every sample and still pays for fresh taps per output.
 //! 3. **Inter-symbol interference** (§3.1.3): neighbouring symbols leak
 //!    into each other via multipath/filters — modelled by a short FIR.
 //!
@@ -24,7 +31,7 @@ use crate::noise::amplitude_for_snr_db;
 use rand::Rng;
 use zigzag_phy::complex::Complex;
 use zigzag_phy::filter::Fir;
-use zigzag_phy::interp::resample;
+use zigzag_phy::kernel::{BackendKind, Kernel};
 
 /// Ground-truth parameters of one transmitter→receiver channel for one
 /// packet transmission.
@@ -97,12 +104,25 @@ impl ChannelParams {
     ///
     /// Pipeline: resample at `n(1+drift)+µ` → ISI FIR → gain, frequency
     /// offset, phase-noise walk.
+    ///
+    /// The resampler is the default backend's [`Kernel::resample_into`],
+    /// whose output equals the scalar windowed-sinc reference bit for bit.
+    /// It caches the tap vector per fractional position, so a drift-free
+    /// link (`sampling_drift == 0`) fills taps about `log₂(len)` times per
+    /// transmission; a drifting link still fills them for every sample.
     pub fn apply<R: Rng + ?Sized>(&self, tx: &[Complex], rng: &mut R) -> Vec<Complex> {
-        let resampled = if self.sampling_offset == 0.0 && self.sampling_drift == 0.0 {
-            tx.to_vec()
+        let mut resampled = Vec::new();
+        if self.sampling_offset == 0.0 && self.sampling_drift == 0.0 {
+            resampled.extend_from_slice(tx);
         } else {
-            resample(tx, self.sampling_offset, 1.0 + self.sampling_drift, tx.len())
-        };
+            Kernel::new(BackendKind::default()).resample_into(
+                tx,
+                self.sampling_offset,
+                1.0 + self.sampling_drift,
+                tx.len(),
+                &mut resampled,
+            );
+        }
         let shaped = self.isi.apply(&resampled);
         let mut pn = 0.0f64;
         shaped
@@ -283,10 +303,9 @@ mod tests {
         let x = bpsk(&mut rng, 256);
         let ch = ChannelParams { sampling_offset: 0.3, ..ChannelParams::ideal() };
         let y = ch.apply(&x, &mut rng);
-        let expected = zigzag_phy::interp::resample(&x, 0.3, 1.0, 256);
-        for k in 16..240 {
-            assert!((y[k] - expected[k]).abs() < 1e-12);
-        }
+        let mut expected = Vec::new();
+        zigzag_phy::interp::resample_into(&x, 0.3, 1.0, 256, &mut expected);
+        assert_eq!(y, expected, "the channel must reproduce the scalar reference exactly");
     }
 
     #[test]

@@ -69,19 +69,14 @@ pub fn interp_at(samples: &[Complex], t: f64) -> Complex {
     interp_at_width(samples, t, DEFAULT_HALF_WIDTH)
 }
 
-/// Resamples a signal at positions `start + k·step` for `k = 0..n`.
+/// Resamples a signal at positions `start + k·step` for `k = 0..n`,
+/// filling `out` (cleared first) and reusing its allocation.
 ///
 /// `step = 1 + drift` models sampling-clock drift (§3.1.2: "the drift in
 /// the transmitter's and receiver's clocks results in a drift in the
-/// sampling offset").
-pub fn resample(samples: &[Complex], start: f64, step: f64, n: usize) -> Vec<Complex> {
-    let mut out = Vec::new();
-    resample_into(samples, start, step, n, &mut out);
-    out
-}
-
-/// In-place variant of [`resample`]: fills `out` (cleared first) with the
-/// resampled signal, reusing its allocation.
+/// sampling offset"). This is the numerical reference the kernel
+/// backends' `resample_into` must reproduce bit for bit; hot paths call
+/// [`crate::kernel::Kernel::resample_into`], which caches the taps.
 pub fn resample_into(samples: &[Complex], start: f64, step: f64, n: usize, out: &mut Vec<Complex>) {
     out.clear();
     out.extend((0..n).map(|k| interp_at(samples, start + k as f64 * step)));
@@ -152,7 +147,8 @@ mod tests {
     #[test]
     fn resample_identity() {
         let s = test_signal(64);
-        let r = resample(&s, 0.0, 1.0, 64);
+        let mut r = Vec::new();
+        resample_into(&s, 0.0, 1.0, 64, &mut r);
         for k in 8..56 {
             assert!((r[k] - s[k]).abs() < 1e-9);
         }
@@ -164,8 +160,9 @@ mod tests {
         // the edges) — the core requirement for re-encoding (§4.2.3b).
         let s = test_signal(256);
         let mu = 0.31;
-        let shifted = resample(&s, mu, 1.0, 256);
-        let back = resample(&shifted, -mu, 1.0, 256);
+        let (mut shifted, mut back) = (Vec::new(), Vec::new());
+        resample_into(&s, mu, 1.0, 256, &mut shifted);
+        resample_into(&shifted, -mu, 1.0, 256, &mut back);
         for k in 32..224 {
             assert!((back[k] - s[k]).abs() < 5e-3, "k={k} err={}", (back[k] - s[k]).abs());
         }

@@ -267,18 +267,24 @@ pub struct KernelScratch {
 
 impl KernelScratch {
     /// Fills the cached windowed-sinc tap vector for fractional offset
-    /// `frac`, unless it already holds exactly that offset's taps.
+    /// `frac = t − ⌊t⌋ ∈ [0, 1]`, unless it already holds exactly that
+    /// offset's taps.
     fn ensure_taps(&mut self, frac: f64) {
         if self.taps_valid && self.taps_frac == frac {
             return;
         }
+        debug_assert!((0.0..=1.0).contains(&frac), "fraction {frac} outside [0, 1]");
         let w = DEFAULT_HALF_WIDTH as f64;
-        self.taps.clear();
-        let j_lo = (frac - w).ceil() as isize;
-        let j_hi = (frac + w).floor() as isize;
-        for j in j_lo..=j_hi {
+        // The window ends are ⌈frac − w⌉ and ⌊frac + w⌋. With frac in
+        // [0, 1] the first operand is ≤ 0 and the second ≥ 0, so truncation
+        // toward zero is that ceil and that floor exactly, without a libm
+        // call on every refill (a drifting grid refills per output).
+        let j_lo = (frac - w) as isize;
+        let j_hi = (frac + w) as isize;
+        self.taps.resize((j_hi - j_lo + 1) as usize, 0.0);
+        for (tap, j) in self.taps.iter_mut().zip(j_lo..) {
             let d = frac - j as f64;
-            self.taps.push(sinc(d) * hann(d, w + 1.0));
+            *tap = sinc(d) * hann(d, w + 1.0);
         }
         self.taps_frac = frac;
         self.taps_j_lo = j_lo;

@@ -4,7 +4,9 @@
 //! lengths, taps and frequency offsets — including the edge cases (empty
 //! input, scan offset at the buffer end, ω = 0, identity filter). This
 //! is the numerical-equivalence bar that lets the decode engine switch
-//! backends without bit-level decode divergence.
+//! backends without bit-level decode divergence. The resampler is held
+//! to more: the channel simulator synthesizes air on it, so it must equal
+//! the scalar reference bit for bit.
 
 use proptest::prelude::*;
 use zigzag_phy::complex::Complex;
@@ -104,6 +106,53 @@ proptest! {
         }
         fast.combine_weighted_into(&streams, &mut b);
         assert_close(&a, &b, 1e-9, "simd");
+    }
+}
+
+proptest! {
+    /// The channel simulator synthesizes every air sample through the
+    /// `Simd` resampler, so its output must equal the scalar reference
+    /// `interp::resample_into` bit for bit (compared by `to_bits`), not
+    /// merely within a tolerance. Cases span the channel's calls (start
+    /// µ ∈ [−0.5, 0.5), n = len, step 1 or 1 ± drift up to 20 ppm,
+    /// frames up to 3000 samples) plus starts before the buffer, starts
+    /// past its end, and n ≠ len.
+    #[test]
+    fn resample_is_bit_identical_to_the_reference(
+        x_raw in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 1..3001),
+        mu in -0.5f64..0.5,
+        placement in 0u8..4,
+        shift in 0.0f64..64.0,
+        step_kind in 0u8..3,
+        drift in 0.0f64..2e-5,
+        n_pick in 0usize..4096,
+    ) {
+        let x = to_complex(&x_raw);
+        let len = x.len();
+        // 0: the channel's call (start µ, n = len); 1: start µ with any
+        // n; 2: a start before the buffer; 3: a start past its end
+        let start = match placement {
+            0 | 1 => mu,
+            2 => mu - shift,
+            _ => len as f64 + mu + shift,
+        };
+        let n = if placement == 0 { len } else { n_pick % (len + 64) };
+        let step = match step_kind {
+            0 => 1.0,
+            1 => 1.0 + drift,
+            _ => 1.0 - drift,
+        };
+        let mut want = Vec::new();
+        zigzag_phy::interp::resample_into(&x, start, step, n, &mut want);
+        let mut got = Vec::new();
+        Kernel::new(BackendKind::Simd).resample_into(&x, start, step, n, &mut got);
+        assert_eq!(got.len(), n);
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert!(
+                g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+                "output {k} of start {start}, step {step}, n {n}, len {len}: {g:?} vs {w:?}"
+            );
+        }
     }
 }
 

@@ -57,8 +57,8 @@ pub struct SignalCellConfig {
 }
 
 impl SignalCellConfig {
-    /// Defaults for `seed`: reaping receiver, 17 dB links, 80-byte
-    /// payloads, 802.11g slot scaling, 16-symbol jitter.
+    /// Defaults for `seed`: reaping receiver, 17 dB links, 40-byte
+    /// payloads, 802.11g slot scaling, 8-symbol jitter.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,

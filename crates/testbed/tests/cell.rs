@@ -9,8 +9,8 @@
 //! that refits the [`DecodeModel`] from measured signal-level outcomes.
 
 use zigzag_mac::cell::{
-    run_cell, ArrivalModel, CellConfig, CellOutcome, DecodeModel, Discipline, SensingGraph,
-    SplitResolver,
+    run_cell, ArrivalModel, CellConfig, CellOutcome, CellStats, DecodeModel, Discipline,
+    SensingGraph, SplitResolver,
 };
 use zigzag_mac::{Backoff, MacParams};
 use zigzag_testbed::SignalResolver;
@@ -48,6 +48,37 @@ fn lowered_runs_are_identical_across_thread_counts() {
     assert_eq!(a.trace_hash, c.trace_hash, "1 vs 4 decode threads");
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.counters, c.counters);
+}
+
+/// Golden lowered run: the trace hash and statistics of one run whose
+/// every collision episode is synthesized and decoded at the signal
+/// level. It pins the whole chain — channel synthesis, receiver verdicts
+/// and their feedback into station state — so a change to the air or to
+/// a decode outcome shows here even when every contract above still holds.
+#[test]
+fn lowered_run_matches_the_golden_trace() {
+    let out = lowered_run(3, 1, 1.0);
+    assert_eq!(out.trace_hash, 0x8d9d_859f_d5c7_b9de, "lowered trace moved");
+    assert_eq!(
+        out.stats,
+        CellStats {
+            stations_active: 48,
+            offered_frames: 49,
+            delivered_frames: 6,
+            dropped_frames: 0,
+            singles: 3,
+            collision_rounds: 53,
+            recovery_rounds: 1,
+            recovered_frames: 0,
+            lowered_rounds: 46,
+            lowered_deliveries: 1,
+            lowered_retries: 98,
+            defers: 428,
+            tx_starts: 157,
+            max_k: 10,
+            in_flight_at_end: 43,
+        }
+    );
 }
 
 #[test]
