@@ -608,6 +608,10 @@ fn bench_batch_decode(c: &mut Criterion) {
         b.iter(|| run_cell(&cell_cfg, &mut DecodeModel::zigzag_ap(2008)))
     });
     timings.push(("cell_sim_symbolic".into(), c.last_ns));
+    // the simulator's unit of work is a trace event, most of them
+    // carrier-sense deferrals: its cost per event tracks the event loop
+    let symbolic = run_cell(&cell_cfg, &mut DecodeModel::zigzag_ap(2008)).stats;
+    let ns_per_event = c.last_ns / symbolic.trace_events() as f64;
     let cell_multi = cell_run(0);
     let cell_single = cell_run(1);
     assert_eq!(
@@ -620,6 +624,10 @@ fn bench_batch_decode(c: &mut Criterion) {
     assert!(
         cs.lowered_deliveries + cs.lowered_retries >= 1,
         "signal-level verdicts must be reflected in station delivery/retry state"
+    );
+    println!(
+        "cell: {} tx starts, {} deferrals, widest collision k = {}; symbolic {:.1} ns per trace event",
+        cs.tx_starts, cs.defers, cs.max_k, ns_per_event
     );
     println!(
         "cell: {} active stations, {} offered / {} delivered / {} dropped; {} collision rounds ({} lowered: {} deliveries, {} retries), {} reap recoveries; {:.2} Mslots/s",
@@ -785,7 +793,7 @@ fn bench_batch_decode(c: &mut Criterion) {
     s.push_str("  ]},\n");
     let _ = writeln!(
         s,
-        "  \"cell\": {{\"stations\": {CELL_STATIONS}, \"slots\": {CELL_SLOTS}, \"ms\": {cell_ms:.2}, \"mslots_per_sec\": {:.2}, \"stations_active\": {}, \"offered\": {}, \"delivered\": {}, \"collision_rounds\": {}, \"lowered_rounds\": {}, \"lowered_deliveries\": {}, \"lowered_retries\": {}, \"recovered_frames\": {}, \"aloha_curve\": [",
+        "  \"cell\": {{\"stations\": {CELL_STATIONS}, \"slots\": {CELL_SLOTS}, \"ms\": {cell_ms:.2}, \"mslots_per_sec\": {:.2}, \"stations_active\": {}, \"offered\": {}, \"delivered\": {}, \"collision_rounds\": {}, \"lowered_rounds\": {}, \"lowered_deliveries\": {}, \"lowered_retries\": {}, \"recovered_frames\": {}, \"tx_starts\": {}, \"defers\": {}, \"max_k\": {}, \"symbolic_ns_per_event\": {ns_per_event:.1}, \"aloha_curve\": [",
         CELL_SLOTS as f64 / (cell_ms / 1e3) / 1e6,
         cs.stations_active,
         cs.offered_frames,
@@ -794,7 +802,10 @@ fn bench_batch_decode(c: &mut Criterion) {
         cs.lowered_rounds,
         cs.lowered_deliveries,
         cs.lowered_retries,
-        cs.recovered_frames
+        cs.recovered_frames,
+        cs.tx_starts,
+        cs.defers,
+        cs.max_k
     );
     for (i, (z, p)) in zz_curve.iter().zip(&plain_curve).enumerate() {
         let comma = if i + 1 < zz_curve.len() { "," } else { "" };

@@ -39,9 +39,12 @@ pub struct StdRng {
     s: [u64; 4],
 }
 
+/// SplitMix64's state increment.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    *state = state.wrapping_add(GAMMA);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -57,9 +60,27 @@ impl SeedableRng for StdRng {
     }
 }
 
+/// xoshiro256**'s output scrambler, applied to the state word `s[1]`.
+#[inline]
+fn starstar(s1: u64) -> u64 {
+    s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9)
+}
+
+impl StdRng {
+    /// The first output of the generator seeded with `seed`, without
+    /// building it: equal to `StdRng::seed_from_u64(seed).next_u64()`.
+    /// That output reads only `s[1]`, the second SplitMix64 word, so it
+    /// costs one SplitMix64 step at the seed advanced by two increments.
+    #[inline]
+    pub fn first_u64(seed: u64) -> u64 {
+        let mut sm = seed.wrapping_add(GAMMA);
+        starstar(splitmix64(&mut sm))
+    }
+}
+
 impl RngCore for StdRng {
     fn next_u64(&mut self) -> u64 {
-        let out = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let out = starstar(self.s[1]);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];
@@ -91,9 +112,12 @@ macro_rules! impl_sample_uniform_int {
                 // Modulo draw: the bias over a u64 source is negligible for
                 // the simulation-sized spans used here. Every span but the
                 // full 2^64 fits a u64, where the remainder is the same
-                // value at a fraction of a 128-bit division's cost.
+                // value at a fraction of a 128-bit division's cost, and a
+                // power-of-two span (every contention window) takes it
+                // with a mask.
                 let x = rng.next_u64();
                 let v = match u64::try_from(span) {
+                    Ok(span) if span.is_power_of_two() => i128::from(x & (span - 1)),
                     Ok(span) => i128::from(x % span),
                     Err(_) => (u128::from(x) % span as u128) as i128,
                 };
@@ -249,6 +273,12 @@ mod tests {
         // span 2^64: the only spans that still take the 128-bit path
         check(0u64, u64::MAX, 11);
         check(i64::MIN, i64::MAX, 12);
+        // every power-of-two span below it takes the mask
+        for k in 0..64 {
+            let span = 1u64 << k;
+            check(0u64, span - 1, 14 + k);
+            check(u64::MAX - (span - 1), u64::MAX, 78 + k);
+        }
 
         // half-open ranges share the draw
         let mut rng = StdRng::seed_from_u64(13);
@@ -256,6 +286,13 @@ mod tests {
         for _ in 0..DRAWS {
             let got = rng.gen_range(7u32..1_031);
             assert_eq!(i128::from(got), wide_draw(raw.next_u64(), 7, 1_030));
+        }
+    }
+
+    #[test]
+    fn first_u64_is_the_first_output() {
+        for seed in [0, 1, 7, u64::MAX, GAMMA, 1 << 63] {
+            assert_eq!(StdRng::first_u64(seed), StdRng::seed_from_u64(seed).next_u64(), "{seed}");
         }
     }
 

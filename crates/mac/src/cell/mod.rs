@@ -9,9 +9,10 @@
 //! * **Symbolic fast path.** Arrivals, carrier sensing, backoff and
 //!   clean (single-transmitter) receptions are pure discrete events on a
 //!   slotted [`wheel::EventWheel`]. A million configured stations cost
-//!   one RNG seeding and one uniform draw each; only the few thousand
-//!   whose first arrival falls inside the run become state machines, in
-//!   a dense table the wheel addresses by index.
+//!   one closed-form first draw each (`rand::StdRng::first_u64` on the
+//!   station's key, no generator built); only the few thousand whose
+//!   first arrival falls inside the run get a generator and become state
+//!   machines, in a dense table the wheel addresses by index.
 //! * **Signal-level slow path.** Only *genuine* collisions — two or more
 //!   transmissions overlapping at one AP — are worth IQ samples. They
 //!   are packaged as [`resolver::CollisionRound`]s and handed to a

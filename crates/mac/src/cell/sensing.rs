@@ -112,27 +112,22 @@ impl SensingGraph {
         }
     }
 
-    /// Global index of the station's sensing group (cell-major), used to
-    /// key the busy-until table.
-    pub fn global_group(&self, station: u32) -> usize {
-        (self.cell_of(station) * self.groups_per_cell + self.group_of(station)) as usize
-    }
-
-    /// Probability that `listener` senses a transmission by a station of
-    /// local group `tx_group` in the *same* cell.
-    pub fn sense_prob(&self, listener: u32, tx_group: u32) -> f64 {
-        let lg = self.group_of(listener);
+    /// Probability that a station of local group `listener_group` senses
+    /// a transmission by a station of local group `tx_group` in the
+    /// *same* cell. Groups are [`Self::group_of`] values, so a caller
+    /// that keeps a station's group pays no division per query.
+    pub fn group_sense_prob(&self, listener_group: u32, tx_group: u32) -> f64 {
         match &self.rule {
             SenseRule::Clique => 1.0,
             SenseRule::Within => {
-                if lg == tx_group {
+                if listener_group == tx_group {
                     1.0
                 } else {
                     0.0
                 }
             }
             SenseRule::Matrix(p) | SenseRule::Pairwise(p) => {
-                p[(lg * self.groups_per_cell + tx_group) as usize].clamp(0.0, 1.0)
+                p[(listener_group * self.groups_per_cell + tx_group) as usize].clamp(0.0, 1.0)
             }
         }
     }
@@ -159,15 +154,15 @@ mod tests {
         // stations 0 and 2 share cell 0; 0 is group 0, 2 is group 1
         assert_eq!(g.cell_of(0), g.cell_of(2));
         assert_ne!(g.group_of(0), g.group_of(2));
-        assert_eq!(g.sense_prob(0, g.group_of(2)), 0.0);
-        assert_eq!(g.sense_prob(0, g.group_of(0)), 1.0);
+        assert_eq!(g.group_sense_prob(g.group_of(0), g.group_of(2)), 0.0);
+        assert_eq!(g.group_sense_prob(g.group_of(0), g.group_of(0)), 1.0);
     }
 
     #[test]
     fn clique_always_senses() {
         let g = SensingGraph::clique(3);
         assert_eq!(g.groups_per_cell(), 1);
-        assert_eq!(g.sense_prob(5, 0), 1.0);
+        assert_eq!(g.group_sense_prob(g.group_of(5), 0), 1.0);
     }
 
     #[test]
@@ -178,9 +173,9 @@ mod tests {
             vec![0.5, 1.0, 1.0],
         ]);
         assert_eq!(g.cells(), 1);
-        assert_eq!(g.global_group(2), 2);
-        assert_eq!(g.sense_prob(0, 2), 0.5);
-        assert_eq!(g.sense_prob(1, 0), 0.0);
+        assert_eq!((g.cell_of(2), g.group_of(2)), (0, 2));
+        assert_eq!(g.group_sense_prob(g.group_of(0), 2), 0.5);
+        assert_eq!(g.group_sense_prob(g.group_of(1), 0), 0.0);
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //!
 //! One tick per 802.11 slot. Stations are lazy: of a million configured
 //! ids, only those whose first arrival falls inside the run are ever
-//! materialised, so memory tracks *active* stations. A station whose
-//! first uniform draw lies at or above a precomputed cutoff is skipped
-//! without evaluating the geometric gap (two logarithms) at all. The
-//! materialised stations form a dense table in ascending id order; wheel
-//! wakes carry the table index, so a wake reaches its station by one
-//! array access, and only the resolver-facing paths (verdicts, §4.1 reap
-//! peers) map an id back to its index, by binary search. Each station
+//! materialised, so memory tracks *active* stations. A station's first
+//! uniform draw is computed in closed form from its seed, and one at or
+//! above a precomputed cutoff is skipped without building its generator
+//! or evaluating the geometric gap (two logarithms). The materialised
+//! stations form a dense table in ascending id order, each row keeping
+//! its cell and sensing group; wheel wakes carry the table index, so a
+//! wake reaches its station by one array access, and only the
+//! resolver-facing paths (verdicts, §4.1 reap peers) map an id back to
+//! its index, by binary search. Each station
 //! owns an RNG stream seeded from `(seed, id)` — every decision a station
 //! makes consumes only its own stream, so behaviour is independent of
 //! event interleaving and decode thread count.
@@ -27,10 +29,14 @@
 //!    (slotted ALOHA) and join their cell's component.
 //!
 //! Every externally visible event is folded into an FNV-1a trace hash —
-//! the determinism contract is `trace_hash` equality, bit-for-bit.
+//! the determinism contract is `trace_hash` equality, bit-for-bit. Most
+//! events are carrier-sense deferrals, so the fold takes each field at
+//! the byte width it fits: a zero byte's FNV step is a bare multiply,
+//! and the high zero bytes fold into one.
 
 use super::{
-    mix2, CollisionResolver, CollisionRound, Discipline, FrameRef, SensingGraph, TxAttempt, Verdict,
+    hash_fraction, mix2, CollisionResolver, CollisionRound, Discipline, FrameRef, SensingGraph,
+    TxAttempt, Verdict,
 };
 use crate::backoff::BackoffState;
 use crate::cell::wheel::{EventWheel, Wake};
@@ -202,6 +208,19 @@ impl CellStats {
     pub fn throughput(&self, slots: u64) -> f64 {
         self.delivered_frames as f64 / slots.max(1) as f64
     }
+
+    /// Number of [`TraceEvent`]s the run folded into its trace hash: one
+    /// per arrival, transmission start, deferral, resolver round,
+    /// delivery and drop.
+    pub fn trace_events(&self) -> u64 {
+        self.offered_frames
+            + self.tx_starts
+            + self.defers
+            + self.collision_rounds
+            + self.recovery_rounds
+            + self.delivered_frames
+            + self.dropped_frames
+    }
 }
 
 /// Everything a run produces.
@@ -270,30 +289,49 @@ fn first_arrival_cutoff(p: f64, slots: u64) -> f64 {
     -(slots as f64 * (1.0 - p).ln()).exp_m1() * (1.0 + CUTOFF_MARGIN) + CUTOFF_FLOOR
 }
 
+/// A uniform cutoff as a bound on a raw draw's top 53 bits. The uniform
+/// is those bits times 2⁻⁵³ exactly, so it reaches `u_cut` iff they
+/// reach ⌈u_cut·2⁵³⌉.
+fn cutoff_bits(u_cut: f64) -> u64 {
+    (u_cut * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// [`Station::pending_attempt`] with no attempt queued: past every slot a
+/// wheel can hold. A plain `u64` rather than an `Option` keeps a station
+/// row at 112 bytes with the sensing coordinates in it.
+const NO_ATTEMPT: u64 = u64::MAX;
+
 struct Station {
     rng: StdRng,
+    /// The station's cell (AP) and its sensing group within that cell,
+    /// from [`SensingGraph::cell_of`] and [`SensingGraph::group_of`] at
+    /// materialisation.
+    cell: u32,
+    group: u32,
     backoff: BackoffState,
     retries: u32,
     seq: u32,
     has_frame: bool,
-    /// The slot of this station's one outstanding attempt wake, if any.
-    /// A wake only fires when it matches — a §4.1 peer recovery delivers
-    /// the frame while its retransmission wake is still queued, and the
-    /// stale wake must fall through.
-    pending_attempt: Option<u64>,
+    /// The slot of this station's one outstanding attempt wake, or
+    /// [`NO_ATTEMPT`]. A wake only fires when it matches — a §4.1 peer
+    /// recovery delivers the frame while its retransmission wake is still
+    /// queued, and the stale wake must fall through.
+    pending_attempt: u64,
     episodes: Vec<u64>,
     counters: StationCounters,
 }
 
 impl Station {
-    fn new(rng: StdRng) -> Self {
+    fn new(rng: StdRng, cell: u32, group: u32) -> Self {
         Self {
             rng,
+            cell,
+            group,
             backoff: BackoffState::new(),
             retries: 0,
             seq: 0,
             has_frame: false,
-            pending_attempt: None,
+            pending_attempt: NO_ATTEMPT,
             episodes: Vec::new(),
             counters: StationCounters::default(),
         }
@@ -308,7 +346,7 @@ impl Station {
     /// Beyond the horizon the run is over and the frame counts as
     /// in-flight at the end.
     fn await_attempt(&mut self, wheel: &mut EventWheel, index: u32, slot: u64) {
-        self.pending_attempt = Some(slot);
+        self.pending_attempt = slot;
         let _ = wheel.schedule(slot, Wake::Attempt(index));
     }
 }
@@ -347,13 +385,85 @@ struct EpisodeState {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv_word(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-        h ^= (v >> shift) & 0xff;
+/// `FNV_PRIME^n`, wrapping.
+const fn fnv_prime_pow(n: u32) -> u64 {
+    let mut p = 1u64;
+    let mut i = 0;
+    while i < n {
+        p = p.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    p
+}
+
+/// FNV-1a over the eight little-endian bytes of `v`, whose bytes above
+/// the low `N` are zero. A zero byte's step only multiplies by the
+/// prime, so the `8 − N` high bytes fold into one multiply by
+/// `P^(8 − N)`: the same hash as eight byte steps.
+#[inline(always)]
+fn fnv_low<const N: u32>(mut h: u64, v: u64) -> u64 {
+    debug_assert!(N >= 8 || v >> (8 * N) == 0, "{v:#x} is wider than {N} bytes");
+    for i in 0..N {
+        h ^= (v >> (8 * i)) & 0xff;
         h = h.wrapping_mul(FNV_PRIME);
     }
-    h
+    if N < 8 {
+        h.wrapping_mul(const { fnv_prime_pow(8 - N) })
+    } else {
+        h
+    }
+}
+
+/// FNV-1a over the eight little-endian bytes of `v`.
+fn fnv_word(h: u64, v: u64) -> u64 {
+    fnv_low::<8>(h, v)
+}
+
+/// [`fnv_word`] of a `u32` field.
+#[inline(always)]
+fn fnv_u32(h: u64, v: u32) -> u64 {
+    fnv_low::<4>(h, u64::from(v))
+}
+
+/// [`fnv_word`] of an event tag or a flag: one byte.
+#[inline(always)]
+fn fnv_byte(h: u64, v: u8) -> u64 {
+    fnv_low::<1>(h, u64::from(v))
+}
+
+/// [`fnv_word`] of a slot number. Slots only grow, so each width test
+/// flips once per run and the branches are predicted.
+#[inline(always)]
+fn fnv_slot(h: u64, slot: u64) -> u64 {
+    if slot >> 16 == 0 {
+        fnv_low::<2>(h, slot)
+    } else if slot >> 32 == 0 {
+        fnv_low::<4>(h, slot)
+    } else {
+        fnv_low::<8>(h, slot)
+    }
+}
+
+/// [`fnv_word`] of a station id. Every id of a population under 2²⁴
+/// takes the first branch.
+#[inline(always)]
+fn fnv_station(h: u64, id: u32) -> u64 {
+    if id >> 24 == 0 {
+        fnv_low::<3>(h, u64::from(id))
+    } else {
+        fnv_low::<4>(h, u64::from(id))
+    }
+}
+
+/// [`fnv_word`] of a backoff stage, which the retry limit keeps far
+/// below 256.
+#[inline(always)]
+fn fnv_stage(h: u64, stage: u32) -> u64 {
+    if stage >> 8 == 0 {
+        fnv_low::<1>(h, u64::from(stage))
+    } else {
+        fnv_low::<4>(h, u64::from(stage))
+    }
 }
 
 fn episode_key(txs: &[Tx]) -> u64 {
@@ -380,31 +490,30 @@ struct TraceLog {
 }
 
 impl TraceLog {
+    /// Folds `ev` into the hash: every field as a little-endian `u64`,
+    /// each narrow field through the [`fnv_low`] width it fits.
     fn emit(&mut self, ev: TraceEvent) {
         let h = self.hash;
         self.hash = match ev {
             TraceEvent::Arrival { slot, station } => {
-                fnv_word(fnv_word(fnv_word(h, 1), slot), u64::from(station))
+                fnv_station(fnv_slot(fnv_byte(h, 1), slot), station)
             }
-            TraceEvent::TxStart { slot, station, stage } => fnv_word(
-                fnv_word(fnv_word(fnv_word(h, 2), slot), u64::from(station)),
-                u64::from(stage),
-            ),
-            TraceEvent::Defer { slot, station, stage } => fnv_word(
-                fnv_word(fnv_word(fnv_word(h, 3), slot), u64::from(station)),
-                u64::from(stage),
-            ),
+            TraceEvent::TxStart { slot, station, stage } => {
+                fnv_stage(fnv_station(fnv_slot(fnv_byte(h, 2), slot), station), stage)
+            }
+            TraceEvent::Defer { slot, station, stage } => {
+                fnv_stage(fnv_station(fnv_slot(fnv_byte(h, 3), slot), station), stage)
+            }
             TraceEvent::Collision { slot, cell, k, episode, round, lowered } => {
-                let mut x = fnv_word(fnv_word(fnv_word(h, 4), slot), u64::from(cell));
-                x = fnv_word(fnv_word(fnv_word(x, u64::from(k)), episode), u64::from(round));
-                fnv_word(x, u64::from(lowered))
+                let x = fnv_u32(fnv_slot(fnv_byte(h, 4), slot), cell);
+                let x = fnv_u32(fnv_word(fnv_u32(x, k), episode), round);
+                fnv_byte(x, u8::from(lowered))
             }
-            TraceEvent::Deliver { slot, station, lowered } => fnv_word(
-                fnv_word(fnv_word(fnv_word(h, 5), slot), u64::from(station)),
-                u64::from(lowered),
-            ),
+            TraceEvent::Deliver { slot, station, lowered } => {
+                fnv_byte(fnv_station(fnv_slot(fnv_byte(h, 5), slot), station), u8::from(lowered))
+            }
             TraceEvent::Drop { slot, station } => {
-                fnv_word(fnv_word(fnv_word(h, 6), slot), u64::from(station))
+                fnv_station(fnv_slot(fnv_byte(h, 6), slot), station)
             }
         };
         if self.record {
@@ -441,6 +550,9 @@ struct Sim<'a> {
     stations: Vec<Station>,
     wheel: EventWheel,
     media: Vec<Component>,
+    /// Per sensing group, cell-major (`cell · groups_per_cell + group`):
+    /// the slot through which the group's latest transmission and its
+    /// ACK keep the medium busy.
     busy_until: Vec<u64>,
     closes: Vec<Vec<u32>>,
     episodes: HashMap<u64, EpisodeState>,
@@ -487,8 +599,12 @@ impl<'a> Sim<'a> {
 
     /// Materialises every station whose first arrival falls inside the
     /// run, in ascending id order. For Poisson arrivals a station's first
-    /// uniform draw decides; a draw at or above [`first_arrival_cutoff`]
-    /// is skipped without evaluating [`geometric_from`].
+    /// uniform draw decides, and it is computed in closed form
+    /// ([`StdRng::first_u64`]) without building the generator; a draw at
+    /// or above [`first_arrival_cutoff`] is skipped without evaluating
+    /// [`geometric_from`]. Only a station that stays gets its generator,
+    /// advanced past that first draw, so its stream is the one it would
+    /// have had if the draw came from the generator.
     fn init_arrivals(&mut self) {
         let seed = self.cfg.seed ^ STATION_TAG;
         let p = self.arrival_p;
@@ -496,26 +612,32 @@ impl<'a> Sim<'a> {
         // (saturation, or a per-station probability of 1)
         let cutoff = match self.cfg.arrivals {
             ArrivalModel::Poisson { .. } if p < 1.0 => {
-                Some(first_arrival_cutoff(p, self.cfg.slots))
+                Some(cutoff_bits(first_arrival_cutoff(p, self.cfg.slots)))
             }
             _ => None,
         };
+        let sensing = &self.cfg.sensing;
         for id in 0..self.cfg.stations {
-            let mut rng = StdRng::seed_from_u64(mix2(seed, u64::from(id)));
+            let key = mix2(seed, u64::from(id));
             let first = match cutoff {
                 None => 0,
-                Some(u_cut) => {
-                    let u = rng.next_f64();
-                    if u >= u_cut {
+                Some(bits_cut) => {
+                    let x = StdRng::first_u64(key);
+                    if x >> 11 >= bits_cut {
                         continue;
                     }
-                    geometric_from(u, p) - 1
+                    geometric_from(hash_fraction(x), p) - 1
                 }
             };
             if first < self.cfg.slots {
+                let mut rng = StdRng::seed_from_u64(key);
+                if cutoff.is_some() {
+                    // the first draw, already taken in closed form
+                    rng.next_u64();
+                }
                 self.wheel.schedule(first, Wake::Arrival(self.ids.len() as u32));
                 self.ids.push(id);
-                self.stations.push(Station::new(rng));
+                self.stations.push(Station::new(rng, sensing.cell_of(id), sensing.group_of(id)));
             }
         }
         self.stats.stations_active = self.ids.len() as u64;
@@ -548,22 +670,21 @@ impl<'a> Sim<'a> {
         }
         let id = self.ids[i];
         let st = &mut self.stations[i];
-        if !st.has_frame || st.pending_attempt != Some(t) {
+        if !st.has_frame || st.pending_attempt != t {
             // stale wake: the frame was delivered by a §4.1 reap (or
             // rescheduled) while this wake sat in the wheel
             return;
         }
-        st.pending_attempt = None;
+        st.pending_attempt = NO_ATTEMPT;
         if let Discipline::Dcf { policy } = self.cfg.discipline {
             let sensing = &self.cfg.sensing;
-            let cell = sensing.cell_of(id);
-            let base = (cell * sensing.groups_per_cell()) as usize;
+            let base = (st.cell * sensing.groups_per_cell()) as usize;
             let mut release = 0u64;
             let mut sensed = false;
             for g in 0..sensing.groups_per_cell() {
                 let busy = self.busy_until[base + g as usize];
                 if busy > t {
-                    let p = sensing.sense_prob(id, g);
+                    let p = sensing.group_sense_prob(st.group, g);
                     let hit = p >= 1.0 || (p > 0.0 && st.rng.gen_bool(p));
                     if hit {
                         sensed = true;
@@ -593,7 +714,7 @@ impl<'a> Sim<'a> {
         let st = &self.stations[i];
         self.log.emit(TraceEvent::TxStart { slot: t, station: id, stage: st.backoff.stage() });
         self.stats.tx_starts += 1;
-        let cell = self.cfg.sensing.cell_of(id) as usize;
+        let cell = st.cell as usize;
         let end = t + u64::from(self.cfg.packet_slots);
         let comp = &mut self.media[cell];
         if comp.txs.is_empty() {
@@ -613,7 +734,7 @@ impl<'a> Sim<'a> {
         if let Some(bucket) = self.closes.get_mut(close_at as usize) {
             bucket.push(cell as u32);
         }
-        let g = self.cfg.sensing.global_group(id);
+        let g = (st.cell * self.cfg.sensing.groups_per_cell() + st.group) as usize;
         let busy_through = end + u64::from(self.cfg.ack_slots);
         self.busy_until[g] = self.busy_until[g].max(busy_through);
     }
@@ -667,7 +788,7 @@ impl<'a> Sim<'a> {
         if finished {
             st.retries = 0;
             st.has_frame = false;
-            st.pending_attempt = None;
+            st.pending_attempt = NO_ATTEMPT;
             finish_episodes(&mut st.episodes, &mut self.episodes, &mut self.retired);
             let next = match self.cfg.arrivals {
                 ArrivalModel::Saturated => t + 1,
@@ -904,6 +1025,7 @@ mod tests {
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.counters, b.counters);
         assert!(a.stats.offered_frames > 0, "traffic flowed");
+        assert_eq!(a.stats.trace_events(), a.trace.len() as u64);
     }
 
     #[test]
@@ -1179,6 +1301,211 @@ mod tests {
             let mut b = a.clone();
             for _ in 0..64 {
                 proptest::prop_assert_eq!(geometric(&mut a, p), geometric_oracle(&mut b, p));
+            }
+        }
+    }
+
+    /// FNV-1a the plain way: eight byte steps per little-endian word.
+    fn fnv_bytewise(h: u64, v: u64) -> u64 {
+        v.to_le_bytes().into_iter().fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+    }
+
+    /// One event folded into `h` the plain way: its tag, then every field
+    /// widened to a `u64` word, in declaration order.
+    fn emit_bytewise(h: u64, ev: TraceEvent) -> u64 {
+        let words = match ev {
+            TraceEvent::Arrival { slot, station } => vec![1, slot, station.into()],
+            TraceEvent::TxStart { slot, station, stage } => {
+                vec![2, slot, station.into(), stage.into()]
+            }
+            TraceEvent::Defer { slot, station, stage } => {
+                vec![3, slot, station.into(), stage.into()]
+            }
+            TraceEvent::Collision { slot, cell, k, episode, round, lowered } => {
+                vec![4, slot, cell.into(), k.into(), episode, round.into(), lowered.into()]
+            }
+            TraceEvent::Deliver { slot, station, lowered } => {
+                vec![5, slot, station.into(), lowered.into()]
+            }
+            TraceEvent::Drop { slot, station } => vec![6, slot, station.into()],
+        };
+        words.into_iter().fold(h, fnv_bytewise)
+    }
+
+    /// A value of exactly `bits` significant bits (0 for none), the
+    /// rest of them from `raw`.
+    fn widen(raw: u64, bits: u32) -> u64 {
+        (raw | 1 << 63).checked_shr(64 - bits).unwrap_or(0)
+    }
+
+    /// The stations [`Sim::init_arrivals`] must materialise, the plain
+    /// way: every id's generator seeded, its first uniform drawn from it
+    /// and compared with the cutoff as a float. Returns each survivor's
+    /// id, first arrival slot and generator after that draw.
+    fn init_reference(cfg: &CellConfig, p: f64) -> Vec<(u32, u64, StdRng)> {
+        let seed = cfg.seed ^ STATION_TAG;
+        let u_cut = first_arrival_cutoff(p, cfg.slots);
+        (0..cfg.stations)
+            .filter_map(|id| {
+                let mut rng = StdRng::seed_from_u64(mix2(seed, u64::from(id)));
+                let u = rng.next_f64();
+                if u >= u_cut {
+                    return None;
+                }
+                let first = geometric_from(u, p) - 1;
+                (first < cfg.slots).then_some((id, first, rng))
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Every width-folded FNV step equals eight byte steps, for a
+        /// value of every bit length, so every width branch is taken on
+        /// both sides of its bound.
+        #[test]
+        fn folded_fnv_equals_bytewise(h: u64, raw: u64) {
+            for bits in 0..=64 {
+                let v = widen(raw, bits);
+                let want = fnv_bytewise(h, v);
+                proptest::prop_assert_eq!(fnv_word(h, v), want);
+                proptest::prop_assert_eq!(fnv_slot(h, v), want, "slot {v:#x}");
+                if let Ok(v) = u32::try_from(v) {
+                    proptest::prop_assert_eq!(fnv_u32(h, v), want, "u32 {v:#x}");
+                    proptest::prop_assert_eq!(fnv_station(h, v), want, "station {v:#x}");
+                    proptest::prop_assert_eq!(fnv_stage(h, v), want, "stage {v:#x}");
+                }
+                if let Ok(v) = u8::try_from(v) {
+                    proptest::prop_assert_eq!(fnv_byte(h, v), want, "byte {v:#x}");
+                }
+            }
+        }
+
+        /// [`TraceLog::emit`] equals the byte-wise fold of every event's
+        /// words, whatever each field's width.
+        #[test]
+        fn emit_equals_bytewise(
+            h: u64,
+            raw in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            bits in (0u32..65, 0u32..33, 0u32..33, 0u32..33),
+            lowered: bool,
+        ) {
+            let slot = widen(raw.0, bits.0);
+            let station = widen(raw.1, bits.1) as u32;
+            let stage = widen(raw.2, bits.2) as u32;
+            let cell = widen(raw.3, bits.3) as u32;
+            let episode = raw.3;
+            let events = [
+                TraceEvent::Arrival { slot, station },
+                TraceEvent::TxStart { slot, station, stage },
+                TraceEvent::Defer { slot, station, stage },
+                TraceEvent::Collision { slot, cell, k: stage, episode, round: station, lowered },
+                TraceEvent::Deliver { slot, station, lowered },
+                TraceEvent::Drop { slot, station },
+            ];
+            for ev in events {
+                let mut log = TraceLog { hash: h, record: false, events: Vec::new() };
+                log.emit(ev);
+                proptest::prop_assert_eq!(log.hash, emit_bytewise(h, ev), "{:?}", ev);
+            }
+        }
+
+        /// The closed-form first draw is the generator's first output, and
+        /// [`Sim::init_arrivals`] materialises exactly the stations, first
+        /// arrival slots and post-draw streams of [`init_reference`] —
+        /// across loads whose per-station probability reaches 1, where no
+        /// draw is taken at all.
+        #[test]
+        fn closed_form_first_draw_equals_the_seeded_generator(
+            seed: u64,
+            stations in 1u32..3_000,
+            slots in 1u64..3_000,
+            ln_load in 1e-3f64.ln()..4_000f64.ln(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            proptest::prop_assert_eq!(StdRng::first_u64(seed), rng.next_u64());
+
+            let mut cfg = dcf_cfg(stations, slots, seed);
+            cfg.arrivals = ArrivalModel::Poisson { per_slot: ln_load.exp() };
+            let mut sim = Sim::new(&cfg);
+            sim.init_arrivals();
+            let mut first = vec![u64::MAX; sim.ids.len()];
+            let mut wakes = Vec::new();
+            for t in 0..slots {
+                sim.wheel.drain(t, &mut wakes);
+                for wake in &wakes {
+                    if let Wake::Arrival(i) = *wake {
+                        first[i as usize] = t;
+                    }
+                }
+            }
+            let got: Vec<(u32, u64, Vec<u64>)> = sim
+                .ids
+                .iter()
+                .zip(&sim.stations)
+                .zip(first)
+                .map(|((&id, st), first)| {
+                    let mut rng = st.rng.clone();
+                    (id, first, (0..4).map(|_| rng.next_u64()).collect())
+                })
+                .collect();
+            let want: Vec<(u32, u64, Vec<u64>)> = if sim.arrival_p < 1.0 {
+                init_reference(&cfg, sim.arrival_p)
+                    .into_iter()
+                    .map(|(id, first, mut rng)| {
+                        (id, first, (0..4).map(|_| rng.next_u64()).collect())
+                    })
+                    .collect()
+            } else {
+                (0..stations)
+                    .map(|id| {
+                        let key = mix2(seed ^ STATION_TAG, u64::from(id));
+                        let mut rng = StdRng::seed_from_u64(key);
+                        (id, 0, (0..4).map(|_| rng.next_u64()).collect())
+                    })
+                    .collect()
+            };
+            proptest::prop_assert_eq!(got, want);
+        }
+
+        /// The integer cutoff test equals the float one, at the cutoff's
+        /// own 53-bit neighbours and at a random draw.
+        #[test]
+        fn integer_cutoff_equals_the_float_comparison(u_cut in 1e-16f64..1.01, x: u64) {
+            let bits_cut = cutoff_bits(u_cut);
+            let near = (bits_cut.min(1 << 53) << 11) | (x & 0x7ff);
+            for x in [x, near, near.wrapping_sub(1 << 11), near.wrapping_add(1 << 11)] {
+                proptest::prop_assert_eq!(x >> 11 >= bits_cut, hash_fraction(x) >= u_cut);
+            }
+        }
+
+        /// Every contention window spans a power of two, where
+        /// `gen_range` masks instead of taking the remainder: the same
+        /// value as the modulo formula, for the backoff draw and for any
+        /// power-of-two span and offset.
+        #[test]
+        fn power_of_two_draws_equal_the_modulo_formula(
+            seed: u64,
+            k in 0u32..64,
+            lo in 0u64..1 << 20,
+            stage in 0u32..12,
+        ) {
+            let span = 1u64 << k;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut raw = rng.clone();
+            for _ in 0..8 {
+                let want = lo + raw.next_u64() % span;
+                proptest::prop_assert_eq!(rng.gen_range(lo..lo + span), want);
+            }
+            let mac = MacParams::default();
+            let mut backoff = BackoffState::new();
+            for _ in 0..stage {
+                backoff.on_collision();
+            }
+            let window = u64::from(backoff.window(Backoff::Exponential, &mac)) + 1;
+            proptest::prop_assert!(window.is_power_of_two(), "window {window}");
+            for _ in 0..8 {
+                let d = backoff.draw(Backoff::Exponential, &mac, &mut rng);
+                proptest::prop_assert_eq!(u64::from(d), raw.next_u64() % window);
             }
         }
     }

@@ -137,6 +137,36 @@ fn golden_saturated_dcf() {
     assert_golden(&out, 0x68b4_9335_f7ef_bf9d, stats, 0x18fe_6163_0535_cb38);
 }
 
+/// The benchmark's own cell shape — a million ids over eight two-group
+/// hidden cells at 0.8 frames per slot — shortened to 1 000 slots.
+/// Unlike the 20 k-id goldens above, over 99.9% of ids here fall past
+/// the first-arrival cutoff, so this pins the skip path at the scale it
+/// runs at. Recorded at commit a49cce2, before the folded trace hash,
+/// the stored sensing coordinates and the closed-form first draw.
+#[test]
+fn golden_benchmark_cell_config() {
+    let preset = CellPreset::DcfHidden { cells: 8, groups_per_cell: 2 };
+    let out = run_cell(&preset.config(1_000_000, 1_000, 0.8, 1), &mut preset.model(1));
+    let stats = CellStats {
+        stations_active: 793,
+        offered_frames: 793,
+        delivered_frames: 70,
+        dropped_frames: 0,
+        singles: 19,
+        collision_rounds: 240,
+        recovery_rounds: 2,
+        recovered_frames: 2,
+        lowered_rounds: 0,
+        lowered_deliveries: 0,
+        lowered_retries: 0,
+        defers: 7_381,
+        tx_starts: 1_022,
+        max_k: 51,
+        in_flight_at_end: 723,
+    };
+    assert_golden(&out, 0x9745_babd_e07a_da4a, stats, 0x3965_ffa1_fa21_1f10);
+}
+
 #[test]
 fn hidden_terminals_collide_and_zigzag_outdelivers_plain() {
     let cfg = dcf_cfg(600, 6_000, 9);

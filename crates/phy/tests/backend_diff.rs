@@ -156,12 +156,23 @@ proptest! {
     }
 }
 
-/// Asserts the match-metric agreement bar: metrics within `tol`, and the
-/// argmax τ within one sweep step of each other (ties between adjacent τ
-/// candidates are the only sanctioned divergence — both backends sweep
-/// ascending and break exact ties toward the earlier τ, but a ≤1e-9
-/// metric difference may flip a near-tie to a neighbouring step).
-fn assert_match_close(a: MatchScore, b: MatchScore, tau_step: f64, tol: f64, what: &str) {
+/// Asserts the match-metric agreement bar: metrics within `tol`, and
+/// the argmax τ within one sweep step of each other, or else a tie.
+/// Both backends sweep ascending and break exact ties toward the earlier
+/// τ, but a ≤1e-9 metric difference may flip a near-tie to another step.
+/// Usually that is a neighbour; on a flat sweep (a one-sample overlap
+/// scores 1 at every τ) it can be any step. So a farther τ passes only
+/// if each path's metric at the other path's τ is within `tol` of its
+/// own maximum: `at_a(τ)` and `at_b(τ)` are the two paths' metrics at
+/// one τ.
+fn assert_match_close(
+    a: MatchScore,
+    b: MatchScore,
+    tau_step: f64,
+    tol: f64,
+    what: &str,
+    (at_a, at_b): (&dyn Fn(f64) -> f64, &dyn Fn(f64) -> f64),
+) {
     assert!(
         (a.metric - b.metric).abs() < tol,
         "{what}: metric {} vs {} (err {})",
@@ -169,12 +180,77 @@ fn assert_match_close(a: MatchScore, b: MatchScore, tau_step: f64, tol: f64, wha
         b.metric,
         (a.metric - b.metric).abs()
     );
+    if (a.tau - b.tau).abs() < tau_step + 1e-9 {
+        return;
+    }
+    let (a_there, b_there) = (at_a(b.tau), at_b(a.tau));
     assert!(
-        (a.tau - b.tau).abs() < tau_step + 1e-9,
-        "{what}: argmax τ {} vs {} further than one step ({tau_step})",
+        a_there > a.metric - tol && b_there > b.metric - tol,
+        "{what}: argmax τ {} vs {} further than one step ({tau_step}) and not a tie: \
+         metric {a_there} at τ {} against a maximum {}, {b_there} at τ {} against {}",
         a.tau,
-        b.tau
+        b.tau,
+        b.tau,
+        a.metric,
+        a.tau,
+        b.metric
     );
+}
+
+/// The match metric of `a` against the samples `b`, from its definition.
+fn metric_of(a: &[Complex], b: impl Iterator<Item = Complex>) -> f64 {
+    let (mut acc, mut ea, mut eb) = (Complex::default(), 0.0, 0.0);
+    for (x, y) in a.iter().zip(b) {
+        acc += *x * y.conj();
+        ea += x.norm_sq();
+        eb += y.norm_sq();
+    }
+    if ea > 0.0 && eb > 0.0 {
+        acc.abs() / (ea * eb).sqrt()
+    } else {
+        0.0
+    }
+}
+
+/// The overlap `match_score` scores: `window` clamped to both tails.
+fn overlap(a: &[Complex], start_a: usize, b_len: usize, start_b: usize, window: usize) -> usize {
+    window.min(a.len().saturating_sub(start_a)).min(b_len.saturating_sub(start_b))
+}
+
+/// The raw path's metric at one τ: `b` interpolated from the buffer.
+fn raw_metric_at(
+    a: &[Complex],
+    start_a: usize,
+    b: &[Complex],
+    start_b: usize,
+    window: usize,
+    tau: f64,
+) -> f64 {
+    let n = overlap(a, start_a, b.len(), start_b, window);
+    if n == 0 {
+        return 0.0;
+    }
+    let b_at = |k: usize| zigzag_phy::interp::interp_at(b, start_b as f64 + k as f64 + tau);
+    metric_of(&a[start_a..start_a + n], (0..n).map(b_at))
+}
+
+/// The footprint path's metric at one τ: `b` read from the lane at τ's
+/// fraction.
+fn fp_metric_at(
+    a: &[Complex],
+    start_a: usize,
+    fp: &CorrFootprint,
+    start_b: usize,
+    window: usize,
+    tau: f64,
+) -> f64 {
+    let n = overlap(a, start_a, fp.source_len(), start_b, window);
+    if n == 0 {
+        return 0.0;
+    }
+    let lane = fp.lane(tau - tau.floor()).expect("the footprint covers the sweep");
+    let base = (start_b as isize + tau.floor() as isize + 1) as usize;
+    metric_of(&a[start_a..start_a + n], lane.samples()[base..base + n].iter().copied())
 }
 
 proptest! {
@@ -198,7 +274,8 @@ proptest! {
         let ms = scalar.match_score(&a, start_a, &b, start_b, window, tau_step, None);
         let mut fast = Kernel::new(BackendKind::Simd);
         let mf = fast.match_score(&a, start_a, &b, start_b, window, tau_step, None);
-        assert_match_close(ms, mf, tau_step, 1e-9, "simd");
+        let at = |tau| raw_metric_at(&a, start_a, &b, start_b, window, tau);
+        assert_match_close(ms, mf, tau_step, 1e-9, "simd", (&at, &at));
     }
 
     /// The bail contract: when the exact metric clears the bail bar the
@@ -220,7 +297,8 @@ proptest! {
         let mut fast = Kernel::new(BackendKind::Simd);
         let bailed = fast.match_score(&a, 0, &b, start_b, window, 0.25, Some(bail));
         if exact.metric >= bail {
-            assert_match_close(exact, bailed, 0.25, 1e-9, "simd");
+            let at = |tau| raw_metric_at(&a, 0, &b, start_b, window, tau);
+            assert_match_close(exact, bailed, 0.25, 1e-9, "simd", (&at, &at));
         } else {
             prop_assert!(
                 bailed.metric < bail + 1e-9,
@@ -255,7 +333,9 @@ proptest! {
             let mut kernel = Kernel::new(kind);
             let raw = kernel.match_score(&a, start_a, &b, start_b, window, tau_step, None);
             let cached = kernel.match_score_fp(&a, start_a, &fp, start_b, window, tau_step, None);
-            assert_match_close(raw, cached, tau_step, 1e-9, kind.name());
+            let raw_at = |tau| raw_metric_at(&a, start_a, &b, start_b, window, tau);
+            let fp_at = |tau| fp_metric_at(&a, start_a, &fp, start_b, window, tau);
+            assert_match_close(raw, cached, tau_step, 1e-9, kind.name(), (&raw_at, &fp_at));
         }
     }
 }
@@ -289,8 +369,10 @@ fn match_score_edge_cases() {
     let mut fast = Kernel::new(BackendKind::Simd);
     let mo = fast.match_score(&a, 10, &b, 3, 10_000, 0.25, None);
     let mf = fast.match_score_fp(&a, 10, &fp, 3, 10_000, 0.25, None);
-    assert_match_close(ms, mo, 0.25, 1e-9, "clamped window");
-    assert_match_close(ms, mf, 0.25, 1e-9, "clamped window fp");
+    let raw_at = |tau| raw_metric_at(&a, 10, &b, 3, 10_000, tau);
+    let fp_at = |tau| fp_metric_at(&a, 10, &fp, 3, 10_000, tau);
+    assert_match_close(ms, mo, 0.25, 1e-9, "clamped window", (&raw_at, &raw_at));
+    assert_match_close(ms, mf, 0.25, 1e-9, "clamped window fp", (&raw_at, &fp_at));
 }
 
 #[test]
