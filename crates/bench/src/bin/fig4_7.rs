@@ -10,7 +10,8 @@ use rand::prelude::*;
 use zigzag_bench::{section, trials};
 use zigzag_core::engine::{unit_seed, BatchEngine};
 use zigzag_core::schedule::{decodable, CollisionLayout, Placement};
-use zigzag_mac::{multi_episode, Backoff, MacParams};
+use zigzag_mac::backoff::episode_offsets;
+use zigzag_mac::{Backoff, MacParams};
 
 /// Packet length in slots (1500 B at 500 kb/s ≈ 24 ms ≈ 1212 slots; a
 /// shorter abstract length keeps the Monte Carlo fast without changing
@@ -39,7 +40,7 @@ fn failure_probability(
             let mut rng = StdRng::seed_from_u64(unit_seed(seed, ci));
             let mut fails = 0usize;
             for _ in lo..hi {
-                let rounds = multi_episode(n, n, policy, &params, &mut rng);
+                let rounds = episode_offsets(n, n, policy, &params, &mut rng);
                 let collisions: Vec<CollisionLayout> = rounds
                     .iter()
                     .map(|offs| CollisionLayout {

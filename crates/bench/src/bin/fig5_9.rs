@@ -14,7 +14,8 @@ use zigzag_core::config::DecoderConfig;
 use zigzag_core::engine::{unit_seed, BatchEngine, Scratch};
 use zigzag_core::schedule::PlanOutcome;
 use zigzag_core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
-use zigzag_mac::{multi_episode, Backoff, MacParams};
+use zigzag_mac::backoff::episode_offsets;
+use zigzag_mac::{Backoff, MacParams};
 use zigzag_phy::bits::bit_error_rate;
 use zigzag_testbed::Samples;
 
@@ -45,7 +46,7 @@ fn main() {
         // are decodable in the abstract (the AP would wait for more
         // retransmissions otherwise)
         let rounds = loop {
-            let r = multi_episode(3, 3, Backoff::Exponential, &params, &mut rng);
+            let r = episode_offsets(3, 3, Backoff::Exponential, &params, &mut rng);
             let lens = vec![payload * 8 + 112; 3];
             let layouts: Vec<zigzag_core::schedule::CollisionLayout> = r
                 .iter()

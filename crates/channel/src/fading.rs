@@ -71,13 +71,6 @@ impl ChannelParams {
         Self { gain: Complex::real(amplitude_for_snr_db(snr_db)), ..Self::ideal() }
     }
 
-    /// Sets the gain for an SNR (keeping the current phase).
-    pub fn with_snr_db(mut self, snr_db: f64) -> Self {
-        let phase = self.gain.arg();
-        self.gain = Complex::from_polar(amplitude_for_snr_db(snr_db), phase);
-        self
-    }
-
     /// The SNR this channel produces against unit-variance noise, in dB.
     pub fn snr_db(&self) -> f64 {
         20.0 * self.gain.abs().log10()

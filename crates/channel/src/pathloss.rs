@@ -36,12 +36,6 @@ impl PathLossModel {
         mean + self.shadowing_sigma_db * self.shadow_normal(a.min(b), a.max(b))
     }
 
-    /// Free-space-style mean (no shadowing), for tests.
-    pub fn mean_snr_db(&self, pa: (f64, f64), pb: (f64, f64)) -> f64 {
-        let d = ((pa.0 - pb.0).powi(2) + (pa.1 - pb.1).powi(2)).sqrt().max(0.1);
-        self.ref_snr_db - 10.0 * self.exponent * d.log10()
-    }
-
     /// Deterministic standard-normal draw for an (unordered) link.
     fn shadow_normal(&self, lo: usize, hi: usize) -> f64 {
         // splitmix64 over (seed, lo, hi), then Irwin–Hall (12 uniforms).

@@ -7,7 +7,7 @@
 //! a slice of units across a scoped thread pool and returns outputs in
 //! input order. Stateful work — a receiver shard fed many client sets, or
 //! one receiver per cell episode — goes through the keyed map
-//! (`BatchEngine::map_keyed`): each item names the state it runs
+//! ([`BatchEngine::map_keyed`]): each item names the state it runs
 //! against, one state's items run in input order on one worker, and
 //! distinct states run in parallel.
 //!
@@ -120,13 +120,7 @@ impl BatchEngine {
     /// Each state sees exactly the subsequence of items a serial loop
     /// would feed it, so outputs are identical for any thread count. A
     /// panic in `f` propagates to the caller once the other workers finish.
-    pub(crate) fn map_keyed<S, T, O, K, F>(
-        &self,
-        states: &mut [S],
-        items: Vec<T>,
-        key: K,
-        f: F,
-    ) -> Vec<O>
+    pub fn map_keyed<S, T, O, K, F>(&self, states: &mut [S], items: Vec<T>, key: K, f: F) -> Vec<O>
     where
         S: Send,
         T: Send,

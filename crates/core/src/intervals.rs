@@ -20,13 +20,6 @@ impl IntervalSet {
         Self::default()
     }
 
-    /// A set holding one range.
-    pub fn from_range(r: Range<usize>) -> Self {
-        let mut s = Self::new();
-        s.insert(r);
-        s
-    }
-
     /// Inserts a range, merging with any overlapping or adjacent ranges.
     /// In place: two binary searches find the ranges `r` touches, which
     /// collapse into one.

@@ -35,14 +35,14 @@
 //! The steps above execute as a trait-based stage pipeline inside
 //! [`engine`], which also provides the [`BatchEngine`] (deterministic
 //! multi-threaded fan-out over independent work units, and the keyed map
-//! that sharded batches and cell episodes decode through) and the
+//! [`BatchEngine::map_keyed`] that sharded batches and the cell
+//! simulator's lowered episodes decode through) and the
 //! [`Scratch`] arena the hot loops draw their buffers from.
 //!
 //! Supporting modules: [`view`] (per-packet-per-collision channel model —
 //!  estimation, chunk decode, image synthesis, tracking), [`config`]
 //! (receiver knobs + association registry), [`intervals`] (decoded-range
-//! bookkeeping), [`service`] (the per-episode decode service a MAC-level
-//! cell simulator lowers genuine collisions into), and [`stream`] — the
+//! bookkeeping), and [`stream`] — the
 //! streaming flowgraph front end that carves collision regions out of a
 //! continuous IQ stream and feeds them to the sharded receiver with
 //! end-to-end backpressure.
@@ -59,7 +59,6 @@ pub mod matchset;
 pub mod receiver;
 pub mod recovery;
 pub mod schedule;
-pub mod service;
 mod sic;
 pub mod standard;
 pub mod stream;
@@ -74,7 +73,6 @@ pub use engine::{unit_seed, BatchEngine, Pipeline, ReceiverCore, Scratch, Sharde
 pub use matchset::{CollisionStore, MatchOutcome, MatchSet, RejectedSet, StoredCollision};
 pub use receiver::ReceiverEvent;
 pub use recovery::{RecoveredPacket, RecoveryGroup, SalvagePool};
-pub use service::{CollisionService, EpisodeRound};
 pub use stream::{
     carve_buffer, CarvedRegion, RegionOutcome, SampleRing, Segmenter, StreamOutcome, StreamSource,
     StreamStats,

@@ -77,11 +77,6 @@ impl Segmenter {
         }
     }
 
-    /// Total samples ingested so far.
-    pub fn samples_in(&self) -> usize {
-        self.ring.end()
-    }
-
     /// Regions emitted so far.
     pub fn regions(&self) -> usize {
         self.carver.regions()

@@ -533,19 +533,15 @@ impl ChannelView {
                 if dir == Direction::Forward { Box::new(bs..be) } else { Box::new((bs..be).rev()) };
             for n in sym_iter {
                 let y = eq[idx_of(n)] * Complex::cis(-fine_phase) / self.gain;
-                let (dec_point, is_known) = match layout.known_symbol(n) {
-                    Some(k) => (k, true),
-                    None => {
-                        let m = layout.modulation_at(n);
-                        (m.decide(y).1, false)
-                    }
+                let dec_point = match layout.known_symbol(n) {
+                    Some(k) => k,
+                    None => layout.modulation_at(n).decide(y).1,
                 };
                 soft[n - range.start] = y;
                 decided[n - range.start] = dec_point;
                 // decision-directed PLL (data-aided on known symbols)
                 let err =
                     if dec_point.norm_sq() > 0.0 { (y * dec_point.conj()).arg() } else { 0.0 };
-                let _ = is_known;
                 // `fine_freq` is the residual phase velocity per *processing
                 // step* (negated model-frequency error when running
                 // backward); the advance is therefore direction-agnostic,

@@ -52,9 +52,8 @@ impl Backoff {
 ///   ([`BackoffState::on_defer`]). Deferring is the protocol working,
 ///   not evidence of congestion.
 ///
-/// The seed-era `pair_episode` conflated the round index with the stage;
-/// this type makes the distinction explicit and is what both the episode
-/// generator and the [`crate::cell`] simulator consume.
+/// This type keeps the stage apart from the round index; the
+/// [`crate::cell`] simulator keeps one per station.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BackoffState {
     stage: u32,
@@ -127,8 +126,9 @@ pub fn collision_offsets<R: Rng + ?Sized>(
 
 /// Generates the full offset pattern of a hidden-terminal episode: `n`
 /// senders, `rounds` successive collisions (each retransmission draws a
-/// fresh jitter). Returns `rounds` vectors of per-sender offsets in
-/// slots.
+/// fresh jitter; none can sense the others). Returns `rounds` vectors of
+/// per-sender offsets in slots — the input to the Fig 4-7 decodability
+/// test and the §5.7 three-sender experiments.
 pub fn episode_offsets<R: Rng + ?Sized>(
     n: usize,
     rounds: usize,

@@ -8,10 +8,8 @@
 //! * [`params`] — 802.11g timing (slot/SIFS/DIFS/ACK, CWmin/max,
 //!   Appendix A's numbers).
 //! * [`backoff`] — random jitter draws, fixed and exponential windows,
-//!   and collision offset patterns (the Fig 4-7 workload).
-//! * [`sim`] — behavioural CSMA episodes: which transmissions collide,
-//!   with what offsets, under perfect/partial/no sensing (the §5.2
-//!   trace-replay methodology).
+//!   the per-frame DCF stage machine, and hidden-terminal collision
+//!   offset patterns (the Fig 4-7 and Fig 5-9 workloads).
 //! * [`ack`] — Lemma 4.4.1 (synchronous-ACK feasibility ≥ 93.75%) and the
 //!   Fig 4-5 ack schedule.
 //! * [`cell`] — the cell-scale discrete-event co-simulator: millions of
@@ -26,9 +24,7 @@ pub mod ack;
 pub mod backoff;
 pub mod cell;
 pub mod params;
-pub mod sim;
 
 pub use ack::{schedule_acks, sync_ack_probability_bound, sync_ack_probability_mc, AckSchedule};
 pub use backoff::{Backoff, BackoffState};
 pub use params::MacParams;
-pub use sim::{multi_episode, pair_episode, PairEpisode, Round};

@@ -1,14 +1,13 @@
 //! Integration tests for the 802.11 DCF building blocks: backoff stage
 //! arithmetic, the Lemma 4.4.1 ACK schedule, slot/symbol conversions,
-//! and property tests over the episode generator.
+//! and a property test over the collision offset draws.
 
 use proptest::proptest;
 use rand::prelude::*;
 use zigzag_mac::backoff::collision_offsets;
-use zigzag_mac::sim::Round;
 use zigzag_mac::{
-    pair_episode, schedule_acks, sync_ack_probability_bound, sync_ack_probability_mc, Backoff,
-    BackoffState, MacParams,
+    schedule_acks, sync_ack_probability_bound, sync_ack_probability_mc, Backoff, BackoffState,
+    MacParams,
 };
 
 #[test]
@@ -100,46 +99,5 @@ proptest! {
         assert_eq!(offs.iter().copied().min(), Some(0), "earliest sender is the time origin");
         let w = p.cw_after(round);
         assert!(offs.iter().all(|&o| o <= w), "offsets stay inside the window");
-    }
-
-    /// Perfect carrier sense resolves every episode by deferral — no
-    /// collision ever happens; absent sensing never defers.
-    #[test]
-    fn sensing_extremes_bound_the_episode(seed in 0u64..1_000) {
-        let p = MacParams::default();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ep = pair_episode(1.0, &p, &mut rng);
-        assert!(ep.resolved_by_csma(), "p_sense = 1 must resolve via CSMA");
-        assert!(ep.collision_offsets().is_empty(), "p_sense = 1 never collides");
-
-        let ep = pair_episode(0.0, &p, &mut rng);
-        assert!(
-            ep.rounds.iter().all(|r| matches!(r, Round::Collided { .. })),
-            "p_sense = 0 never defers"
-        );
-        assert!(!ep.resolved_by_csma());
-    }
-
-    /// The recorded stage of each round equals the number of collisions
-    /// before it: deferrals neither advance nor reset the window.
-    #[test]
-    fn stages_count_collisions_not_rounds(
-        p_sense in 0.05f64..0.95,
-        seed in 0u64..1_000,
-    ) {
-        let p = MacParams::default();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ep = pair_episode(p_sense, &p, &mut rng);
-        assert_eq!(ep.stages.len(), ep.rounds.len());
-        let mut collisions = 0u32;
-        for (round, &stage) in ep.rounds.iter().zip(&ep.stages) {
-            assert_eq!(
-                stage, collisions,
-                "stage must equal the collisions suffered so far"
-            );
-            if matches!(round, Round::Collided { .. }) {
-                collisions += 1;
-            }
-        }
     }
 }

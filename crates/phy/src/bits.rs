@@ -62,16 +62,6 @@ pub fn write_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Reads a little-endian `u32` from four bytes.
-pub fn read_u32(bytes: &[u8]) -> u32 {
-    u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
-}
-
-/// Writes a little-endian `u32` into a buffer.
-pub fn write_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,11 +108,10 @@ mod tests {
     }
 
     #[test]
-    fn u16_u32_roundtrip() {
+    fn u16_roundtrip() {
         let mut buf = Vec::new();
         write_u16(&mut buf, 0xBEEF);
-        write_u32(&mut buf, 0xDEAD_CAFE);
-        assert_eq!(read_u16(&buf[0..2]), 0xBEEF);
-        assert_eq!(read_u32(&buf[2..6]), 0xDEAD_CAFE);
+        assert_eq!(buf, [0xEF, 0xBE]);
+        assert_eq!(read_u16(&buf), 0xBEEF);
     }
 }

@@ -21,9 +21,6 @@ use crate::complex::{Complex, ZERO};
 use crate::filter::Fir;
 use crate::linalg::lstsq;
 
-/// Default number of channel taps the receiver fits (two precursor, main,
-/// two postcursor).
-pub const DEFAULT_CHANNEL_TAPS: usize = 5;
 /// Default equalizer length.
 pub const DEFAULT_EQUALIZER_TAPS: usize = 11;
 
@@ -92,42 +89,6 @@ pub fn design_inverse(channel: &Fir, inv_len: usize) -> Option<Fir> {
     }
     let g = lstsq(&rows, &obs, 1e-9)?;
     Some(Fir::new(g, g_delay))
-}
-
-/// A matched channel/equalizer pair as estimated from a training sequence.
-#[derive(Clone, Debug)]
-pub struct Equalizer {
-    /// The estimated channel FIR (the "inverse filter" used by the
-    /// re-encoder, §4.2.4d).
-    pub channel: Fir,
-    /// The zero-forcing equalizer (applied by the standard decoder before
-    /// slicing).
-    pub inverse: Fir,
-}
-
-impl Equalizer {
-    /// Pass-through pair (no ISI model).
-    pub fn identity() -> Self {
-        Self { channel: Fir::identity(), inverse: Fir::identity() }
-    }
-
-    /// Estimates the channel from `rx` vs the `known` training sequence and
-    /// designs the matching inverse.
-    pub fn train(
-        rx: &[Complex],
-        known: &[Complex],
-        n_channel_taps: usize,
-        n_inverse_taps: usize,
-    ) -> Option<Self> {
-        let channel = estimate_channel_taps(rx, known, n_channel_taps, n_channel_taps / 2)?;
-        let inverse = design_inverse(&channel, n_inverse_taps)?;
-        Some(Self { channel, inverse })
-    }
-
-    /// Trains with the default tap counts.
-    pub fn train_default(rx: &[Complex], known: &[Complex]) -> Option<Self> {
-        Self::train(rx, known, DEFAULT_CHANNEL_TAPS, DEFAULT_EQUALIZER_TAPS)
-    }
 }
 
 #[cfg(test)]
@@ -205,10 +166,11 @@ mod tests {
             1,
         );
         let rx = ch.apply(p.symbols());
-        let eq = Equalizer::train_default(&rx, p.symbols()).unwrap();
+        let channel = estimate_channel_taps(&rx, p.symbols(), 5, 2).unwrap();
+        let inverse = design_inverse(&channel, DEFAULT_EQUALIZER_TAPS).unwrap();
         // equalization is `inverse.apply`; the engine's hot path uses the
         // in-place `apply_into`, asserted equal below
-        let recovered = eq.inverse.apply(&rx);
+        let recovered = inverse.apply(&rx);
         #[allow(clippy::needless_range_loop)]
         for k in 8..56 {
             assert!(
@@ -219,7 +181,7 @@ mod tests {
         }
         // the in-place variant must agree exactly
         let mut out = Vec::new();
-        eq.inverse.apply_into(&rx, &mut out);
+        inverse.apply_into(&rx, &mut out);
         assert_eq!(out, recovered);
     }
 
@@ -233,8 +195,8 @@ mod tests {
             1,
         );
         let rx = ch.apply(p.symbols());
-        let eq = Equalizer::train_default(&rx, p.symbols()).unwrap();
-        let reencoded = eq.channel.apply(p.symbols());
+        let channel = estimate_channel_taps(&rx, p.symbols(), 5, 2).unwrap();
+        let reencoded = channel.apply(p.symbols());
         for k in 4..60 {
             assert!((reencoded[k] - rx[k]).abs() < 1e-6);
         }

@@ -107,19 +107,6 @@ impl Fir {
         self.tap_sum(x, n)
     }
 
-    /// Convolves this filter with another, composing their effects
-    /// (`(self ∘ other).apply(x) ≈ self.apply(&other.apply(x))`).
-    pub fn compose(&self, other: &Fir) -> Fir {
-        let n = self.taps.len() + other.taps.len() - 1;
-        let mut taps = vec![ZERO; n];
-        for (i, &a) in self.taps.iter().enumerate() {
-            for (j, &b) in other.taps.iter().enumerate() {
-                taps[i + j] += a * b;
-            }
-        }
-        Fir::new(taps, self.delay + other.delay)
-    }
-
     /// Energy of the taps, `Σ|h_l|²`.
     pub fn energy(&self) -> f64 {
         self.taps.iter().map(|t| t.norm_sq()).sum()
@@ -178,19 +165,6 @@ mod tests {
         #[allow(clippy::needless_range_loop)]
         for n in 0..32 {
             assert!((f.apply_at(&x, n) - y[n]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn compose_equals_sequential_application() {
-        let a = Fir::from_real(&[0.1, 1.0, 0.2], 1);
-        let b = Fir::from_real(&[0.9, -0.3], 0);
-        let x = sig(64);
-        let seq = a.apply(&b.apply(&x));
-        let comp = a.compose(&b).apply(&x);
-        // identical away from edges (edge handling differs by zero-padding)
-        for k in 4..60 {
-            assert!((seq[k] - comp[k]).abs() < 1e-9, "k={k}");
         }
     }
 

@@ -24,8 +24,8 @@
 //!   hot-loop primitives (correlate/fir/interp/mrc/match metric).
 //! * [`filter`] / [`equalize`] / [`linalg`] — ISI channels, least-squares
 //!   channel estimation and zero-forcing equalizers (§3.1.3, §4.2.4d).
-//! * [`sync`] — frequency estimation, decision-directed phase tracking and
-//!   Mueller–Müller timing recovery (§3.1.1–3.1.2, §4.2.4b–c).
+//! * [`sync`] — data-aided frequency-offset estimation (§3.1.1, §4.2.1);
+//!   the phase and timing loops live in `zigzag-core`'s chunk decoder.
 //! * [`mrc`] — maximal-ratio combining (§4.3b, Fig 4-1d).
 //! * [`coding`] — 802.11 convolutional code + Viterbi (the §6a extension).
 //!

@@ -37,14 +37,6 @@ impl Scrambler {
         fb
     }
 
-    /// Scrambles (or descrambles — the operation is an involution) a bit
-    /// slice in place.
-    pub fn apply_bits(&mut self, bits: &mut [u8]) {
-        for b in bits {
-            *b ^= self.next_bit();
-        }
-    }
-
     /// Scrambles (or descrambles) a byte slice in place, LSB-first.
     pub fn apply_bytes(&mut self, bytes: &mut [u8]) {
         for byte in bytes {
@@ -124,8 +116,9 @@ mod tests {
         let mut by = bytes.clone();
         Scrambler::new(0x2B).apply_bytes(&mut by);
 
-        let mut bits = crate::bits::bytes_to_bits(&bytes);
-        Scrambler::new(0x2B).apply_bits(&mut bits);
+        let mut s = Scrambler::new(0x2B);
+        let bits: Vec<u8> =
+            crate::bits::bytes_to_bits(&bytes).iter().map(|b| b ^ s.next_bit()).collect();
         assert_eq!(crate::bits::bits_to_bytes(&bits), by);
     }
 }

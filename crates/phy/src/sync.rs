@@ -1,21 +1,12 @@
-//! Synchronisation: frequency-offset estimation, phase tracking, timing
-//! recovery.
+//! Synchronisation: data-aided frequency-offset estimation.
 //!
 //! §3.1.1: "there is always a small frequency difference δf between
 //! transmitter and receiver … the receiver estimates δf and compensates for
-//! it. … Any typical decoder tracks the signal phase and corrects for the
-//! residual errors in the frequency offset." §3.1.2: "decoders have
-//! algorithms to estimate µ and track it over the duration of a packet",
-//! and footnote 2 of §4.2.4 names the Mueller-and-Müller algorithm.
-//!
-//! This module provides those three standard blocks:
-//! * [`estimate_freq`] — data-aided frequency estimate from a known
-//!   sequence (the preamble), used for the coarse per-client estimates the
-//!   AP keeps "at the time of association" (§4.2.1);
-//! * [`PhaseTracker`] — a second-order decision-directed PLL that absorbs
-//!   residual frequency error while decoding;
-//! * [`TimingTracker`] — a Mueller–Müller timing-error-detector loop that
-//!   tracks the fractional sampling offset µ and its drift.
+//! it." [`estimate_freq`] is that estimate, from a known sequence (the
+//! preamble); the AP keeps one per client "at the time of association"
+//! (§4.2.1). The decoder's phase-locked loop and Mueller–Müller timing
+//! loop (§3.1.2, footnote 2 of §4.2.4) run inside `zigzag-core`'s chunk
+//! decoder, which tracks per block.
 
 use crate::complex::{Complex, ZERO};
 
@@ -69,165 +60,9 @@ pub fn estimate_freq(rx: &[Complex], known: &[Complex]) -> f64 {
     }
 }
 
-/// Data-aided channel estimate `Ĥ` given the frequency offset `omega`
-/// (radians/sample): `Ĥ = Σ_k rx[k]·conj(known[k])·e^{−jωk} / Σ|known[k]|²`
-/// — §4.2.4(a)'s "correlation trick" normalised by the preamble energy.
-pub fn estimate_channel(rx: &[Complex], known: &[Complex], omega: f64) -> Complex {
-    let n = rx.len().min(known.len());
-    let mut num = ZERO;
-    let mut den = 0.0;
-    for k in 0..n {
-        num += rx[k] * known[k].conj() * Complex::cis(-omega * k as f64);
-        den += known[k].norm_sq();
-    }
-    if den == 0.0 {
-        ZERO
-    } else {
-        num / den
-    }
-}
-
-/// Second-order decision-directed phase-locked loop.
-///
-/// Tracks a phase ramp `θ[n] = θ₀ + ω·n` whose slope ω (the residual
-/// frequency offset) may itself be slightly wrong; the proportional path
-/// absorbs phase noise, the integral path re-estimates ω. This is the
-/// "phase tracking" whose absence Table 5.1 shows to be fatal for 1500-byte
-/// packets.
-#[derive(Clone, Debug)]
-pub struct PhaseTracker {
-    phase: f64,
-    freq: f64,
-    kp: f64,
-    ki: f64,
-}
-
-/// Default proportional gain of the decoder PLL.
-pub const DEFAULT_PLL_KP: f64 = 0.08;
-/// Default integral gain of the decoder PLL.
-pub const DEFAULT_PLL_KI: f64 = 0.002;
-
-impl PhaseTracker {
-    /// Creates a tracker from an initial phase, an initial frequency
-    /// (radians/sample) and loop gains.
-    pub fn new(phase: f64, freq: f64, kp: f64, ki: f64) -> Self {
-        Self { phase, freq, kp, ki }
-    }
-
-    /// Creates a tracker with the default loop gains.
-    pub fn with_defaults(phase: f64, freq: f64) -> Self {
-        Self::new(phase, freq, DEFAULT_PLL_KP, DEFAULT_PLL_KI)
-    }
-
-    /// Current phase estimate (radians).
-    pub fn phase(&self) -> f64 {
-        self.phase
-    }
-
-    /// Current frequency estimate (radians/sample).
-    pub fn freq(&self) -> f64 {
-        self.freq
-    }
-
-    /// De-rotates a received sample by the current phase estimate.
-    pub fn correct(&self, y: Complex) -> Complex {
-        y.rotate(-self.phase)
-    }
-
-    /// Feeds back the phase error of the current symbol
-    /// (`err = ∠(y_corrected · conj(decision))`) and advances one symbol.
-    pub fn update(&mut self, err: f64) {
-        self.freq += self.ki * err;
-        self.phase += self.kp * err + self.freq;
-    }
-
-    /// Advances one symbol without feedback (e.g. over symbols another
-    /// sender owns).
-    pub fn advance(&mut self) {
-        self.phase += self.freq;
-    }
-
-    /// Advances `n` symbols without feedback.
-    pub fn advance_by(&mut self, n: usize) {
-        self.phase += self.freq * n as f64;
-    }
-
-    /// Applies an external correction to the frequency estimate — ZigZag's
-    /// chunk-image feedback `δf̂ ← δf̂ + α·δφ/δt` (§4.2.4b).
-    pub fn nudge_freq(&mut self, delta: f64) {
-        self.freq += delta;
-    }
-
-    /// Applies an external correction to the phase estimate.
-    pub fn nudge_phase(&mut self, delta: f64) {
-        self.phase += delta;
-    }
-}
-
-/// Mueller–Müller decision-directed timing recovery.
-///
-/// Maintains the fractional sampling position `τ` (in samples). After each
-/// symbol decision, `err = Re{ conj(d[n−1])·y[n] − conj(d[n])·y[n−1] }`
-/// measures whether we are sampling early or late; the loop steers `τ`
-/// to the zero crossing.
-#[derive(Clone, Debug)]
-pub struct TimingTracker {
-    tau: f64,
-    gain: f64,
-    prev_sample: Complex,
-    prev_decision: Complex,
-    primed: bool,
-}
-
-/// Default Mueller–Müller loop gain.
-pub const DEFAULT_MM_GAIN: f64 = 0.02;
-
-impl TimingTracker {
-    /// Creates a tracker starting at fractional offset `tau`.
-    pub fn new(tau: f64, gain: f64) -> Self {
-        Self { tau, gain, prev_sample: ZERO, prev_decision: ZERO, primed: false }
-    }
-
-    /// Creates a tracker with the default gain.
-    pub fn with_defaults(tau: f64) -> Self {
-        Self::new(tau, DEFAULT_MM_GAIN)
-    }
-
-    /// Current fractional sampling position (samples).
-    pub fn tau(&self) -> f64 {
-        self.tau
-    }
-
-    /// Feeds one (phase-corrected) sample and its hard decision; returns
-    /// the raw timing error (0 until two symbols have been seen).
-    pub fn update(&mut self, sample: Complex, decision: Complex) -> f64 {
-        let err = if self.primed {
-            (self.prev_decision.conj() * sample - decision.conj() * self.prev_sample).re
-        } else {
-            0.0
-        };
-        self.prev_sample = sample;
-        self.prev_decision = decision;
-        self.primed = true;
-        // For sinc-interpolated symbol-rate sampling the M&M S-curve has a
-        // stable zero at the symbol centre under a positive-gain update
-        // with this sign (verified by `mm_timing_converges_to_true_offset`).
-        self.tau += self.gain * err;
-        err
-    }
-
-    /// Applies an external correction (ZigZag's chunk-image residual
-    /// feedback for the sampling offset, §4.2.4c).
-    pub fn nudge(&mut self, delta: f64) {
-        self.tau += delta;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::interp_at;
-    use crate::modulation::Modulation;
     use crate::preamble::Preamble;
     use rand::prelude::*;
 
@@ -262,113 +97,5 @@ mod tests {
             .collect();
         let est = estimate_freq(&rx, p.symbols());
         assert!((est - omega).abs() < 5e-3, "est {est}");
-    }
-
-    #[test]
-    fn channel_estimate_recovers_h() {
-        let p = Preamble::standard(32);
-        let h = Complex::from_polar(0.7, -2.0);
-        let omega = 0.01;
-        let rx: Vec<Complex> = p
-            .symbols()
-            .iter()
-            .enumerate()
-            .map(|(k, &s)| h * s * Complex::cis(omega * k as f64))
-            .collect();
-        let est = estimate_channel(&rx, p.symbols(), omega);
-        assert!((est - h).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pll_locks_onto_residual_frequency() {
-        // A BPSK stream with a residual frequency error the PLL was not
-        // told about: after convergence the corrected symbols must decide
-        // cleanly and the internal freq estimate must approach the truth.
-        let mut rng = StdRng::seed_from_u64(3);
-        let bits: Vec<u8> = (0..4000).map(|_| rng.gen_range(0..2u8)).collect();
-        let syms = Modulation::Bpsk.modulate(&bits);
-        let omega_true = 2e-4;
-        let mut pll = PhaseTracker::with_defaults(0.0, 0.0);
-        let mut errors = 0usize;
-        for (n, &s) in syms.iter().enumerate() {
-            let y = s * Complex::cis(omega_true * n as f64);
-            let c = pll.correct(y);
-            let (dec_bits, point) = Modulation::Bpsk.decide(c);
-            if dec_bits[0] != bits[n] && n > 500 {
-                errors += 1;
-            }
-            let err = (c * point.conj()).arg();
-            pll.update(err);
-        }
-        assert_eq!(errors, 0);
-        assert!((pll.freq() - omega_true).abs() < 5e-5, "freq {}", pll.freq());
-    }
-
-    #[test]
-    fn pll_without_updates_accumulates_error() {
-        // The Table 5.1 ablation in miniature: no tracking ⇒ the phase ramp
-        // eventually flips BPSK decisions.
-        let omega_true = 2e-4;
-        let pll = PhaseTracker::with_defaults(0.0, 0.0);
-        let n_flip = (std::f64::consts::FRAC_PI_2 / omega_true) as usize;
-        let y = Complex::real(1.0) * Complex::cis(omega_true * (n_flip as f64 * 1.3));
-        let c = pll.correct(y); // never updated
-        assert!(c.re < 0.0, "phase ramp should have flipped the symbol");
-    }
-
-    #[test]
-    fn mm_timing_converges_to_true_offset() {
-        // Band-limited BPSK: modulate, then present samples taken at
-        // n + true_offset. Decision-directed MM must steer tau so that the
-        // interpolated samples land on symbol centres.
-        let mut rng = StdRng::seed_from_u64(4);
-        let bits: Vec<u8> = (0..3000).map(|_| rng.gen_range(0..2u8)).collect();
-        let syms = Modulation::Bpsk.modulate(&bits);
-        let true_offset = 0.25;
-        let mut tt = TimingTracker::with_defaults(0.0);
-        // The receiver interpolates the *received* stream at n − tau; the
-        // received stream is the transmitted one delayed by true_offset, so
-        // perfect tracking drives tau → −true_offset (or equivalently
-        // sampling position n + tau aligned with symbol centres).
-        let mut taus = Vec::new();
-        for n in 8..syms.len() - 8 {
-            let pos = n as f64 + true_offset + tt.tau();
-            let y = interp_at(&syms, pos);
-            let (_, d) = Modulation::Bpsk.decide(y);
-            tt.update(y, d);
-            taus.push(tt.tau());
-        }
-        let settled: f64 = taus[taus.len() - 200..].iter().sum::<f64>() / 200.0;
-        assert!(
-            (settled + true_offset).abs() < 0.06,
-            "tau settled at {settled}, want {}",
-            -true_offset
-        );
-    }
-
-    #[test]
-    fn mm_stays_put_when_aligned() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let bits: Vec<u8> = (0..2000).map(|_| rng.gen_range(0..2u8)).collect();
-        let syms = Modulation::Bpsk.modulate(&bits);
-        let mut tt = TimingTracker::with_defaults(0.0);
-        for n in 8..syms.len() - 8 {
-            let pos = n as f64 + tt.tau();
-            let y = interp_at(&syms, pos);
-            let (_, d) = Modulation::Bpsk.decide(y);
-            tt.update(y, d);
-        }
-        assert!(tt.tau().abs() < 0.03, "tau drifted to {}", tt.tau());
-    }
-
-    #[test]
-    fn advance_by_matches_repeated_advance() {
-        let mut a = PhaseTracker::with_defaults(0.1, 0.01);
-        let mut b = a.clone();
-        for _ in 0..37 {
-            a.advance();
-        }
-        b.advance_by(37);
-        assert!((a.phase() - b.phase()).abs() < 1e-12);
     }
 }

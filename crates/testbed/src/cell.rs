@@ -5,14 +5,17 @@
 //! synthesises the collided air — one quasi-static channel per episode
 //! member, fresh per-round phase/timing, slot offsets scaled to PHY
 //! symbols plus sub-slot jitter — and decodes it through the real
-//! receiver pipeline via [`CollisionService`]. Per-episode receivers
-//! keep stored collisions alive across rounds, so ZigZag pairs peel and
-//! a later clean solo reaps its buried peers (§4.1).
+//! receiver pipeline. Each episode owns one entry: its members and the
+//! [`ReceiverCore`] that keeps its stored collisions alive across
+//! rounds, so ZigZag pairs peel and a later clean solo reaps its buried
+//! peers (§4.1). Rounds of distinct episodes decode in parallel through
+//! [`BatchEngine::map_keyed`] (key = episode); one episode's rounds run
+//! in batch order on its own receiver.
 //!
 //! **Determinism.** Every random draw is keyed: member channels by
 //! `(seed, episode, station)`, payloads by `(seed, episode, station,
-//! seq)`, per-round synthesis by `(seed, episode, round, slot)`. Decode
-//! fan-out runs over a `BatchEngine` whose outputs are order-stable, so
+//! seq)`, per-round synthesis by `(seed, episode, round, slot)`. The
+//! keyed map's outputs are order-stable and episodes share no state, so
 //! resolutions are bit-identical across thread counts.
 
 use std::collections::HashMap;
@@ -20,207 +23,144 @@ use std::collections::HashMap;
 use rand::prelude::*;
 use zigzag_channel::fading::{ChannelParams, LinkProfile};
 use zigzag_channel::scenario::{synth_collision, PlacedTx};
-use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig};
+use zigzag_core::config::DecoderConfig;
+use zigzag_core::engine::{BatchEngine, ReceiverCore};
 use zigzag_core::receiver::ReceiverEvent;
-use zigzag_core::{CollisionService, EpisodeRound};
 use zigzag_mac::cell::{
-    mix3, CollisionResolver, CollisionRound, FrameRef, RoundResolution, Verdict,
+    mix3, CollisionResolver, CollisionRound, FrameRef, RoundResolution, TxAttempt, Verdict,
 };
+use zigzag_mac::MacParams;
+use zigzag_phy::complex::Complex;
 use zigzag_phy::frame::{encode_frame, AirFrame, Frame};
 use zigzag_phy::modulation::Modulation;
 use zigzag_phy::preamble::Preamble;
+
+use crate::experiment::registry_for;
 
 const CHAN_TAG: u64 = 0x5a5a_4348_414e_4e45; // "ZZCHANNE"
 const FRAME_TAG: u64 = 0x5a5a_4652_414d_4553; // "ZZFRAMES"
 const AIR_TAG: u64 = 0x5a5a_4149_5252_4e47; // "ZZAIRRNG"
 
-/// Knobs of the signal-level lowering.
-#[derive(Clone, Debug)]
-pub struct SignalCellConfig {
-    /// Master seed; every stream below derives from it.
-    pub seed: u64,
-    /// Decode worker threads (`0` = one per CPU).
-    pub threads: usize,
-    /// Receiver configuration. The default enables the §4.1 solo reap —
-    /// without it, lowered solo rounds can never recover peers.
-    pub decoder: DecoderConfig,
-    /// Per-member link SNR (dB).
-    pub snr_db: f64,
-    /// Payload bytes of synthesised frames.
-    pub payload_bytes: usize,
-    /// PHY symbols per MAC slot (802.11g Appendix A: 20 µs slot / 2 µs
-    /// symbol = 10).
-    pub symbols_per_slot: usize,
-    /// Sub-slot start jitter in symbols — the §1 "short random interval"
-    /// that gives slot-aligned (ALOHA) collisions their ZigZag Δ.
-    pub jitter_symbols: usize,
-}
+/// Per-member link SNR (dB).
+const SNR_DB: f64 = 17.0;
+/// Payload bytes of synthesised frames.
+const PAYLOAD_BYTES: usize = 40;
+/// Sub-slot start jitter in symbols — the §1 "short random interval"
+/// that gives slot-aligned (ALOHA) collisions their ZigZag Δ.
+const JITTER_SYMBOLS: u32 = 8;
 
-impl SignalCellConfig {
-    /// Defaults for `seed`: reaping receiver, 17 dB links, 40-byte
-    /// payloads, 802.11g slot scaling, 8-symbol jitter.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            threads: 1,
-            decoder: DecoderConfig::with_solo_reap(),
-            snr_db: 17.0,
-            payload_bytes: 40,
-            symbols_per_slot: 10,
-            jitter_symbols: 8,
-        }
-    }
-}
-
-/// One episode member's synthesis state: rank-based client identity, the
-/// encoded frame, and a quasi-static channel reused across the episode's
+/// One episode member's synthesis state: its station and frame, the
+/// encoded air, and a quasi-static channel reused across the episode's
 /// rounds (fresh phase and sampling offset are drawn per transmission,
-/// as in the scenario builders).
+/// as in the scenario builders). Its client id is its rank + 1.
 struct Member {
-    client: u16,
+    station: u32,
     seq: u32,
     air: AirFrame,
     chan: ChannelParams,
 }
 
-struct EpisodeAir {
-    members: HashMap<u32, Member>,
-    registry: ClientRegistry,
+/// Everything a lowered episode holds: its members by rank and the
+/// receiver that stores its collisions.
+struct Episode {
+    members: Vec<Member>,
+    rx: ReceiverCore,
 }
 
-/// Decodes lowered collision rounds through the real receiver pipeline.
-pub struct SignalResolver {
-    cfg: SignalCellConfig,
-    svc: CollisionService,
-    episodes: HashMap<u64, EpisodeAir>,
-    rounds_decoded: u64,
+/// The member link of `rank`. Every member sits at its own oscillator
+/// lane: the AP tells clients apart by frequency-compensated correlation
+/// (§4.2.1).
+fn member_link(rank: usize) -> LinkProfile {
+    LinkProfile::clean_with_omega(SNR_DB, 0.01 + 0.015 * rank as f64)
 }
 
-impl SignalResolver {
-    /// A resolver lowering with `cfg`.
-    pub fn new(cfg: SignalCellConfig) -> Self {
-        let svc = CollisionService::new(cfg.decoder.clone(), cfg.threads);
-        Self { cfg, svc, episodes: HashMap::new(), rounds_decoded: 0 }
-    }
-
-    /// Convenience: default config for `seed` over `threads` workers.
-    pub fn with_seed(seed: u64, threads: usize) -> Self {
-        Self::new(SignalCellConfig { threads, ..SignalCellConfig::new(seed) })
-    }
-
-    /// Rounds actually synthesised and decoded so far.
-    pub fn rounds_decoded(&self) -> u64 {
-        self.rounds_decoded
-    }
-
-    /// Episodes currently holding receiver + synthesis state.
-    pub fn active_episodes(&self) -> usize {
-        self.episodes.len()
-    }
-
-    /// Distinct oscillator lane per member rank: the AP tells clients
-    /// apart by frequency-compensated correlation (§4.2.1), so every
-    /// member of an episode sits at its own ω.
-    fn lane(rank: usize) -> f64 {
-        0.01 + 0.015 * rank as f64
-    }
-
-    /// Gets or creates the member entry for `(station, seq)` in
-    /// `episode`, registering it with the episode's receiver registry.
-    fn member_for(
-        cfg: &SignalCellConfig,
-        air: &mut EpisodeAir,
-        episode: u64,
-        station: u32,
-        seq: u32,
-    ) -> u16 {
-        if let Some(m) = air.members.get(&station) {
-            return m.client;
+impl Episode {
+    /// Opens `episode` on the first round it is seen in: its
+    /// transmitters become the members, and the receiver's registry
+    /// associates exactly them.
+    fn open(seed: u64, episode: u64, txs: &[TxAttempt]) -> Self {
+        let mut members = Vec::new();
+        for tx in txs {
+            Self::rank_of(&mut members, seed, episode, tx);
         }
-        let rank = air.members.len();
-        let client = rank as u16 + 1;
-        let link = LinkProfile::clean_with_omega(cfg.snr_db, Self::lane(rank));
+        let links: Vec<LinkProfile> = (0..members.len()).map(member_link).collect();
+        let clients: Vec<(u16, &LinkProfile)> = (1..).zip(&links).collect();
+        Self {
+            members,
+            rx: ReceiverCore::new(DecoderConfig::with_solo_reap(), registry_for(&clients)),
+        }
+    }
+
+    /// The rank of `tx`'s station, drawing its member state on first
+    /// sight.
+    fn rank_of(members: &mut Vec<Member>, seed: u64, episode: u64, tx: &TxAttempt) -> usize {
+        if let Some(rank) = members.iter().position(|m| m.station == tx.station) {
+            return rank;
+        }
+        let rank = members.len();
         let mut chan_rng =
-            StdRng::seed_from_u64(mix3(cfg.seed ^ CHAN_TAG, episode, u64::from(station)));
-        let chan = link.draw(&mut chan_rng);
+            StdRng::seed_from_u64(mix3(seed ^ CHAN_TAG, episode, u64::from(tx.station)));
+        let chan = member_link(rank).draw(&mut chan_rng);
         let payload_seed =
-            mix3(cfg.seed ^ FRAME_TAG, episode, (u64::from(station) << 32) | u64::from(seq));
+            mix3(seed ^ FRAME_TAG, episode, (u64::from(tx.station) << 32) | u64::from(tx.seq));
+        let client = rank as u16 + 1;
         let frame =
-            Frame::with_random_payload(0, client, seq as u16, cfg.payload_bytes, payload_seed);
-        let encoded = encode_frame(&frame, Modulation::Bpsk, &Preamble::default_len());
-        air.registry.associate(
-            client,
-            ClientInfo {
-                omega: link.association_omega(),
-                snr_db: link.snr_db,
-                taps: link.isi.clone(),
-            },
-        );
-        air.members.insert(station, Member { client, seq, air: encoded, chan });
-        client
+            Frame::with_random_payload(0, client, tx.seq as u16, PAYLOAD_BYTES, payload_seed);
+        let air = encode_frame(&frame, Modulation::Bpsk, &Preamble::default_len());
+        members.push(Member { station: tx.station, seq: tx.seq, air, chan });
+        rank
     }
 
-    /// Lowers one round to an [`EpisodeRound`]: ensures members exist,
-    /// then synthesises the receive buffer.
-    fn lower_round(&mut self, round: &CollisionRound) -> EpisodeRound {
-        let air = self.episodes.entry(round.episode).or_insert_with(|| EpisodeAir {
-            members: HashMap::new(),
-            registry: ClientRegistry::new(),
-        });
-        for tx in &round.txs {
-            Self::member_for(&self.cfg, air, round.episode, tx.station, tx.seq);
-        }
+    /// Synthesises the receive buffer of `round`, drawing any newcomer's
+    /// member state first.
+    fn lower(&mut self, seed: u64, round: &CollisionRound) -> Vec<Complex> {
+        let ranks: Vec<usize> = round
+            .txs
+            .iter()
+            .map(|tx| Self::rank_of(&mut self.members, seed, round.episode, tx))
+            .collect();
         let mut rng = StdRng::seed_from_u64(mix3(
-            self.cfg.seed ^ AIR_TAG,
+            seed ^ AIR_TAG,
             round.episode,
             (u64::from(round.round) << 48) ^ round.slot,
         ));
-        let jitter_max = self.cfg.jitter_symbols.max(1);
-        let placed: Vec<(usize, &Member)> = round
+        let mac = MacParams::default();
+        let placements: Vec<PlacedTx<'_>> = round
             .txs
             .iter()
-            .map(|tx| {
-                let start = tx.offset_slots as usize * self.cfg.symbols_per_slot
-                    + rng.gen_range(0..jitter_max as u32) as usize;
-                (start, &air.members[&tx.station])
+            .zip(ranks)
+            .map(|(tx, rank)| {
+                let m = &self.members[rank];
+                let start = mac.slots_to_symbols(tx.offset_slots)
+                    + rng.gen_range(0..JITTER_SYMBOLS) as usize;
+                PlacedTx { air: &m.air, base: &m.chan, start }
             })
             .collect();
-        let placements: Vec<PlacedTx<'_>> = placed
-            .iter()
-            .map(|(start, m)| PlacedTx { air: &m.air, base: &m.chan, start: *start })
-            .collect();
-        let synth = synth_collision(&placements, 1.0, &mut rng);
-        self.rounds_decoded += 1;
-        EpisodeRound {
-            episode: round.episode,
-            registry: air.registry.clone(),
-            buffer: synth.buffer,
-        }
+        synth_collision(&placements, 1.0, &mut rng).buffer
     }
 
-    /// Maps one round's receiver events back onto MAC verdicts.
+    /// Maps one round's receiver events back onto MAC verdicts. Reads the
+    /// store as it stands after the whole batch.
     fn adjudicate(&self, round: &CollisionRound, events: &[ReceiverEvent]) -> RoundResolution {
-        let air = &self.episodes[&round.episode];
-        let client_to_station: HashMap<u16, (u32, u32)> =
-            air.members.iter().map(|(&st, m)| (m.client, (st, m.seq))).collect();
-        let mut delivered_stations: Vec<(u32, u32)> = events
+        let mut delivered: Vec<FrameRef> = events
             .iter()
             .filter_map(|e| match e {
                 ReceiverEvent::Delivered { frame, .. } => {
-                    client_to_station.get(&frame.src).copied()
+                    let m = self.members.get(usize::from(frame.src).checked_sub(1)?)?;
+                    Some(FrameRef { station: m.station, seq: m.seq })
                 }
                 _ => None,
             })
             .collect();
-        delivered_stations.sort_unstable();
-        delivered_stations.dedup();
+        delivered.sort_unstable();
+        delivered.dedup();
         let stored = events.iter().any(|e| matches!(e, ReceiverEvent::CollisionStored))
-            || self.svc.episode_depth(round.episode).unwrap_or(0) > 0;
+            || !self.rx.store().is_empty();
         let verdicts = round
             .txs
             .iter()
             .map(|tx| {
-                if delivered_stations.iter().any(|&(st, _)| st == tx.station) {
+                if delivered.iter().any(|f| f.station == tx.station) {
                     Verdict::Delivered
                 } else if stored {
                     Verdict::Pending
@@ -231,34 +171,82 @@ impl SignalResolver {
             .collect();
         // deliveries of members who were NOT transmitting this round can
         // only come from reaping the store (§4.1)
-        let mut recovered: Vec<FrameRef> = delivered_stations
-            .iter()
-            .filter(|(st, _)| !round.txs.iter().any(|tx| tx.station == *st))
-            .map(|&(station, seq)| FrameRef { station, seq })
+        let recovered = delivered
+            .into_iter()
+            .filter(|f| !round.txs.iter().any(|tx| tx.station == f.station))
             .collect();
-        recovered.sort_unstable();
         RoundResolution { verdicts, recovered, lowered: true }
+    }
+}
+
+/// Decodes lowered collision rounds through the real receiver pipeline.
+pub struct SignalResolver {
+    seed: u64,
+    engine: BatchEngine,
+    episodes: HashMap<u64, Episode>,
+    rounds_decoded: u64,
+}
+
+impl SignalResolver {
+    /// A resolver for master `seed` (every stream derives from it),
+    /// decoding over `threads` workers (`0` = one per CPU).
+    pub fn with_seed(seed: u64, threads: usize) -> Self {
+        Self {
+            seed,
+            engine: BatchEngine::new(threads),
+            episodes: HashMap::new(),
+            rounds_decoded: 0,
+        }
+    }
+
+    /// Rounds actually synthesised and decoded so far.
+    pub fn rounds_decoded(&self) -> u64 {
+        self.rounds_decoded
     }
 }
 
 impl CollisionResolver for SignalResolver {
     fn resolve(&mut self, rounds: &[CollisionRound]) -> Vec<RoundResolution> {
-        let service_rounds: Vec<EpisodeRound> =
-            rounds.iter().map(|r| self.lower_round(r)).collect();
-        let events = self.svc.decode_rounds(&service_rounds);
-        rounds.iter().zip(&events).map(|(r, ev)| self.adjudicate(r, ev)).collect()
+        // check each touched episode out of the map (opening it on first
+        // sight), in first-appearance order, and lower its rounds
+        let mut slot: HashMap<u64, usize> = HashMap::new();
+        let mut touched: Vec<(u64, Episode)> = Vec::new();
+        let mut items = Vec::with_capacity(rounds.len());
+        for round in rounds {
+            let k = *slot.entry(round.episode).or_insert_with(|| {
+                let ep = self
+                    .episodes
+                    .remove(&round.episode)
+                    .unwrap_or_else(|| Episode::open(self.seed, round.episode, &round.txs));
+                touched.push((round.episode, ep));
+                touched.len() - 1
+            });
+            items.push((k, touched[k].1.lower(self.seed, round)));
+        }
+        self.rounds_decoded += rounds.len() as u64;
+        let events = self.engine.map_keyed(
+            &mut touched,
+            items,
+            |&(k, _)| k,
+            |(_, ep), (_, buffer)| ep.rx.process(&buffer),
+        );
+        let out = rounds
+            .iter()
+            .zip(&events)
+            .map(|(r, ev)| touched[slot[&r.episode]].1.adjudicate(r, ev))
+            .collect();
+        self.episodes.extend(touched);
+        out
     }
 
     fn retire(&mut self, episode: u64) {
         self.episodes.remove(&episode);
-        self.svc.retire(episode);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zigzag_mac::cell::TxAttempt;
 
     fn pair_round(episode: u64, round_no: u32, slot: u64, d: u32) -> CollisionRound {
         CollisionRound {
@@ -348,7 +336,8 @@ mod tests {
     #[test]
     fn solo_reaps_buried_peer_at_the_signal_level() {
         // collision then a clean solo of station 10: across seeds, the
-        // §4.1 reap must recover station 20's frame in a healthy fraction
+        // §4.1 reap must recover station 20's frame in a healthy fraction,
+        // and a reap takes the collision out of the episode's store
         let mut reaped = 0u32;
         let trials = 24u64;
         for seed in 0..trials {
@@ -357,6 +346,10 @@ mod tests {
             let res = r.resolve(&[solo_round(1, 1, 200)]);
             if res[0].recovered.contains(&FrameRef { station: 20, seq: 5 }) {
                 reaped += 1;
+                assert!(
+                    r.episodes[&1].rx.store().is_empty(),
+                    "seed {seed}: reaped air stays stored"
+                );
             }
         }
         let rate = f64::from(reaped) / trials as f64;
@@ -382,8 +375,53 @@ mod tests {
     fn retire_releases_state() {
         let mut r = SignalResolver::with_seed(5, 1);
         let _ = r.resolve(&[pair_round(1, 1, 100, 4)]);
-        assert_eq!(r.active_episodes(), 1);
+        assert_eq!(r.episodes.len(), 1);
         r.retire(1);
-        assert_eq!(r.active_episodes(), 0);
+        assert!(r.episodes.is_empty());
+    }
+
+    #[test]
+    fn interleaved_episodes_resolve_as_if_alone() {
+        // six episodes, three rounds each (collision, retransmission,
+        // solo), interleaved in a scrambled order and split over two
+        // batches, so an episode's state must persist between calls
+        let mut batch: Vec<CollisionRound> = Vec::new();
+        for step in 0..3u32 {
+            for e in [3u64, 0, 5, 1, 4, 2] {
+                let slot = 100 * u64::from(step + 1);
+                batch.push(match step {
+                    0 => pair_round(e, 1, slot, 2 + e as u32),
+                    1 => pair_round(e, 2, slot, 9 + 2 * e as u32),
+                    _ => solo_round(e, 3, slot),
+                });
+            }
+        }
+        let batches = [&batch[..7], &batch[7..]];
+        // the reference: each episode on its own fresh resolver, fed only
+        // its own rounds of each batch
+        let mut want = Vec::new();
+        let mut alone: HashMap<u64, SignalResolver> = HashMap::new();
+        for b in batches {
+            let mut out: Vec<Option<RoundResolution>> = vec![None; b.len()];
+            for e in 0..6u64 {
+                let idx: Vec<usize> = (0..b.len()).filter(|&i| b[i].episode == e).collect();
+                let own: Vec<CollisionRound> = idx.iter().map(|&i| b[i].clone()).collect();
+                let r = alone.entry(e).or_insert_with(|| SignalResolver::with_seed(7, 1));
+                for (i, res) in idx.into_iter().zip(r.resolve(&own)) {
+                    out[i] = Some(res);
+                }
+            }
+            want.extend(out.into_iter().map(Option::unwrap));
+        }
+        assert!(
+            want.iter().any(|r| r.verdicts.contains(&Verdict::Delivered)),
+            "nothing decoded: the comparison would be vacuous"
+        );
+        for threads in [1, 2, 4] {
+            let mut r = SignalResolver::with_seed(7, threads);
+            let got: Vec<RoundResolution> = batches.iter().flat_map(|b| r.resolve(b)).collect();
+            assert_eq!(got, want, "episodes interfered at {threads} threads");
+            assert_eq!(r.episodes.len(), 6);
+        }
     }
 }

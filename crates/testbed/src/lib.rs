@@ -17,7 +17,7 @@ pub mod experiment;
 pub mod metrics;
 pub mod topology;
 
-pub use cell::{SignalCellConfig, SignalResolver};
+pub use cell::SignalResolver;
 
 pub use experiment::{
     continuous_air, impaired_recovery_scenario, registry_for, run_impairment_sweep, run_pair,

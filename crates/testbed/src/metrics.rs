@@ -112,14 +112,6 @@ impl Samples {
         }
     }
 
-    /// Empirical CDF evaluated at `x`: fraction of observations ≤ x.
-    pub fn cdf_at(&self, x: f64) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().filter(|&&v| v <= x).count() as f64 / self.values.len() as f64
-    }
-
     /// The `q`-quantile (0 ≤ q ≤ 1) of the observations.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.values.is_empty() {
@@ -129,14 +121,6 @@ impl Samples {
         v.sort_by(f64::total_cmp);
         let idx = ((v.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
         v[idx]
-    }
-
-    /// `(x, F(x))` points of the empirical CDF, for plotting/printing.
-    pub fn cdf_points(&self) -> Vec<(f64, f64)> {
-        let mut v = self.values.clone();
-        v.sort_by(f64::total_cmp);
-        let n = v.len() as f64;
-        v.into_iter().enumerate().map(|(i, x)| (x, (i + 1) as f64 / n)).collect()
     }
 }
 
@@ -184,24 +168,7 @@ mod tests {
             s.push(v);
         }
         assert!((s.mean() - 2.5).abs() < 1e-12);
-        assert!((s.cdf_at(2.0) - 0.5).abs() < 1e-12);
-        assert!((s.cdf_at(0.0)).abs() < 1e-12);
-        assert!((s.cdf_at(10.0) - 1.0).abs() < 1e-12);
         assert_eq!(s.quantile(0.0), 1.0);
         assert_eq!(s.quantile(1.0), 4.0);
-    }
-
-    #[test]
-    fn cdf_points_monotone() {
-        let mut s = Samples::new();
-        for v in [0.5, 0.1, 0.9, 0.3] {
-            s.push(v);
-        }
-        let pts = s.cdf_points();
-        for w in pts.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 < w[1].1);
-        }
-        assert!((pts.last().unwrap().1 - 1.0).abs() < 1e-12);
     }
 }
