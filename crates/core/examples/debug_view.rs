@@ -68,8 +68,7 @@ fn run(name: &str, ch: ChannelParams, snr_db: f64, omega_hint: f64, payload: usi
         &mut kernel,
         &mut out,
     );
-    let bits: Vec<u8> =
-        out.decided[a.mpdu_start()..].iter().flat_map(|&d| Modulation::Bpsk.decide(d).0).collect();
+    let bits = Modulation::Bpsk.demodulate(&out.decided[a.mpdu_start()..]);
     let ber = bit_error_rate(&a.mpdu_bits, &bits[..a.mpdu_bits.len()]);
     // where do errors start?
     let first_err = a.mpdu_bits.iter().zip(bits.iter()).position(|(x, y)| x != y);

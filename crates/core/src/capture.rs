@@ -16,9 +16,10 @@
 //! content, one collision suffices.
 
 use crate::config::{ClientRegistry, DecoderConfig};
+use crate::detect::Detection;
 use crate::engine::scratch::Scratch;
 use crate::sic::MIN_FEEDBACK_CHUNK;
-use crate::standard::{decode_single, SingleDecode};
+use crate::standard::{decode_frame, decode_single, SingleDecode};
 use crate::view::{ChannelView, Image, Tracking};
 use zigzag_phy::complex::Complex;
 use zigzag_phy::frame::Frame;
@@ -141,6 +142,77 @@ pub fn capture_decode(
     Some(CaptureResult { strong, weak })
 }
 
+/// The pure part of the receiver's capture path on one collision: which
+/// detection anchors a CRC-passing capture decode, and what the weak
+/// packet decodes to once that anchor is cancelled. A function of the
+/// buffer, its detections, the association registry and the decoder
+/// configuration alone, so it can run on any thread ahead of the
+/// receiver that consumes it (see [`capture_attempt`]).
+#[derive(Clone, Debug)]
+pub struct CaptureAttempt {
+    /// The detections the attempt was computed from: a consumer whose
+    /// detections differ (a custom stage may edit them) must recompute.
+    pub(crate) detections: Vec<Detection>,
+    /// `None` when no anchor candidate passed its CRC.
+    pub(crate) captured: Option<Captured>,
+}
+
+/// What the receiver's stateful capture tail reads of a successful
+/// attempt.
+#[derive(Clone, Debug)]
+pub(crate) struct Captured {
+    /// The anchor's CRC-passing frame.
+    pub frame: Frame,
+    /// The weak packet's client and its decode from the residual, when
+    /// another detection lies outside the anchor's preamble and the
+    /// residual decode produced anything.
+    pub weak: Option<(u16, SingleDecode)>,
+}
+
+/// Runs every decode of the receiver's capture path on `buffer` (§4.1,
+/// Fig 4-1e): up to four detections, best correlation first, are tried
+/// as the capture anchor, and the first whose frame passes its CRC is
+/// cancelled from the buffer so that the best-scoring other detection
+/// outside its preamble can be decoded from the residual.
+///
+/// Correlation strength alone is not a reliable anchor — a data sidelobe
+/// of a strong sender can out-score the (fractionally attenuated) true
+/// preamble peak — a CRC-passing decode is (§5.3a: false positives are
+/// harmless beyond the wasted attempt).
+///
+/// The attempt touches no receiver state; `CaptureStage` delivers from
+/// it and runs the stateful tail (delivery dedup, the Fig 4-1d MRC retry
+/// against stored weak versions). Events are the same whether the
+/// attempt is computed inline by the stage or ahead of it.
+pub fn capture_attempt(
+    buffer: &[Complex],
+    detections: &[Detection],
+    registry: &ClientRegistry,
+    preamble: &Preamble,
+    cfg: &DecoderConfig,
+    ws: &mut Scratch,
+) -> CaptureAttempt {
+    let mut by_power = detections.to_vec();
+    by_power.sort_by(|a, b| b.corr.abs().total_cmp(&a.corr.abs()));
+    let anchor = by_power.iter().take(4).find_map(|cand| {
+        decode_frame(buffer, cand.pos, Some(cand.client), registry, preamble, false, cfg, ws)
+            .map(|d| (*cand, d))
+    });
+    let captured = anchor.map(|(strong, strong_decode)| {
+        // best-scoring other detection outside the anchor's preamble
+        let weak_det = by_power.iter().find(|d| d.pos.abs_diff(strong.pos) >= preamble.len());
+        let weak = weak_det.and_then(|weak| {
+            let residual = subtract_decoded(buffer, &strong_decode, preamble, ws);
+            let client = Some(weak.client);
+            let w = decode_single(&residual, weak.pos, client, registry, preamble, true, cfg, ws)?;
+            Some((weak.client, w))
+        });
+        let frame = strong_decode.frame.expect("decode_frame returns CRC-passing decodes");
+        Captured { frame, weak }
+    });
+    CaptureAttempt { detections: detections.to_vec(), captured }
+}
+
 /// Fig 4-1d: MRC-combines two faulty versions of the same (weak) packet
 /// recovered from different collisions and re-slices the scrambled MPDU
 /// bits. Returns `None` when the versions are inconsistent (no readable
@@ -159,7 +231,7 @@ pub fn mrc_combined_bits(v1: &SingleDecode, v2: &SingleDecode) -> Option<Vec<u8>
     let combined = zigzag_phy::mrc::combine_weighted(&[(&v1.soft, w1), (&v2.soft, w2)]);
     let mut bits = Vec::new();
     for &s in combined.iter().skip(body_start) {
-        bits.extend(plcp.modulation.decide(s).0);
+        plcp.modulation.decide_bits(s, &mut bits);
     }
     let want = plcp.mpdu_len as usize * 8;
     if bits.len() < want {

@@ -12,7 +12,9 @@
 //! capture for equal-power-only deployments, or inserting
 //! instrumentation stages.
 
-use crate::capture::{mrc_combine_retry, subtract_decoded};
+use crate::capture::{
+    capture_attempt, mrc_combine_retry, subtract_decoded, CaptureAttempt, Captured,
+};
 use crate::config::{ClientInfo, ClientRegistry, DecoderConfig, MatchSearch, SharedRegistry};
 use crate::detect::{detect_packets, Detection};
 use crate::engine::scratch::Scratch;
@@ -212,6 +214,12 @@ pub struct UnitCtx<'a> {
     /// `true` once `detections` holds a completed scan's result;
     /// [`DetectStage`] skips its own scan then.
     pub detections_ready: bool,
+    /// The unit's [`capture_attempt`], prepared ahead of the pipeline
+    /// (`process_stream`'s segmenting thread fills it while the region's
+    /// shard worker is behind). [`CaptureStage`] takes it only if it was
+    /// computed from the then-current `detections`, and computes the
+    /// attempt itself otherwise.
+    pub capture: Option<CaptureAttempt>,
     /// Matched stored collision (filled by [`MatchStage`]).
     pub matched: Option<MatchedCollision>,
     /// A confirmed alignment whose system the chunk scheduler cannot
@@ -228,6 +236,7 @@ impl<'a> UnitCtx<'a> {
             buffer,
             detections: Vec::new(),
             detections_ready: false,
+            capture: None,
             matched: None,
             rejected: None,
             plan: None,
@@ -241,6 +250,7 @@ impl<'a> UnitCtx<'a> {
             buffer,
             detections,
             detections_ready: true,
+            capture: None,
             matched: None,
             rejected: None,
             plan: None,
@@ -336,7 +346,7 @@ impl Pipeline {
     /// pass the detection threshold and be stored as a collision,
     /// evicting genuine ones. The store and salvage pool are untouched.
     pub fn run_unit(&self, rx: &mut ReceiverCore, unit: &mut UnitCtx<'_>) -> Vec<ReceiverEvent> {
-        if !unit.buffer.iter().all(|s| s.is_finite()) {
+        if !all_finite(unit.buffer) {
             return vec![ReceiverEvent::DecodeFailed];
         }
         let mut events = Vec::new();
@@ -347,6 +357,12 @@ impl Pipeline {
         }
         events
     }
+}
+
+/// Whether every sample of `buffer` is finite: [`Pipeline::run_unit`]
+/// rejects a buffer that is not before any stage runs.
+pub(crate) fn all_finite(buffer: &[Complex]) -> bool {
+    buffer.iter().all(|s| s.is_finite())
 }
 
 /// §4.1's "collision followed by a clean retransmission" path, shared by
@@ -516,6 +532,15 @@ impl DecodeStage for StandardDecodeStage {
 
 /// Capture-effect decode + single-collision interference cancellation +
 /// the Fig 4-1d cross-collision MRC retry.
+///
+/// The decodes are [`capture_attempt`]'s, a pure function of the buffer
+/// and its detections. The stage takes the unit's prepared attempt
+/// ([`UnitCtx::capture`], filled by `process_stream`'s segmenting thread
+/// while the shard worker is behind) when it was computed from the
+/// unit's current detections, and
+/// otherwise computes the attempt inline. Either way it then runs the
+/// stateful tail: delivery dedup, and for a weak decode whose CRC failed,
+/// the MRC retry against the stored faulty versions of that client.
 pub struct CaptureStage;
 
 impl DecodeStage for CaptureStage {
@@ -532,88 +557,41 @@ impl DecodeStage for CaptureStage {
         if unit.detections.len() < 2 {
             return Flow::Continue;
         }
-        let n_before = events.len();
-
-        // Try each detection as the capture anchor, best score first: a
-        // data sidelobe of a strong sender can out-score the (fractionally
-        // attenuated) true preamble peak, so correlation strength alone is
-        // not a reliable anchor — a CRC-passing decode is (§5.3a: false
-        // positives are harmless beyond the wasted attempt).
-        let mut by_power = unit.detections.clone();
-        by_power.sort_by(|a, b| b.corr.abs().total_cmp(&a.corr.abs()));
-        let mut anchor: Option<(Detection, SingleDecode)> = None;
-        for cand in by_power.iter().take(4) {
-            let d = {
+        let attempt = match unit.capture.take() {
+            Some(prepared) if prepared.detections == unit.detections => prepared,
+            _ => {
                 let ReceiverCore { cfg, registry, preamble, scratch, .. } = &mut *rx;
-                decode_frame(
-                    unit.buffer,
-                    cand.pos,
-                    Some(cand.client),
-                    registry,
-                    preamble,
-                    false,
-                    cfg,
-                    scratch,
-                )
-            };
-            if let Some(d) = d {
-                anchor = Some((*cand, d));
-                break;
+                capture_attempt(unit.buffer, &unit.detections, registry, preamble, cfg, scratch)
             }
-        }
-        let Some((strong, strong_decode)) = anchor else {
+        };
+        let Some(Captured { frame, weak }) = attempt.captured else {
             return Flow::Continue;
         };
-
-        let f = strong_decode.frame.clone().unwrap();
-        rx.deliver(f, DecodePath::Capture, events);
-        // best-scoring other detection outside the anchor's preamble
-        let weak_det =
-            by_power.iter().find(|d| d.pos.abs_diff(strong.pos) >= rx.preamble.len()).copied();
-        if let Some(weak) = weak_det {
-            let weak_decode = {
-                let ReceiverCore { cfg, registry, preamble, scratch, .. } = &mut *rx;
-                let residual = subtract_decoded(unit.buffer, &strong_decode, preamble, scratch);
-                decode_single(
-                    &residual,
-                    weak.pos,
-                    Some(weak.client),
-                    registry,
-                    preamble,
-                    true,
-                    cfg,
-                    scratch,
-                )
-            };
-            match weak_decode {
-                Some(w) if w.frame.is_some() => {
-                    let f = w.frame.clone().unwrap();
-                    rx.deliver(f, DecodePath::InterferenceCancellation, events);
-                }
-                Some(w) => {
-                    // Fig 4-1d: try MRC with a stored faulty version
-                    let mut matched = None;
-                    for (i, (client, prev)) in rx.weak_versions.iter().enumerate() {
-                        if *client != weak.client {
-                            continue;
-                        }
-                        if let Some(f) = mrc_combine_retry(prev, &w) {
-                            matched = Some((i, f));
-                            break;
-                        }
-                    }
-                    if let Some((i, f)) = matched {
-                        rx.weak_versions.remove(i);
-                        rx.deliver(f, DecodePath::MrcRetry, events);
-                    } else {
-                        rx.weak_versions.push((weak.client, w));
-                        if rx.weak_versions.len() > rx.cfg.collision_store {
-                            rx.weak_versions.remove(0);
-                        }
-                    }
-                }
-                None => {}
+        let n_before = events.len();
+        rx.deliver(frame, DecodePath::Capture, events);
+        match weak {
+            Some((_, SingleDecode { frame: Some(f), .. })) => {
+                rx.deliver(f, DecodePath::InterferenceCancellation, events);
             }
+            Some((client, w)) => {
+                // Fig 4-1d: try MRC with a stored faulty version
+                let matched = rx
+                    .weak_versions
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (c, _))| *c == client)
+                    .find_map(|(i, (_, prev))| mrc_combine_retry(prev, &w).map(|f| (i, f)));
+                if let Some((i, f)) = matched {
+                    rx.weak_versions.remove(i);
+                    rx.deliver(f, DecodePath::MrcRetry, events);
+                } else {
+                    rx.weak_versions.push((client, w));
+                    if rx.weak_versions.len() > rx.cfg.collision_store {
+                        rx.weak_versions.remove(0);
+                    }
+                }
+            }
+            None => {}
         }
         if events.len() > n_before {
             Flow::Done
@@ -890,5 +868,89 @@ impl DecodeStage for StoreStage {
         }
         events.push(ReceiverEvent::CollisionStored);
         Flow::Done
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ClientInfo;
+    use rand::prelude::*;
+    use zigzag_channel::fading::LinkProfile;
+    use zigzag_channel::scenario::hidden_pair;
+    use zigzag_phy::frame::{encode_frame, Frame};
+    use zigzag_phy::modulation::Modulation;
+
+    /// The state a capture tail leaves behind, in comparable form.
+    fn capture_state(rx: &ReceiverCore) -> (Vec<String>, String) {
+        let mut store: Vec<_> = rx.store.iter().collect();
+        store.sort_by_key(|e| e.id);
+        let store = store
+            .iter()
+            .map(|e| format!("{} {:?} {:?} {:?}", e.id, e.key, e.buffer, e.detections))
+            .collect();
+        (store, format!("{:?}", rx.weak_versions))
+    }
+
+    /// A unit carrying a prepared capture attempt returns the events of
+    /// the inline capture and leaves the same store and weak versions, on
+    /// random capture-band (typical links at 24/12 dB, clean ones at
+    /// 22/14 dB) and equal-power (typical, 16/16 dB) hidden pairs whose
+    /// frames collide three times. The attempt is prepared on a scratch
+    /// that decoded other buffers first, as the stream's segmenting
+    /// thread does.
+    #[test]
+    fn prepared_attempt_equals_inline_capture() {
+        let mut rng = StdRng::seed_from_u64(0xCA97);
+        let (preamble, cfg) = (Preamble::default_len(), DecoderConfig::default());
+        let mut prep_ws = Scratch::with_backend(cfg.backend);
+        // attempts that captured, and those that left a faulty weak
+        // version for the MRC retry
+        let (mut captured, mut faulty_weak) = (0, 0);
+        for case in 0..9u16 {
+            let links = match case % 3 {
+                0 => [24.0, 12.0].map(|s| LinkProfile::typical(s, &mut rng)),
+                1 => {
+                    [(22.0, -0.13), (14.0, 0.14)].map(|(s, w)| LinkProfile::clean_with_omega(s, w))
+                }
+                _ => [16.0, 16.0].map(|s| LinkProfile::typical(s, &mut rng)),
+            };
+            let mut registry = ClientRegistry::new();
+            for (id, l) in [1u16, 2].into_iter().zip(&links) {
+                let omega = l.association_omega();
+                registry.associate(id, ClientInfo { omega, snr_db: l.snr_db, taps: l.isi.clone() });
+            }
+            let air = [1u16, 2].map(|src| {
+                let f = Frame::with_random_payload(0, src, case, 120, rng.next_u64());
+                encode_frame(&f, Modulation::Bpsk, &preamble)
+            });
+            let d1 = rng.gen_range(150..400);
+            let hp = hidden_pair(&air[0], &air[1], &links[0], &links[1], d1, d1 / 3, &mut rng);
+            let extra = hidden_pair(&air[0], &air[1], &links[0], &links[1], d1 / 2, 0, &mut rng);
+            let buffers = [hp.collision1.buffer, extra.collision1.buffer, hp.collision2.buffer];
+            let mut inline = ReceiverCore::new(cfg.clone(), registry.clone());
+            let mut prepared = ReceiverCore::new(cfg.clone(), registry.clone());
+            let pipeline = Pipeline::standard();
+            for buffer in &buffers {
+                let dets = detect_packets(buffer, &preamble, &registry, &cfg, &mut prep_ws);
+                let attempt =
+                    capture_attempt(buffer, &dets, &registry, &preamble, &cfg, &mut prep_ws);
+                if let Some(c) = &attempt.captured {
+                    captured += 1;
+                    faulty_weak +=
+                        usize::from(c.weak.as_ref().is_some_and(|w| w.1.frame.is_none()));
+                }
+                let want = inline.receive_detected(&pipeline, buffer, dets.clone());
+                let mut unit = UnitCtx::with_detections(buffer, dets);
+                unit.capture = Some(attempt);
+                let got = pipeline.run_unit(&mut prepared, &mut unit);
+                assert_eq!(got, want, "case {case}: events");
+                assert_eq!(capture_state(&prepared), capture_state(&inline), "case {case}: state");
+            }
+        }
+        assert!(
+            captured > 0 && faulty_weak > 0,
+            "vacuous: {captured} captured, {faulty_weak} faulty"
+        );
     }
 }

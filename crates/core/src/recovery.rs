@@ -988,7 +988,7 @@ impl<'a> Solver<'a> {
                 let soft = x[j];
                 let point = match self.layouts[q].known_symbol(n) {
                     Some(kp) => kp,
-                    None => self.layouts[q].modulation_at(n).decide(soft).1,
+                    None => self.layouts[q].modulation_at(n).decide_point(soft),
                 };
                 self.decided[q][n] = Some(point);
                 n += 1;

@@ -15,8 +15,9 @@
 //! * the region closes once the scanner has committed past the horizon
 //!   with no new spike (or at [`StreamConfig::max_region`], the runaway
 //!   bound), and is emitted with its finalized merged detections
-//!   attached, rebased to region coordinates — ready for the
-//!   `receive_detected` seam with no re-scan.
+//!   attached, rebased to region coordinates — all the segmenting
+//!   thread needs to route the region and, when it prepares one, run its
+//!   capture attempt, with no re-scan.
 //!
 //! Samples are copied into the open region incrementally at every
 //! advance, so ring retention never depends on region length: the ring

@@ -3,13 +3,21 @@
 //! regions into the sharded receiver with end-to-end backpressure
 //! ([`ShardedReceiver::process_stream`]).
 //!
+//! The threaded graph also runs a region's [`capture_attempt`] before
+//! queueing it when the region's shard already has a job waiting: the
+//! capture path's anchor and weak decodes depend on the region alone,
+//! so a shard worker that is behind the segmenting thread keeps only the
+//! stateful tail of its capture stage, and a segmenting thread that is
+//! itself the bottleneck (many shards, or cheap regions) leaves the
+//! decodes to the workers.
+//!
 //! # Backpressure chain
 //!
 //! ```text
-//! producer thread        driver (caller thread)          shard workers
-//! push_samples ──► SampleRing ──► scan ──► carve ──► IngestQueue ──► decode
-//!      ▲ blocks when full │                               │ blocks when full
-//!      └──────────────────┴───────────────────────────────┘
+//! producer thread        segmenting (caller) thread                 shard workers
+//! push_samples ──► SampleRing ──► scan ──► carve ──► capture ──► IngestQueue ──► decode
+//!      ▲ blocks when full │                          attempt         │ blocks when full
+//!      └──────────────────┴──────────────────────────────────────────┘
 //! ```
 //!
 //! A slow shard fills its bounded `IngestQueue`; the carver's dispatch
@@ -33,10 +41,12 @@
 use super::carver::{CarvedRegion, RegionCarver};
 use super::queue::IngestQueue;
 use super::ring::SampleRing;
+use crate::capture::{capture_attempt, CaptureAttempt};
 use crate::config::{ClientRegistry, DecoderConfig, StreamConfig};
 use crate::detect::{lookahead, WindowScanner};
 use crate::engine::scratch::Scratch;
 use crate::engine::shard::{route_shard, ShardedReceiver};
+use crate::engine::stage::{all_finite, UnitCtx};
 use crate::matchset::collision_key;
 use crate::receiver::ReceiverEvent;
 use std::sync::{Condvar, Mutex};
@@ -300,6 +310,12 @@ pub struct StreamStats {
     /// Samples inside carved regions (the rest was discarded as quiet
     /// air without ever being buffered beyond the ring).
     pub carved_samples: u64,
+    /// Regions whose capture attempt the segmenting thread prepared
+    /// (their shard workers only ran capture's stateful tail). Depends
+    /// on thread timing, like `capture_attempt_ns`; the events do not.
+    pub capture_attempts: usize,
+    /// Wall time the segmenting thread spent in those attempts.
+    pub capture_attempt_ns: u64,
     /// `push_samples` calls that blocked on a full ring — end-to-end
     /// backpressure reaching the source.
     pub source_stalls: u64,
@@ -333,19 +349,22 @@ impl StreamOutcome {
     }
 }
 
-/// One routed unit of stream ingest: an owned carved region plus its
-/// enqueue timestamp (for queue-latency accounting).
+/// One routed unit of stream ingest: an owned carved region, its capture
+/// attempt when the segmenting thread prepared one, and its enqueue
+/// timestamp (for queue-latency accounting).
 struct RegionJob {
     region: CarvedRegion,
+    capture: Option<CaptureAttempt>,
     enqueued: Instant,
 }
 
 impl ShardedReceiver {
     /// Decodes a continuous IQ stream: spawns `producer` on its own
     /// thread with a [`StreamSource`] to push arbitrary sample chunks
-    /// into, runs the source→detect→carve→route graph on the calling
-    /// thread, and decodes carved regions on the shard workers — with
-    /// end-to-end backpressure (see module docs) and the same
+    /// into, runs the source→detect→carve→route graph (and the capture
+    /// attempts of regions whose shard is behind, see module docs) on the
+    /// calling thread, and decodes carved regions on the shard workers —
+    /// with end-to-end backpressure (see module docs) and the same
     /// deterministic merge as [`Self::process_batch`].
     ///
     /// Returns once the producer closure has returned and every carved
@@ -389,11 +408,13 @@ impl ShardedReceiver {
         let queues: Vec<IngestQueue<RegionJob>> = (0..n).map(|_| IngestQueue::new(depth)).collect();
         let results: Vec<Mutex<Vec<RegionOutcome>>> =
             (0..n).map(|_| Mutex::new(Vec::new())).collect();
-        let Self { cfg, pipeline, cores, loads, .. } = self;
+        let Self { cfg, registry, pipeline, preamble, cores, loads, .. } = self;
         let (cfg, pipeline) = (&*cfg, &*pipeline);
         let shared_ref = &shared;
 
         let mut carved_samples = 0u64;
+        let mut attempt_ws = Scratch::with_backend(cfg.backend);
+        let (mut capture_attempts, mut capture_attempt_ns) = (0, 0u64);
         std::thread::scope(|s| {
             s.spawn(move || {
                 // a producer that died mid-push must not strand the driver
@@ -408,8 +429,9 @@ impl ShardedReceiver {
                     while let Some(job) = queue.pop() {
                         let queue_wait_ns = job.enqueued.elapsed().as_nanos() as u64;
                         let region = job.region;
-                        let events =
-                            core.receive_detected(pipeline, &region.samples, region.detections);
+                        let mut unit = UnitCtx::with_detections(&region.samples, region.detections);
+                        unit.capture = job.capture;
+                        let events = pipeline.run_unit(core, &mut unit);
                         local.push(RegionOutcome {
                             seq: region.seq,
                             start: region.start,
@@ -441,7 +463,30 @@ impl ShardedReceiver {
                     let shard = route_shard(&collision_key(&region.detections, cfg.key_window), n);
                     loads[shard] += 1;
                     carved_samples += region.samples.len() as u64;
-                    let job = RegionJob { region, enqueued: Instant::now() };
+                    // the capture decodes depend on the region alone: run
+                    // them here when the shard's worker has a job waiting,
+                    // so this thread has slack before the worker reaches
+                    // the region (one with fewer than two detections, or
+                    // one `run_unit` rejects as non-finite, never reaches
+                    // the capture stage)
+                    let prepare = !queues[shard].is_empty()
+                        && region.detections.len() >= 2
+                        && all_finite(&region.samples);
+                    let capture = prepare.then(|| {
+                        capture_attempts += 1;
+                        let start = Instant::now();
+                        let attempt = capture_attempt(
+                            &region.samples,
+                            &region.detections,
+                            registry,
+                            preamble,
+                            cfg,
+                            &mut attempt_ws,
+                        );
+                        capture_attempt_ns += start.elapsed().as_nanos() as u64;
+                        attempt
+                    });
+                    let job = RegionJob { region, capture, enqueued: Instant::now() };
                     if queues[shard].push(job).is_err() {
                         panic!("shard {shard} worker terminated before its ingest completed");
                     }
@@ -465,6 +510,8 @@ impl ShardedReceiver {
                 samples,
                 regions: region_out.len(),
                 carved_samples,
+                capture_attempts,
+                capture_attempt_ns,
                 source_stalls,
                 ring_high_water,
                 shard_stalls: queues.iter().map(|q| q.stalls()).collect(),

@@ -2,15 +2,16 @@
 //!
 //! Everything else in this crate decodes *buffers*; a real AP sees an
 //! unbounded IQ sample stream. This module is the flowgraph that turns
-//! one into the other — a windowed source→detect→carve→route operator
-//! graph over a ring of raw samples:
+//! one into the other — a windowed source→detect→carve→route→capture
+//! operator graph over a ring of raw samples:
 //!
 //! ```text
 //!                    ┌────────────── Segmenter ──────────────┐
 //! push_samples ──► SampleRing ──► WindowScanner ──► RegionCarver ──► CarvedRegion
 //!   (producer)    bounded ring    the §4.2.1         collision          │
 //!                 absolute idx    detector, one      regions across     ▼
-//!                                 window at a time   window bounds   route ──► IngestQueue ──► ReceiverCore
+//!                                 window at a time   window bounds   route ──► capture_attempt ──► IngestQueue ──► ReceiverCore
+//!                                                                           (shard behind)
 //! ```
 //!
 //! * [`SampleRing`] ingests arbitrary-sized chunks and addresses them in
@@ -25,17 +26,23 @@
 //! * `RegionCarver` assembles collision regions
 //!   from runs of detections — including collisions whose second packet
 //!   starts in a later window — and emits `UnitCtx`-ready buffers with
-//!   their detections attached (the `receive_detected` seam: shards
-//!   never re-scan).
-//! * the driver routes each region into the existing sharded receiver
-//!   with **end-to-end backpressure**: full shard queue ⇒ stalled
-//!   carver ⇒ full ring ⇒ blocked [`StreamSource::push_samples`].
-//!   Bounded memory; never a dropped sample.
+//!   their detections attached.
+//! * the segmenting thread routes each region into the existing
+//!   sharded receiver with its detections attached (shards never
+//!   re-scan). When the region's shard already has a job waiting, the
+//!   thread first runs the region's [`capture_attempt`] (the capture
+//!   path's pure decodes) itself and ships it along, so that shard's
+//!   capture stage runs only its stateful tail. Routing has
+//!   **end-to-end backpressure**: full shard queue ⇒ stalled carver ⇒
+//!   full ring ⇒ blocked [`StreamSource::push_samples`]. Bounded
+//!   memory; never a dropped sample.
 //!
 //! The determinism gate: the same air pushed through the stream front
 //! end (any chunking, any backend, any shard count) and pre-cut with
 //! [`carve_buffer`] then batch-decoded yields bit-identical decode
 //! events — pinned by `tests/stream.rs` and the soak bench.
+//!
+//! [`capture_attempt`]: crate::capture::capture_attempt
 
 mod carver;
 mod driver;

@@ -42,6 +42,12 @@ impl<T> IngestQueue<T> {
         }
     }
 
+    /// Whether no item is waiting — the shard's worker has caught up
+    /// with everything pushed so far.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.state.lock().expect("ingest queue poisoned").items.is_empty()
+    }
+
     /// Highest occupancy the queue has reached since creation — how close
     /// the producer has come to saturating this shard.
     pub(crate) fn high_water(&self) -> usize {

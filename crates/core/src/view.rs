@@ -175,9 +175,10 @@ impl PacketLayout {
         if !span.clone().all(|n| symbol(n).is_some()) {
             return None;
         }
-        let bits: Vec<u8> = span
-            .flat_map(|n| Modulation::Bpsk.decide(symbol(n).expect("checked above")).0)
-            .collect();
+        let mut bits = Vec::with_capacity(span.len());
+        for n in span {
+            Modulation::Bpsk.decide_bits(symbol(n).expect("checked above"), &mut bits);
+        }
         let plcp = PlcpHeader::from_bytes(&bits_to_bytes(&bits))?;
         let total =
             self.body_start() + plcp.modulation.symbols_for_bits(plcp.mpdu_len as usize * 8);
@@ -195,7 +196,7 @@ impl PacketLayout {
     pub(crate) fn body_bits(&self, symbols: impl IntoIterator<Item = Complex>) -> Vec<u8> {
         let mut bits = Vec::new();
         for (n, s) in symbols.into_iter().enumerate().skip(self.body_start()) {
-            bits.extend(self.modulation_at(n).decide(s).0);
+            self.modulation_at(n).decide_bits(s, &mut bits);
         }
         bits
     }
@@ -535,7 +536,7 @@ impl ChannelView {
                 let y = eq[idx_of(n)] * Complex::cis(-fine_phase) / self.gain;
                 let dec_point = match layout.known_symbol(n) {
                     Some(k) => k,
-                    None => layout.modulation_at(n).decide(y).1,
+                    None => layout.modulation_at(n).decide_point(y),
                 };
                 soft[n - range.start] = y;
                 decided[n - range.start] = dec_point;
@@ -1088,8 +1089,7 @@ mod tests {
         let mut ws = Scratch::with_backend(cfg.backend);
         let out = decode(&mut ws, &mut v, &buf, 0..a.len(), &layout, Direction::Forward);
         // compare MPDU bits
-        let body = &out.decided[a.mpdu_start()..];
-        let bits: Vec<u8> = body.iter().flat_map(|&d| Modulation::Bpsk.decide(d).0).collect();
+        let bits = Modulation::Bpsk.demodulate(&out.decided[a.mpdu_start()..]);
         let ber = bit_error_rate(&a.mpdu_bits, &bits[..a.mpdu_bits.len()]);
         assert!(ber < 1e-3, "BER {ber}");
     }
@@ -1115,10 +1115,7 @@ mod tests {
         let mut vb = vf.clone();
         let bwd = decode(&mut ws, &mut vb, &buf, 0..a.len(), &layout, Direction::Backward);
         let ber_of = |out: &ChunkDecode| {
-            let bits: Vec<u8> = out.decided[a.mpdu_start()..]
-                .iter()
-                .flat_map(|&d| Modulation::Bpsk.decide(d).0)
-                .collect();
+            let bits = Modulation::Bpsk.demodulate(&out.decided[a.mpdu_start()..]);
             bit_error_rate(&a.mpdu_bits, &bits[..a.mpdu_bits.len()])
         };
         assert!(ber_of(&fwd) < 1e-3, "fwd {}", ber_of(&fwd));

@@ -434,7 +434,7 @@ impl Pass<'_> {
                     .chunks(quarter)
                     .map(|ch| {
                         ch.iter()
-                            .map(|&v| (v - st.layout.payload_mod.decide(v).1).abs())
+                            .map(|&v| (v - st.layout.payload_mod.decide_point(v)).abs())
                             .sum::<f64>()
                             / ch.len().max(1) as f64
                     })
@@ -458,7 +458,8 @@ impl Pass<'_> {
             let mut n = 0usize;
             for k in body..fwd.len().min(bwd.len()) {
                 let m = st.layout.modulation_at(k);
-                if m.decide(fwd[k]).0 != m.decide(bwd[k]).0 {
+                // distinct decided bits ⇔ distinct decided points
+                if m.decide_point(fwd[k]) != m.decide_point(bwd[k]) {
                     disagree += 1;
                 }
                 n += 1;

@@ -3,9 +3,8 @@
 //! Two families: 802.11 DCF (carrier sense + exponential backoff over a
 //! [`crate::cell::SensingGraph`]) and slotted ALOHA (frame-aligned
 //! attempts, no sensing) in the variants the ZigZag follow-on literature
-//! studies — binary-exponential, fixed-window "ZigZag-aware" rescheduling
-//! (arXiv:1501.00976), and the game-theoretic persistence equilibrium
-//! (arXiv:1501.00881).
+//! studies — binary-exponential and fixed-window "ZigZag-aware"
+//! rescheduling (arXiv:1501.00976).
 
 use crate::backoff::Backoff;
 use rand::Rng;
@@ -43,11 +42,6 @@ pub enum AlohaBackoff {
     /// pairs *deliberately* meet again quickly, because the second
     /// collision is what makes both packets decodable.
     FixedWindow(u32),
-    /// Retransmit in each following frame with probability `p`
-    /// (geometric delay) — the non-cooperative game strategy space of
-    /// arXiv:1501.00881; see [`nash_persistence`] for the symmetric
-    /// equilibrium value.
-    Persist(f64),
 }
 
 impl AlohaBackoff {
@@ -59,27 +53,8 @@ impl AlohaBackoff {
                 1 + rng.gen_range(0..w as u32) as u64
             }
             AlohaBackoff::FixedWindow(w) => 1 + rng.gen_range(0..w.max(1)) as u64,
-            AlohaBackoff::Persist(p) => {
-                let p = p.clamp(1.0e-6, 1.0);
-                crate::cell::sim::geometric(rng, p)
-            }
         }
     }
-}
-
-/// The symmetric Nash-equilibrium persistence probability of the
-/// one-shot slotted-ALOHA transmission game (arXiv:1501.00881, the
-/// standard result): `n` contenders, each valuing a delivered slot at
-/// `v` and paying transmission cost `c`, randomise with
-///
-/// `p* = 1 − (c/v)^(1/(n−1))`.
-///
-/// As the cost ratio `c/v → 0` the equilibrium turns aggressive
-/// (`p* → 1`, throughput collapses); as `c/v → 1` everyone stays quiet.
-pub fn nash_persistence(contenders: f64, cost_ratio: f64) -> f64 {
-    let n = contenders.max(2.0);
-    let r = cost_ratio.clamp(1.0e-9, 1.0);
-    (1.0 - r.powf(1.0 / (n - 1.0))).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -97,31 +72,6 @@ mod tests {
             assert!((1..=2).contains(&d));
             let d = AlohaBackoff::BinaryExponential { base: 2, cap: 8 }.delay_frames(9, &mut rng);
             assert!((1..=8).contains(&d), "cap binds at high stage");
-            let d = AlohaBackoff::Persist(0.5).delay_frames(0, &mut rng);
-            assert!(d >= 1);
         }
-    }
-
-    #[test]
-    fn persist_mean_matches_geometric() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let p = 0.25;
-        let n = 20_000;
-        let total: u64 = (0..n).map(|_| AlohaBackoff::Persist(p).delay_frames(0, &mut rng)).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 1.0 / p).abs() < 0.15, "mean {mean} vs {}", 1.0 / p);
-    }
-
-    #[test]
-    fn nash_persistence_properties() {
-        // interior equilibrium
-        let p = nash_persistence(10.0, 0.3);
-        assert!(p > 0.0 && p < 1.0);
-        // more contenders ⇒ less aggressive
-        assert!(nash_persistence(50.0, 0.3) < nash_persistence(5.0, 0.3));
-        // cheaper transmissions ⇒ more aggressive
-        assert!(nash_persistence(10.0, 0.05) > nash_persistence(10.0, 0.5));
-        // cost = value ⇒ nobody transmits
-        assert!(nash_persistence(10.0, 1.0) < 1.0e-9);
     }
 }

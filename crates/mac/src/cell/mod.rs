@@ -52,7 +52,7 @@ pub mod sensing;
 pub mod sim;
 pub mod wheel;
 
-pub use discipline::{nash_persistence, AlohaBackoff, Discipline};
+pub use discipline::{AlohaBackoff, Discipline};
 pub use model::DecodeModel;
 pub use preset::{symbolic_curve, CellPreset, LoadPoint};
 pub use resolver::{

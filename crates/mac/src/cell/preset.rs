@@ -11,12 +11,9 @@
 //!   binary-exponential backoff and a conventional receiver: the
 //!   baseline the ZigZag variant must dominate beyond the saturation
 //!   knee.
-//! * [`CellPreset::GameAloha`] — every station plays the symmetric Nash
-//!   persistence equilibrium of the one-shot transmission game
-//!   (arXiv:1501.00881) instead of a cooperative backoff.
 
 use crate::backoff::Backoff;
-use crate::cell::discipline::{nash_persistence, AlohaBackoff, Discipline};
+use crate::cell::discipline::{AlohaBackoff, Discipline};
 use crate::cell::model::DecodeModel;
 use crate::cell::sensing::SensingGraph;
 use crate::cell::sim::{run_cell, ArrivalModel, CellConfig, CellStats};
@@ -45,16 +42,6 @@ pub enum CellPreset {
         /// Number of independent cells (APs).
         cells: u32,
     },
-    /// Slotted ALOHA where stations retransmit with the Nash persistence
-    /// probability `p* = 1 − (c/v)^(1/(n−1))` (arXiv:1501.00881).
-    GameAloha {
-        /// Number of independent cells (APs).
-        cells: u32,
-        /// Effective contender count `n` the players best-respond to.
-        contenders: f64,
-        /// Transmission-cost to delivery-value ratio `c/v` in `(0, 1]`.
-        cost_ratio: f64,
-    },
 }
 
 impl CellPreset {
@@ -63,7 +50,7 @@ impl CellPreset {
     pub fn is_zigzag(&self) -> bool {
         match self {
             CellPreset::DcfHidden { .. } | CellPreset::ZigzagAloha { .. } => true,
-            CellPreset::PlainAloha { .. } | CellPreset::GameAloha { .. } => false,
+            CellPreset::PlainAloha { .. } => false,
         }
     }
 
@@ -97,13 +84,6 @@ impl CellPreset {
             CellPreset::PlainAloha { cells } => (
                 Discipline::SlottedAloha {
                     backoff: AlohaBackoff::BinaryExponential { base: 2, cap: 64 },
-                },
-                SensingGraph::clique(cells),
-                1,
-            ),
-            CellPreset::GameAloha { cells, contenders, cost_ratio } => (
-                Discipline::SlottedAloha {
-                    backoff: AlohaBackoff::Persist(nash_persistence(contenders, cost_ratio)),
                 },
                 SensingGraph::clique(cells),
                 1,
@@ -197,18 +177,6 @@ mod tests {
         let cfg = dcf.config(1_000, 500, 0.5, 3);
         assert_eq!(cfg.sensing.cells(), 4);
         assert_eq!(cfg.packet_slots, 12);
-    }
-
-    #[test]
-    fn game_preset_uses_equilibrium_persistence() {
-        let game = CellPreset::GameAloha { cells: 1, contenders: 10.0, cost_ratio: 0.3 };
-        let cfg = game.config(100, 100, 0.5, 1);
-        match cfg.discipline {
-            Discipline::SlottedAloha { backoff: AlohaBackoff::Persist(p) } => {
-                assert!((p - nash_persistence(10.0, 0.3)).abs() < 1e-12);
-            }
-            other => panic!("unexpected discipline {other:?}"),
-        }
     }
 
     #[test]

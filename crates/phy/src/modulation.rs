@@ -96,34 +96,52 @@ impl Modulation {
         bits.chunks(self.bits_per_symbol()).map(|g| self.map(g)).collect()
     }
 
-    /// Hard decision: returns the decided bits **and** the corresponding
-    /// clean constellation point.
+    /// The one hard-decision rule: the per-axis level ordinals of the
+    /// nearest constellation point, clamped to the outermost level (BPSK
+    /// has one axis, `i`; its `q` is unused). A NaN coordinate decides
+    /// to ordinal 0, ±∞ to the outermost levels, and BPSK decides `±0`
+    /// to bit 1.
+    fn nearest(self, y: Complex) -> (u32, u32) {
+        match self {
+            Modulation::Bpsk => (u32::from(y.re >= 0.0), 0),
+            Modulation::Qpsk | Modulation::Qam16 | Modulation::Qam64 => {
+                let (n, s) = (self.levels_per_axis(), self.axis_scale());
+                (nearest_level(y.re / s, n), nearest_level(y.im / s, n))
+            }
+        }
+    }
+
+    /// Hard decision, point form: the clean constellation point nearest
+    /// `y` (the point [`Self::map`] gives for the bits
+    /// [`Self::decide_bits`] appends).
     ///
     /// The clean point feeds two consumers: the decision-directed PLL
     /// (phase error = ∠(y·conj(decision))) and ZigZag's re-encoder, which
     /// re-modulates decided chunks before subtracting them from the other
     /// collision (§4.2.3b).
-    pub fn decide(self, y: Complex) -> (Vec<u8>, Complex) {
+    pub fn decide_point(self, y: Complex) -> Complex {
+        let (i, q) = self.nearest(y);
         match self {
-            Modulation::Bpsk => {
-                let bit = u8::from(y.re >= 0.0);
-                (vec![bit], self.map(&[bit]))
-            }
+            Modulation::Bpsk => Complex::real(if i == 1 { 1.0 } else { -1.0 }),
             Modulation::Qpsk | Modulation::Qam16 | Modulation::Qam64 => {
-                let n = self.levels_per_axis();
-                let s = self.axis_scale();
-                let i = nearest_level(y.re / s, n);
-                let q = nearest_level(y.im / s, n);
+                let (n, s) = (self.levels_per_axis(), self.axis_scale());
+                Complex::new(ordinal_level(i, n) * s, ordinal_level(q, n) * s)
+            }
+        }
+    }
+
+    /// Hard decision, bit form: appends the [`Self::bits_per_symbol`]
+    /// decided bits of `y` to `bits` (Gray coded, in-phase axis first).
+    pub fn decide_bits(self, y: Complex, bits: &mut Vec<u8>) {
+        let (i, q) = self.nearest(y);
+        match self {
+            Modulation::Bpsk => bits.push(i as u8),
+            Modulation::Qpsk | Modulation::Qam16 | Modulation::Qam64 => {
                 let half = self.bits_per_symbol() / 2;
-                let mut bits = Vec::with_capacity(self.bits_per_symbol());
-                for k in 0..half {
-                    bits.push(((gray_encode(i) >> k) & 1) as u8);
+                for axis in [i, q] {
+                    let g = gray_encode(axis);
+                    bits.extend((0..half).map(|k| ((g >> k) & 1) as u8));
                 }
-                for k in 0..half {
-                    bits.push(((gray_encode(q) >> k) & 1) as u8);
-                }
-                let point = self.map(&bits);
-                (bits, point)
             }
         }
     }
@@ -132,7 +150,7 @@ impl Modulation {
     pub fn demodulate(self, symbols: &[Complex]) -> Vec<u8> {
         let mut bits = Vec::with_capacity(symbols.len() * self.bits_per_symbol());
         for &y in symbols {
-            bits.extend(self.decide(y).0);
+            self.decide_bits(y, &mut bits);
         }
         bits
     }
@@ -155,9 +173,14 @@ impl Modulation {
 /// Amplitude of the `idx`-th Gray-coded level out of `n` (odd integers
 /// −(n−1)…(n−1)).
 fn axis_level(gray_idx: usize, n: usize) -> f64 {
-    let ordinal = gray_decode(gray_idx as u32) as usize;
-    debug_assert!(ordinal < n);
-    (2 * ordinal) as f64 - (n - 1) as f64
+    ordinal_level(gray_decode(gray_idx as u32), n)
+}
+
+/// Amplitude of the `ordinal`-th level out of `n`, counted from the most
+/// negative.
+fn ordinal_level(ordinal: u32, n: usize) -> f64 {
+    debug_assert!((ordinal as usize) < n);
+    (2 * ordinal as usize) as f64 - (n - 1) as f64
 }
 
 /// Nearest level ordinal for amplitude `a` among odd integers of an `n`-level
@@ -221,8 +244,9 @@ mod tests {
         for m in Modulation::ALL {
             for _ in 0..200 {
                 let y = Complex::new(rng.gen_range(-2.0..2.0), rng.gen_range(-2.0..2.0));
-                let (bits, point) = m.decide(y);
-                assert_eq!(m.map(&bits), point, "{m:?} decide/map mismatch");
+                let mut bits = Vec::new();
+                m.decide_bits(y, &mut bits);
+                assert_eq!(m.map(&bits), m.decide_point(y), "{m:?} decide/map mismatch");
             }
         }
     }
@@ -242,10 +266,86 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(99);
             for _ in 0..500 {
                 let y = Complex::new(rng.gen_range(-1.5..1.5), rng.gen_range(-1.5..1.5));
-                let (_, p) = m.decide(y);
+                let p = m.decide_point(y);
                 let d = (y - p).norm_sq();
                 for &q in &all_points {
                     assert!(d <= (y - q).norm_sq() + 1e-12, "{m:?}: {y:?} -> {p:?} not nearest");
+                }
+            }
+        }
+    }
+
+    /// The allocating hard decision both forms replaced, kept verbatim as
+    /// their oracle: the decided bits and the point `map` gives for them.
+    fn decide_oracle(m: Modulation, y: Complex) -> (Vec<u8>, Complex) {
+        match m {
+            Modulation::Bpsk => {
+                let bit = u8::from(y.re >= 0.0);
+                (vec![bit], m.map(&[bit]))
+            }
+            Modulation::Qpsk | Modulation::Qam16 | Modulation::Qam64 => {
+                let n = m.levels_per_axis();
+                let s = m.axis_scale();
+                let i = nearest_level(y.re / s, n);
+                let q = nearest_level(y.im / s, n);
+                let half = m.bits_per_symbol() / 2;
+                let mut bits = Vec::with_capacity(m.bits_per_symbol());
+                for k in 0..half {
+                    bits.push(((gray_encode(i) >> k) & 1) as u8);
+                }
+                for k in 0..half {
+                    bits.push(((gray_encode(q) >> k) & 1) as u8);
+                }
+                let point = m.map(&bits);
+                (bits, point)
+            }
+        }
+    }
+
+    /// One coordinate: mostly near the constellation, sometimes one of
+    /// the edge values (±0, decision boundaries, huge, non-finite).
+    fn coordinate(rng: &mut StdRng) -> f64 {
+        let edges = [
+            0.0,
+            -0.0,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            2.0 / 1.0e1_f64.sqrt(),
+            -4.0 / 42.0_f64.sqrt(),
+        ];
+        if rng.gen_range(0..4u8) == 0 {
+            edges[rng.gen_range(0..edges.len())]
+        } else {
+            rng.gen_range(-2.0..2.0)
+        }
+    }
+
+    proptest::proptest! {
+        /// The point form and the bit form equal the allocating decision
+        /// they replaced, bit for bit, on every modulation.
+        #[test]
+        fn decision_forms_equal_the_allocating_decide(seed: u64) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..64 {
+                let y = Complex::new(coordinate(&mut rng), coordinate(&mut rng));
+                for m in Modulation::ALL {
+                    let (want_bits, want_point) = decide_oracle(m, y);
+                    let mut bits = vec![7u8];
+                    m.decide_bits(y, &mut bits);
+                    assert_eq!(bits[0], 7, "{m:?} {y:?}: bits must append");
+                    assert_eq!(bits[1..], want_bits[..], "{m:?} {y:?}: bits");
+                    let point = m.decide_point(y);
+                    assert_eq!(
+                        (point.re.to_bits(), point.im.to_bits()),
+                        (want_point.re.to_bits(), want_point.im.to_bits()),
+                        "{m:?} {y:?}: point"
+                    );
                 }
             }
         }
@@ -290,7 +390,8 @@ mod tests {
     #[test]
     fn clamping_of_out_of_range_samples() {
         // A wildly out-of-range sample still decides to the outermost point.
-        let (bits, _) = Modulation::Qam16.decide(Complex::new(100.0, -100.0));
+        let mut bits = Vec::new();
+        Modulation::Qam16.decide_bits(Complex::new(100.0, -100.0), &mut bits);
         let p = Modulation::Qam16.map(&bits);
         let max_axis = 3.0 / (10.0f64).sqrt();
         assert!((p.re - max_axis).abs() < 1e-12);

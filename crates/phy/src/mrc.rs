@@ -86,8 +86,9 @@ mod tests {
         // the bit as the average (0.5 − 0.2)/2 = 0.15 > 0 hence a 1 bit."
         let combined = combine_pair(&[Complex::real(-0.2)], &[Complex::real(0.5)]);
         assert!((combined[0].re - 0.15).abs() < 1e-12);
-        let (bits, _) = Modulation::Bpsk.decide(combined[0]);
-        assert_eq!(bits[0], 1);
+        let mut bits = Vec::new();
+        Modulation::Bpsk.decide_bits(combined[0], &mut bits);
+        assert_eq!(bits, [1]);
     }
 
     #[test]

@@ -6,11 +6,13 @@
 use rand::prelude::*;
 use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::{clean_reception, hidden_pair, synth_collision, PlacedTx};
+use zigzag::core::capture::capture_attempt;
 use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig};
 use zigzag::core::detect::detect_packets;
 use zigzag::core::engine::{
-    unit_seed, BatchEngine, CaptureStage, DetectStage, MatchStage, Pipeline, ReceiverCore, Scratch,
-    StandardDecodeStage, StoreStage,
+    unit_seed, BatchEngine, CaptureStage, DecodeStage, DetectStage, Flow, MatchStage, Pipeline,
+    PlanStage, ReceiverCore, RecoverStage, Scratch, StandardDecodeStage, StoreStage, UnitCtx,
+    ZigzagStage,
 };
 use zigzag::core::receiver::{DecodePath, ReceiverEvent};
 use zigzag::core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
@@ -18,6 +20,9 @@ use zigzag::phy::complex::Complex;
 use zigzag::phy::frame::{encode_frame, Frame};
 use zigzag::phy::modulation::Modulation;
 use zigzag::phy::preamble::Preamble;
+
+/// Seeds the stale-attempt collision's channel draws and noise.
+const STALE_SEED: u64 = 1;
 
 fn registry(links: &[(u16, &LinkProfile)]) -> ClientRegistry {
     let mut reg = ClientRegistry::new();
@@ -191,6 +196,77 @@ fn custom_pipeline_without_zigzag_keeps_stored_collisions() {
     assert!(ev2.contains(&ReceiverEvent::CollisionStored), "{ev2:?}");
     // the matched stored collision was put back alongside the new one
     assert_eq!(rx.store().len(), 2, "matched stored collision must not be lost");
+}
+
+/// Drops the unit's highest-scoring detection: a custom stage that edits
+/// the detections a prepared capture attempt was computed from.
+struct DropStrongest;
+
+impl DecodeStage for DropStrongest {
+    fn name(&self) -> &'static str {
+        "drop-strongest"
+    }
+
+    fn run(
+        &self,
+        _: &mut ReceiverCore,
+        unit: &mut UnitCtx<'_>,
+        _: &mut Vec<ReceiverEvent>,
+    ) -> Flow {
+        let strongest = (0..unit.detections.len()).max_by(|&a, &b| {
+            unit.detections[a].corr.abs().total_cmp(&unit.detections[b].corr.abs())
+        });
+        if let Some(i) = strongest {
+            unit.detections.remove(i);
+        }
+        Flow::Continue
+    }
+}
+
+/// A prepared capture attempt goes stale when a custom stage before
+/// `CaptureStage` edits the detections: the stage must then compute the
+/// attempt from the edited detections, so the events equal that pipeline
+/// with no prepared attempt. On this capture-band collision the full
+/// detections capture and the edited ones do not, so using the stale
+/// attempt would deliver a frame the pipeline never decodes.
+#[test]
+fn stale_prepared_capture_attempt_is_recomputed() {
+    let links = [(22.0, -0.13), (14.0, 0.14)].map(|(s, w)| LinkProfile::clean_with_omega(s, w));
+    let reg = registry(&[(1, &links[0]), (2, &links[1])]);
+    let mut rng = StdRng::seed_from_u64(STALE_SEED);
+    let hp = hidden_pair(&air(1, 7, 150), &air(2, 7, 150), &links[0], &links[1], 250, 90, &mut rng);
+    let buffer = &hp.collision1.buffer;
+    let (cfg, preamble) = (DecoderConfig::default(), Preamble::default_len());
+    let mut ws = Scratch::with_backend(cfg.backend);
+    let detections = detect_packets(buffer, &preamble, &reg, &cfg, &mut ws);
+    let attempt = capture_attempt(buffer, &detections, &reg, &preamble, &cfg, &mut ws);
+    let edited = Pipeline::from_stages(vec![
+        Box::new(DetectStage),
+        Box::new(StandardDecodeStage),
+        Box::new(DropStrongest),
+        Box::new(CaptureStage),
+        Box::new(MatchStage),
+        Box::new(PlanStage),
+        Box::new(ZigzagStage),
+        Box::new(RecoverStage),
+        Box::new(StoreStage),
+    ]);
+    let receive = |pipeline: &Pipeline, attempt| {
+        let mut rx = ReceiverCore::new(cfg.clone(), reg.clone());
+        let mut unit = UnitCtx::with_detections(buffer, detections.clone());
+        unit.capture = attempt;
+        pipeline.run_unit(&mut rx, &mut unit)
+    };
+    let standard = receive(&Pipeline::standard(), None);
+    assert!(
+        standard
+            .iter()
+            .any(|e| matches!(e, ReceiverEvent::Delivered { path: DecodePath::Capture, .. })),
+        "the full detections must capture: {standard:?}"
+    );
+    let inline = receive(&edited, None);
+    assert_ne!(inline, standard, "dropping the anchor must change the outcome");
+    assert_eq!(receive(&edited, Some(attempt)), inline, "a stale attempt was used");
 }
 
 /// The k-way tentpole: a 3-sender/3-collision workload decodes all three

@@ -6,7 +6,9 @@
 
 use proptest::prelude::*;
 use rand::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
+use std::time::Duration;
 use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::noise::awgn_vec;
 use zigzag::channel::scenario::hidden_pair;
@@ -15,7 +17,7 @@ use zigzag::core::detect::detect_packets;
 use zigzag::core::engine::{
     DecodeStage, Flow, Pipeline, ReceiverCore, Scratch, ShardedReceiver, UnitCtx,
 };
-use zigzag::core::receiver::ReceiverEvent;
+use zigzag::core::receiver::{DecodePath, ReceiverEvent};
 use zigzag::core::stream::{carve_buffer, CarvedRegion, Segmenter};
 use zigzag::phy::complex::Complex;
 use zigzag::phy::frame::{encode_frame, Frame};
@@ -39,17 +41,31 @@ struct Air {
     ends: Vec<usize>,
 }
 
-/// Builds `pairs.len()` hidden pairs; each pair contributes its two
-/// collisions (original + retransmission) to the stream in order.
+/// Builds `pairs.len()` clean-link (17 dB) hidden pairs, Bob at `offset`
+/// then `offset / 3`; see [`splice_pairs`].
 fn build_air(pairs: &[([u16; 2], [f64; 2], usize, u64)], gap: usize) -> Air {
+    let pairs: Vec<PairSpec> = pairs
+        .iter()
+        .map(|&(ids, omegas, offset, seed)| {
+            let links = omegas.map(|w| LinkProfile::clean_with_omega(17.0, w));
+            (ids, links, [offset, offset / 3], seed)
+        })
+        .collect();
+    splice_pairs(&pairs, gap)
+}
+
+/// One hidden pair to splice: client ids, links, Bob's offsets
+/// `[Δ₁, Δ₂]` and the seed of its frames and channel draws.
+type PairSpec = ([u16; 2], [LinkProfile; 2], [usize; 2], u64);
+
+/// Builds one hidden pair per [`PairSpec`]; each pair contributes its
+/// two collisions (original + retransmission) to the stream in order.
+fn splice_pairs(pairs: &[PairSpec], gap: usize) -> Air {
     let mut registry = ClientRegistry::new();
     let mut bufs: Vec<Vec<Complex>> = Vec::new();
-    for &(ids, omegas, offset, seed) in pairs {
+    for (ids, links, [delta1, delta2], seed) in pairs {
+        let (ids, seed) = (*ids, *seed);
         let mut rng = StdRng::seed_from_u64(seed);
-        let links = [
-            LinkProfile::clean_with_omega(17.0, omegas[0]),
-            LinkProfile::clean_with_omega(17.0, omegas[1]),
-        ];
         for (i, l) in links.iter().enumerate() {
             registry.associate(
                 ids[i],
@@ -58,7 +74,7 @@ fn build_air(pairs: &[([u16; 2], [f64; 2], usize, u64)], gap: usize) -> Air {
         }
         let a = air_frame(ids[0], seed as u16, 150, 60_000 + seed * 7);
         let b = air_frame(ids[1], seed as u16, 150, 61_000 + seed * 11);
-        let hp = hidden_pair(&a, &b, &links[0], &links[1], offset, offset / 3, &mut rng);
+        let hp = hidden_pair(&a, &b, &links[0], &links[1], *delta1, *delta2, &mut rng);
         bufs.push(hp.collision1.buffer);
         bufs.push(hp.collision2.buffer);
     }
@@ -233,6 +249,103 @@ fn sync_process_air_matches_threaded_stream() {
             .collect::<Vec<_>>(),
         out.regions.iter().map(outcome_key).collect::<Vec<_>>(),
     );
+}
+
+/// Capture-band air: `groups` hidden pairs of the same two clients 10 dB
+/// apart at growing offsets, so every collision is a capture candidate
+/// and each group's weak frame collides twice (a weak decode that fails
+/// its CRC leaves a faulty version for the MRC retry). `typical` draws
+/// impaired links at 24/12 dB, as `mixed`'s capture class does, where
+/// capture delivers; otherwise the links are clean at 22/14 dB, where
+/// interference cancellation also delivers.
+fn capture_air(typical: bool, groups: usize, seed: u64) -> Air {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let links = if typical {
+        [24.0, 12.0].map(|snr| LinkProfile::typical(snr, &mut rng))
+    } else {
+        [LinkProfile::clean_with_omega(22.0, -0.13), LinkProfile::clean_with_omega(14.0, 0.14)]
+    };
+    let pairs: Vec<_> = (0..groups)
+        .map(|g| ([1, 2], links.clone(), [200 + 30 * g, 60 + 20 * g], seed * 10 + g as u64))
+        .collect();
+    splice_pairs(&pairs, 5000)
+}
+
+/// Holds the first region a pipeline decodes for [`HOLD`]: its shard
+/// worker falls behind the segmenting thread, which then prepares the
+/// capture attempts of the regions queued behind it. Capture-band
+/// regions decode faster than the segmenting thread scans the air
+/// between them, so without the hold no attempt would be prepared.
+struct HoldFirst(AtomicBool);
+
+/// How long [`HoldFirst`] holds its region.
+const HOLD: Duration = Duration::from_millis(200);
+
+impl DecodeStage for HoldFirst {
+    fn name(&self) -> &'static str {
+        "hold-first"
+    }
+
+    fn run(&self, _: &mut ReceiverCore, _: &mut UnitCtx<'_>, _: &mut Vec<ReceiverEvent>) -> Flow {
+        if !self.0.swap(true, Ordering::Relaxed) {
+            std::thread::sleep(HOLD);
+        }
+        Flow::Continue
+    }
+}
+
+/// The prepared-capture identity where capture succeeds: capture-band
+/// air through `process_stream`, whose segmenting thread prepares a
+/// region's capture attempt whenever the region's shard has a job
+/// waiting, must equal the same air cut by `carve_buffer` and decoded
+/// region by region through one inline `ReceiverCore`, at queue depth 1
+/// and 8 and at 1 and 2 shards. Capture and interference cancellation
+/// must both deliver, and at depth 8 the segmenting thread must have
+/// prepared attempts (the first region is held, see [`HoldFirst`]), so
+/// the identity is not vacuous. Which regions get a prepared attempt
+/// depends on thread timing; the unit test
+/// `engine::stage::tests::prepared_attempt_equals_inline_capture` pins
+/// the prepared path on every region.
+#[test]
+fn prepared_capture_matches_inline_capture_in_the_capture_band() {
+    let cfg = DecoderConfig::shared_ap();
+    let scfg = StreamConfig::default();
+    let mut delivered = Vec::new();
+    for air in [capture_air(true, 4, 2), capture_air(false, 4, 0)] {
+        let regions = carve_buffer(&air.samples, &cfg, &air.registry, &scfg);
+        assert_eq!(regions.len(), air.collisions, "one region per spliced collision");
+        let mut core = ReceiverCore::new(cfg.clone(), air.registry.clone());
+        let inline: Vec<Vec<ReceiverEvent>> =
+            regions.iter().map(|r| core.process(&r.samples)).collect();
+        for (shards, depth) in [(1, 1), (1, 8), (2, 1), (2, 8)] {
+            let mut pipeline = Pipeline::standard();
+            pipeline.insert(0, Box::new(HoldFirst(AtomicBool::new(false))));
+            let mut rx = ShardedReceiver::with_pipeline(
+                cfg.clone(),
+                ShardConfig { shards, queue_depth: depth },
+                air.registry.clone(),
+                pipeline,
+            );
+            let out = rx.process_stream(&scfg, |src| {
+                for chunk in air.samples.chunks(4096) {
+                    src.push_samples(chunk);
+                }
+            });
+            assert_eq!(out.stats.samples, air.samples.len() as u64, "{shards}x{depth}: drops");
+            assert_eq!(out.events(), inline, "{shards}x{depth}: prepared capture diverged");
+            if depth > 2 {
+                // regions 3.. queue behind the held one
+                assert!(out.stats.capture_attempts > 0, "{shards}x{depth}: nothing prepared");
+            }
+        }
+        delivered.extend(inline.into_iter().flatten().filter_map(|e| match e {
+            ReceiverEvent::Delivered { path, .. } => Some(path),
+            _ => None,
+        }));
+    }
+    for path in [DecodePath::Capture, DecodePath::InterferenceCancellation] {
+        assert!(delivered.contains(&path), "no {path:?} delivery: {delivered:?}");
+    }
 }
 
 /// Backpressure with the smallest possible buffers: queue depth 1 and a
