@@ -10,7 +10,10 @@
 //! symbol, so the per-step cost of finding runs dominates. Two
 //! `channel_apply` rows time the channel simulator's per-transmission
 //! synthesis (`ChannelParams::apply`) on a drift-free and on a drifting
-//! link.
+//! link, and a `resample_4096_drift20ppm` pair times the resampler on a
+//! 20 ppm drifting grid, where every output needs a fresh tap fill and
+//! both backends share the one closed-form fill (so it is timed, not
+//! counted in the breadth gate below).
 //!
 //! Besides timing, this bench is a regression gate: each primitive's
 //! outputs are checked against the scalar reference (within 1e-9) on
@@ -166,24 +169,30 @@ fn bench_fir(c: &mut Criterion, r: &mut Results) {
     assert_equivalent(&outputs, "fir_apply_4096_5tap");
 }
 
+/// Windowed-sinc resampling of 4096 samples at µ = 0.37 on a unit grid
+/// (one tap fill per call on the cached-tap backend) and on a grid
+/// drifting by 20 ppm (`step = 1 + 2e-5`, a fresh tap fill per output,
+/// as on the channel simulator's `typical` links).
 fn bench_resample(c: &mut Criterion, r: &mut Results) {
     let buf = noise(4096, 3);
-    let mut outputs: Vec<Vec<Complex>> = Vec::new();
-    for kind in BACKENDS {
-        let mut kernel = Kernel::new(kind);
-        let mut out = Vec::new();
-        let name = format!("resample_4096_mu037/{}", kind.name());
-        c.bench_function(&name, |b| {
-            b.iter(|| {
-                kernel.resample_into(&buf, 0.37, 1.0, buf.len(), &mut out);
-                out.last().copied()
-            })
-        });
-        r.record(&name, c.last_ns);
-        kernel.resample_into(&buf, 0.37, 1.0, buf.len(), &mut out);
-        outputs.push(out.clone());
+    for (tag, step) in [("mu037", 1.0), ("drift20ppm", 1.0 + 2e-5)] {
+        let mut outputs: Vec<Vec<Complex>> = Vec::new();
+        for kind in BACKENDS {
+            let mut kernel = Kernel::new(kind);
+            let mut out = Vec::new();
+            let name = format!("resample_4096_{tag}/{}", kind.name());
+            c.bench_function(&name, |b| {
+                b.iter(|| {
+                    kernel.resample_into(&buf, 0.37, step, buf.len(), &mut out);
+                    out.last().copied()
+                })
+            });
+            r.record(&name, c.last_ns);
+            kernel.resample_into(&buf, 0.37, step, buf.len(), &mut out);
+            outputs.push(out.clone());
+        }
+        assert_equivalent(&outputs, &format!("resample_4096_{tag}"));
     }
-    assert_equivalent(&outputs, "resample_4096_mu037");
 }
 
 fn bench_mrc(c: &mut Criterion, r: &mut Results) {
@@ -306,7 +315,8 @@ fn bench_schedule(c: &mut Criterion, r: &mut Results) {
 /// 100-byte frame) over a drift-free `clean_with_omega`
 /// link, whose resampler reuses one tap vector per binade of the
 /// position, and over a `typical` link, whose drifting sampling clock
-/// refills the taps at every sample (plus ISI and phase noise).
+/// refills the taps at every sample (plus ISI and phase noise; the
+/// `resample_4096_drift20ppm` rows time that refill alone).
 fn bench_channel_apply(c: &mut Criterion, r: &mut Results) {
     let mut rng = StdRng::seed_from_u64(8);
     let bits: Vec<u8> = (0..620).map(|_| rng.gen_range(0..2u8)).collect();

@@ -16,7 +16,10 @@
 //!    taps only when the fractional position changes. On a drift-free
 //!    link that is about `log₂(len)` times per frame (positions `µ + n`
 //!    share one fraction within each binade); a drifting link moves the
-//!    fraction at every sample and still pays for fresh taps per output.
+//!    fraction at every sample and fills fresh taps per output. A fill is
+//!    the closed form of [`zigzag_phy::interp::fill_taps`] — one sine and
+//!    one rotated `sin_cos` for all taps, not two transcendentals per tap —
+//!    so a drifting link costs a few times a drift-free one, not ten.
 //! 3. **Inter-symbol interference** (§3.1.3): neighbouring symbols leak
 //!    into each other via multipath/filters — modelled by a short FIR.
 //!
@@ -102,7 +105,9 @@ impl ChannelParams {
     /// whose output equals the scalar windowed-sinc reference bit for bit.
     /// It caches the tap vector per fractional position, so a drift-free
     /// link (`sampling_drift == 0`) fills taps about `log₂(len)` times per
-    /// transmission; a drifting link still fills them for every sample.
+    /// transmission; a drifting link fills them for every sample, each
+    /// fill one sine, one `sin_cos` and a division per tap
+    /// ([`zigzag_phy::interp::fill_taps`]).
     pub fn apply<R: Rng + ?Sized>(&self, tx: &[Complex], rng: &mut R) -> Vec<Complex> {
         let mut resampled = Vec::new();
         if self.sampling_offset == 0.0 && self.sampling_drift == 0.0 {

@@ -34,7 +34,7 @@ use zigzag_phy::complex::{inner, Complex, ZERO};
 use zigzag_phy::equalize::{design_inverse, estimate_channel_taps, DEFAULT_EQUALIZER_TAPS};
 use zigzag_phy::filter::Fir;
 use zigzag_phy::frame::PlcpHeader;
-use zigzag_phy::interp::{interp_at, tap_weight, DEFAULT_HALF_WIDTH};
+use zigzag_phy::interp::{fill_taps, interp_at, tap_window, DEFAULT_HALF_WIDTH};
 use zigzag_phy::kernel::Kernel;
 use zigzag_phy::modulation::Modulation;
 use zigzag_phy::sync::estimate_freq;
@@ -870,9 +870,9 @@ impl PreambleCorr {
         mu_lo: f64,
         mu_hi: f64,
     ) -> Self {
-        let w = DEFAULT_HALF_WIDTH as f64;
-        let j0 = (mu_lo - w).ceil() as isize;
-        let j1 = (mu_hi + w).floor() as isize;
+        let j0 = Self::window(mu_lo).0;
+        let (hi_first, hi_count) = Self::window(mu_hi);
+        let j1 = hi_first + hi_count as isize - 1;
         let mut lags = vec![ZERO; (j1 - j0 + 1).max(0) as usize];
         for (k, &s) in preamble.iter().enumerate() {
             let a = s.conj() * Complex::cis(-omega * k as f64);
@@ -889,15 +889,23 @@ impl PreambleCorr {
         Self { j0, lags }
     }
 
+    /// The interpolation window at µ, as `interp_at` places it: the
+    /// first lag it reads and the tap count. Both ends are monotone in µ,
+    /// so the windows of a µ range lie between those of its ends.
+    fn window(mu: f64) -> (isize, usize) {
+        let (j_lo, count) = tap_window(mu - mu.floor(), DEFAULT_HALF_WIDTH);
+        (mu.floor() as isize + j_lo, count)
+    }
+
     /// `Γ'(µ)`; µ must lie in the range the correlator was built for.
     fn at(&self, mu: f64) -> Complex {
-        let w = DEFAULT_HALF_WIDTH as f64;
-        let lo = (mu - w).ceil() as isize;
-        let hi = (mu + w).floor() as isize;
+        let (first, count) = Self::window(mu);
+        let mut taps = [0.0; 2 * DEFAULT_HALF_WIDTH + 1];
+        fill_taps(mu - mu.floor(), DEFAULT_HALF_WIDTH, &mut taps[..count]);
+        let lags = &self.lags[(first - self.j0) as usize..][..count];
         let mut acc = ZERO;
-        for j in lo..=hi {
-            acc +=
-                self.lags[(j - self.j0) as usize] * tap_weight(mu - j as f64, DEFAULT_HALF_WIDTH);
+        for (&c, &tap) in lags.iter().zip(&taps) {
+            acc += c * tap;
         }
         acc
     }

@@ -44,7 +44,7 @@
 
 use crate::complex::{Complex, ZERO};
 use crate::filter::Fir;
-use crate::interp::{hann, sinc, DEFAULT_HALF_WIDTH};
+use crate::interp::{dot_taps, fill_taps, tap_window, window_span, DEFAULT_HALF_WIDTH};
 use std::ops::Range;
 
 /// Which backend a [`Kernel`] dispatches to.
@@ -255,7 +255,6 @@ pub struct KernelScratch {
     // Cached windowed-sinc taps for the fractional offset `taps_frac`.
     taps: Vec<f64>,
     taps_frac: f64,
-    taps_j_lo: isize,
     taps_valid: bool,
     // a-side energy prefix sums for `match_score` normalization and
     // early abandonment.
@@ -267,27 +266,18 @@ pub struct KernelScratch {
 
 impl KernelScratch {
     /// Fills the cached windowed-sinc tap vector for fractional offset
-    /// `frac = t − ⌊t⌋ ∈ [0, 1]`, unless it already holds exactly that
-    /// offset's taps.
+    /// `frac = t − ⌊t⌋ ∈ [0, 1]` with [`crate::interp::fill_taps`] — the
+    /// taps the scalar reference computes per call — unless it already
+    /// holds exactly that offset's taps. A drifting grid refills per
+    /// output; the closed-form fill costs one sine, one `sin_cos` and a
+    /// division per tap.
     fn ensure_taps(&mut self, frac: f64) {
         if self.taps_valid && self.taps_frac == frac {
             return;
         }
-        debug_assert!((0.0..=1.0).contains(&frac), "fraction {frac} outside [0, 1]");
-        let w = DEFAULT_HALF_WIDTH as f64;
-        // The window ends are ⌈frac − w⌉ and ⌊frac + w⌋. With frac in
-        // [0, 1] the first operand is ≤ 0 and the second ≥ 0, so truncation
-        // toward zero is that ceil and that floor exactly, without a libm
-        // call on every refill (a drifting grid refills per output).
-        let j_lo = (frac - w) as isize;
-        let j_hi = (frac + w) as isize;
-        self.taps.resize((j_hi - j_lo + 1) as usize, 0.0);
-        for (tap, j) in self.taps.iter_mut().zip(j_lo..) {
-            let d = frac - j as f64;
-            *tap = sinc(d) * hann(d, w + 1.0);
-        }
+        self.taps.resize(tap_window(frac, DEFAULT_HALF_WIDTH).1, 0.0);
+        fill_taps(frac, DEFAULT_HALF_WIDTH, &mut self.taps);
         self.taps_frac = frac;
-        self.taps_j_lo = j_lo;
         self.taps_valid = true;
     }
 }
@@ -355,8 +345,9 @@ fn fir_interior(fir: &Fir, n: usize) -> (usize, usize, impl Fn(&[Complex], usize
 /// Builds the per-call lattice lanes of a raw-buffer `match_score` span:
 /// one lane per *distinct fractional offset* of the sweep (a 0.25-step
 /// sweep has 9 τ candidates but only 4 fracs), each built with the
-/// `Simd` cached-tap resampler — ~17 sin/cos pairs per lane instead
-/// of 17 per sample per τ. The spans are taken out of the scratch while
+/// `Simd` cached-tap resampler — one closed-form tap fill
+/// ([`crate::interp::fill_taps`]) per lane instead of one per sample
+/// per τ. The spans are taken out of the scratch while
 /// `resample_into` borrows it; the caller puts the returned vector back
 /// so the allocations persist across calls. Lanes are written into the
 /// vector's prefix, so a stale same-frac lane from an earlier, longer
@@ -827,10 +818,12 @@ impl Backend for Simd {
                         f == f0 + u as f64 && t - f == frac
                     });
                     if aligned {
-                        ws.ensure_taps(frac);
-                        let base = f0 as isize + ws.taps_j_lo;
-                        let span = ws.taps.len() as isize;
-                        if base >= 0 && base + 3 + span <= samples.len() as isize {
+                        // The range test runs in f64, so a far-out
+                        // position cannot wrap the index arithmetic.
+                        let (j_lo, count) = tap_window(frac, DEFAULT_HALF_WIDTH);
+                        let base = f0 + j_lo as f64;
+                        if base >= 0.0 && base + (count + 3) as f64 <= samples.len() as f64 {
+                            ws.ensure_taps(frac);
                             let block = lanes::resample_block(samples, base as usize, &ws.taps);
                             out.extend_from_slice(&block);
                             k += 4;
@@ -839,7 +832,8 @@ impl Backend for Simd {
                     }
                 }
             }
-            // one output, edge-clamped
+            // one output, edge-clamped: the reference's `interp_at`, with
+            // the tap vector refilled only when the fraction changes
             let t = start + k as f64 * step;
             k += 1;
             let f = t.floor();
@@ -847,24 +841,14 @@ impl Backend for Simd {
                 out.push(ZERO);
                 continue;
             }
-            // The sinc·hann tap vector depends only on the fractional
-            // part of t, so it is refilled only when that changes.
-            ws.ensure_taps(t - f);
-            let base = f as isize + ws.taps_j_lo;
-            let i_lo = base.clamp(0, samples.len() as isize) as usize;
-            let i_hi = (base + ws.taps.len() as isize).clamp(0, samples.len() as isize) as usize;
-            if i_lo >= i_hi {
+            let frac = t - f;
+            let (j_lo, count) = tap_window(frac, DEFAULT_HALF_WIDTH);
+            let Some((i_lo, j0, n_in)) = window_span(f, j_lo, count, samples.len()) else {
                 out.push(ZERO);
                 continue;
-            }
-            let mut acc_re = 0.0;
-            let mut acc_im = 0.0;
-            let j0 = (i_lo as isize - base) as usize;
-            for (v, &tap) in samples[i_lo..i_hi].iter().zip(&ws.taps[j0..]) {
-                acc_re += v.re * tap;
-                acc_im += v.im * tap;
-            }
-            out.push(Complex::new(acc_re, acc_im));
+            };
+            ws.ensure_taps(frac);
+            out.push(dot_taps(&samples[i_lo..i_lo + n_in], &ws.taps[j0..j0 + n_in]));
         }
     }
 

@@ -448,6 +448,28 @@ fn resample_edge_cases() {
     scalar.resample_into(&x, 0.0, 1.0, x.len(), &mut a);
     fast.resample_into(&x, 0.0, 1.0, x.len(), &mut b);
     assert_close(&a, &b, 1e-12, "resample integer grid");
+    // Far-out and non-finite starts, on unit and drifting grids: no
+    // backend may panic or read outside the buffer, and every output is
+    // the reference's zero, bit for bit. Past ~9.2e18 the window's index
+    // arithmetic would overflow `isize`; at 1e300 a unit step leaves
+    // the position unchanged, so whole four-output blocks line up.
+    for start in [1e19, -1e19, 1e300, -1e300, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        for step in [1.0, 1.0 + 2e-5, 1.0 - 2e-5] {
+            let mut want = Vec::new();
+            zigzag_phy::interp::resample_into(&x, start, step, 12, &mut want);
+            scalar.resample_into(&x, start, step, 12, &mut a);
+            fast.resample_into(&x, start, step, 12, &mut b);
+            for (what, got) in [("reference", &want), ("scalar", &a), ("simd", &b)] {
+                assert_eq!(got.len(), 12, "{what} at {start}+k*{step}");
+                for (k, v) in got.iter().enumerate() {
+                    assert!(
+                        v.re.to_bits() == 0 && v.im.to_bits() == 0,
+                        "{what} output {k} at {start}+k*{step}: {v:?}, want +0"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
