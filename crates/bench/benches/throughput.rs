@@ -516,6 +516,13 @@ fn bench_batch_decode(c: &mut Criterion) {
     let p99_wait_ns =
         waits.get((waits.len() * 99).div_ceil(100).saturating_sub(1)).copied().unwrap_or(0);
     let soak_samples_per_sec = soak_air.samples.len() as f64 / (soak_ms / 1e3);
+    // The producer runs on this thread and segments inside its own
+    // pushes, so `source_stalls` counts the pushes that blocked on a full
+    // shard queue, and `ring_high_water` is the segmenter ring's peak,
+    // at most `StreamConfig::ring_capacity` (one advance). Entries
+    // recorded before the stream ran on one thread counted stalls on,
+    // and the peak of, a separate 65,536-sample producer ring, so
+    // compare neither across that change.
     println!(
         "soak: {:.1} buffers/s, {:.2} Msamples/s, p99 queue wait {:.1} us, source stalls {}, ring high water {}",
         soak_air.bursts as f64 / (soak_ms / 1e3),
@@ -760,6 +767,7 @@ fn bench_batch_decode(c: &mut Criterion) {
         SHARD_IDS.len(),
         ns("recovery_single_core") / 1e6
     );
+    // `source_stalls` and `ring_high_water`: see the soak printout
     let _ = writeln!(
         s,
         "  \"soak\": {{\"samples\": {}, \"buffers\": {}, \"ms\": {soak_ms:.2}, \"buffers_per_sec\": {:.1}, \"msamples_per_sec\": {:.2}, \"p99_queue_wait_us\": {:.1}, \"source_stalls\": {}, \"ring_high_water\": {}, \"stream_equals_precut\": true}},",

@@ -375,15 +375,16 @@ impl ShardConfig {
 }
 
 /// Shape of the streaming front end ([`crate::stream`]): how the
-/// continuous IQ stream is windowed for detection, how collision regions
-/// are carved around detections, and how much raw sample memory the
-/// bounded ingest ring may hold.
+/// continuous IQ stream is windowed for detection and how collision
+/// regions are carved around detections. The segmenter's sample ring is
+/// not a knob: it holds exactly one advance
+/// ([`StreamConfig::ring_capacity`]).
 ///
 /// The determinism contract extends through these knobs: for a given
 /// configuration the carved regions — boundaries, samples, and attached
 /// detections — depend only on the sample stream, never on how the
-/// producer chunked its `push_samples` calls or how often the ring
-/// filled.
+/// producer chunked its `push_samples` calls or how often a push
+/// blocked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Samples the sliding detect operator commits per advance (the
@@ -391,12 +392,6 @@ pub struct StreamConfig {
     /// retention; the scan cost per sample is the same either way
     /// because every correlation position is computed exactly once.
     pub window: usize,
-    /// Capacity of the bounded [`SampleRing`](crate::stream::SampleRing)
-    /// in samples. When the ring is full, `push_samples` blocks — the
-    /// end of the backpressure chain (shard queue → carver → ring →
-    /// source). Raised if necessary so one advance — window, the
-    /// detector's lookahead and lead — always fits.
-    pub ring_depth: usize,
     /// Quiet samples carved ahead of a region's first detection, so the
     /// carved buffer gives the decode pipeline the same interpolation
     /// and suppression context the detections were found with.
@@ -414,7 +409,7 @@ pub struct StreamConfig {
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        Self { window: 4096, ring_depth: 1 << 16, lead: 64, max_packet: 4096, max_region: 1 << 20 }
+        Self { window: 4096, lead: 64, max_packet: 4096, max_region: 1 << 20 }
     }
 }
 
@@ -424,17 +419,12 @@ impl StreamConfig {
         self.window.max(l)
     }
 
-    /// The smallest ring one full advance fits in: window, the
-    /// detector's lookahead ([`crate::detect`]), the lead a new region
-    /// may reach back for, and an interpolation margin.
-    pub(crate) fn ring_floor(&self, l: usize) -> usize {
+    /// The segmenter's sample-ring capacity: the smallest ring one full
+    /// advance fits in — window, the detector's lookahead
+    /// ([`crate::detect`]), the lead a new region may reach back for, and
+    /// an interpolation margin.
+    pub fn ring_capacity(&self, l: usize) -> usize {
         self.effective_window(l) + crate::detect::lookahead(l) + self.lead + 16
-    }
-
-    /// The effective ring capacity: `ring_depth`, raised to the floor at
-    /// which one full advance fits.
-    pub fn effective_ring_depth(&self, l: usize) -> usize {
-        self.ring_depth.max(self.ring_floor(l))
     }
 }
 
@@ -496,11 +486,12 @@ mod tests {
         let c = StreamConfig::default();
         assert_eq!(crate::detect::lookahead(32), 72, "floor = 2·L + 8");
         assert!(c.effective_window(32) >= 32);
-        assert!(c.effective_ring_depth(32) >= c.effective_window(32) + 72 + c.lead);
-        // degenerate knobs are raised, never honored below the floor
-        let tiny = StreamConfig { window: 8, ring_depth: 1, ..c };
+        assert!(c.ring_capacity(32) >= c.effective_window(32) + 72 + c.lead);
+        // a degenerate window is raised, never honored below the floor,
+        // and the ring follows the raised window
+        let tiny = StreamConfig { window: 8, ..c };
         assert_eq!(tiny.effective_window(32), 32);
-        assert!(tiny.effective_ring_depth(32) >= 32 + 72 + tiny.lead);
+        assert!(tiny.ring_capacity(32) >= 32 + 72 + tiny.lead);
     }
 
     #[test]

@@ -74,7 +74,6 @@ pub use matchset::{CollisionStore, MatchOutcome, MatchSet, RejectedSet, StoredCo
 pub use receiver::ReceiverEvent;
 pub use recovery::{RecoveredPacket, RecoveryGroup, SalvagePool};
 pub use stream::{
-    carve_buffer, CarvedRegion, RegionOutcome, SampleRing, Segmenter, StreamOutcome, StreamSource,
-    StreamStats,
+    carve_buffer, CarvedRegion, RegionOutcome, Segmenter, StreamOutcome, StreamSource, StreamStats,
 };
 pub use zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder, ZigzagOutput};

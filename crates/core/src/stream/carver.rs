@@ -21,7 +21,7 @@
 //!
 //! Samples are copied into the open region incrementally at every
 //! advance, so ring retention never depends on region length: the ring
-//! is purely the producer-side backpressure buffer.
+//! holds one advance, whatever the regions.
 //!
 //! [`StreamConfig::lead`]: crate::config::StreamConfig::lead
 //! [`StreamConfig::max_region`]: crate::config::StreamConfig::max_region

@@ -3,28 +3,30 @@
 //! regions into the sharded receiver with end-to-end backpressure
 //! ([`ShardedReceiver::process_stream`]).
 //!
-//! The threaded graph also runs a region's [`capture_attempt`] before
-//! queueing it when the region's shard already has a job waiting: the
-//! capture path's anchor and weak decodes depend on the region alone,
-//! so a shard worker that is behind the segmenting thread keeps only the
-//! stateful tail of its capture stage, and a segmenting thread that is
-//! itself the bottleneck (many shards, or cheap regions) leaves the
-//! decodes to the workers.
+//! The producer runs on the calling thread, and each of its pushes
+//! segments and routes in place. Routing also runs a region's
+//! [`capture_attempt`] before queueing it when the region's shard
+//! already has a job waiting: the capture path's anchor and weak decodes
+//! depend on the region alone, so a shard worker that is behind the
+//! segmenting thread keeps only the stateful tail of its capture stage,
+//! and a segmenting thread that is itself the bottleneck (many shards,
+//! or cheap regions) leaves the decodes to the workers.
 //!
 //! # Backpressure chain
 //!
 //! ```text
-//! producer thread        segmenting (caller) thread                 shard workers
-//! push_samples ──► SampleRing ──► scan ──► carve ──► capture ──► IngestQueue ──► decode
-//!      ▲ blocks when full │                          attempt         │ blocks when full
-//!      └──────────────────┴──────────────────────────────────────────┘
+//! caller thread (producer → StreamSource)                                 shard workers
+//! push_samples ──► segment ──► route ──► capture attempt ──► IngestQueue ──► decode
+//!      ▲ (SampleRing → scan → carve)                             │ full
+//!      └─────────────────────── blocks ──────────────────────────┘
 //! ```
 //!
-//! A slow shard fills its bounded `IngestQueue`; the carver's dispatch
-//! blocks; the driver stops draining the ring; the ring fills; and
-//! [`StreamSource::push_samples`] blocks. Memory is bounded by
-//! `ring_depth + shards × queue_depth × region` and **no sample is ever
-//! dropped** — the contract `tests/stream.rs` pins at `queue_depth = 1`.
+//! A slow shard fills its bounded `IngestQueue`, and the
+//! [`StreamSource::push_samples`] call that completes a region for it
+//! blocks until the shard catches up. Memory is bounded by
+//! [`StreamConfig::ring_capacity`]` + shards × queue_depth × region`
+//! and **no sample is ever dropped** — the contract `tests/stream.rs`
+//! pins at `queue_depth = 1`.
 //! This is the only queue-fed path: a finite batch
 //! ([`ShardedReceiver::process_batch`]) goes through the keyed map
 //! instead, since nothing upstream of it needs throttling.
@@ -34,7 +36,7 @@
 //! Window commit points are fixed multiples of the window stride and the
 //! carve rules are functions of the committed scan alone, so the carved
 //! regions — and therefore the decode events — are bit-identical no
-//! matter how the producer chunks its pushes, how often the ring stalls,
+//! matter how the producer chunks its pushes, how often a push blocks,
 //! or how many shards decode. That makes the whole streaming front end
 //! a level of the repo's determinism contract.
 
@@ -49,7 +51,7 @@ use crate::engine::shard::{route_shard, ShardedReceiver};
 use crate::engine::stage::{all_finite, UnitCtx};
 use crate::matchset::collision_key;
 use crate::receiver::ReceiverEvent;
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 use zigzag_phy::complex::Complex;
 use zigzag_phy::preamble::Preamble;
@@ -77,7 +79,7 @@ impl Segmenter {
         let preamble = Preamble::default_len();
         let l = preamble.len();
         Self {
-            ring: SampleRing::new(scfg.ring_floor(l)),
+            ring: SampleRing::new(scfg.ring_capacity(l)),
             scanner: WindowScanner::new(&preamble, registry, cfg),
             carver: RegionCarver::new(scfg.lead, scfg.max_packet, scfg.max_region),
             ws: Scratch::with_backend(cfg.backend),
@@ -159,103 +161,9 @@ pub fn carve_buffer(
 // threaded driver
 // ---------------------------------------------------------------------
 
-#[derive(Debug)]
-struct SharedState {
-    ring: SampleRing,
-    closed: bool,
-    aborted: bool,
-    stalls: u64,
-}
-
-/// The blocking producer/consumer wrapper around the [`SampleRing`]: the
-/// boundary where source backpressure becomes a blocked `push_samples`.
-#[derive(Debug)]
-struct SharedStream {
-    state: Mutex<SharedState>,
-    not_full: Condvar,
-    not_empty: Condvar,
-}
-
-impl SharedStream {
-    fn new(cap: usize) -> Self {
-        Self {
-            state: Mutex::new(SharedState {
-                ring: SampleRing::new(cap),
-                closed: false,
-                aborted: false,
-                stalls: 0,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    /// Blocking push of the whole chunk (in ring-capacity pieces).
-    fn push(&self, mut chunk: &[Complex]) {
-        while !chunk.is_empty() {
-            let mut st = self.state.lock().expect("stream ring poisoned");
-            let mut counted = false;
-            while st.ring.free() == 0 && !st.aborted {
-                if !counted {
-                    st.stalls += 1;
-                    counted = true;
-                }
-                st = self.not_full.wait(st).expect("stream ring poisoned");
-            }
-            if st.aborted {
-                // a dead driver can consume nothing more; unblock the
-                // producer so the panic can propagate out of the scope
-                return;
-            }
-            let took = st.ring.push(chunk);
-            chunk = &chunk[took..];
-            drop(st);
-            self.not_empty.notify_one();
-        }
-    }
-
-    /// Blocking pop of up to `max` samples into `out` (cleared first).
-    /// Returns `false` once the stream is closed and drained.
-    fn pop_chunk(&self, max: usize, out: &mut Vec<Complex>) -> bool {
-        out.clear();
-        let mut st = self.state.lock().expect("stream ring poisoned");
-        loop {
-            if !st.ring.is_empty() {
-                let lo = st.ring.start();
-                let take = st.ring.len().min(max);
-                out.extend_from_slice(st.ring.slice(lo, lo + take));
-                st.ring.discard_to(lo + take);
-                drop(st);
-                self.not_full.notify_one();
-                return true;
-            }
-            if st.closed {
-                return false;
-            }
-            st = self.not_empty.wait(st).expect("stream ring poisoned");
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("stream ring poisoned").closed = true;
-        self.not_empty.notify_all();
-    }
-
-    fn abort(&self) {
-        self.state.lock().expect("stream ring poisoned").aborted = true;
-        self.not_full.notify_all();
-    }
-
-    /// `(samples accepted, producer stalls, ring high water)`.
-    fn stats(&self) -> (u64, u64, usize) {
-        let st = self.state.lock().expect("stream ring poisoned");
-        (st.ring.end() as u64, st.stalls, st.ring.high_water())
-    }
-}
-
 /// Runs its closure when dropped — the stream graph's one panic-safety
-/// latch. However a thread exits (return or unwind), it closes or aborts
-/// what the other threads block on, so no thread is left asleep on a
+/// latch. However a thread exits (return or unwind), it closes the
+/// queues the other threads block on, so no thread is left asleep on a
 /// condvar nobody will signal and a panic always propagates.
 struct OnDrop<F: FnMut()>(F);
 
@@ -265,20 +173,90 @@ impl<F: FnMut()> Drop for OnDrop<F> {
     }
 }
 
+/// One routed unit of stream ingest: an owned carved region, its capture
+/// attempt when the segmenting thread prepared one, and its enqueue
+/// timestamp (for queue-latency accounting).
+struct RegionJob {
+    region: CarvedRegion,
+    capture: Option<CaptureAttempt>,
+    enqueued: Instant,
+}
+
 /// The producer's handle into a running
 /// [`process_stream`](ShardedReceiver::process_stream): push raw IQ
-/// sample chunks of any size; the call **blocks** while the bounded ring
-/// is full — the end of the backpressure chain. Samples are never
-/// dropped (the only exception: the receiver side panicked, in which
-/// case the stream is aborted so the panic can propagate).
+/// sample chunks of any size. Each push segments the chunk on the
+/// calling thread and routes every region it completes to its shard;
+/// the call **blocks** only while such a region's shard queue is full —
+/// the end of the backpressure chain. Samples are never dropped (the
+/// only exception: a shard worker panicked, in which case the push
+/// panics too so the panic propagates).
 pub struct StreamSource<'a> {
-    shared: &'a SharedStream,
+    seg: Segmenter,
+    regions: Vec<CarvedRegion>,
+    queues: &'a [IngestQueue<RegionJob>],
+    loads: &'a mut [u64],
+    cfg: &'a DecoderConfig,
+    registry: &'a ClientRegistry,
+    preamble: &'a Preamble,
+    attempt_ws: Scratch,
+    stats: StreamStats,
 }
 
 impl StreamSource<'_> {
-    /// Pushes one chunk, blocking while the ring is full.
-    pub fn push_samples(&self, chunk: &[Complex]) {
-        self.shared.push(chunk);
+    /// Pushes one chunk: segments it and routes every region it
+    /// completes, blocking while a region's shard queue is full.
+    pub fn push_samples(&mut self, chunk: &[Complex]) {
+        self.stats.samples += chunk.len() as u64;
+        self.seg.push(chunk, &mut self.regions);
+        if self.route() {
+            self.stats.source_stalls += 1;
+        }
+    }
+
+    /// Ends the stream: segments the tail and routes its regions.
+    fn finish(&mut self) {
+        self.seg.finish(&mut self.regions);
+        self.route();
+    }
+
+    /// Routes every completed region to its shard's queue. Returns
+    /// whether any of those pushes blocked on a full queue.
+    fn route(&mut self) -> bool {
+        let n = self.queues.len();
+        let mut blocked = false;
+        for region in self.regions.drain(..) {
+            let shard = route_shard(&collision_key(&region.detections, self.cfg.key_window), n);
+            self.loads[shard] += 1;
+            self.stats.carved_samples += region.samples.len() as u64;
+            // the capture decodes depend on the region alone: run them
+            // here when the shard's worker has a job waiting, so this
+            // thread has slack before the worker reaches the region (one
+            // with fewer than two detections, or one `run_unit` rejects
+            // as non-finite, never reaches the capture stage)
+            let prepare = !self.queues[shard].is_empty()
+                && region.detections.len() >= 2
+                && all_finite(&region.samples);
+            let capture = prepare.then(|| {
+                self.stats.capture_attempts += 1;
+                let start = Instant::now();
+                let attempt = capture_attempt(
+                    &region.samples,
+                    &region.detections,
+                    self.registry,
+                    self.preamble,
+                    self.cfg,
+                    &mut self.attempt_ws,
+                );
+                self.stats.capture_attempt_ns += start.elapsed().as_nanos() as u64;
+                attempt
+            });
+            let job = RegionJob { region, capture, enqueued: Instant::now() };
+            match self.queues[shard].push(job) {
+                Ok(waited) => blocked |= waited,
+                Err(_) => panic!("shard {shard} worker terminated before its ingest completed"),
+            }
+        }
+        blocked
     }
 }
 
@@ -303,12 +281,13 @@ pub struct RegionOutcome {
 /// run — the observability the soak workload graphs.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StreamStats {
-    /// Samples accepted from the producer (every one was processed).
+    /// Samples the producer pushed, summed per `push_samples` call
+    /// (every one was processed).
     pub samples: u64,
     /// Regions carved and decoded.
     pub regions: usize,
     /// Samples inside carved regions (the rest was discarded as quiet
-    /// air without ever being buffered beyond the ring).
+    /// air without ever being buffered beyond the segmenter's ring).
     pub carved_samples: u64,
     /// Regions whose capture attempt the segmenting thread prepared
     /// (their shard workers only ran capture's stateful tail). Depends
@@ -316,10 +295,11 @@ pub struct StreamStats {
     pub capture_attempts: usize,
     /// Wall time the segmenting thread spent in those attempts.
     pub capture_attempt_ns: u64,
-    /// `push_samples` calls that blocked on a full ring — end-to-end
-    /// backpressure reaching the source.
+    /// `push_samples` calls that blocked on a full shard queue —
+    /// end-to-end backpressure reaching the source.
     pub source_stalls: u64,
-    /// Highest ring occupancy reached.
+    /// Highest occupancy of the [`Segmenter`]'s sample ring, at most
+    /// [`StreamConfig::ring_capacity`].
     pub ring_high_water: usize,
     /// Per-shard ingest-queue stalls during this run (carver blocked on
     /// a full shard queue).
@@ -349,21 +329,12 @@ impl StreamOutcome {
     }
 }
 
-/// One routed unit of stream ingest: an owned carved region, its capture
-/// attempt when the segmenting thread prepared one, and its enqueue
-/// timestamp (for queue-latency accounting).
-struct RegionJob {
-    region: CarvedRegion,
-    capture: Option<CaptureAttempt>,
-    enqueued: Instant,
-}
-
 impl ShardedReceiver {
-    /// Decodes a continuous IQ stream: spawns `producer` on its own
+    /// Decodes a continuous IQ stream: runs `producer` on the calling
     /// thread with a [`StreamSource`] to push arbitrary sample chunks
-    /// into, runs the source→detect→carve→route graph (and the capture
-    /// attempts of regions whose shard is behind, see module docs) on the
-    /// calling thread, and decodes carved regions on the shard workers —
+    /// into, whose pushes run the source→detect→carve→route graph (and
+    /// the capture attempts of regions whose shard is behind, see module
+    /// docs) in place, and decodes carved regions on the shard workers —
     /// with end-to-end backpressure (see module docs) and the same
     /// deterministic merge as [`Self::process_batch`].
     ///
@@ -397,33 +368,31 @@ impl ShardedReceiver {
     /// ```
     pub fn process_stream<F>(&mut self, scfg: &StreamConfig, producer: F) -> StreamOutcome
     where
-        F: FnOnce(&StreamSource<'_>) + Send,
+        F: FnOnce(&mut StreamSource<'_>),
     {
         let n = self.cores.len();
         let depth = self.shard_cfg.queue_depth.max(1);
-        let l = self.preamble.len();
-        let mut seg = Segmenter::new(&self.cfg, &self.registry, scfg);
-        let pull = seg.window;
-        let shared = SharedStream::new(scfg.effective_ring_depth(l));
         let queues: Vec<IngestQueue<RegionJob>> = (0..n).map(|_| IngestQueue::new(depth)).collect();
         let results: Vec<Mutex<Vec<RegionOutcome>>> =
             (0..n).map(|_| Mutex::new(Vec::new())).collect();
         let Self { cfg, registry, pipeline, preamble, cores, loads, .. } = self;
-        let (cfg, pipeline) = (&*cfg, &*pipeline);
-        let shared_ref = &shared;
+        let mut src = StreamSource {
+            seg: Segmenter::new(cfg, registry, scfg),
+            regions: Vec::new(),
+            queues: &queues,
+            loads,
+            cfg,
+            registry,
+            preamble,
+            attempt_ws: Scratch::with_backend(cfg.backend),
+            stats: StreamStats::default(),
+        };
+        let pipeline = &*pipeline;
 
-        let mut carved_samples = 0u64;
-        let mut attempt_ws = Scratch::with_backend(cfg.backend);
-        let (mut capture_attempts, mut capture_attempt_ns) = (0, 0u64);
         std::thread::scope(|s| {
-            s.spawn(move || {
-                // a producer that died mid-push must not strand the driver
-                let _close = OnDrop(|| shared_ref.close());
-                producer(&StreamSource { shared: shared_ref });
-            });
             for ((core, queue), slot) in cores.iter_mut().zip(&queues).zip(&results) {
                 s.spawn(move || {
-                    // a dead worker must not strand the driver on its queue
+                    // a dead worker must not strand the source on its queue
                     let _closer = OnDrop(|| queue.close());
                     let mut local = Vec::new();
                     while let Some(job) = queue.pop() {
@@ -444,58 +413,13 @@ impl ShardedReceiver {
                 });
             }
 
-            // driver (caller thread): drain ring → segment → route. Both
-            // guards exist for panic safety: whatever kills the driver,
-            // the workers' queues close and the producer's ring aborts,
-            // so every thread exits and the panic propagates.
-            let _abort = OnDrop(|| shared_ref.abort());
-            let closer = OnDrop(|| queues.iter().for_each(IngestQueue::close));
-            let mut chunk = Vec::new();
-            let mut regions = Vec::new();
-            loop {
-                let more = shared.pop_chunk(pull, &mut chunk);
-                if more {
-                    seg.push(&chunk, &mut regions);
-                } else {
-                    seg.finish(&mut regions);
-                }
-                for region in regions.drain(..) {
-                    let shard = route_shard(&collision_key(&region.detections, cfg.key_window), n);
-                    loads[shard] += 1;
-                    carved_samples += region.samples.len() as u64;
-                    // the capture decodes depend on the region alone: run
-                    // them here when the shard's worker has a job waiting,
-                    // so this thread has slack before the worker reaches
-                    // the region (one with fewer than two detections, or
-                    // one `run_unit` rejects as non-finite, never reaches
-                    // the capture stage)
-                    let prepare = !queues[shard].is_empty()
-                        && region.detections.len() >= 2
-                        && all_finite(&region.samples);
-                    let capture = prepare.then(|| {
-                        capture_attempts += 1;
-                        let start = Instant::now();
-                        let attempt = capture_attempt(
-                            &region.samples,
-                            &region.detections,
-                            registry,
-                            preamble,
-                            cfg,
-                            &mut attempt_ws,
-                        );
-                        capture_attempt_ns += start.elapsed().as_nanos() as u64;
-                        attempt
-                    });
-                    let job = RegionJob { region, capture, enqueued: Instant::now() };
-                    if queues[shard].push(job).is_err() {
-                        panic!("shard {shard} worker terminated before its ingest completed");
-                    }
-                }
-                if !more {
-                    break;
-                }
-            }
-            drop(closer);
+            // the caller's thread: produce → segment → route. However it
+            // exits, even by a producer or routing panic, the queues
+            // close, so every worker drains and exits and the panic
+            // propagates.
+            let _closer = OnDrop(|| queues.iter().for_each(IngestQueue::close));
+            producer(&mut src);
+            src.finish();
         });
 
         let mut region_out: Vec<RegionOutcome> = results
@@ -504,20 +428,13 @@ impl ShardedReceiver {
             .collect();
         region_out.sort_by_key(|r| r.seq);
 
-        let (samples, source_stalls, ring_high_water) = shared.stats();
-        StreamOutcome {
-            stats: StreamStats {
-                samples,
-                regions: region_out.len(),
-                carved_samples,
-                capture_attempts,
-                capture_attempt_ns,
-                source_stalls,
-                ring_high_water,
-                shard_stalls: queues.iter().map(|q| q.stalls()).collect(),
-                queue_high_water: queues.iter().map(|q| q.high_water()).collect(),
-            },
-            regions: region_out,
-        }
+        let stats = StreamStats {
+            regions: region_out.len(),
+            ring_high_water: src.seg.ring.high_water(),
+            shard_stalls: queues.iter().map(|q| q.stalls()).collect(),
+            queue_high_water: queues.iter().map(|q| q.high_water()).collect(),
+            ..src.stats
+        };
+        StreamOutcome { stats, regions: region_out }
     }
 }

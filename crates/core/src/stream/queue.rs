@@ -1,6 +1,6 @@
-//! The bounded blocking queue between the stream driver and one receiver
-//! shard — the link in the backpressure chain that turns a slow shard
-//! into a stalled carver.
+//! The bounded blocking queue between the stream source and one
+//! receiver shard — the link in the backpressure chain that turns a slow
+//! shard into a blocked `push_samples`.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -60,11 +60,12 @@ impl<T> IngestQueue<T> {
         self.state.lock().expect("ingest queue poisoned").stalls
     }
 
-    /// Enqueues an item, blocking while the queue is full. Returns the
-    /// item back if the queue was closed.
-    pub(crate) fn push(&self, item: T) -> Result<(), T> {
+    /// Enqueues an item, blocking while the queue is full. Returns
+    /// whether it had to block, or the item back if the queue was closed.
+    pub(crate) fn push(&self, item: T) -> Result<bool, T> {
         let mut state = self.state.lock().expect("ingest queue poisoned");
-        if state.items.len() >= self.cap && !state.closed {
+        let blocked = state.items.len() >= self.cap && !state.closed;
+        if blocked {
             state.stalls += 1;
         }
         while state.items.len() >= self.cap && !state.closed {
@@ -77,7 +78,7 @@ impl<T> IngestQueue<T> {
         state.high_water = state.high_water.max(state.items.len());
         drop(state);
         self.not_empty.notify_one();
-        Ok(())
+        Ok(blocked)
     }
 
     /// Dequeues the oldest item, blocking while the queue is empty.
@@ -137,17 +138,19 @@ mod tests {
     fn queue_telemetry_tracks_occupancy_and_stalls() {
         let q = IngestQueue::new(2);
         assert_eq!((q.high_water(), q.stalls()), (0, 0));
-        q.push(1).unwrap();
+        assert_eq!(q.push(1), Ok(false), "a push with room does not block");
         assert_eq!(q.high_water(), 1);
         q.push(2).unwrap();
         assert_eq!(q.high_water(), 2);
-        // a blocked push on a full queue counts exactly one stall
+        // a blocked push on a full queue counts exactly one stall and
+        // reports that it blocked
         std::thread::scope(|s| {
-            s.spawn(|| q.push(3).unwrap());
+            let pusher = s.spawn(|| q.push(3));
             while q.stalls() == 0 {
                 std::thread::yield_now();
             }
             assert_eq!(q.pop(), Some(1));
+            assert_eq!(pusher.join().unwrap(), Ok(true));
         });
         assert_eq!(q.stalls(), 1);
         assert_eq!(q.high_water(), 2, "pop before the blocked push lands keeps occupancy ≤ cap");

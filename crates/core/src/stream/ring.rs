@@ -1,23 +1,23 @@
 //! The bounded sample ring the streaming front end ingests through.
 //!
 //! A [`SampleRing`] holds a contiguous window of the unbounded IQ stream
-//! in *absolute* sample coordinates: `data[0]` is stream sample
-//! [`start`](SampleRing::start), and [`end`](SampleRing::end) is the
-//! total number of samples ever accepted. Absolute indexing is what lets
-//! the sliding scanner, the carver, and the backpressure accounting all
-//! speak the same coordinate system regardless of how the producer
-//! chunked its pushes or how often the ring was drained.
+//! in *absolute* sample coordinates: [`live`](SampleRing::live) returns
+//! the retained samples with the stream index of the first one, and
+//! [`end`](SampleRing::end) is the total number of samples ever
+//! accepted. Absolute indexing is what lets the sliding scanner and the
+//! carver speak the same coordinate system regardless of how the
+//! producer chunked its pushes.
 //!
-//! The ring is a policy-free single-threaded container; the blocking
-//! producer/consumer discipline (full ring ⇒ `push_samples` blocks)
-//! lives in the driver's mutex/condvar wrapper around it.
+//! The ring is a policy-free single-threaded container owned by the
+//! [`Segmenter`](super::Segmenter), which frees it by advancing the scan
+//! whenever it fills; it never blocks.
 
 use zigzag_phy::complex::Complex;
 
 /// A bounded contiguous window over the sample stream, addressed by
 /// absolute sample index.
 #[derive(Debug)]
-pub struct SampleRing {
+pub(crate) struct SampleRing {
     cap: usize,
     start: usize,
     data: Vec<Complex>,
@@ -30,30 +30,10 @@ impl SampleRing {
         Self { cap: cap.max(1), start: 0, data: Vec::new(), high_water: 0 }
     }
 
-    /// Maximum number of samples held at once.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Absolute index of the oldest retained sample.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
     /// Absolute index one past the newest sample — the total number of
     /// samples ever accepted.
     pub fn end(&self) -> usize {
         self.start + self.data.len()
-    }
-
-    /// Samples currently retained.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// `true` if no samples are retained right now.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Remaining capacity.
@@ -74,20 +54,6 @@ impl SampleRing {
         self.data.extend_from_slice(&chunk[..take]);
         self.high_water = self.high_water.max(self.data.len());
         take
-    }
-
-    /// The retained samples `[lo, hi)` in absolute coordinates.
-    ///
-    /// # Panics
-    /// If the range is not fully retained.
-    pub fn slice(&self, lo: usize, hi: usize) -> &[Complex] {
-        assert!(
-            lo >= self.start && hi <= self.end() && lo <= hi,
-            "ring slice [{lo}, {hi}) outside retained [{}, {})",
-            self.start,
-            self.end()
-        );
-        &self.data[lo - self.start..hi - self.start]
     }
 
     /// Every retained sample, with its absolute base index.
@@ -119,13 +85,13 @@ mod tests {
     fn absolute_indexing_survives_discard() {
         let mut r = SampleRing::new(8);
         assert_eq!(r.push(&[s(0.0), s(1.0), s(2.0), s(3.0)]), 4);
-        assert_eq!((r.start(), r.end()), (0, 4));
+        assert_eq!((r.live().0, r.end()), (0, 4));
         r.discard_to(2);
-        assert_eq!((r.start(), r.end(), r.len()), (2, 4, 2));
+        assert_eq!((r.live().0, r.end(), r.live().1.len()), (2, 4, 2));
         assert_eq!(r.push(&[s(4.0), s(5.0)]), 2);
-        assert_eq!(r.slice(2, 6).iter().map(|c| c.re).collect::<Vec<_>>(), [2.0, 3.0, 4.0, 5.0]);
         let (base, live) = r.live();
-        assert_eq!((base, live.len()), (2, 4));
+        assert_eq!(base, 2);
+        assert_eq!(live.iter().map(|c| c.re).collect::<Vec<_>>(), [2.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]
@@ -146,8 +112,8 @@ mod tests {
         r.push(&[s(0.0), s(1.0)]);
         r.discard_to(0); // no-op
         r.discard_to(10); // clamped to end
-        assert_eq!((r.start(), r.len()), (2, 0));
+        assert_eq!((r.live().0, r.live().1.len()), (2, 0));
         r.discard_to(1); // behind start: no-op
-        assert_eq!(r.start(), 2);
+        assert_eq!(r.live().0, 2);
     }
 }

@@ -55,8 +55,9 @@ fn main() {
     let cfg = DecoderConfig::shared_ap();
     let scfg = StreamConfig::default();
 
-    // Stream decode: push the air in SDR-callback-sized chunks from a
-    // producer thread while the carver and shard workers run.
+    // Stream decode: push the air in SDR-callback-sized chunks; each
+    // push carves and routes on this thread while the shard workers
+    // decode.
     let mut rx = ShardedReceiver::new(
         cfg.clone(),
         ShardConfig { shards: 2, queue_depth: 4 },

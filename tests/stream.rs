@@ -348,16 +348,16 @@ fn prepared_capture_matches_inline_capture_in_the_capture_band() {
     }
 }
 
-/// Backpressure with the smallest possible buffers: queue depth 1 and a
-/// floored ring. A slow shard must throttle the source end-to-end —
-/// bounded memory, zero drops, events unchanged.
+/// Backpressure with the smallest possible buffers: queue depth 1 and
+/// the segmenter's one-advance ring. A slow shard must throttle the
+/// source end-to-end — bounded memory, zero drops, events unchanged.
 #[test]
 fn depth_one_backpressure_never_drops_a_sample() {
     let air = build_air(&[([1, 2], [-0.13, 0.14], 420, 4), ([3, 4], [-0.08, 0.02], 300, 5)], 5000);
     let cfg = DecoderConfig::shared_ap();
-    // ring_depth 1 is floored to one advance; window 1024 keeps the
-    // floored ring (~1.2k samples) far smaller than the ~37k-sample air
-    let scfg = StreamConfig { window: 1024, ring_depth: 1, ..StreamConfig::default() };
+    // window 1024 keeps the one-advance ring (~1.2k samples) far
+    // smaller than the ~37k-sample air
+    let scfg = StreamConfig { window: 1024, ..StreamConfig::default() };
     let l = Preamble::default_len().len();
     let regions = carve_buffer(&air.samples, &cfg, &air.registry, &scfg);
     let buffers: Vec<Vec<Complex>> = regions.iter().map(|r| r.samples.clone()).collect();
@@ -379,10 +379,10 @@ fn depth_one_backpressure_never_drops_a_sample() {
     assert_eq!(out.stats.regions, regions.len());
     assert_eq!(out.events(), precut, "backpressure must change pacing, never events");
     assert!(
-        out.stats.ring_high_water <= scfg.effective_ring_depth(l),
+        out.stats.ring_high_water <= scfg.ring_capacity(l),
         "ring must stay bounded: {} > {}",
         out.stats.ring_high_water,
-        scfg.effective_ring_depth(l)
+        scfg.ring_capacity(l)
     );
     // per-shard queue telemetry: one entry per shard, bounded by the depth
     assert_eq!(out.stats.shard_stalls.len(), rx.shards());
@@ -393,9 +393,8 @@ fn depth_one_backpressure_never_drops_a_sample() {
 }
 
 /// A decode panic on a shard worker must unwind out of
-/// `process_stream` at the smallest queue depth, not leave the driver
-/// blocked on the dead worker's full queue (or the producer on a full
-/// ring).
+/// `process_stream` at the smallest queue depth, not leave the
+/// producer's push blocked on the dead worker's full queue.
 #[test]
 fn worker_panic_in_a_stream_propagates_instead_of_hanging() {
     struct PanicStage;
@@ -413,7 +412,7 @@ fn worker_panic_in_a_stream_propagates_instead_of_hanging() {
         }
     }
     let air = build_air(&[([1, 2], [-0.13, 0.14], 420, 4), ([3, 4], [-0.08, 0.02], 300, 5)], 5000);
-    let scfg = StreamConfig { window: 1024, ring_depth: 1, ..StreamConfig::default() };
+    let scfg = StreamConfig { window: 1024, ..StreamConfig::default() };
     let mut rx = ShardedReceiver::with_pipeline(
         DecoderConfig::shared_ap(),
         ShardConfig { shards: 2, queue_depth: 1 },
@@ -428,6 +427,33 @@ fn worker_panic_in_a_stream_propagates_instead_of_hanging() {
         })
     }));
     assert!(run.is_err(), "worker panic must propagate, not deadlock");
+}
+
+/// A producer that panics mid-stream must unwind out of
+/// `process_stream`: the producer runs on the caller's thread, so the
+/// guard that closes the shard queues as that thread unwinds is what
+/// lets the workers drain and exit instead of waiting for regions
+/// that will never come.
+#[test]
+fn producer_panic_in_a_stream_propagates_instead_of_hanging() {
+    let air = build_air(&[([1, 2], [-0.13, 0.14], 420, 4), ([3, 4], [-0.08, 0.02], 300, 5)], 5000);
+    let first_region_end = air.ends[0] + StreamConfig::default().max_packet;
+    let mut rx = ShardedReceiver::new(
+        DecoderConfig::shared_ap(),
+        ShardConfig { shards: 2, queue_depth: 1 },
+        air.registry.clone(),
+    );
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        rx.process_stream(&StreamConfig::default(), |src| {
+            // past the first region, so a worker holds a job when the
+            // producer dies
+            for chunk in air.samples[..first_region_end + 8192].chunks(777) {
+                src.push_samples(chunk);
+            }
+            panic!("injected producer failure");
+        })
+    }));
+    assert!(run.is_err(), "producer panic must propagate, not deadlock");
 }
 
 /// A burst of non-finite samples (a glitching front end) in the quiet
