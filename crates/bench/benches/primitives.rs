@@ -23,7 +23,17 @@
 //! primitive benches. Set `ZIGZAG_BENCH_RELAXED=1` to relax the perf
 //! gates (shared CI runners); the equivalence assertions always run.
 //! Results are written to `BENCH_phy.json` at the repo root so the perf
-//! trajectory is tracked across PRs.
+//! trajectory is tracked across PRs. The absolute ns of one run drift
+//! with the machine by more than most changes move a row, so each row
+//! is also written as `vs_reference`: its time over the
+//! `viterbi_decode_1024` row's time in the same run (a convolutional
+//! decoder no kernel backend touches). Compare those ratios across
+//! commits, not the ns.
+//!
+//! A `resample_chunks_64x64` pair times the resampler at the chunk
+//! decoder's call shape, 64 calls of 64 outputs, where per-call setup
+//! is not amortized over a whole buffer. It is checked for equivalence
+//! like every row, and timed but not counted in the breadth gate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::prelude::*;
@@ -62,6 +72,11 @@ fn assert_equivalent(outputs: &[Vec<Complex>], what: &str) {
     }
 }
 
+/// The row every result is also written relative to (`vs_reference` =
+/// its ns over this row's ns, from the same run). No kernel backend
+/// touches it, so the ratio cancels a slowdown that hits the whole run.
+const REFERENCE_ROW: &str = "viterbi_decode_1024";
+
 /// Timing results collected across the benches, flushed to JSON at the
 /// end of the run.
 struct Results {
@@ -79,11 +94,17 @@ impl Results {
 
     fn write_json(&self, path: &str) {
         let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let ref_ns = self.ns(REFERENCE_ROW).expect("the reference row is benched every run");
         let mut s = format!("{{\n  \"bench\": \"primitives\",\n  \"nproc\": {nproc},\n");
+        let _ = writeln!(s, "  \"reference\": \"{REFERENCE_ROW}\",");
         s.push_str("  \"results\": [\n");
         for (i, (name, ns)) in self.entries.iter().enumerate() {
             let comma = if i + 1 < self.entries.len() { "," } else { "" };
-            let _ = writeln!(s, "    {{\"name\": \"{name}\", \"ns_per_iter\": {ns:.1}}}{comma}");
+            let rel = ns / ref_ns;
+            let _ = writeln!(
+                s,
+                "    {{\"name\": \"{name}\", \"ns_per_iter\": {ns:.1}, \"vs_reference\": {rel:.5}}}{comma}"
+            );
         }
         s.push_str("  ],\n  \"speedups\": {\n");
         // one column per non-reference backend: speedup vs scalar
@@ -193,6 +214,39 @@ fn bench_resample(c: &mut Criterion, r: &mut Results) {
         }
         assert_equivalent(&outputs, &format!("resample_4096_{tag}"));
     }
+}
+
+/// The chunk decoder's call shape: 64 calls of 64 outputs each at
+/// µ = 0.37 on a unit grid, walking a 4096-sample buffer, so each call
+/// pays its own setup (tap-cache check, run test, clipped edges) over
+/// few outputs, where `resample_4096_mu037` pays it once per 4096.
+fn bench_resample_chunks(c: &mut Criterion, r: &mut Results) {
+    let buf = noise(4096, 9);
+    let chunk = 64usize;
+    let mut outputs: Vec<Vec<Complex>> = Vec::new();
+    for kind in BACKENDS {
+        let mut kernel = Kernel::new(kind);
+        let mut out = Vec::new();
+        let name = format!("resample_chunks_64x64/{}", kind.name());
+        c.bench_function(&name, |b| {
+            b.iter(|| {
+                let mut last = None;
+                for start in (0..buf.len()).step_by(chunk) {
+                    kernel.resample_into(&buf, start as f64 + 0.37, 1.0, chunk, &mut out);
+                    last = out.last().copied();
+                }
+                last
+            })
+        });
+        r.record(&name, c.last_ns);
+        let mut all = Vec::new();
+        for start in (0..buf.len()).step_by(chunk) {
+            kernel.resample_into(&buf, start as f64 + 0.37, 1.0, chunk, &mut out);
+            all.extend_from_slice(&out);
+        }
+        outputs.push(all);
+    }
+    assert_equivalent(&outputs, "resample_chunks_64x64");
 }
 
 fn bench_mrc(c: &mut Criterion, r: &mut Results) {
@@ -339,6 +393,7 @@ fn run(c: &mut Criterion) {
     bench_correlation(c, &mut r);
     bench_fir(c, &mut r);
     bench_resample(c, &mut r);
+    bench_resample_chunks(c, &mut r);
     bench_mrc(c, &mut r);
     bench_matching(c, &mut r);
     bench_equalizer(c, &mut r);

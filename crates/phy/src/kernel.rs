@@ -15,13 +15,16 @@
 //!   (`re`/`im` split `f64` slices) plus the algorithmic wins: the
 //!   correlation pre-derotates the reference once per scan instead of
 //!   paying a sin/cos per inner-loop sample, the FIR runs a single-pass
-//!   interior sweep, and the resampler caches the sinc·hann tap vector
-//!   per distinct fractional offset. The inner loops are explicit
-//!   four-lane kernels (the private `lanes` module): stable `std::arch`
-//!   AVX2 intrinsics behind a once-cached runtime
-//!   [`is_x86_feature_detected!`] check, and a portable `[f64; 4]`
-//!   fallback with identical per-lane arithmetic everywhere else, so the
-//!   AVX2 and portable paths agree bit for bit.
+//!   interior sweep, and the resampler keeps one sinc·hann tap vector,
+//!   cached across calls and refilled only when the exact fractional
+//!   offset changes. On a unit grid it finds each whole run of outputs
+//!   that share that vector and sweeps the run's in-buffer part sixteen
+//!   outputs per block. The inner loops are explicit four-lane kernels
+//!   (the private `lanes` module): stable `std::arch` AVX2 intrinsics
+//!   behind a once-cached runtime [`is_x86_feature_detected!`] check,
+//!   and a portable `[f64; 4]` fallback with identical per-lane
+//!   arithmetic everywhere else, so the AVX2 and portable paths agree
+//!   bit for bit.
 //!
 //! A fifth primitive joined in the k-way matching PR: the normalized
 //! **match metric** of §4.2.2 (`match_score`), the correlation of a span
@@ -268,7 +271,8 @@ impl KernelScratch {
     /// Fills the cached windowed-sinc tap vector for fractional offset
     /// `frac = t − ⌊t⌋ ∈ [0, 1]` with [`crate::interp::fill_taps`] — the
     /// taps the scalar reference computes per call — unless it already
-    /// holds exactly that offset's taps. A drifting grid refills per
+    /// holds exactly that offset's taps, from this call or an earlier
+    /// one (the taps depend on `frac` alone). A drifting grid refills per
     /// output; the closed-form fill costs one sine, one `sin_cos` and a
     /// division per tap.
     fn ensure_taps(&mut self, frac: f64) {
@@ -791,64 +795,59 @@ impl Backend for Simd {
         out: &mut Vec<Complex>,
     ) {
         out.clear();
-        // No SoA staging here: a chunk decoder calls this once per small
-        // block with the *full* residual buffer as `samples`, so an
-        // up-front whole-buffer copy would cost more than the 17-tap
-        // window reads it feeds. The win is the cached tap vector.
-        ws.taps_valid = false;
         out.reserve(n);
+        // Whole runs, not outputs: on a unit grid, from output k,
+        // `lanes::unit_run` finds (with the reference's own
+        // `t = start + k·step` arithmetic) how many outputs share t's
+        // exact fraction and sit one whole sample apart. They share one
+        // tap vector, and the part of the run whose windows lie fully in
+        // the buffer is one `lanes::resample_run` sweep, sixteen outputs
+        // per block, read in place from the caller's buffer (a chunk
+        // decoder passes the full residual, so copying it would cost more
+        // than the reads). The run's clipped edges take the per-output
+        // body, and so does every output of a drifting grid, which
+        // refills the taps per output anyway. The tap vector stays cached
+        // across calls, keyed on the exact fraction. Every output is the
+        // reference's `interp_at`, bit for bit.
+        let len = samples.len() as f64;
         let mut k = 0;
         while k < n {
-            // Four-outputs-at-a-time fast path: on the receiver's
-            // step = 1 grids, four consecutive outputs share the exact
-            // fractional offset and read four consecutive full windows —
-            // one broadcast tap against four deinterleaved samples per
-            // tap index, with per-output accumulation in tap order (the
-            // reference's). Any output that breaks the pattern (edge
-            // clamp, fractional drift, non-finite position) falls back to
-            // the per-output body below, which is bit-identical.
-            if k + 4 <= n {
-                let t0 = start + k as f64 * step;
-                let f0 = t0.floor();
-                if f0.is_finite() {
-                    let frac = t0 - f0;
-                    let aligned = (1..4).all(|u| {
-                        let t = start + (k + u) as f64 * step;
-                        let f = t.floor();
-                        f == f0 + u as f64 && t - f == frac
-                    });
-                    if aligned {
-                        // The range test runs in f64, so a far-out
-                        // position cannot wrap the index arithmetic.
-                        let (j_lo, count) = tap_window(frac, DEFAULT_HALF_WIDTH);
-                        let base = f0 + j_lo as f64;
-                        if base >= 0.0 && base + (count + 3) as f64 <= samples.len() as f64 {
-                            ws.ensure_taps(frac);
-                            let block = lanes::resample_block(samples, base as usize, &ws.taps);
-                            out.extend_from_slice(&block);
-                            k += 4;
-                            continue;
-                        }
-                    }
-                }
-            }
-            // one output, edge-clamped: the reference's `interp_at`, with
-            // the tap vector refilled only when the fraction changes
             let t = start + k as f64 * step;
-            k += 1;
-            let f = t.floor();
-            if !f.is_finite() {
+            let f0 = t.floor();
+            if !f0.is_finite() {
                 out.push(ZERO);
+                k += 1;
                 continue;
             }
-            let frac = t - f;
+            let frac = t - f0;
             let (j_lo, count) = tap_window(frac, DEFAULT_HALF_WIDTH);
-            let Some((i_lo, j0, n_in)) = window_span(f, j_lo, count, samples.len()) else {
-                out.push(ZERO);
-                continue;
-            };
             ws.ensure_taps(frac);
-            out.push(dot_taps(&samples[i_lo..i_lo + n_in], &ws.taps[j0..j0 + n_in]));
+            let edge = |u: usize| match window_span(f0 + u as f64, j_lo, count, samples.len()) {
+                Some((i_lo, j0, n_in)) => {
+                    dot_taps(&samples[i_lo..i_lo + n_in], &ws.taps[j0..j0 + n_in])
+                }
+                None => ZERO,
+            };
+            if step != 1.0 {
+                out.push(edge(0));
+                k += 1;
+                continue;
+            }
+            let run = lanes::unit_run(start, step, k, n, f0, frac);
+            // Output k + u reads samples base + u ..+ count. The full
+            // windows are u in lo..hi; the bounds are worked out in f64,
+            // so a far-out position cannot wrap the index arithmetic.
+            let base = f0 + j_lo as f64;
+            let lo = (-base).clamp(0.0, run as f64) as usize;
+            let hi = (len - count as f64 - base + 1.0).clamp(lo as f64, run as f64) as usize;
+            out.extend((0..lo).map(edge));
+            if hi > lo {
+                let at = out.len();
+                out.resize(at + (hi - lo), ZERO);
+                lanes::resample_run(samples, (base + lo as f64) as usize, &ws.taps, &mut out[at..]);
+            }
+            out.extend((hi..run).map(edge));
+            k += run;
         }
     }
 
@@ -974,7 +973,7 @@ impl Backend for Simd {
 /// in reductions so the reduction tree matches the portable path's
 /// `(l0+l1)+(l2+l3)` exactly.
 mod lanes {
-    use super::{Complex, SubLattice, ABANDON_BLOCK, ZERO};
+    use super::{Complex, SubLattice, ABANDON_BLOCK};
 
     #[cfg(test)]
     thread_local! {
@@ -1205,60 +1204,140 @@ mod lanes {
         }
     }
 
-    /// Four consecutive resampler outputs sharing one tap vector:
-    /// `out[u] = Σ_j samples[base0+j+u]·taps[j]` with per-output
-    /// accumulation in ascending tap order. The caller guarantees all
-    /// four windows are fully in range.
-    pub fn resample_block(samples: &[Complex], base0: usize, taps: &[f64]) -> [Complex; 4] {
+    /// The number of outputs from `k` (at most `n − k`, at least 1) that
+    /// share output k's tap vector and step one whole sample: each later
+    /// `t = start + (k+u)·step` — the reference's arithmetic — must have
+    /// floor `f0 + u` and fraction exactly `frac`, where `f0` and `frac`
+    /// are output k's. On AVX2 hosts the test runs in the AVX2 build,
+    /// where `floor` is one rounding instruction instead of a libm call.
+    pub fn unit_run(start: f64, step: f64, k: usize, n: usize, f0: f64, frac: f64) -> usize {
         #[cfg(target_arch = "x86_64")]
         if avx2() {
             // SAFETY: `avx2()` verified the CPU feature.
-            return unsafe { resample_block_avx2(samples, base0, taps) };
+            return unsafe { unit_run_avx2(start, step, k, n, f0, frac) };
         }
-        resample_block_portable(samples, base0, taps)
+        unit_run_body(start, step, k, n, f0, frac)
     }
 
-    fn resample_block_portable(samples: &[Complex], base0: usize, taps: &[f64]) -> [Complex; 4] {
-        let mut ar = [0.0f64; 4];
-        let mut ai = [0.0f64; 4];
-        for (j, &tap) in taps.iter().enumerate() {
-            let first = base0 + j;
-            for u in 0..4 {
-                let v = samples[first + u];
-                ar[u] += v.re * tap;
-                ai[u] += v.im * tap;
+    #[inline(always)]
+    fn unit_run_body(start: f64, step: f64, k: usize, n: usize, f0: f64, frac: f64) -> usize {
+        let mut u = 1;
+        while k + u < n {
+            let t = start + (k + u) as f64 * step;
+            let f = t.floor();
+            if f != f0 + u as f64 || t - f != frac {
+                break;
             }
+            u += 1;
         }
-        [
-            Complex::new(ar[0], ai[0]),
-            Complex::new(ar[1], ai[1]),
-            Complex::new(ar[2], ai[2]),
-            Complex::new(ar[3], ai[3]),
-        ]
+        u
     }
 
+    /// # Safety
+    /// The CPU must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn resample_block_avx2(samples: &[Complex], base0: usize, taps: &[f64]) -> [Complex; 4] {
-        use std::arch::x86_64::*;
-        let sf = flat(samples);
-        let mut accr = _mm256_setzero_pd();
-        let mut acci = _mm256_setzero_pd();
-        for (j, &tap) in taps.iter().enumerate() {
-            let p = base0 + j;
-            let v0 = _mm256_loadu_pd(sf.as_ptr().add(2 * p));
-            let v1 = _mm256_loadu_pd(sf.as_ptr().add(2 * p + 4));
-            let vr = _mm256_unpacklo_pd(v0, v1);
-            let vi = _mm256_unpackhi_pd(v0, v1);
-            let tv = _mm256_set1_pd(tap);
-            accr = _mm256_add_pd(accr, _mm256_mul_pd(vr, tv));
-            acci = _mm256_add_pd(acci, _mm256_mul_pd(vi, tv));
+    unsafe fn unit_run_avx2(
+        start: f64,
+        step: f64,
+        k: usize,
+        n: usize,
+        f0: f64,
+        frac: f64,
+    ) -> usize {
+        unit_run_body(start, step, k, n, f0, frac)
+    }
+
+    /// Consecutive resampler outputs sharing one tap vector:
+    /// `out[u] = Σ_j samples[base0+u+j]·taps[j]` for every `u`, each
+    /// output accumulating its taps in ascending order from zero with a
+    /// separate multiply and add (the reference's `dot_taps`). Every
+    /// window must lie in the buffer. Lanes hold the interleaved
+    /// `re, im` of two outputs, so the samples are read in place with no
+    /// shuffle, and the AVX2 path runs sixteen outputs per block on
+    /// eight independent accumulators, so eight add chains advance side
+    /// by side where a single block of four waited on two.
+    pub fn resample_run(samples: &[Complex], base0: usize, taps: &[f64], out: &mut [Complex]) {
+        assert!(
+            base0 + out.len() + taps.len() <= samples.len() + 1,
+            "resample run reads past the buffer"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if avx2() {
+            // SAFETY: `avx2()` verified the CPU feature, and the assert
+            // above keeps every window inside `samples`.
+            return unsafe { resample_run_avx2(samples, base0, taps, out) };
         }
-        let mut out = [ZERO; 4];
-        let of = flat_mut(&mut out);
-        _mm256_storeu_pd(of.as_mut_ptr(), _mm256_unpacklo_pd(accr, acci));
-        _mm256_storeu_pd(of.as_mut_ptr().add(4), _mm256_unpackhi_pd(accr, acci));
-        out
+        resample_run_portable(samples, base0, taps, out);
+    }
+
+    /// The `[f64; 4]` form: one lane per component of two outputs.
+    fn resample_run_portable(samples: &[Complex], base0: usize, taps: &[f64], out: &mut [Complex]) {
+        let sf = flat(samples);
+        for (i, o) in flat_mut(out).chunks_mut(4).enumerate() {
+            let first = 2 * base0 + 4 * i;
+            let mut acc = [0.0f64; 4];
+            for (j, &tap) in taps.iter().enumerate() {
+                let v = &sf[first + 2 * j..];
+                for (a, &x) in acc.iter_mut().zip(&v[..o.len()]) {
+                    *a += x * tap;
+                }
+            }
+            o.copy_from_slice(&acc[..o.len()]);
+        }
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2, and every window of `out` must lie in
+    /// `samples` (`base0 + out.len() + taps.len() ≤ samples.len() + 1`).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn resample_run_avx2(
+        samples: &[Complex],
+        base0: usize,
+        taps: &[f64],
+        out: &mut [Complex],
+    ) {
+        use std::arch::x86_64::*;
+        let src = flat(samples).as_ptr().add(2 * base0);
+        let dst = flat_mut(out).as_mut_ptr();
+        let m = out.len();
+        let mut u = 0;
+        while u + 16 <= m {
+            let p = src.add(2 * u);
+            let mut acc = [_mm256_setzero_pd(); 8];
+            for (j, &tap) in taps.iter().enumerate() {
+                let tv = _mm256_set1_pd(tap);
+                let q = p.add(2 * j);
+                for (l, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_add_pd(*a, _mm256_mul_pd(_mm256_loadu_pd(q.add(4 * l)), tv));
+                }
+            }
+            for (l, a) in acc.iter().enumerate() {
+                _mm256_storeu_pd(dst.add(2 * u + 4 * l), *a);
+            }
+            u += 16;
+        }
+        while u + 2 <= m {
+            let p = src.add(2 * u);
+            let mut acc = _mm256_setzero_pd();
+            for (j, &tap) in taps.iter().enumerate() {
+                acc = _mm256_add_pd(
+                    acc,
+                    _mm256_mul_pd(_mm256_loadu_pd(p.add(2 * j)), _mm256_set1_pd(tap)),
+                );
+            }
+            _mm256_storeu_pd(dst.add(2 * u), acc);
+            u += 2;
+        }
+        if u < m {
+            let p = src.add(2 * u);
+            let mut acc = _mm_setzero_pd();
+            for (j, &tap) in taps.iter().enumerate() {
+                acc = _mm_add_pd(acc, _mm_mul_pd(_mm_loadu_pd(p.add(2 * j)), _mm_set1_pd(tap)));
+            }
+            _mm_storeu_pd(dst.add(2 * u), acc);
+        }
     }
 
     /// One τ candidate of the match sweep: accumulates
@@ -1867,6 +1946,38 @@ mod tests {
                 k.resample_into(&x, start, step, n, &mut out);
                 flat64(&out)
             });
+        }
+
+        /// The wide resampler block on its own (`lanes::resample_run`
+        /// with any tap vector, output counts at and around its block
+        /// boundaries) and through `resample_into` on unit grids whose
+        /// runs cross a power of two or are clipped by the buffer's end.
+        #[test]
+        fn avx2_matches_portable_wide_block(
+            x_raw in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 280..600),
+            taps in proptest::collection::vec(-1.0f64..1.0, 1..20),
+            pick in 0usize..1000,
+            mu in 0.0f64..1.0,
+            power in 4u32..10,
+        ) {
+            const BLOCK_EDGES: [usize; 9] = [15, 16, 17, 31, 32, 33, 255, 256, 257];
+            let x = to_complex(&x_raw);
+            let m = BLOCK_EDGES[pick % BLOCK_EDGES.len()];
+            let base0 = pick % (x.len() + 2 - taps.len() - m);
+            assert_avx2_eq_portable("resample_run", |_| {
+                let mut out = vec![ZERO; m];
+                lanes::resample_run(&x, base0, &taps, &mut out);
+                flat64(&out)
+            });
+            let crossing = (1u64 << power) as f64 - (pick % 20) as f64 + mu;
+            let clipped = (x.len() - m) as f64 + mu + (pick % 12) as f64;
+            for start in [crossing, clipped] {
+                assert_avx2_eq_portable("resample block path", |k| {
+                    let mut out = Vec::new();
+                    k.resample_into(&x, start, 1.0, m, &mut out);
+                    flat64(&out)
+                });
+            }
         }
 
         #[test]

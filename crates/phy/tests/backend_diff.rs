@@ -109,6 +109,10 @@ proptest! {
     }
 }
 
+/// Output counts at the `Simd` resampler's block boundaries: just below,
+/// at and above its 16-output block, two blocks, and a long run.
+const BLOCK_EDGES: [usize; 9] = [15, 16, 17, 31, 32, 33, 255, 256, 257];
+
 proptest! {
     /// The channel simulator synthesizes every air sample through the
     /// `Simd` resampler, so its output must equal the scalar reference
@@ -116,27 +120,39 @@ proptest! {
     /// merely within a tolerance. Cases span the channel's calls (start
     /// µ ∈ [−0.5, 0.5), n = len, step 1 or 1 ± drift up to 20 ppm,
     /// frames up to 3000 samples) plus starts before the buffer, starts
-    /// past its end, and n ≠ len.
+    /// past its end, and n ≠ len. Three more placements aim at the
+    /// block path: n at its block boundaries, starts just below a power
+    /// of two (where `start + k` rounds to a coarser fraction, so the run
+    /// of equal fractions ends inside a block), and runs whose last
+    /// windows are clipped by the end of the buffer.
     #[test]
     fn resample_is_bit_identical_to_the_reference(
         x_raw in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 1..3001),
         mu in -0.5f64..0.5,
-        placement in 0u8..4,
+        placement in 0u8..7,
         shift in 0.0f64..64.0,
         step_kind in 0u8..3,
         drift in 0.0f64..2e-5,
         n_pick in 0usize..4096,
+        power in 4u32..12,
     ) {
         let x = to_complex(&x_raw);
         let len = x.len();
+        let edge_n = BLOCK_EDGES[n_pick % BLOCK_EDGES.len()];
+        let before_power = (1u64 << power) as f64 - (n_pick % 20) as f64;
         // 0: the channel's call (start µ, n = len); 1: start µ with any
-        // n; 2: a start before the buffer; 3: a start past its end
-        let start = match placement {
-            0 | 1 => mu,
-            2 => mu - shift,
-            _ => len as f64 + mu + shift,
+        // n; 2: a start before the buffer; 3: a start past its end;
+        // 4: n at a block boundary; 5: a run crossing 2^power; 6: a run
+        // ending past the buffer's end
+        let (start, n) = match placement {
+            0 => (mu, len),
+            1 => (mu, n_pick % (len + 64)),
+            2 => (mu - shift, n_pick % (len + 64)),
+            3 => (len as f64 + mu + shift, n_pick % (len + 64)),
+            4 => (mu + (n_pick % len) as f64, edge_n),
+            5 => (before_power + mu, edge_n),
+            _ => (len as f64 - edge_n as f64 + mu + shift / 4.0, edge_n),
         };
-        let n = if placement == 0 { len } else { n_pick % (len + 64) };
         let step = match step_kind {
             0 => 1.0,
             1 => 1.0 + drift,
@@ -452,7 +468,8 @@ fn resample_edge_cases() {
     // backend may panic or read outside the buffer, and every output is
     // the reference's zero, bit for bit. Past ~9.2e18 the window's index
     // arithmetic would overflow `isize`; at 1e300 a unit step leaves
-    // the position unchanged, so whole four-output blocks line up.
+    // the position unchanged, so the whole call is one run of equal
+    // fractions whose windows all lie outside the buffer.
     for start in [1e19, -1e19, 1e300, -1e300, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
         for step in [1.0, 1.0 + 2e-5, 1.0 - 2e-5] {
             let mut want = Vec::new();
